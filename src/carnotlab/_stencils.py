@@ -35,11 +35,12 @@ class FaceGeometry:
     a_face: list[list[np.ndarray | None]]
 
 
+# keyed by the value of the group: two laws may share a name
 _GEOM_CACHE: dict[tuple, FaceGeometry] = {}
 
 
 def face_geometry(grid: GridSpec, group: GroupSpec, vf: VectorFieldSet) -> FaceGeometry:
-    key = (grid, group.name, vf.kind)
+    key = (grid, group, vf.kind)
     got = _GEOM_CACHE.get(key)
     if got is not None:
         return got

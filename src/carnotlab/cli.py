@@ -141,13 +141,16 @@ def _as_floats(n: int):
     return cast
 
 
+# every scenario kind runs on a cubic grid of this dimension
+GRID_DIM = 3
+
 # (default string, caster, help text, kinds that read the key)
 SCHEMA: dict[str, dict[str, tuple]] = {
     "scenario": {
         "kind": ("heat", _as_choice("heat", "fp", "hj", "duality", "mfg", "metric"),
                  "which solver family to run", "all"),
         "group": ("heisenberg1", _as_choice("heisenberg1", "engel"),
-                  "group preset", "all"),
+                  f"group preset; its dimension must be the grid's, {GRID_DIM}", "all"),
     },
     "grid": {
         "extent": ("2.0", _as_pos_float, "half-width of the cubic box", "all"),
@@ -165,7 +168,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "data": {
         "preset": ("bump", _as_choice("bump", "indicator"), "initial datum shape", "all"),
         "radius": ("1.0", _as_pos_float, "datum radius in the homogeneous gauge", "all"),
-        "center": ("0.0 0.0 0.0", _as_floats(3), "datum center", "all"),
+        "center": ("0.0 0.0 0.0", _as_floats(GRID_DIM), "datum center", "all"),
         "amplitude": ("1.0", _as_pos_float, "datum peak value before normalization", "all"),
         "normalize": ("true", _as_bool, "rescale the datum to unit mass", "fp, mfg, metric"),
         "value_radius": ("1.2", _as_pos_float, "terminal value bump radius", "mfg"),
@@ -299,6 +302,14 @@ def load_config(path: str) -> tuple[dict, list[str]]:
     if not errors and effective["tolerances"]["slope_lo"] >= effective["tolerances"]["slope_hi"]:
         lineno = _line_of(text, "tolerances", "slope_lo")
         errors.append(f"{path}:{lineno}: [tolerances] slope_lo must be below slope_hi")
+    group = effective["scenario"]["group"]
+    dim = preset(group).dim
+    if not errors and dim != GRID_DIM:
+        lineno = _line_of(text, "scenario", "group")
+        errors.append(
+            f"{path}:{lineno}: [scenario] group: {group} has dimension {dim}, "
+            f"but kind {effective['scenario']['kind']} runs on a {GRID_DIM}-d grid"
+        )
     return effective, errors
 
 
@@ -309,7 +320,7 @@ def load_config(path: str) -> tuple[dict, list[str]]:
 def _make_grid(cfg: dict) -> GridSpec:
     e = cfg["grid"]["extent"]
     n = cfg["grid"]["nodes"]
-    return GridSpec((-e,) * 3, (e,) * 3, (n,) * 3)
+    return GridSpec((-e,) * GRID_DIM, (e,) * GRID_DIM, (n,) * GRID_DIM)
 
 
 def _make_datum(cfg: dict, grid: GridSpec, group, *, radius_key: str = "radius",

@@ -13,13 +13,27 @@ pairs for violations, add the worst offenders, repeat.  The final scan
 certifies feasibility of the full LP, which makes the relaxed optimum
 exact (any feasible point of the full problem is feasible for the
 relaxation, and the relaxed optimizer is full-feasible at convergence).
+The scan walks the pairs in blocks of at most _PAIR_SCAN_BUDGET pairs,
+so its working set does not grow with the support size.
+
+The mollifier phi -> sum_u w_u phi(x * u) is a sparse linear operator
+on node values, and its entries come from the group law alone: slots of
+weight 1 move by whole lattice cells (the law adds no correction there),
+the other slots are read by multilinear interpolation, and x * u - x is
+evaluated only on the coordinates of x its law terms involve (one shift
+per vertical column for a step-2 law).  ``mollify`` materialises the
+operator as a CSR matrix on first use when its estimated size fits
+_OPERATOR_BUDGET_BYTES, memoized on the MollifierSpec under the value of
+(grid, group); above the budget it streams the same entries into its
+output on every call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
@@ -27,7 +41,14 @@ from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from .grid import Field, GridSpec, Trajectory, node_coordinates
-from .groups import GroupSpec, dilate, quasi_distance
+from .groups import GroupSpec, _monomial, dilate, quasi_distance
+
+# Pairs held at once by the Lipschitz violation scan.
+_PAIR_SCAN_BUDGET = 1 << 17
+# A mollifier operator estimated above this size is streamed, not stored.
+_OPERATOR_BUDGET_BYTES = 1 << 27
+# Entries gathered per row block while a mollifier operator is assembled.
+_BUILD_BLOCK_ENTRIES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +169,19 @@ def _merge_supports(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 
 def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec,
-               top_k: int, chunk: int = 512):
+               top_k: int):
     """Worst Lipschitz violations |f_i - f_j| - beta rho_ij over all pairs.
 
     Returns (max_violation, array of (i, j) pairs sorted worst-first,
     capped at top_k).  Deterministic: ties broken by index order.
+    Rows are scanned in blocks of about _PAIR_SCAN_BUDGET pairs.
     """
     n = points.shape[0]
+    chunk = max(1, _PAIR_SCAN_BUDGET // n)
     best_viol = -math.inf
-    cand: list[tuple[float, int, int]] = []
+    kept_v = np.zeros(0)
+    kept_i = np.zeros(0, dtype=int)
+    kept_j = np.zeros(0, dtype=int)
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         block = points[i0:i1]
@@ -169,13 +194,19 @@ def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec,
         if v.size == 0:
             continue
         best_viol = max(best_viol, float(v.max()))
-        if top_k > 0:
-            take = np.argsort(v)[::-1][:top_k]
-            for t in take:
-                if v[t] > 0:
-                    cand.append((float(v[t]), int(rows[t] + i0), int(cols[t])))
-    cand.sort(key=lambda r: (-r[0], r[1], r[2]))
-    pairs = np.array([(i, j) for _, i, j in cand[:top_k]], dtype=int).reshape(-1, 2)
+        if top_k <= 0:
+            continue
+        pos = v > 0
+        if pos.sum() > top_k:
+            # keep every pair tied with the top_k-th value; the index
+            # tie-break below decides among them
+            pos &= v >= np.partition(v, v.size - top_k)[v.size - top_k]
+        kept_v = np.concatenate([kept_v, v[pos]])
+        kept_i = np.concatenate([kept_i, rows[pos] + i0])
+        kept_j = np.concatenate([kept_j, cols[pos]])
+        order = np.lexsort((kept_j, kept_i, -kept_v))[:top_k]
+        kept_v, kept_i, kept_j = kept_v[order], kept_i[order], kept_j[order]
+    pairs = np.stack([kept_i, kept_j], axis=1).reshape(-1, 2)
     return best_viol, pairs
 
 
@@ -309,6 +340,8 @@ class MollifierSpec:
     step: int
     offsets: np.ndarray
     weights: np.ndarray
+    # materialised operators, keyed by the value of (grid, group)
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(eps: float, grid: GridSpec, group: GroupSpec) -> "MollifierSpec":
@@ -350,44 +383,128 @@ def kernel_field(m: MollifierSpec, grid: GridSpec, group: GroupSpec) -> Field:
     return Field(grid, vals.reshape(grid.shape))
 
 
+def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, i1: int):
+    """Entries of phi -> sum_u w_u phi(x * u) in the rows of the nodes x
+    whose first index lies in [i0, i1); in C order those rows are the
+    contiguous range [i0, i1) * (nodes per first-axis slab).
+
+    Yields (cols, weights), one pair per offset u and interpolation
+    corner: flat arrays over the block's rows in order.  A corner that
+    falls outside the box has weight 0 and an arbitrary col.
+    """
+    shape, h, d = grid.shape, grid.spacings, grid.dim
+    strides = [int(np.prod(shape[a + 1:])) for a in range(d)]
+    block = (i1 - i0,) + tuple(shape[1:])
+
+    def along(a, v):
+        return np.reshape(v, [-1 if b == a else 1 for b in range(d)])
+
+    idx = [along(a, np.arange(i0, i1) if a == 0 else np.arange(shape[a])).astype(np.int32)
+           for a in range(d)]
+    xs = [along(a, ax[i0:i1] if a == 0 else ax) for a, ax in enumerate(grid.axes())]
+    # a weight-1 slot carries no law term (each term has degree >= 2)
+    horizontal = [a for a in range(d) if group.weights[a] == 1]
+    moves = np.rint(m.offsets[:, horizontal] / np.take(h, horizontal)).astype(np.int32)
+    vertical = [a for a in range(d) if group.weights[a] > 1]
+    us = [m.offsets[:, b] for b in range(d)]
+    # law terms of each vertical slot: (coeff * x-monomial on the block,
+    # u-monomial per offset); x * u - x = u + sum of their products
+    terms = [
+        [(float(coeff) * _monomial(xs, px), _monomial(us, pu))
+         for coeff, px, pu in group.law[a]]
+        for a in vertical
+    ]
+    for k, w in enumerate(m.weights):
+        # horizontal moves and their box test live on the horizontal axes only
+        base, wt_h = 0, w
+        for a, move in zip(horizontal, moves[k]):
+            p = idx[a] + move
+            base = base + p * strides[a]
+            wt_h = wt_h * ((p >= 0) & (p < shape[a]))
+        lows, fracs = [], []
+        for a, law_terms in zip(vertical, terms):
+            s = m.offsets[k, a]
+            for cx, mu in law_terms:
+                s = s + cx * mu[k]
+            steps = np.asarray(s) / h[a]
+            lo = np.floor(steps)
+            fracs.append(steps - lo)
+            lows.append(lo.astype(np.int32))
+        for corner in itertools.product((0, 1), repeat=len(vertical)):
+            col, wt = base, wt_h
+            for a, lo, frac, c in zip(vertical, lows, fracs, corner):
+                p = idx[a] + (lo + c)
+                col = col + p * strides[a]
+                # one unsigned compare tests 0 <= p < n
+                wt = wt * (frac if c else 1.0 - frac) * (p.view(np.uint32) < shape[a])
+            yield (np.broadcast_to(col, block).reshape(-1),
+                   np.broadcast_to(wt, block).reshape(-1))
+
+
+def _operator(m: MollifierSpec, grid: GridSpec, group: GroupSpec):
+    """The memoized CSR operator, assembled on first use, or None when its
+    estimated size exceeds _OPERATOR_BUDGET_BYTES."""
+    key = (grid, group)
+    op = m._operators.get(key)
+    if op is not None:
+        return op
+    corners = 2 ** sum(1 for w in group.weights if w > 1)
+    row_len = grid.num_nodes // grid.shape[0]
+    per_row = len(m.offsets) * corners
+    # one float64 value and one int32 column per entry, before merging
+    if grid.num_nodes * per_row * 12 > _OPERATOR_BUDGET_BYTES:
+        return None
+    slabs = max(1, _BUILD_BLOCK_ENTRIES // (row_len * per_row))
+    blocks = []
+    for i0 in range(0, grid.shape[0], slabs):
+        i1 = min(i0 + slabs, grid.shape[0])
+        n_rows = (i1 - i0) * row_len
+        # every row holds one candidate per (offset, corner): the block is
+        # a CSR matrix with duplicates and explicit zeros until merged
+        cols = np.empty((n_rows, per_row), dtype=np.int32)
+        vals = np.empty((n_rows, per_row))
+        for k, (c, w) in enumerate(_shift_entries(m, grid, group, i0, i1)):
+            cols[:, k] = np.where(w != 0.0, c, 0)
+            vals[:, k] = w
+        part = sps.csr_matrix(
+            (vals.reshape(-1), cols.reshape(-1), np.arange(0, cols.size + 1, per_row)),
+            shape=(n_rows, grid.num_nodes),
+        )
+        del cols, vals
+        part.sum_duplicates()
+        part.eliminate_zeros()
+        blocks.append(part)
+    op = sps.vstack(blocks, format="csr")
+    m._operators[key] = op
+    return op
+
+
 def mollify(rho: Field, m: MollifierSpec, group: GroupSpec) -> Field:
     """Group-translation smoothing phi_eps(x) = sum_u w_u phi(x * u).
 
-    The offsets u live on the grid lattice in the horizontal slots, so
-    those shifts are exact index moves; the vertical slot of x * u picks
-    up the area correction (x1 u2 - x2 u1)/2, constant along each
-    vertical column, applied by linear interpolation.  Weights are
-    convex, so the sup norm never grows, and each shift preserves column
-    sums (mass) until the support reaches the box edge.
+    rho may hold one snapshot or a stack of them along a leading axis;
+    a stack is smoothed in one sparse matrix product.  The offsets u
+    live on the lattice, so horizontal shifts are exact index moves;
+    the other slots of x * u come from the group law and are read by
+    multilinear interpolation, with zero outside the box.  Weights are
+    convex, so the sup norm never grows; for a step-2 law each shift
+    moves whole vertical columns, so mass is kept until the support
+    reaches the box edge.
+
+    The operator is assembled once per (grid, group) value and memoized
+    on m when its estimated size fits _OPERATOR_BUDGET_BYTES; above that
+    its entries are streamed into the output on every call.
     """
-    if group.dim != 3:
-        raise NotImplementedError("mollifier shifts are wired for the 3d group")
     grid = rho.grid
-    h1, h2, h3 = grid.spacings
-    X, Y, _ = node_coordinates(grid)
-    n3 = grid.shape[2]
-    out = np.zeros_like(rho.values)
-    base_idx = np.arange(n3)
-    for (u1, u2, u3), w in zip(m.offsets, m.weights):
-        i_off = int(round(u1 / h1))
-        j_off = int(round(u2 / h2))
-        shifted = np.zeros_like(rho.values)
-        src_i = slice(max(0, i_off), grid.shape[0] + min(0, i_off))
-        dst_i = slice(max(0, -i_off), grid.shape[0] - max(0, i_off))
-        src_j = slice(max(0, j_off), grid.shape[1] + min(0, j_off))
-        dst_j = slice(max(0, -j_off), grid.shape[1] - max(0, j_off))
-        # value at x is read from x shifted by +u in the group sense
-        shifted[dst_i, dst_j, :] = rho.values[src_i, src_j, :]
-        s = u3 + 0.5 * (X[:, :, 0] * u2 - Y[:, :, 0] * u1)
-        steps = s / h3
-        lo = np.floor(steps).astype(int)
-        frac = steps - lo
-        k_lo = base_idx[None, None, :] + lo[:, :, None]
-        k_hi = k_lo + 1
-        v_lo = np.where((k_lo >= 0) & (k_lo < n3), np.take_along_axis(shifted, k_lo.clip(0, n3 - 1), axis=2), 0.0)
-        v_hi = np.where((k_hi >= 0) & (k_hi < n3), np.take_along_axis(shifted, k_hi.clip(0, n3 - 1), axis=2), 0.0)
-        out += w * ((1 - frac[:, :, None]) * v_lo + frac[:, :, None] * v_hi)
-    return Field(grid, out, rho.t)
+    flat = rho.values.reshape(-1, grid.num_nodes)
+    op = _operator(m, grid, group)
+    if op is not None:
+        out = (op @ flat.T).T
+    else:
+        out = np.zeros_like(flat)
+        for cols, wts in _shift_entries(m, grid, group, 0, grid.shape[0]):
+            out += wts * flat.take(cols, axis=1, mode="clip")
+    return Field(grid, out.reshape(rho.values.shape), rho.t)
 
 
 # ---------------------------------------------------------------------------

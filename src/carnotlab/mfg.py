@@ -10,6 +10,9 @@ where the coupling F[rho] regularizes the density through the group
 mollifier, scaled by a gain.  By construction F[rho] is bounded in
 C^1_G uniformly over probability densities (the dirac is the extremal
 case), which is exactly the regularity the fixed-point argument needs.
+The mollifier is a sparse operator assembled from the group law on the
+first coupling evaluation and memoized on its MollifierSpec; each
+backward solve smooths all n+1 density snapshots with one product.
 
 ``mfg_picard`` runs the damped best-response iteration: given u, push
 rho0 forward with the feedback drift; feed the mollified density back
@@ -72,7 +75,10 @@ class CouplingSpec:
 
 
 def coupling_eval(rho: Field, c: CouplingSpec, group: GroupSpec) -> Field:
-    """gain * (mollifier kernel convolved with rho), on rho's own grid."""
+    """gain * (mollifier kernel convolved with rho), on rho's own grid.
+
+    rho may stack snapshots along a leading axis; each is smoothed alike.
+    """
     out = mollify(rho, c.mollifier, group)
     if c.gain == 1.0:
         return out
@@ -179,10 +185,10 @@ def _backward_value(
     n = len(rho_traj) - 1
     span = rho_traj.times[-1] - rho_traj.times[0]
     r_times = _accumulated_times(0.0, step, n)
-    src_fields = [
-        Field(u_T.grid, coupling_eval(rho_traj.fields[n - j], coupling, group).values, r_times[j])
-        for j in range(n + 1)
-    ]
+    # all snapshots, in reflected order, through one coupling product
+    stack = Field(u_T.grid, np.stack([f.values for f in reversed(rho_traj.fields)]))
+    smoothed = coupling_eval(stack, coupling, group).values
+    src_fields = [Field(u_T.grid, smoothed[j], r_times[j]) for j in range(n + 1)]
     source = SourceTerm.from_sequence(r_times, src_fields)
     spec_v = HamiltonianSpec(u0=Field(u_T.grid, u_T.values, 0.0), gamma=gamma, source=source)
     v = hj_solve(spec_v, sigma, span, group, dt=step, store_every=1)

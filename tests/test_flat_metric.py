@@ -1,12 +1,15 @@
 """Flat-distance LP against closed forms and a vertex-enumeration oracle,
 plus the smoothing-kernel contracts."""
 
+import dataclasses
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from carnotlab import flat_metric
 from carnotlab import grid as cgrid
 from carnotlab import groups, vfields
 from carnotlab.flat_metric import (
@@ -249,6 +252,124 @@ def test_mollify_sup_error_for_lipschitz_data():
             out = mollify(phi, m, G)
             err = np.abs(out.values[interior] - vals[interior]).max()
             assert err <= (1 + 1e-1) * eps, f"{name} at eps={eps}: {err}"
+
+
+def _loop_mollify(rho, m, group):
+    """The per-offset loop with the heisenberg1 vertical term written out
+    by hand; the operator must reproduce it on that law."""
+    grid = rho.grid
+    h1, h2, h3 = grid.spacings
+    X, Y, _ = node_coordinates(grid)
+    n3 = grid.shape[2]
+    out = np.zeros_like(rho.values)
+    base_idx = np.arange(n3)
+    for (u1, u2, u3), w in zip(m.offsets, m.weights):
+        i_off = int(round(u1 / h1))
+        j_off = int(round(u2 / h2))
+        shifted = np.zeros_like(rho.values)
+        src_i = slice(max(0, i_off), grid.shape[0] + min(0, i_off))
+        dst_i = slice(max(0, -i_off), grid.shape[0] - max(0, i_off))
+        src_j = slice(max(0, j_off), grid.shape[1] + min(0, j_off))
+        dst_j = slice(max(0, -j_off), grid.shape[1] - max(0, j_off))
+        shifted[dst_i, dst_j, :] = rho.values[src_i, src_j, :]
+        s = u3 + 0.5 * (X[:, :, 0] * u2 - Y[:, :, 0] * u1)
+        steps = s / h3
+        lo = np.floor(steps).astype(int)
+        frac = steps - lo
+        k_lo = base_idx[None, None, :] + lo[:, :, None]
+        k_hi = k_lo + 1
+        v_lo = np.where((k_lo >= 0) & (k_lo < n3), np.take_along_axis(shifted, k_lo.clip(0, n3 - 1), axis=2), 0.0)
+        v_hi = np.where((k_hi >= 0) & (k_hi < n3), np.take_along_axis(shifted, k_hi.clip(0, n3 - 1), axis=2), 0.0)
+        out += w * ((1 - frac[:, :, None]) * v_lo + frac[:, :, None] * v_hi)
+    return out
+
+
+def _doubled_bracket():
+    """A 3-d law under heisenberg1's name with twice its bracket."""
+    one = Fraction(1)
+    return dataclasses.replace(G, law=((), (), ((one, (1, 0, 0), (0, 1, 0)),
+                                                 (-one, (0, 1, 0), (1, 0, 0)))))
+
+
+def _translates_inside(grid, group, m):
+    """Nodes x whose translates x * u stay in the box for every offset u."""
+    pts = cgrid.node_points(grid)
+    lo, hi = np.array(grid.lower), np.array(grid.upper)
+    ok = np.ones(pts.shape[0], dtype=bool)
+    for u in m.offsets:
+        y = multiply(group, pts, u)
+        ok &= np.all((y >= lo) & (y <= hi), axis=1)
+    return ok.reshape(grid.shape)
+
+
+def test_mollify_operator_and_stream_match_the_loop(monkeypatch):
+    grid = cgrid.default_grid(nodes=21)
+    rng = np.random.default_rng(3)
+    stack = np.stack([bump_field(grid, G, radius=1.0, normalize=True).values,
+                      rng.uniform(-1.0, 1.0, grid.shape)])
+    stored = MollifierSpec.build(0.8, grid, G)
+    want = np.stack([_loop_mollify(Field(grid, v), stored, G) for v in stack])
+    assert np.abs(mollify(Field(grid, stack), stored, G).values - want).max() <= 1e-12
+    assert np.abs(mollify(Field(grid, stack[1]), stored, G).values - want[1]).max() <= 1e-12
+    assert list(stored._operators) == [(grid, G)]
+
+    monkeypatch.setattr(flat_metric, "_OPERATOR_BUDGET_BYTES", 0)
+    streamed = MollifierSpec.build(0.8, grid, G)
+    assert np.abs(mollify(Field(grid, stack), streamed, G).values - want).max() <= 1e-12
+    assert streamed._operators == {}
+
+
+def test_mollify_follows_the_group_law():
+    # phi is affine in x3 on every vertical column, so interpolation is
+    # exact and mollify must equal sum_u w_u phi(x * u) wherever the
+    # translates stay in the box; the hand-written heisenberg1 term
+    # reads the wrong columns on this law
+    law = _doubled_bracket()
+    grid = cgrid.default_grid(nodes=21)
+    m = MollifierSpec.build(0.8, grid, law)
+
+    def phi(x):
+        return (1.0 + x[..., 0] - 0.5 * x[..., 1]) * x[..., 2] + x[..., 0] ** 2
+
+    pts = cgrid.node_points(grid)
+    want = sum(w * phi(multiply(law, pts, u)) for u, w in zip(m.offsets, m.weights))
+    want = want.reshape(grid.shape)
+    inside = _translates_inside(grid, law, m)
+    assert inside.sum() > 100
+    data = Field(grid, phi(pts).reshape(grid.shape))
+    got = mollify(data, m, law).values
+    assert np.abs(got - want)[inside].max() <= 1e-12
+    assert np.abs(_loop_mollify(data, m, law) - want)[inside].max() > 1e-2
+
+
+def test_mollifier_operator_is_stored_under_budget_and_keyed_by_value():
+    small = cgrid.default_grid(nodes=21)
+    m = MollifierSpec.build(0.8, small, G)
+    op = flat_metric._operator(m, small, G)
+    assert op.nnz > 2_000_000
+    assert flat_metric._operator(m, cgrid.default_grid(nodes=21), groups.preset("heisenberg1")) is op
+    assert list(m._operators) == [(small, G)]
+
+    large = cgrid.default_grid(nodes=41)
+    m41 = MollifierSpec.build(0.8, large, G)
+    assert flat_metric._operator(m41, large, G) is None
+    assert m41._operators == {}
+
+
+def test_mollify_on_engel_keeps_mass_and_sup():
+    E = groups.preset("engel")
+    grid = GridSpec((-1.5,) * 4, (1.5,) * 4, (11,) * 4)
+    m = MollifierSpec.build(0.9, grid, E)
+    ones = mollify(Field(grid, np.ones(grid.shape)), m, E).values
+    inside = _translates_inside(grid, E, m)
+    assert inside.sum() > 0
+    assert np.abs(ones[inside] - 1.0).max() <= 1e-12
+
+    rho = bump_field(grid, E, radius=0.7, normalize=True)
+    out = mollify(rho, m, E)
+    assert abs(out.integral() - rho.integral()) <= 1e-12
+    assert out.values.max() <= rho.values.max()
+    assert out.values.min() >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Heat flow: conservation, contraction, degeneracy signature, gradient decay."""
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from carnotlab import preset
+from carnotlab import _stencils, preset
 from carnotlab.grid import Field, bump_field, constant_field, default_grid, node_coordinates
 from carnotlab.groups import hom_norm
 from carnotlab.heat import CFLViolation, evolve, heat_step, measure_gradient_decay, stable_dt
@@ -111,3 +114,18 @@ def test_gradient_of_constant_stays_zero():
     grid = default_grid(nodes=15)
     rep = measure_gradient_decay(constant_field(grid, 1.0), 0.25, 0.5, H1)
     assert all(s == 0.0 for s in rep.grad_sup)
+
+
+def test_face_geometry_is_cached_by_law_not_by_name(monkeypatch):
+    # twice the bracket under the same name must not reuse cached faces
+    one = Fraction(1)
+    doubled = dataclasses.replace(H1, law=((), (), ((one, (1, 0, 0), (0, 1, 0)),
+                                                    (-one, (0, 1, 0), (1, 0, 0)))))
+    grid = default_grid(nodes=15)
+    f = bump_field(grid, H1, radius=1.0)
+    monkeypatch.setattr(_stencils, "_GEOM_CACHE", {})
+    evolve(f, 0.25, 0.05, H1)
+    warm = evolve(f, 0.25, 0.05, doubled)
+    monkeypatch.setattr(_stencils, "_GEOM_CACHE", {})
+    cold = evolve(f, 0.25, 0.05, doubled)
+    assert np.array_equal(warm.values, cold.values)
