@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -368,16 +369,26 @@ class RunOutcome:
         return EXIT_INVARIANT
 
 
+def _json_text(payload) -> str:
+    """Strict JSON: a non-finite float is written as null."""
+    def finite(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return v
+
+    return json.dumps(finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(outdir: str, name: str, payload) -> str:
-    path = os.path.join(outdir, name)
+    """Write payload, a JSON-able value or JSON text, as strict JSON."""
     if isinstance(payload, str):
-        body = payload
-    else:
-        body = json.dumps(payload, indent=2, sort_keys=True)
-    if not body.endswith("\n"):
-        body += "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body)
+        payload = json.loads(payload)
+    with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+        fh.write(_json_text(payload))
     return name
 
 
@@ -737,7 +748,7 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
         "package": {"name": "carnotlab", "version": __version__},
     }
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(manifest))
 
     return code, outdir, summary
 
@@ -799,7 +810,7 @@ def _cmd_verify(args) -> int:
             "package": {"name": "carnotlab", "version": __version__},
         }
         with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            fh.write(_json_text(manifest))
         print(f"outputs: {outdir}")
 
     return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT

@@ -9,12 +9,19 @@ point) and a norm split (alpha, beta) with |f| <= alpha,
 
 The all-pairs constraint matrix is quadratic in the support size, so
 the solver generates rows lazily: solve on an active pair set, scan all
-pairs for violations, add the worst offenders, repeat.  The final scan
-certifies feasibility of the full LP, which makes the relaxed optimum
-exact (any feasible point of the full problem is feasible for the
-relaxation, and the relaxed optimizer is full-feasible at convergence).
+pairs for violations, then drop the active pair rows whose slack
+beta rho_ij - |f_i - f_j| exceeds tol and add the worst offenders,
+repeat.  A pair leaves the active set at most once; after the last
+departure the active set only grows, by at least one pair a round, so
+the loop ends.  The final scan certifies feasibility of the full LP,
+which makes the relaxed optimum exact (any feasible point of the full
+problem is feasible for the relaxation, and the relaxed optimizer is
+full-feasible at convergence), whatever rows were dropped on the way.
 The scan walks the pairs in blocks of at most _PAIR_SCAN_BUDGET pairs,
-so its working set does not grow with the support size.
+so its working set does not grow with the support size.  Only f and
+beta change between scans, so one call keeps the pair distances of the
+leading blocks (upper triangle, float64) up to _DISTANCE_MEMO_BYTES and
+recomputes the blocks past that budget on every scan.
 
 The mollifier phi -> sum_u w_u phi(x * u) is a sparse linear operator
 on node values, and its entries come from the group law alone: slots of
@@ -45,6 +52,8 @@ from .groups import GroupSpec, _monomial, dilate, quasi_distance
 
 # Pairs held at once by the Lipschitz violation scan.
 _PAIR_SCAN_BUDGET = 1 << 17
+# Pair distances one flat_distance call keeps between its scans.
+_DISTANCE_MEMO_BYTES = 1 << 25
 # A mollifier operator estimated above this size is streamed, not stored.
 _OPERATOR_BUDGET_BYTES = 1 << 27
 # Entries gathered per row block while a mollifier operator is assembled.
@@ -169,30 +178,38 @@ def _merge_supports(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 
 def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec,
-               top_k: int):
+               top_k: int, memo: list):
     """Worst Lipschitz violations |f_i - f_j| - beta rho_ij over all pairs.
 
-    Returns (max_violation, array of (i, j) pairs sorted worst-first,
-    capped at top_k).  Deterministic: ties broken by index order.
-    Rows are scanned in blocks of about _PAIR_SCAN_BUDGET pairs.
+    Returns (max_violation, codes i * n + j of the violating pairs i < j
+    sorted worst-first, capped at top_k).  Deterministic: ties broken by
+    code, that is by (i, j).  Rows are scanned in blocks of about
+    _PAIR_SCAN_BUDGET pairs.  memo holds the distances rho_ij (i < j,
+    row-major) of the leading blocks; a block past its end is computed,
+    and appended while the stored bytes stay within _DISTANCE_MEMO_BYTES.
     """
     n = points.shape[0]
     chunk = max(1, _PAIR_SCAN_BUDGET // n)
     best_viol = -math.inf
     kept_v = np.zeros(0)
-    kept_i = np.zeros(0, dtype=int)
-    kept_j = np.zeros(0, dtype=int)
-    for i0 in range(0, n, chunk):
+    kept = np.zeros(0, dtype=int)
+    for b, i0 in enumerate(range(0, n, chunk)):
         i1 = min(i0 + chunk, n)
-        block = points[i0:i1]
-        d = quasi_distance(group, block[:, None, :], points[None, :, :])
-        viol = np.abs(f[i0:i1, None] - f[None, :]) - beta * d
-        iu = np.triu_indices(i1 - i0, k=1, m=n)
-        mask = iu[1] > iu[0] + i0
-        rows, cols = iu[0][mask], iu[1][mask]
-        v = viol[rows, cols]
-        if v.size == 0:
+        rows = np.arange(i0, i1)
+        upper = np.arange(n) > rows[:, None]
+        if b < len(memo):
+            d = memo[b]
+        else:
+            ii, jj = np.nonzero(upper)
+            d = quasi_distance(group, points[ii + i0], points[jj])
+            # memo[b] must be block b: once a block misses the budget,
+            # no later block is stored
+            stored = sum(m.nbytes for m in memo)
+            if len(memo) == b and stored + d.nbytes <= _DISTANCE_MEMO_BYTES:
+                memo.append(d)
+        if d.size == 0:
             continue
+        v = np.abs(f[i0:i1, None] - f)[upper] - beta * d
         best_viol = max(best_viol, float(v.max()))
         if top_k <= 0:
             continue
@@ -201,13 +218,39 @@ def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec,
             # keep every pair tied with the top_k-th value; the index
             # tie-break below decides among them
             pos &= v >= np.partition(v, v.size - top_k)[v.size - top_k]
+        # row i of the block holds its n - 1 - i pairs (i, j > i) from
+        # position starts[i - i0] of v on
+        p = np.flatnonzero(pos)
+        starts = np.cumsum(n - 1 - rows) - (n - 1 - rows)
+        i = rows[np.searchsorted(starts, p, side="right") - 1]
+        j = i + 1 + p - starts[i - i0]
         kept_v = np.concatenate([kept_v, v[pos]])
-        kept_i = np.concatenate([kept_i, rows[pos] + i0])
-        kept_j = np.concatenate([kept_j, cols[pos]])
-        order = np.lexsort((kept_j, kept_i, -kept_v))[:top_k]
-        kept_v, kept_i, kept_j = kept_v[order], kept_i[order], kept_j[order]
-    pairs = np.stack([kept_i, kept_j], axis=1).reshape(-1, 2)
-    return best_viol, pairs
+        kept = np.concatenate([kept, i * n + j])
+        order = np.lexsort((kept, -kept_v))[:top_k]
+        kept_v, kept = kept_v[order], kept[order]
+    return best_viol, kept
+
+
+def _seed_pairs(points: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Sorted codes i * n + j (i < j) of the pairs the first LP holds: a
+    lexicographic chain, Euclidean nearest neighbors (binding Lipschitz
+    rows are mostly local) and a clique on the heaviest points."""
+    n = points.shape[0]
+
+    def code(a, b):
+        return np.minimum(a, b) * n + np.maximum(a, b)
+
+    order = np.lexsort(points.T[::-1])
+    seeds = [code(order[:-1], order[1:])]
+    if n > 2:
+        kq = min(9, n)
+        _, nbr = cKDTree(points).query(points, k=kq)
+        a, b = np.repeat(np.arange(n), kq - 1), nbr[:, 1:].ravel()
+        seeds.append(code(a, b)[a != b])
+    heavy = np.argsort(-np.abs(delta))[: min(n, 64)]
+    hi, hj = np.triu_indices(heavy.size, k=1)
+    seeds.append(code(heavy[hi], heavy[hj]))
+    return np.unique(np.concatenate(seeds))
 
 
 def flat_distance(
@@ -239,44 +282,26 @@ def flat_distance(
     static_b = np.zeros(2 * n + 1)
     static_b[-1] = 1.0
 
-    # seed pairs: Euclidean nearest neighbors (binding Lipschitz rows are
-    # mostly local), a lexicographic chain, and a clique on the heaviest points
-    order = np.lexsort(points.T[::-1])
-    seeds = {(int(a), int(b)) if a < b else (int(b), int(a))
-             for a, b in zip(order[:-1], order[1:])}
-    if n > 2:
-        kq = min(9, n)
-        _, nbr = cKDTree(points).query(points, k=kq)
-        for i in range(n):
-            for j in nbr[i][1:]:
-                a, b = (i, int(j)) if i < j else (int(j), i)
-                if a != b:
-                    seeds.add((a, b))
-    heavy = np.argsort(-np.abs(delta))[: min(n, 64)]
-    for ii in range(len(heavy)):
-        for jj in range(ii + 1, len(heavy)):
-            a, b = int(heavy[ii]), int(heavy[jj])
-            seeds.add((a, b) if a < b else (b, a))
-    active = sorted(seeds)
+    # pairs i < j travel as codes i * n + j
+    active = _seed_pairs(points, delta)
 
-    def pair_rows(pairs):
+    def distances(codes):
+        return quasi_distance(group, points[codes // n], points[codes % n])
+
+    def pair_rows(codes, d):
         """Rows f_i - f_j - beta d_ij <= 0 and the mirror, one COO batch."""
-        p = np.asarray(pairs, dtype=int).reshape(-1, 2)
-        k = p.shape[0]
-        d = quasi_distance(group, points[p[:, 0]], points[p[:, 1]])
-        r = np.arange(2 * k)
-        row_idx = np.concatenate([np.repeat(r, 3)])
-        col_idx = np.concatenate(
-            [np.stack([p[:, 0], p[:, 1], np.full(k, n + 1)], 1).ravel(),
-             np.stack([p[:, 0], p[:, 1], np.full(k, n + 1)], 1).ravel()])
+        k = codes.size
+        row_idx = np.repeat(np.arange(2 * k), 3)
+        cols = np.stack([codes // n, codes % n, np.full(k, n + 1)], 1).ravel()
+        col_idx = np.concatenate([cols, cols])
         data = np.concatenate(
             [np.stack([np.ones(k), -np.ones(k), -d], 1).ravel(),
              np.stack([-np.ones(k), np.ones(k), -d], 1).ravel()])
-        m = sps.csr_matrix((data, (row_idx, col_idx)), shape=(2 * k, n + 2))
-        return m, np.zeros(2 * k)
+        return sps.csr_matrix((data, (row_idx, col_idx)), shape=(2 * k, n + 2))
 
-    rows, rhs = pair_rows(active)
-    rows, rhs = [rows], [rhs]
+    active_d = distances(active)
+    left = np.zeros(0, dtype=active.dtype)
+    memo: list[np.ndarray] = []
     status = "iteration-limit"
     gap = math.inf
     f = np.zeros(n)
@@ -284,27 +309,29 @@ def flat_distance(
     value = 0.0
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        A = sps.vstack([static] + rows, format="csr")
-        b = np.concatenate([static_b] + rhs)
+        A = sps.vstack([static, pair_rows(active, active_d)], format="csr")
+        b = np.concatenate([static_b, np.zeros(2 * active.size)])
         res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
         if res.status != 0:
             return FlatMetricResult(float("nan"), f"lp-error:{res.message}", math.inf, np.zeros(0), points, rounds)
         f = res.x[:n]
         alpha, beta = res.x[n], res.x[n + 1]
         value = -res.fun
-        viol, new_pairs = _pair_scan(points, f, beta, group, top_k)
+        viol, worst = _pair_scan(points, f, beta, group, top_k, memo)
         gap = max(0.0, viol)
         if viol <= tol:
             status = "optimal"
             break
-        fresh = [(int(i), int(j)) for i, j in new_pairs if (int(i), int(j)) not in seeds]
-        if not fresh:
+        fresh = worst[~np.isin(worst, active)]
+        if fresh.size == 0:
             status = "stalled"
             break
-        seeds.update(fresh)
-        r2, b2 = pair_rows(fresh)
-        rows.append(r2)
-        rhs.append(b2)
+        # rows with slack leave the LP, each pair at most once
+        slack = beta * active_d - np.abs(f[active // n] - f[active % n])
+        drop = (slack > tol) & ~np.isin(active, left)
+        left = np.concatenate([left, active[drop]])
+        active = np.concatenate([active[~drop], fresh])
+        active_d = np.concatenate([active_d[~drop], distances(fresh)])
     return FlatMetricResult(float(value), status, float(gap), f, points, rounds)
 
 
@@ -534,7 +561,8 @@ def holder_in_time(
 
     Distances are taken from one base snapshot to later ones (a ladder,
     not all pairs, to keep the LP count small).  A trajectory whose
-    snapshots coincide is reported as degenerate.
+    snapshots coincide is reported as degenerate; one with fewer than two
+    distinct gaps fixes no slope and is reported as underdetermined.
     """
     idx = np.unique(np.linspace(base_index + 1, len(traj) - 1, max_pairs).astype(int))
     base = DiscreteMeasure.from_field(traj.fields[base_index], coarsen=coarsen, threshold=threshold)
@@ -549,6 +577,9 @@ def holder_in_time(
     gaps_a, dists_a = np.asarray(gaps), np.asarray(dists)
     if np.all(dists_a <= max(1e-14, lp_tol)):
         return TimeHolderReport(float("nan"), 0.0, tuple(gaps), tuple(dists), "degenerate")
+    if np.unique(gaps_a).size < 2:
+        return TimeHolderReport(float("nan"), float("nan"), tuple(gaps), tuple(dists),
+                                "underdetermined")
     lx = np.log(gaps_a)
     ly = np.log(np.maximum(dists_a, 1e-300))
     lx_c = lx - lx.mean()

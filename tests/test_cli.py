@@ -1,4 +1,6 @@
-"""Config validation of the command-line front end."""
+"""Config validation and artifacts of the command-line front end."""
+
+import json
 
 import pytest
 
@@ -15,3 +17,27 @@ def test_group_of_other_dimension_is_rejected_before_any_output(kind, tmp_path, 
     err = capsys.readouterr().err
     assert "scenario.cfg:3:" in err and "engel has dimension 4" in err
     assert not runs.exists()
+
+
+def test_underdetermined_holder_fit_is_written_as_strict_json(tmp_path, capsys):
+    # one fp step gives one time gap, which fixes no Holder slope
+    text = open(cli.resolve_config("metric_demo")).read()
+    assert "t_end = 0.1\n" in text
+    cfg = tmp_path / "metric_short.cfg"
+    cfg.write_text(text.replace("t_end = 0.1\n", "t_end = 0.0001\n"))
+    runs = tmp_path / "runs"
+    assert cli.main(["run", str(cfg), "--output-dir", str(runs)]) == cli.EXIT_INVARIANT
+    (outdir,) = runs.iterdir()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
+            for p in outdir.glob("*.json")}
+    assert {"manifest.json", "metric_report.json"} <= set(docs)
+    holder = docs["metric_report.json"]["holder"]
+    assert holder["verdict"] == "underdetermined"
+    assert holder["exponent"] is None
+    (check,) = [c for c in docs["manifest.json"]["checks"]
+                if c["name"] == "time_regularity_exponent"]
+    assert check["value"] is None and not check["ok"]

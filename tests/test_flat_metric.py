@@ -126,6 +126,100 @@ def test_transported_dirac_bounded_by_quasi_distance():
         assert d <= float(quasi_distance(G, x, y)) + 1e-9
 
 
+def _random_pair(rng, n=60):
+    def rand_measure():
+        return DiscreteMeasure(points=rng.uniform(-1.5, 1.5, (n, 3)),
+                               weights=rng.uniform(0.1, 1.0, n))
+
+    return rand_measure(), rand_measure()
+
+
+def test_seed_pairs_match_the_loop():
+    from scipy.spatial import cKDTree
+
+    def loop_seeds(points, delta):
+        # the double loops the array version replaced
+        n = points.shape[0]
+        order = np.lexsort(points.T[::-1])
+        seeds = {(int(min(a, b)), int(max(a, b))) for a, b in zip(order[:-1], order[1:])}
+        if n > 2:
+            _, nbr = cKDTree(points).query(points, k=min(9, n))
+            for i in range(n):
+                for j in nbr[i][1:]:
+                    if i != j:
+                        seeds.add((min(i, int(j)), max(i, int(j))))
+        heavy = np.argsort(-np.abs(delta))[: min(n, 64)]
+        for ii in range(len(heavy)):
+            for jj in range(ii + 1, len(heavy)):
+                a, b = int(heavy[ii]), int(heavy[jj])
+                seeds.add((min(a, b), max(a, b)))
+        return [i * n + j for i, j in sorted(seeds)]
+
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 9, 40, 150):
+        points = rng.uniform(-1.5, 1.5, (n, 3))
+        delta = rng.normal(size=n)
+        assert flat_metric._seed_pairs(points, delta).tolist() == loop_seeds(points, delta)
+
+
+def test_pruned_lp_is_exact(monkeypatch):
+    # top_k=3 forces many rounds, so slack seed rows leave the LP and
+    # violated pairs come back; the final all-pairs scan keeps it exact
+    rows_per_round = []
+    linprog = flat_metric.linprog
+
+    def counting_linprog(c, A_ub, **kw):
+        rows_per_round.append(A_ub.shape[0])
+        return linprog(c, A_ub=A_ub, **kw)
+
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        mu, nu = _random_pair(rng)
+        full = flat_distance(mu, nu, G, top_k=100_000)
+        rows_per_round.clear()
+        with monkeypatch.context() as m:
+            m.setattr(flat_metric, "linprog", counting_linprog)
+            pruned = flat_distance(mu, nu, G, top_k=3)
+        assert full.status == pruned.status == "optimal"
+        assert pruned.rounds > 1
+        assert min(rows_per_round[1:]) < rows_per_round[0]
+        assert abs(pruned.value - full.value) <= 1e-9
+
+
+def test_distance_memo_stays_under_budget_and_changes_nothing(monkeypatch):
+    # small scan blocks give several blocks; a budget under one block
+    # makes every scan recompute every distance
+    monkeypatch.setattr(flat_metric, "_PAIR_SCAN_BUDGET", 1 << 11)
+    mu, nu = _random_pair(np.random.default_rng(2))
+    n = mu.points.shape[0] + nu.points.shape[0]
+    block = 8 * sum(n - 1 - i for i in range((1 << 11) // n))
+    scan = flat_metric._pair_scan
+    stored = []
+
+    def recording_scan(*args):
+        out = scan(*args)
+        stored.append(sum(d.nbytes for d in args[-1]))
+        return out
+
+    monkeypatch.setattr(flat_metric, "_pair_scan", recording_scan)
+    results, peak = {}, {}
+    for budget in (1 << 25, 3 * block, block - 1):
+        monkeypatch.setattr(flat_metric, "_DISTANCE_MEMO_BYTES", budget)
+        stored.clear()
+        results[budget] = flat_distance(mu, nu, G, top_k=5)
+        peak[budget] = max(stored)
+        assert peak[budget] <= budget
+    # all pairs, the leading blocks, nothing
+    assert peak[1 << 25] == 8 * n * (n - 1) // 2
+    assert 2 * block < peak[3 * block] < peak[1 << 25]
+    assert peak[block - 1] == 0
+    full, *others = results.values()
+    assert full.rounds > 1
+    for res in others:
+        assert (res.value, res.rounds) == (full.value, full.rounds)
+        assert np.array_equal(res.optimizer, full.optimizer)
+
+
 def test_result_json_shape():
     res = flat_distance(unit_dirac((1, 0, 0)), unit_dirac((0, 0, 0)), G)
     doc = json.loads(json.dumps(res.to_json_dict()))
