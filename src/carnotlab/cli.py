@@ -335,13 +335,37 @@ def _make_datum(cfg: dict, grid: GridSpec, group, *, radius_key: str = "radius",
     pts = np.stack(node_coordinates(grid), axis=-1)
     c = np.asarray(d["center"], dtype=float)
     inside = quasi_distance(group, c, pts.reshape(-1, 3)).reshape(grid.shape) < radius
+    if not inside.any():
+        raise ValueError("indicator datum has no mass inside the box")
     vals = inside.astype(float) * d["amplitude"]
     if wants_norm:
-        total = vals.sum() * grid.cell_volume
-        if total <= 0:
-            raise ValueError("indicator datum has no mass inside the box")
-        vals = vals / total
+        vals = vals / (vals.sum() * grid.cell_volume)
     return Field(grid, vals)
+
+
+# how each kind normalizes its datum: True, False, or None for [data] normalize
+_DATUM_NORMALIZE = {"heat": False, "fp": None, "hj": False, "duality": False,
+                    "mfg": True, "metric": True}
+
+
+def _scenario_data(cfg: dict, group) -> dict:
+    """Every input a scenario starts from, built before any output exists.
+
+    Raises ValueError when the data cannot be built on this grid, e.g. a
+    bump centred where it has no mass or an eps the lattice cannot resolve.
+    """
+    kind = cfg["scenario"]["kind"]
+    grid = _make_grid(cfg)
+    data = {"grid": grid,
+            "datum": _make_datum(cfg, grid, group, normalize=_DATUM_NORMALIZE[kind])}
+    d, dyn = cfg["data"], cfg["dynamics"]
+    if kind == "duality":
+        data["mu"] = bump_field(grid, group, center=d["center"], radius=d["mu_radius"],
+                                normalize=True)
+    elif kind == "mfg":
+        data["u_T"] = bump_field(grid, group, center=d["center"], radius=d["value_radius"])
+        data["mollifier"] = MollifierSpec.build(dyn["eps"], grid, group)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +421,11 @@ def _write_field(outdir: str, name: str, field: Field) -> list[str]:
     return [name, name + ".json"]
 
 
-def _run_heat(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _run_heat(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Evolve the heat flow; assert non-expansion and the decay exponent."""
     out = RunOutcome()
-    grid = _make_grid(cfg)
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
-    f0 = _make_datum(cfg, grid, group, normalize=False)
+    f0 = data["datum"]
 
     f_end = heat.evolve(f0, dyn["sigma"], dyn["t_end"], group)
     sup0 = f0.sup_norm()
@@ -421,12 +444,11 @@ def _run_heat(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
     return out
 
 
-def _run_fp(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _run_fp(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Forward transport-diffusion; mass, bounds, and the energy ledger."""
     out = RunOutcome()
-    grid = _make_grid(cfg)
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
-    rho0 = _make_datum(cfg, grid, group)
+    rho0 = data["datum"]
     drift = fp.DriftField.constant(dyn["drift"])
 
     traj = fp.fp_solve(rho0, drift, dyn["sigma"], dyn["t_end"], group,
@@ -472,13 +494,12 @@ def _run_fp(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
     return out
 
 
-def _run_hj(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _run_hj(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Direct solve plus the mild fixed point, cross-checked against each other."""
     out = RunOutcome()
-    grid = _make_grid(cfg)
+    grid = data["grid"]
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
-    u0 = _make_datum(cfg, grid, group, normalize=False)
-    spec = hj.HamiltonianSpec(u0=u0, gamma=dyn["gamma"])
+    spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
 
     direct = hj.hj_solve(spec, dyn["sigma"], dyn["t_end"], group,
                          store_every=cfg["run"]["store_every"])
@@ -506,18 +527,15 @@ def _run_hj(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
     return out
 
 
-def _run_duality(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _run_duality(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Pairing identity between the value flow and an adjoint density."""
     out = RunOutcome()
-    grid = _make_grid(cfg)
+    grid = data["grid"]
     dyn = cfg["dynamics"]
-    u0 = _make_datum(cfg, grid, group, normalize=False)
-    spec = hj.HamiltonianSpec(u0=u0, gamma=dyn["gamma"])
+    spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
 
     traj = hj.hj_solve(spec, dyn["sigma"], dyn["t_end"], group)
-    mu = bump_field(grid, group, center=cfg["data"]["center"],
-                    radius=cfg["data"]["mu_radius"], normalize=True)
-    rep = hj.duality_report(traj, spec, dyn["sigma"], group, mu,
+    rep = hj.duality_report(traj, spec, dyn["sigma"], group, data["mu"],
                             traj.times[0], traj.times[-1])
 
     scale = spec.data_scale(dyn["t_end"])
@@ -536,20 +554,14 @@ def _run_duality(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
     return out
 
 
-def _run_mfg(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _run_mfg(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Damped best-response iteration for the coupled backward-forward pair."""
     out = RunOutcome()
-    grid = _make_grid(cfg)
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
-    u_T = bump_field(grid, group, center=cfg["data"]["center"],
-                     radius=cfg["data"]["value_radius"])
-    rho0 = _make_datum(cfg, grid, group, normalize=True)
-    coupling = mfg.CouplingSpec(
-        mollifier=MollifierSpec.build(dyn["eps"], grid, group), gain=dyn["gain"]
-    )
+    coupling = mfg.CouplingSpec(mollifier=data["mollifier"], gain=dyn["gain"])
 
     state = mfg.mfg_picard(
-        u_T, rho0, coupling, dyn["sigma"], dyn["t_end"], group,
+        data["u_T"], data["datum"], coupling, dyn["sigma"], dyn["t_end"], group,
         gamma=dyn["gamma"], theta=dyn["theta"],
         tol_u=tol["tol_u"], tol_rho=tol["tol_rho"], max_iters=tol["max_iters"],
     )
@@ -572,10 +584,9 @@ def _run_mfg(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
     return out
 
 
-def _run_metric(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _run_metric(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Flat-distance closed forms, metric axioms, and time regularity."""
     out = RunOutcome()
-    grid = _make_grid(cfg)
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
     rng = np.random.default_rng(seed)
 
@@ -612,8 +623,7 @@ def _run_metric(cfg: dict, outdir: str, seed: int, group) -> RunOutcome:
     out.add("symmetry_worst_gap", sym_worst, f"<= {tol['metric']:g}",
             sym_worst <= tol["metric"])
 
-    rho0 = _make_datum(cfg, grid, group, normalize=True)
-    traj = fp.fp_solve(rho0, fp.DriftField.none(), dyn["sigma"], dyn["t_end"],
+    traj = fp.fp_solve(data["datum"], fp.DriftField.none(), dyn["sigma"], dyn["t_end"],
                        group, store_every=1)
     hold = holder_in_time(traj, group, coarsen=2)
     out.add("time_regularity_exponent", hold.exponent, ">= 0.4",
@@ -712,9 +722,13 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
     kind = cfg["scenario"]["kind"]
     group = preset(cfg["scenario"]["group"])
     stem = os.path.splitext(os.path.basename(config_path))[0]
+    try:
+        data = _scenario_data(cfg, group)
+    except ValueError as exc:
+        return EXIT_CONFIG, "", f"{config_path}: cannot build the scenario data: {exc}"
     outdir = _unique_outdir(parent_dir, stem)
 
-    outcome = RUNNERS[kind](cfg, outdir, seed, group)
+    outcome = RUNNERS[kind](cfg, data, outdir, seed, group)
     code = outcome.exit_code
 
     verdicts = {

@@ -23,7 +23,7 @@ import numpy as np
 import sympy as sp
 
 from . import _stencils, vfields
-from .grid import BallMask, Field, GridSpec, Trajectory, max_stable_dt, node_coordinates
+from .grid import BallMask, Field, Trajectory, max_stable_dt
 from .groups import GroupSpec, hom_norm
 from .heat import CFLViolation
 
@@ -76,21 +76,6 @@ class DriftField:
 
         return DriftField(m=m, sampler=sample)
 
-    @staticmethod
-    def from_value_gradient(u: Field, gamma: float, vf: vfields.VectorFieldSet) -> "DriftField":
-        """Optimal-control feedback drift gamma |grad_G u|^{gamma-2} grad_G u,
-        frozen at the given u snapshot."""
-        g = vfields.horizontal_gradient(vf, u).values
-        mag = np.sqrt((g**2).sum(axis=0))
-        if gamma == 2.0:
-            coeff = np.full_like(mag, gamma)
-        else:
-            # |grad|^{gamma-2} with the convention 0^0-type limit -> 0 drift
-            with np.errstate(divide="ignore"):
-                coeff = gamma * np.where(mag > 0, mag ** (gamma - 2.0), 0.0)
-        b = coeff * g
-        return DriftField(m=g.shape[0], sampler=lambda t, arr=b: arr)
-
     def at(self, t: float) -> np.ndarray | None:
         if self.zero:
             return None
@@ -133,7 +118,7 @@ def fp_step(
         limit = max_stable_dt(rho.grid, group, vf, sigma, b)
         if dt > limit * (1 + 1e-12):
             raise CFLViolation(f"dt={dt:g} exceeds stability bound {limit:g}")
-    geom = _stencils.face_geometry(rho.grid, group, vf)
+    geom = _stencils.frame_tables(rho.grid, vf)
     new = rho.values + dt * _stencils.flux_divergence(rho.values, geom, sigma, b)
     if not np.isfinite(new).all():
         raise CFLViolation("transport step produced non-finite values")
@@ -158,7 +143,12 @@ def fp_solve(
 
     store_every thins the stored snapshots (the final state is always
     kept).  The step count is chosen once from the stability bound at the
-    initial drift sample; time-dependent drifts are re-checked per step.
+    initial drift sample.  A step re-checks the bound only when its drift
+    sample is not the object the last check saw: the first step always
+    checks, a zero or constant drift never again, and a piecewise-constant
+    drift (``DriftField.from_sequence``) once at each new segment.  A
+    sampler that returns a fresh array on every call is checked on every
+    step.
     """
     span = t_end - rho0.t
     if span < 0:
@@ -178,8 +168,11 @@ def fp_solve(
     step = span / n
     fields = [rho0]
     cur = rho0
+    checked = object()  # no drift sample has been checked yet
     for k in range(n):
-        cur = fp_step(cur, drift, sigma, step, group, mask)
+        b = drift.at(cur.t)
+        cur = fp_step(cur, drift, sigma, step, group, mask, check_cfl=b is not checked)
+        checked = b
         if k == n - 1 or (k + 1) % store_every == 0:
             fields.append(cur)
     if fields[-1] is not cur:
@@ -373,13 +366,11 @@ def _barrier_lhs_fn(group: GroupSpec, b_coeffs, sigma: float):
     grad_sq = sum(g**2 for g in grad_n2)
     # Phi-normalized form; multiply by Phi at the end
     core = -bbar * (N2 + 1) + sigma * (a**2 * grad_sq - a * lap_n2)
-    div_b = sp.Integer(0)
     if b_coeffs is not None:
+        # constant frame coefficients: div_G B = sum X_i b_i = 0, so the
+        # (div_G B) Phi term drops out
         bs = [sp.Float(c) for c in np.asarray(b_coeffs, dtype=float)]
         core += sum(bi * (-a * gi) for bi, gi in zip(bs, grad_n2))
-        # constant frame coefficients: div_G B = sum X_i b_i = 0
-        div_b = sp.Integer(0)
-    core = core + div_b
     phi = sp.exp(-a * (N2 + 1))
     lhs = core * phi
     return sp.lambdify(tuple(xs) + (t, bbar, beta1, tau0), lhs, "numpy")

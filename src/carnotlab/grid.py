@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import groups
-from .groups import GroupSpec, eval_poly
+from .groups import GroupSpec
 
 
 @dataclass(frozen=True)
@@ -196,14 +196,6 @@ class SolverParams:
             raise ValueError("cfl_safety in (0, 1]")
 
 
-def diffusion_matrix(group: GroupSpec, coords: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
-    """A(x) = sum_i a_i a_i^T from the left-invariant coefficient table."""
-    table = group.left_field_table()
-    d = group.dim
-    a = [[eval_poly(table[i][l], coords) for l in range(d)] for i in range(len(table))]
-    return [[sum(a[i][k] * a[i][l] for i in range(len(table))) for l in range(d)] for k in range(d)]
-
-
 def max_stable_dt(
     grid: GridSpec,
     group: GroupSpec,
@@ -218,29 +210,34 @@ def max_stable_dt(
           + sigma sum_{k != l} |A_kl| / (2 h_k h_l) )^{-1},
     with A = sum a_i a_i^T and Btilde = sum b_i a_i.  Returns +inf when the
     drift and diffusion vanish ("unconstrained").
+
+    The diffusion part and the frame coefficients come from the shared
+    tables of (grid, vf) (the left-invariant frame of group when vf is
+    None), so a call costs O(N) with a drift and O(1) without.
     """
-    coords = node_coordinates(grid)
-    h = grid.spacings
-    d = grid.dim
-    table = vf.coefficients if vf is not None else group.left_field_table()
-    a = [[eval_poly(table[i][l], coords) for l in range(d)] for i in range(len(table))]
-    denom = np.zeros(grid.shape)
-    if sigma > 0:
-        for k in range(d):
-            for l in range(d):
-                akl = sum(a[i][k] * a[i][l] for i in range(len(table)))
-                if k == l:
-                    denom += sigma * akl / h[k] ** 2
-                else:
-                    denom += sigma * np.abs(akl) / (2.0 * h[k] * h[l])
-    if b is not None:
+    from . import _stencils, vfields
+
+    if vf is None:
+        vf = vfields.left_invariant_fields(group)
+    tables = _stencils.frame_tables(grid, vf)
+    if b is None:
+        m = sigma * tables.diffusion_max if sigma > 0 else 0.0
+    else:
+        h = grid.spacings
+        denom = sigma * tables.diffusion if sigma > 0 else np.zeros(grid.shape)
         bv = b.values if isinstance(b, Field) else np.asarray(b, dtype=float)
         if bv.ndim == 1:
-            bv = bv.reshape((-1,) + (1,) * d)
-        for k in range(d):
-            btk = sum(bv[i] * a[i][k] for i in range(len(table)))
-            denom += np.abs(btk) / h[k]
-    m = float(denom.max())
+            bv = bv.reshape((-1,) + (1,) * grid.dim)
+        for k in range(grid.dim):
+            btk = None
+            for i, ai in enumerate(tables.a):
+                if ai[k] is None:
+                    continue
+                term = bv[i] * ai[k]
+                btk = term if btk is None else btk + term
+            if btk is not None:
+                denom += np.abs(btk) / h[k]
+        m = float(denom.max())
     if m <= 0.0:
         return math.inf
     return 1.0 / m
@@ -319,5 +316,8 @@ def bump_field(grid: GridSpec, group: GroupSpec, *, center: Sequence[float] | No
             raise ValueError("bump has no mass on this grid")
         vals = vals / s
     else:
-        vals = amplitude * vals / vals.max()
+        peak = vals.max()
+        if peak <= 0:
+            raise ValueError("bump has no mass on this grid")
+        vals = amplitude * vals / peak
     return Field(grid, vals, t)

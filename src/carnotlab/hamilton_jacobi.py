@@ -188,39 +188,22 @@ def godunov_gradient(u: Field, group: GroupSpec) -> np.ndarray:
     """
     vf = vfields.left_invariant_fields(group)
     grid = u.grid
-    h = grid.spacings
-    coords = _stencils_coords(grid)
-    minus, plus = _one_sided_differences(u.values, h)
+    a = _stencils.frame_tables(grid, vf).a
+    minus, plus = _one_sided_differences(u.values, grid.spacings)
     total = np.zeros(grid.shape)
-    for i in range(vf.count):
+    for ai in a:
         d_minus = np.zeros(grid.shape)
         d_plus = np.zeros(grid.shape)
-        for l in range(grid.dim):
-            poly = vf.coefficients[i][l]
-            if not poly:
+        for l, ail in enumerate(ai):
+            if ail is None:
                 continue
-            a = _eval_poly_cached(poly, coords, grid)
-            pos = a > 0
-            d_minus = d_minus + np.where(pos, a * minus[l], a * plus[l])
-            d_plus = d_plus + np.where(pos, a * plus[l], a * minus[l])
+            pos = ail > 0
+            am, ap = ail * minus[l], ail * plus[l]
+            d_minus += np.where(pos, am, ap)
+            d_plus += np.where(pos, ap, am)
         s = np.maximum(np.maximum(d_minus, 0.0), np.maximum(-d_plus, 0.0))
-        total = total + s * s
+        total += s * s
     return np.sqrt(total)
-
-
-def _stencils_coords(grid: GridSpec):
-    from .grid import node_coordinates
-
-    return node_coordinates(grid)
-
-
-def _eval_poly_cached(poly, coords, grid):
-    from .groups import eval_poly
-
-    v = eval_poly(poly, coords)
-    if np.ndim(v) == 0:
-        return np.full(grid.shape, float(v))
-    return v
 
 
 def feedback_drift(u: Field, gamma: float, group: GroupSpec) -> np.ndarray:
@@ -272,7 +255,7 @@ def hj_step_direct(
         limit = hj_stable_dt(u, spec, sigma, group, cfl_safety=1.0)
         if dt > limit * (1 + 1e-12):
             raise CFLViolation(f"dt={dt:g} exceeds stability bound {limit:g}")
-    geom = _stencils.face_geometry(u.grid, group, vf)
+    geom = _stencils.frame_tables(u.grid, vf)
     new = u.values + dt * _stencils.flux_divergence(u.values, geom, sigma)
     new = new - dt * godunov_gradient(u, group) ** spec.gamma
     src = spec.source.at(u.t)
@@ -296,9 +279,11 @@ def hj_solve(
     """March the direct scheme from spec.u0 to t_end.
 
     The step count comes from the stability bound at the initial state;
-    every step re-checks the bound at the current state, so gradient
-    growth past the initial estimate fails loudly rather than drifting
-    into instability.
+    every step re-checks the bound at the current state, because the
+    feedback drift in it moves with u, so gradient growth past the
+    initial estimate fails loudly rather than drifting into instability.
+    The re-check is O(N): the diffusion part and the frame coefficients
+    come from the shared tables of ``_stencils``.
     """
     u0 = spec.u0
     span = t_end - u0.t
@@ -332,7 +317,7 @@ def hj_solve(
 
 def _heat_step_raw(values: np.ndarray, grid: GridSpec, sigma: float, dt: float, group: GroupSpec) -> np.ndarray:
     vf = vfields.left_invariant_fields(group)
-    geom = _stencils.face_geometry(grid, group, vf)
+    geom = _stencils.frame_tables(grid, vf)
     return values + dt * _stencils.flux_divergence(values, geom, sigma)
 
 

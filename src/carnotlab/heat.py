@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stencils, vfields
-from .grid import Field, GridSpec, SolverParams, max_stable_dt
+from .grid import Field, GridSpec, max_stable_dt
 from .groups import GroupSpec
 
 
@@ -40,7 +40,7 @@ def heat_step(f: Field, sigma: float, dt: float, group: GroupSpec, *, check_cfl:
         limit = max_stable_dt(f.grid, group, vfields.left_invariant_fields(group), sigma, None)
         if dt > limit * (1 + 1e-12):
             raise CFLViolation(f"dt={dt:g} exceeds stability bound {limit:g}")
-    geom = _stencils.face_geometry(f.grid, group, vfields.left_invariant_fields(group))
+    geom = _stencils.frame_tables(f.grid, vfields.left_invariant_fields(group))
     new = f.values + dt * _stencils.flux_divergence(f.values, geom, sigma)
     return Field(f.grid, new, f.t + dt)
 
@@ -73,7 +73,7 @@ def evolve(
     else:
         n = max(1, math.ceil(span / dt - 1e-12))
     step = span / n
-    geom = _stencils.face_geometry(f.grid, group, vfields.left_invariant_fields(group))
+    geom = _stencils.frame_tables(f.grid, vfields.left_invariant_fields(group))
     vals = f.values
     for _ in range(n):
         vals = vals + step * _stencils.flux_divergence(vals, geom, sigma)
@@ -133,7 +133,7 @@ def measure_gradient_decay(
     ladder = np.exp(np.linspace(math.log(t_lo), math.log(t_end), n_times))
     steps = sorted({int(round(t / dt)) for t in ladder})
     steps = [s for s in steps if s >= 1]
-    geom = _stencils.face_geometry(phi.grid, group, vf)
+    geom = _stencils.frame_tables(phi.grid, vf)
     vals = phi.values
     times, sups = [], []
     done = 0

@@ -24,7 +24,8 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
-from .groups import GroupSpec, Poly, eval_poly, poly_diff
+from . import _stencils
+from .groups import GroupSpec, Poly, eval_poly, poly_diff, poly_is_zero
 from .grid import Field, GridSpec, node_coordinates
 
 
@@ -159,28 +160,19 @@ def _mixed_derivative(values: np.ndarray, h1: float, h2: float, ax1: int, ax2: i
     return out
 
 
-def _field_coefficients(vf: VectorFieldSet, grid: GridSpec) -> list[list[np.ndarray]]:
-    coords = node_coordinates(grid)
-    return [[eval_poly(vf.coefficients[i][l], coords) for l in range(vf.dim)] for i in range(vf.count)]
-
-
 def horizontal_gradient(vf: VectorFieldSet, f: Field) -> Field:
     """(X_1 f, ..., X_m f) with centered differences for the Euclidean partials."""
     h = f.grid.spacings
     partials = [_axis_gradient(f.values, h[l], l) for l in range(f.grid.dim)]
-    a = _field_coefficients(vf, f.grid)
+    a = _stencils.frame_tables(f.grid, vf).a
     comps = []
     for i in range(vf.count):
         acc = np.zeros(f.grid.shape)
         for l in range(f.grid.dim):
-            if not _all_zero(vf.coefficients[i][l]):
+            if a[i][l] is not None:
                 acc = acc + a[i][l] * partials[l]
         comps.append(acc)
     return Field(f.grid, np.stack(comps), f.t)
-
-
-def _all_zero(poly: Poly) -> bool:
-    return all(c == 0 for c, _ in poly)
 
 
 @lru_cache(maxsize=8)
@@ -223,13 +215,13 @@ def horizontal_laplacian(vf: VectorFieldSet, f: Field) -> Field:
     A, C = _laplacian_tables(vf)
     out = np.zeros(grid.shape)
     for k in range(grid.dim):
-        if not _all_zero(A[k][k]):
+        if not poly_is_zero(A[k][k]):
             out += eval_poly(A[k][k], coords) * _second_derivative(f.values, h[k], k)
         for l in range(k + 1, grid.dim):
-            if not _all_zero(A[k][l]):
+            if not poly_is_zero(A[k][l]):
                 out += 2.0 * eval_poly(A[k][l], coords) * _mixed_derivative(f.values, h[k], h[l], k, l)
     for l in range(grid.dim):
-        if not _all_zero(C[l]):
+        if not poly_is_zero(C[l]):
             out += eval_poly(C[l], coords) * _axis_gradient(f.values, h[l], l)
     return Field(grid, out, f.t)
 
@@ -240,11 +232,11 @@ def horizontal_divergence(vf: VectorFieldSet, F: Field) -> Field:
         raise ValueError("expected one component per field in the set")
     grid = F.grid
     h = grid.spacings
-    a = _field_coefficients(vf, grid)
+    a = _stencils.frame_tables(grid, vf).a
     out = np.zeros(grid.shape)
     for i in range(vf.count):
         for l in range(grid.dim):
-            if not _all_zero(vf.coefficients[i][l]):
+            if a[i][l] is not None:
                 out += a[i][l] * _axis_gradient(F.values[i], h[l], l)
     return Field(grid, out, F.t)
 

@@ -41,3 +41,22 @@ def test_underdetermined_holder_fit_is_written_as_strict_json(tmp_path, capsys):
     (check,) = [c for c in docs["manifest.json"]["checks"]
                 if c["name"] == "time_regularity_exponent"]
     assert check["value"] is None and not check["ok"]
+
+
+@pytest.mark.parametrize("kind", sorted(cli.RUNNERS))
+@pytest.mark.parametrize("shape,message", [
+    ("bump", "bump has no mass on this grid"),
+    ("indicator", "indicator datum has no mass inside the box"),
+])
+def test_datum_without_mass_is_a_config_error_before_any_output(kind, shape, message,
+                                                                  tmp_path, capsys):
+    # a datum centred outside the box has no mass on the grid
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n[data]\npreset = {shape}\n"
+                   "center = 9.0 9.0 9.0\n")
+    runs = tmp_path / "runs"
+    code = cli.main(["run", str(cfg), "--output-dir", str(runs)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"far.cfg: cannot build the scenario data: {message}" in err
+    assert not runs.exists()

@@ -5,6 +5,7 @@ stochastic particle cross-check."""
 import numpy as np
 import pytest
 
+from carnotlab import fokker_planck as fp_module
 from carnotlab import grid as cgrid
 from carnotlab import groups, heat
 from carnotlab.flat_metric import DiscreteMeasure, flat_distance
@@ -23,6 +24,7 @@ from carnotlab.fokker_planck import (
     weak_form_residual,
 )
 from carnotlab.grid import Field, Trajectory, bump_field, make_ball_mask, node_coordinates
+from carnotlab.vfields import left_invariant_fields
 
 G = groups.preset("heisenberg1")
 
@@ -268,3 +270,60 @@ def test_fp_solve_returns_aligned_trajectory():
     assert traj.times[-1] == pytest.approx(0.05)
     assert all(f.t == pytest.approx(t) for f, t in zip(traj.fields, traj.times))
     assert isinstance(traj, Trajectory)
+
+
+# ---------------------------------------------------------------------------
+# stability re-checks
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, name):
+    """Record the time stamp of the first argument of every call to fp_module.<name>."""
+    seen = []
+    inner = getattr(fp_module, name)
+
+    def counting(*args, **kwargs):
+        seen.append(getattr(args[0], "t", None))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fp_module, name, counting)
+    return seen
+
+
+def test_stronger_drift_segment_is_still_checked(monkeypatch):
+    # the step count comes from the weak first segment; the first step of
+    # the ten times stronger second segment must refuse to run
+    grid = cgrid.default_grid(nodes=15)
+    rho0 = bump_field(grid, G, radius=1.0, normalize=True)
+    weak = np.array([1.0, 0.5])
+    drift = DriftField.from_sequence([0.0, 0.25], [weak, 10 * weak])
+    steps = _count_calls(monkeypatch, "fp_step")
+    with pytest.raises(heat.CFLViolation, match="exceeds stability bound"):
+        fp_solve(rho0, drift, 0.01, 0.5, G)
+    assert len(steps) >= 3
+    assert steps[-2] < 0.25 <= steps[-1]
+
+
+def test_explicit_step_above_the_bound_raises_on_the_first_step(monkeypatch):
+    grid = cgrid.default_grid(nodes=15)
+    rho0 = bump_field(grid, G, radius=1.0, normalize=True)
+    drift = DriftField.constant((1.0, 0.5))
+    limit = cgrid.max_stable_dt(grid, G, left_invariant_fields(G), 0.25, drift.at(0.0))
+    steps = _count_calls(monkeypatch, "fp_step")
+    with pytest.raises(heat.CFLViolation, match="exceeds stability bound"):
+        fp_solve(rho0, drift, 0.25, 20 * limit, G, dt=1.5 * limit)
+    assert steps == [0.0]
+
+
+def test_bound_is_rechecked_only_for_a_new_drift_sample(monkeypatch):
+    grid = cgrid.default_grid(nodes=15)
+    rho0 = bump_field(grid, G, radius=1.0, normalize=True)
+    b = np.array([0.3, -0.2])
+    # one check chooses the step count, then one per distinct drift sample
+    for drift, checks in ((DriftField.none(), 2),
+                          (DriftField.constant(b), 2),
+                          (DriftField.from_sequence([0.0, 0.1], [b, -b]), 3)):
+        calls = _count_calls(monkeypatch, "max_stable_dt")
+        traj = fp_solve(rho0, drift, 0.25, 0.2, G)
+        monkeypatch.undo()
+        assert len(traj) > 4
+        assert len(calls) == checks

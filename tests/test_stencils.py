@@ -1,0 +1,160 @@
+"""Shared frame tables: the O(N) stability bound and the flux kernel
+against the formulas they replace."""
+
+import dataclasses
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from carnotlab import _stencils, preset
+from carnotlab.grid import Field, GridSpec, default_grid, max_stable_dt, node_coordinates
+from carnotlab.groups import eval_poly
+from carnotlab.vfields import left_invariant_fields
+
+H1 = preset("heisenberg1")
+ENGEL = preset("engel")
+_ONE = Fraction(1)
+# twice the Heisenberg bracket, under the same name
+DOUBLED = dataclasses.replace(H1, law=((), (), ((_ONE, (1, 0, 0), (0, 1, 0)),
+                                                (-_ONE, (0, 1, 0), (1, 0, 0)))))
+
+
+def _reference_max_stable_dt(grid, group, vf, sigma, b=None):
+    """The bound as the node loop computed it before the shared tables."""
+    coords = node_coordinates(grid)
+    h = grid.spacings
+    d = grid.dim
+    table = vf.coefficients if vf is not None else group.left_field_table()
+    a = [[eval_poly(table[i][l], coords) for l in range(d)] for i in range(len(table))]
+    denom = np.zeros(grid.shape)
+    if sigma > 0:
+        for k in range(d):
+            for l in range(d):
+                akl = sum(a[i][k] * a[i][l] for i in range(len(table)))
+                if k == l:
+                    denom += sigma * akl / h[k] ** 2
+                else:
+                    denom += sigma * np.abs(akl) / (2.0 * h[k] * h[l])
+    if b is not None:
+        bv = b.values if isinstance(b, Field) else np.asarray(b, dtype=float)
+        if bv.ndim == 1:
+            bv = bv.reshape((-1,) + (1,) * d)
+        for k in range(d):
+            btk = sum(bv[i] * a[i][k] for i in range(len(table)))
+            denom += np.abs(btk) / h[k]
+    m = float(denom.max())
+    if m <= 0.0:
+        return math.inf
+    return 1.0 / m
+
+
+def _reference_flux_divergence(values, geom, sigma, b_values=None):
+    """The kernel as it was written with np.pad before the scatter."""
+    grid = geom.grid
+    d = grid.dim
+    h = grid.spacings
+    node_grads = None
+    if sigma > 0:
+        node_grads = [np.gradient(values, h[l], axis=l, edge_order=2) for l in range(d)]
+    out = np.zeros_like(values)
+    for k in range(d):
+        lo = tuple(slice(None, -1) if ax == k else slice(None) for ax in range(d))
+        hi = tuple(slice(1, None) if ax == k else slice(None) for ax in range(d))
+        flux = None
+        if sigma > 0:
+            for l in range(d):
+                Akl = geom.A[k][l]
+                if Akl is None:
+                    continue
+                if l == k:
+                    dval = (values[hi] - values[lo]) / h[k]
+                else:
+                    dval = 0.5 * (node_grads[l][lo] + node_grads[l][hi])
+                term = sigma * Akl * dval
+                flux = term if flux is None else flux + term
+        if b_values is not None:
+            bt = None
+            for i in range(len(geom.a_face[k])):
+                aik = geom.a_face[k][i]
+                if aik is None:
+                    continue
+                bi = b_values[i]
+                bi_face = bi if np.ndim(bi) == 0 else 0.5 * (bi[lo] + bi[hi])
+                term = bi_face * aik
+                bt = term if bt is None else bt + term
+            if bt is not None:
+                adv = np.where(bt > 0, values[hi], values[lo]) * bt
+                flux = adv if flux is None else flux + adv
+        if flux is None:
+            continue
+        pad = [(0, 0)] * d
+        pad[k] = (1, 1)
+        padded = np.pad(flux, pad)
+        out += (padded[hi] - padded[lo]) / h[k]
+    return out
+
+
+CASES = [
+    ("heisenberg1", H1, default_grid(2.0, 15)),
+    ("engel", ENGEL, GridSpec((-1.5,) * 4, (1.5,) * 4, (11,) * 4)),
+    ("doubled bracket named heisenberg1", DOUBLED, default_grid(2.0, 15)),
+]
+
+
+def _drifts(grid, m, rng):
+    return {
+        "none": None,
+        "constant": rng.normal(size=m),
+        "nodal": rng.normal(size=(m,) + grid.shape),
+    }
+
+
+@pytest.mark.parametrize("label,group,grid", CASES, ids=[c[0] for c in CASES])
+def test_cached_bound_matches_the_node_loop(label, group, grid):
+    rng = np.random.default_rng(3)
+    vf = left_invariant_fields(group)
+    for name, b in _drifts(grid, vf.count, rng).items():
+        for sigma in (0.25, 0.0):
+            want = _reference_max_stable_dt(grid, group, vf, sigma, b)
+            got = max_stable_dt(grid, group, vf, sigma, b)
+            if math.isinf(want):
+                assert got == want, (name, sigma)
+            else:
+                assert abs(got - want) <= 1e-14 * want, (name, sigma, got, want)
+        nodal_field = Field(grid, rng.normal(size=(vf.count,) + grid.shape))
+        assert max_stable_dt(grid, group, None, 0.25, nodal_field) == pytest.approx(
+            _reference_max_stable_dt(grid, group, None, 0.25, nodal_field), rel=1e-14)
+
+
+def test_cached_tables_are_read_only_and_keyed_by_value(monkeypatch):
+    monkeypatch.setattr(_stencils, "_GEOM_CACHE", {})
+    grid = default_grid(2.0, 9)
+    tables = _stencils.frame_tables(grid, left_invariant_fields(H1))
+    arrays = [x for row in tables.a + tables.A + tables.a_face for x in row if x is not None]
+    arrays.append(tables.diffusion)
+    assert arrays and not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError):
+        tables.a[0][0][0, 0, 0] = 2.0
+    assert _stencils.frame_tables(grid, left_invariant_fields(H1)) is tables
+    assert _stencils.frame_tables(grid, left_invariant_fields(DOUBLED)) is not tables
+    assert max_stable_dt(grid, DOUBLED, left_invariant_fields(DOUBLED), 0.25) < max_stable_dt(
+        grid, H1, left_invariant_fields(H1), 0.25)
+
+
+@pytest.mark.parametrize("label,group,grid", CASES[:2], ids=[c[0] for c in CASES[:2]])
+def test_flux_kernel_matches_the_padded_kernel(label, group, grid):
+    rng = np.random.default_rng(5)
+    vf = left_invariant_fields(group)
+    geom = _stencils.frame_tables(grid, vf)
+    for trial in range(3):
+        values = rng.normal(size=grid.shape)
+        for name, b in _drifts(grid, vf.count, rng).items():
+            for sigma in (0.25, 0.0):
+                want = _reference_flux_divergence(values, geom, sigma, b)
+                got = _stencils.flux_divergence(values, geom, sigma, b)
+                scale = max(float(np.abs(want).max()), 1.0)
+                assert float(np.abs(got - want).max()) <= 1e-13 * scale, (name, sigma)
+                # interior fluxes telescope: the divergence sums to rounding
+                assert abs(float(got.sum())) <= 1e-12 * max(float(np.abs(got).sum()), 1.0)
