@@ -16,16 +16,30 @@ Everything the explicit steppers read about one frame on one grid is a
 ``FrameTables`` entry of ``_GEOM_CACHE``, keyed by ``(grid, vf)``.  A
 ``VectorFieldSet`` is a frozen tuple of polynomials, so the key holds the
 value of the frame, not the name of its group: two laws that share a name
-never share an entry.  An entry holds
+never share an entry.
 
-* ``a[i][l]``: component l of field i at the nodes, None where the
+In exponential coordinates every first-layer coefficient of a Carnot
+frame is the constant 1, so a good part of every table is constant.  The
+readers therefore read ``FrameTables.kernel``, built once from the
+polynomials, in which a coefficient whose polynomial is constant is a
+Python float and every other one a read-only array:
+
+* ``coef[i][l]``: component l of field i at the nodes, None where the
   polynomial is 0 (read by ``grid.max_stable_dt``,
   ``hamilton_jacobi.godunov_gradient`` and the horizontal gradient and
   divergence of ``vfields``);
-* the face geometry ``A[k][l]`` and ``a_face[k][i]`` on k-faces, read by
-  ``flux_divergence``;
-* ``diffusion``: the diffusion part of the CFL denominator at sigma = 1,
-  sum_k A_kk/h_k^2 + sum_{k != l} |A_kl|/(2 h_k h_l), and its maximum.
+* ``upwind[i][l]``: the sign split (``coef[i][l] > 0``, ``coef[i][l] <= 0``)
+  of each array coefficient, read by ``godunov_gradient`` to pick the
+  upwind side node by node;
+* the face tables of ``flux_divergence``, sigma-free and pre-scaled by the
+  grid spacings: ``diag[k]`` = A_kk/h_k^2, ``cross[k]`` = (l, A_kl/(4 h_k h_l))
+  for l != k and ``drift[k]`` = (i, a_face[k][i]/h_k), all on k-faces.
+
+``diffusion`` is the diffusion part of the CFL denominator at sigma = 1,
+sum_k A_kk/h_k^2 + sum_{k != l} |A_kl|/(2 h_k h_l), with its maximum; it
+is read by ``grid.max_stable_dt``.  The full arrays ``a``, ``A`` and
+``a_face`` (constants expanded) stay for the reference kernels of the
+tests only; no stepper reads them, so they are built only when asked for.
 
 Each part is evaluated on first use and shared from then on, so its
 arrays are read-only.
@@ -33,18 +47,22 @@ arrays are read-only.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .groups import eval_poly, poly_is_zero
+from .groups import Poly, eval_poly, poly_is_zero
 from .grid import GridSpec, node_coordinates
 
 if TYPE_CHECKING:
     from .vfields import VectorFieldSet
 
 Table = list[list[np.ndarray | None]]
+# a coefficient: None where it is 0, a float where it is constant
+Coef = Union[float, np.ndarray, None]
+CoefTable = list[list[Coef]]
 
 
 def _read_only(arr: np.ndarray | None) -> np.ndarray | None:
@@ -53,15 +71,40 @@ def _read_only(arr: np.ndarray | None) -> np.ndarray | None:
     return arr
 
 
-def _evaluate(vf: VectorFieldSet, coords) -> Table:
-    """vf's coefficient polynomials on coordinate arrays; None where a polynomial is 0."""
+def _constant(poly: Poly) -> float | None:
+    """The value of a polynomial without a variable, else None.  The terms
+    are summed in eval_poly's order, so the float equals every entry of the
+    array eval_poly would return."""
+    if any(any(exps) for _, exps in poly):
+        return None
+    return float(sum(float(c) for c, _ in poly))
+
+
+def _coefficients(vf: VectorFieldSet, coords) -> CoefTable:
+    """vf's coefficient polynomials on coordinate arrays, constants as floats."""
+    table: CoefTable = []
+    for field in vf.coefficients:
+        row: list[Coef] = []
+        for p in field:
+            c = None
+            if not poly_is_zero(p):
+                c = _constant(p)
+                if c is None:
+                    c = _read_only(eval_poly(p, coords))
+            row.append(c)
+        table.append(row)
+    return table
+
+
+def _expand(table: CoefTable, shape: tuple[int, ...]) -> Table:
+    """table with every constant written out as a read-only array."""
     return [
-        [None if poly_is_zero(p) else _read_only(eval_poly(p, coords)) for p in field]
-        for field in vf.coefficients
+        [_read_only(np.full(shape, c)) if isinstance(c, float) else c for c in row]
+        for row in table
     ]
 
 
-def _products(a: Table, k: int, l: int) -> np.ndarray | None:
+def _products(a: CoefTable, k: int, l: int) -> Coef:
     """sum_i a[i][k] a[i][l], or None when every product vanishes."""
     acc = None
     for ai in a:
@@ -72,29 +115,91 @@ def _products(a: Table, k: int, l: int) -> np.ndarray | None:
     return acc
 
 
+def _scaled(c: Coef, s: float) -> Coef:
+    """c * s; None stays None and an array product is read-only."""
+    if isinstance(c, np.ndarray):
+        return _read_only(c * s)
+    return None if c is None else c * s
+
+
+def times(c: float | np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c * x, where a coefficient that is the constant 1 costs no multiply."""
+    if isinstance(c, float) and c == 1.0:
+        return x
+    return c * x
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """The part of ``FrameTables`` the stepping kernels read: constants are
+    floats, face tables are sigma-free and pre-scaled (see the module docstring)."""
+
+    coef: CoefTable
+    upwind: list[list[tuple[np.ndarray, np.ndarray] | None]]
+    diag: list[Coef]
+    cross: list[list[tuple[int, float | np.ndarray]]]
+    drift: list[list[tuple[int, float | np.ndarray]]]
+
+
+def _face_coordinates(grid: GridSpec, k: int) -> list[np.ndarray]:
+    axes = list(grid.axes())
+    axes[k] = axes[k][:-1] + 0.5 * grid.spacings[k]
+    return np.meshgrid(*axes, indexing="ij")
+
+
 class FrameTables:
-    """Node and face tables of one frame on one grid (see the module docstring)."""
+    """Node and face tables of one frame on one grid (see the module docstring).
+
+    Readers: ``kernel.coef`` by ``grid.max_stable_dt``,
+    ``hamilton_jacobi.godunov_gradient`` and ``vfields.horizontal_gradient``
+    / ``horizontal_divergence``; ``kernel.upwind`` by ``godunov_gradient``;
+    ``kernel.diag``/``cross``/``drift`` by ``flux_divergence``;
+    ``diffusion``/``diffusion_max`` by ``grid.max_stable_dt``.  ``a``, ``A``
+    and ``a_face`` are the full arrays the reference kernels of the tests
+    read; they are built lazily, only when such a test asks for them.
+    """
 
     def __init__(self, grid: GridSpec, vf: VectorFieldSet):
         self.grid = grid
         self.vf = vf
 
     @cached_property
+    def kernel(self) -> Kernel:
+        grid = self.grid
+        d = grid.dim
+        h = grid.spacings
+        coef = _coefficients(self.vf, node_coordinates(grid))
+        upwind = [
+            [(_read_only(c > 0), _read_only(c <= 0)) if isinstance(c, np.ndarray) else None
+             for c in row]
+            for row in coef
+        ]
+        diag, cross, drift = [], [], []
+        for k in range(d):
+            af = _coefficients(self.vf, _face_coordinates(grid, k))
+            diag.append(_scaled(_products(af, k, k), 1.0 / h[k] ** 2))
+            cross.append([
+                (l, _scaled(Akl, 1.0 / (4.0 * h[k] * h[l])))
+                for l in range(d) if l != k and (Akl := _products(af, k, l)) is not None
+            ])
+            drift.append([
+                (i, _scaled(ai[k], 1.0 / h[k])) for i, ai in enumerate(af) if ai[k] is not None
+            ])
+        return Kernel(coef, upwind, diag, cross, drift)
+
+    @cached_property
     def a(self) -> Table:
-        return _evaluate(self.vf, node_coordinates(self.grid))
+        """a[i][l] as full node arrays, or None where the polynomial is 0."""
+        return _expand(self.kernel.coef, self.grid.shape)
 
     @cached_property
     def _faces(self) -> tuple[Table, Table]:
-        grid = self.grid
-        d = grid.dim
-        axes = grid.axes()
-        h = grid.spacings
+        d = self.grid.dim
         A: Table = []
         a_face: Table = []
         for k in range(d):
-            face_axes = list(axes)
-            face_axes[k] = axes[k][:-1] + 0.5 * h[k]
-            ai = _evaluate(self.vf, np.meshgrid(*face_axes, indexing="ij"))
+            face = _face_coordinates(self.grid, k)
+            ai = _expand(_coefficients(self.vf, face), face[0].shape)
             A.append([_read_only(_products(ai, k, l)) for l in range(d)])
             a_face.append([field[k] for field in ai])
         return A, a_face
@@ -113,10 +218,11 @@ class FrameTables:
     def diffusion(self) -> np.ndarray:
         h = self.grid.spacings
         d = self.grid.dim
+        coef = self.kernel.coef
         out = np.zeros(self.grid.shape)
         for k in range(d):
             for l in range(d):
-                akl = _products(self.a, k, l)
+                akl = _products(coef, k, l)
                 if akl is None:
                     continue
                 if k == l:
@@ -142,10 +248,41 @@ def frame_tables(grid: GridSpec, vf: VectorFieldSet) -> FrameTables:
     return got
 
 
-def _face_slices(k: int, d: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+def face_slices(k: int, d: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """The lower and upper node of every k-face, as slices of a node array."""
     lo = tuple(slice(None, -1) if ax == k else slice(None) for ax in range(d))
     hi = tuple(slice(1, None) if ax == k else slice(None) for ax in range(d))
     return lo, hi
+
+
+def _centered_difference(s: np.ndarray, l: int, out: np.ndarray) -> np.ndarray:
+    """s[j+1] - s[j-1] along axis l, into out.  The edge rows hold the
+    one-sided second-order numerator -3 s0 + 4 s1 - s2 (and its mirror)
+    written as differences, so a constant s gives exactly 0."""
+    v = np.moveaxis(s, l, 0)
+    o = np.moveaxis(out, l, 0)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    o[0] = 3.0 * (v[1] - v[0]) - (v[2] - v[1])
+    o[-1] = 3.0 * (v[-1] - v[-2]) - (v[-2] - v[-3])
+    return out
+
+
+def _face_drift(drift, b_values, lo, hi, out: np.ndarray, tmp: np.ndarray) -> float | np.ndarray:
+    """Btilde/h_k on the k-faces: a float when b and every coefficient are
+    constant, else written into out (tmp is scratch)."""
+    if all(np.ndim(b_values[i]) == 0 and isinstance(c, float) for i, c in drift):
+        return sum(b_values[i] * c for i, c in drift)
+    out.fill(0.0)
+    for i, c in drift:
+        bi = b_values[i]
+        if np.ndim(bi) == 0:
+            np.multiply(c, bi, out=tmp)
+        else:
+            np.add(bi[lo], bi[hi], out=tmp)
+            tmp *= 0.5
+            tmp *= c
+        out += tmp
+    return out
 
 
 def flux_divergence(
@@ -157,66 +294,53 @@ def flux_divergence(
     """div of the face flux; zero flux through the box boundary.
 
     b_values, when given, holds the m frame coefficients at nodes with
-    shape (m, *grid.shape) or a constant (m,) vector.  Centered node
-    gradients are taken only along the axes an off-diagonal A[k][l]
-    needs.  Each k-face flux enters once with each sign, + at its lower
-    node and - at its upper one, and no flux crosses the box boundary, so
-    the divergence telescopes exactly.
+    shape (m, *grid.shape) or a constant (m,) vector.  The tangential
+    derivative on a k-face is the centered gradient of the face sum
+    v[lo] + v[hi], formed once per axis k and shared by every cross term.
+    Each k-face flux enters once with each sign, + at its lower node and
+    - at its upper one, and no flux crosses the box boundary, so the
+    divergence telescopes exactly.  The face arrays of every axis are
+    views of one scratch allocation.
     """
-    grid = geom.grid
-    d = grid.dim
-    h = grid.spacings
-    grads: dict[int, np.ndarray] = {}
+    kern = geom.kernel
+    d = values.ndim
     out = np.zeros_like(values)
-    diff = None
+    work = np.empty((3, values.size))
     for k in range(d):
-        lo, hi = _face_slices(k, d)
-        flux = None
-        if sigma > 0:
-            for l in range(d):
-                Akl = geom.A[k][l]
-                if Akl is None:
-                    continue
-                if l == k:
-                    dval = (values[hi] - values[lo]) / h[k]
-                else:
-                    g = grads.get(l)
-                    if g is None:
-                        g = grads[l] = np.gradient(values, h[l], axis=l, edge_order=2)
-                    dval = 0.5 * (g[lo] + g[hi])
-                term = sigma * Akl * dval
-                if flux is None:
-                    flux = term
-                else:
-                    flux += term
-        if b_values is not None:
-            bt = None
-            for i, aik in enumerate(geom.a_face[k]):
-                if aik is None:
-                    continue
-                bi = b_values[i]
-                bi_face = bi if np.ndim(bi) == 0 else 0.5 * (bi[lo] + bi[hi])
-                term = bi_face * aik
-                if bt is None:
-                    bt = term
-                else:
-                    bt += term
-            if bt is not None:
-                # donor cell: transport velocity is -Btilde, so positive
-                # Btilde moves mass toward smaller k-index
-                adv = np.where(bt > 0, values[hi], values[lo]) * bt
-                if flux is None:
-                    flux = adv
-                else:
-                    flux += adv
-        if flux is None:
+        lo, hi = face_slices(k, d)
+        v_lo, v_hi = values[lo], values[hi]
+        # flux / h_k through every k-face, and two scratch arrays of its shape
+        flux, tmp, s = (row[: v_lo.size].reshape(v_lo.shape) for row in work)
+        diag = kern.diag[k] if sigma > 0 else None
+        cross = kern.cross[k] if sigma > 0 else ()
+        drift = kern.drift[k] if b_values is not None else ()
+        if diag is None and not cross and not drift:
             continue
+        if diag is not None:
+            np.subtract(v_hi, v_lo, out=flux)
+            flux *= diag
+        else:
+            flux.fill(0.0)
+        if cross:
+            np.add(v_lo, v_hi, out=s)
+            for l, c in cross:
+                _centered_difference(s, l, tmp)
+                tmp *= c
+                flux += tmp
+        if diag is not None or cross:
+            flux *= sigma
+        if drift:
+            bt = _face_drift(drift, b_values, lo, hi, s, tmp)
+            # donor cell: transport velocity is -Btilde, so positive
+            # Btilde moves mass toward smaller k-index
+            if isinstance(bt, np.ndarray):
+                np.copyto(tmp, v_lo)
+                np.copyto(tmp, v_hi, where=bt > 0)
+                tmp *= bt
+            else:
+                np.multiply(v_hi if bt > 0 else v_lo, bt, out=tmp)
+            flux += tmp
         # node j gains (F[j] - F[j-1]) / h_k, with F = 0 beyond the box
-        if diff is None:
-            diff = np.empty_like(values)
-        diff[lo] = flux
-        diff[tuple(slice(-1, None) if ax == k else slice(None) for ax in range(d))] = 0.0
-        diff[hi] -= flux
-        diff /= h[k]
-        out += diff
+        out[lo] += flux
+        out[hi] -= flux
     return out

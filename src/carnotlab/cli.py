@@ -75,9 +75,12 @@ def _as_choice(*options: str):
 
 def _as_float(raw: str) -> float:
     try:
-        return float(raw)
+        v = float(raw)
     except ValueError:
         raise ValueError(f"expected a number; got {raw!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number; got {raw!r}")
+    return v
 
 
 def _as_pos_float(raw: str) -> float:
@@ -136,7 +139,7 @@ def _as_floats(n: int):
         parts = raw.split()
         if len(parts) != n:
             raise ValueError(f"expected {n} numbers separated by spaces; got {raw!r}")
-        return tuple(float(p) for p in parts)
+        return tuple(_as_float(p) for p in parts)
 
     cast.doc = f"{n} numbers separated by spaces"
     return cast

@@ -213,7 +213,8 @@ def max_stable_dt(
 
     The diffusion part and the frame coefficients come from the shared
     tables of (grid, vf) (the left-invariant frame of group when vf is
-    None), so a call costs O(N) with a drift and O(1) without.
+    None), so a call costs O(N) with a drift and O(1) without; a constant
+    coefficient 1 costs no multiply.
     """
     from . import _stencils, vfields
 
@@ -230,10 +231,10 @@ def max_stable_dt(
             bv = bv.reshape((-1,) + (1,) * grid.dim)
         for k in range(grid.dim):
             btk = None
-            for i, ai in enumerate(tables.a):
-                if ai[k] is None:
+            for i, ci in enumerate(tables.kernel.coef):
+                if ci[k] is None:
                     continue
-                term = bv[i] * ai[k]
+                term = _stencils.times(ci[k], bv[i])
                 btk = term if btk is None else btk + term
             if btk is not None:
                 denom += np.abs(btk) / h[k]

@@ -156,54 +156,66 @@ class HamiltonianSpec:
 # direct scheme
 # ---------------------------------------------------------------------------
 
-def _one_sided_differences(values: np.ndarray, h: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Backward and forward differences per axis, zero at the inflow edge.
-
-    Zero rows at the edges amount to constant extension of the data,
-    matching the zero-flux convention of the diffusion stencil.
-    """
-    minus, plus = [], []
-    for ax in range(values.ndim):
-        dm = np.zeros_like(values)
-        dp = np.zeros_like(values)
-        sl_hi = [slice(None)] * values.ndim
-        sl_lo = [slice(None)] * values.ndim
-        sl_hi[ax] = slice(1, None)
-        sl_lo[ax] = slice(None, -1)
-        diff = (values[tuple(sl_hi)] - values[tuple(sl_lo)]) / h[ax]
-        dm[tuple(sl_hi)] = diff
-        dp[tuple(sl_lo)] = diff
-        minus.append(dm)
-        plus.append(dp)
-    return minus, plus
-
-
 def godunov_gradient(u: Field, group: GroupSpec) -> np.ndarray:
     """Upwind magnitude of grad_G u, shaped like u.
 
-    Each horizontal direction contributes
-    max((D^- u)^+, (D^+ u)^-) where D^{+/-} are the one-sided frame
-    derivatives; axis upwinding flips with the sign of the frame
-    coefficient so both pieces only look in their own direction.
+    Each horizontal direction contributes max((D^- u)^+, (D^+ u)^-),
+    where D^{+/-} are the one-sided frame derivatives: along axis l the
+    coefficient a_il multiplies the backward difference in D^- and the
+    forward one in D^+ where a_il > 0, and the other way round where it
+    is not, so both pieces only look in their own direction.  A one-sided
+    difference is 0 at its inflow edge (constant extension of the data,
+    matching the zero-flux convention of the diffusion stencil).
+
+    The coefficients and their sign split come from the kernel tables of
+    ``_stencils``: a constant coefficient picks its side once and is
+    added as a slice, an array coefficient picks per node.
     """
     vf = vfields.left_invariant_fields(group)
     grid = u.grid
-    a = _stencils.frame_tables(grid, vf).a
-    minus, plus = _one_sided_differences(u.values, grid.spacings)
+    kern = _stencils.frame_tables(grid, vf).kernel
+    values = u.values
+    h = grid.spacings
+    d = grid.dim
+    diffs: dict[int, np.ndarray] = {}
     total = np.zeros(grid.shape)
-    for ai in a:
-        d_minus = np.zeros(grid.shape)
-        d_plus = np.zeros(grid.shape)
-        for l, ail in enumerate(ai):
-            if ail is None:
+    d_minus, d_plus, pick = (np.empty(grid.shape) for _ in range(3))
+    for coef, split in zip(kern.coef, kern.upwind):
+        d_minus.fill(0.0)
+        d_plus.fill(0.0)
+        for l, c in enumerate(coef):
+            if c is None:
                 continue
-            pos = ail > 0
-            am, ap = ail * minus[l], ail * plus[l]
-            d_minus += np.where(pos, am, ap)
-            d_plus += np.where(pos, ap, am)
-        s = np.maximum(np.maximum(d_minus, 0.0), np.maximum(-d_plus, 0.0))
-        total += s * s
-    return np.sqrt(total)
+            lo, hi = _stencils.face_slices(l, d)
+            D = diffs.get(l)
+            if D is None:
+                D = diffs[l] = np.subtract(values[hi], values[lo])
+                D /= h[l]
+            if isinstance(c, float):
+                # the backward difference sits at nodes 1.., the forward one at ..n-2
+                cD = _stencils.times(c, D)
+                d_minus[hi if c > 0 else lo] += cD
+                d_plus[lo if c > 0 else hi] += cD
+                continue
+            # backward difference where `backward` holds, forward elsewhere,
+            # 0 on the inflow edge row of either
+            p = np.moveaxis(pick, l, 0)
+            Dl = np.moveaxis(D, l, 0)
+            for acc, backward in zip((d_minus, d_plus), split[l]):
+                bw = np.moveaxis(backward, l, 0)
+                p[:-1] = Dl
+                p[-1] = 0.0
+                np.copyto(p[1:], Dl, where=bw[1:])
+                np.copyto(p[0], 0.0, where=bw[0])
+                pick *= c
+                acc += pick
+        np.maximum(d_minus, 0.0, out=d_minus)
+        np.negative(d_plus, out=d_plus)
+        np.maximum(d_plus, 0.0, out=d_plus)
+        np.maximum(d_minus, d_plus, out=d_minus)
+        d_minus *= d_minus
+        total += d_minus
+    return np.sqrt(total, out=total)
 
 
 def feedback_drift(u: Field, gamma: float, group: GroupSpec) -> np.ndarray:
@@ -215,12 +227,12 @@ def feedback_drift(u: Field, gamma: float, group: GroupSpec) -> np.ndarray:
     """
     vf = vfields.left_invariant_fields(group)
     g = vfields.horizontal_gradient(vf, u).values
-    mag = np.sqrt((g**2).sum(axis=0))
     if gamma == 2.0:
-        coeff = np.full_like(mag, gamma)
-    else:
-        with np.errstate(divide="ignore"):
-            coeff = gamma * np.where(mag > 0, mag ** (gamma - 2.0), 0.0)
+        g *= gamma
+        return g
+    mag = np.sqrt((g**2).sum(axis=0))
+    with np.errstate(divide="ignore"):
+        coeff = gamma * np.where(mag > 0, mag ** (gamma - 2.0), 0.0)
     return coeff * g
 
 

@@ -163,16 +163,14 @@ def _mixed_derivative(values: np.ndarray, h1: float, h2: float, ax1: int, ax2: i
 def horizontal_gradient(vf: VectorFieldSet, f: Field) -> Field:
     """(X_1 f, ..., X_m f) with centered differences for the Euclidean partials."""
     h = f.grid.spacings
+    coef = _stencils.frame_tables(f.grid, vf).kernel.coef
     partials = [_axis_gradient(f.values, h[l], l) for l in range(f.grid.dim)]
-    a = _stencils.frame_tables(f.grid, vf).a
-    comps = []
-    for i in range(vf.count):
-        acc = np.zeros(f.grid.shape)
-        for l in range(f.grid.dim):
-            if a[i][l] is not None:
-                acc = acc + a[i][l] * partials[l]
-        comps.append(acc)
-    return Field(f.grid, np.stack(comps), f.t)
+    out = np.zeros((vf.count,) + f.grid.shape)
+    for comp, row in zip(out, coef):
+        for l, c in enumerate(row):
+            if c is not None:
+                comp += _stencils.times(c, partials[l])
+    return Field(f.grid, out, f.t)
 
 
 @lru_cache(maxsize=8)
@@ -232,12 +230,12 @@ def horizontal_divergence(vf: VectorFieldSet, F: Field) -> Field:
         raise ValueError("expected one component per field in the set")
     grid = F.grid
     h = grid.spacings
-    a = _stencils.frame_tables(grid, vf).a
+    coef = _stencils.frame_tables(grid, vf).kernel.coef
     out = np.zeros(grid.shape)
-    for i in range(vf.count):
-        for l in range(grid.dim):
-            if a[i][l] is not None:
-                out += a[i][l] * _axis_gradient(F.values[i], h[l], l)
+    for i, row in enumerate(coef):
+        for l, c in enumerate(row):
+            if c is not None:
+                out += _stencils.times(c, _axis_gradient(F.values[i], h[l], l))
     return Field(grid, out, F.t)
 
 

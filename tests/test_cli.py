@@ -60,3 +60,23 @@ def test_datum_without_mass_is_a_config_error_before_any_output(kind, shape, mes
     err = capsys.readouterr().err
     assert f"far.cfg: cannot build the scenario data: {message}" in err
     assert not runs.exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("drift = 0.3 0.1", "drift = nan 0.1"),
+    ("drift = 0.3 0.1", "drift = inf 0.1"),
+    ("t_end = 0.1", "t_end = inf"),
+    ("sigma = 0.25", "sigma = inf"),
+], ids=["drift-nan", "drift-inf", "t_end-inf", "sigma-inf"])
+def test_non_finite_number_is_rejected_before_any_output(old, new, tmp_path, capsys):
+    with open(cli.resolve_config("fp_baseline"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old + "\n" in text
+    cfg = tmp_path / "non_finite.cfg"
+    cfg.write_text(text.replace(old + "\n", new + "\n"))
+    runs = tmp_path / "runs"
+    code = cli.main(["run", str(cfg), "--output-dir", str(runs)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "non_finite.cfg:" in err and "expected a finite number" in err
+    assert not runs.exists()

@@ -1,17 +1,22 @@
-"""Shared frame tables: the O(N) stability bound and the flux kernel
+"""Shared frame tables: the O(N) stability bound and the stepping kernels
 against the formulas they replace."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from carnotlab import _stencils, preset
+import carnotlab
+from carnotlab import _stencils, preset, vfields
+from carnotlab import hamilton_jacobi as hj
 from carnotlab.grid import Field, GridSpec, default_grid, max_stable_dt, node_coordinates
 from carnotlab.groups import eval_poly
-from carnotlab.vfields import left_invariant_fields
+from carnotlab.vfields import VectorFieldSet, left_invariant_fields
 
 H1 = preset("heisenberg1")
 ENGEL = preset("engel")
@@ -96,6 +101,53 @@ def _reference_flux_divergence(values, geom, sigma, b_values=None):
     return out
 
 
+def _reference_godunov_gradient(u, a):
+    """godunov_gradient as written on the full coefficient arrays a[i][l]."""
+    values = u.values
+    h = u.grid.spacings
+    minus, plus = [], []
+    for ax in range(values.ndim):
+        dm = np.zeros_like(values)
+        dp = np.zeros_like(values)
+        sl_hi = [slice(None)] * values.ndim
+        sl_lo = [slice(None)] * values.ndim
+        sl_hi[ax] = slice(1, None)
+        sl_lo[ax] = slice(None, -1)
+        diff = (values[tuple(sl_hi)] - values[tuple(sl_lo)]) / h[ax]
+        dm[tuple(sl_hi)] = diff
+        dp[tuple(sl_lo)] = diff
+        minus.append(dm)
+        plus.append(dp)
+    total = np.zeros(u.grid.shape)
+    for ai in a:
+        d_minus = np.zeros(u.grid.shape)
+        d_plus = np.zeros(u.grid.shape)
+        for l, ail in enumerate(ai):
+            if ail is None:
+                continue
+            pos = ail > 0
+            am, ap = ail * minus[l], ail * plus[l]
+            d_minus += np.where(pos, am, ap)
+            d_plus += np.where(pos, ap, am)
+        s = np.maximum(np.maximum(d_minus, 0.0), np.maximum(-d_plus, 0.0))
+        total += s * s
+    return np.sqrt(total)
+
+
+def _reference_horizontal_gradient(a, f):
+    """vfields.horizontal_gradient as written on the full coefficient arrays."""
+    h = f.grid.spacings
+    partials = [np.gradient(f.values, h[l], axis=l, edge_order=2) for l in range(f.grid.dim)]
+    comps = []
+    for ai in a:
+        acc = np.zeros(f.grid.shape)
+        for l, ail in enumerate(ai):
+            if ail is not None:
+                acc = acc + ail * partials[l]
+        comps.append(acc)
+    return np.stack(comps)
+
+
 CASES = [
     ("heisenberg1", H1, default_grid(2.0, 15)),
     ("engel", ENGEL, GridSpec((-1.5,) * 4, (1.5,) * 4, (11,) * 4)),
@@ -158,3 +210,58 @@ def test_flux_kernel_matches_the_padded_kernel(label, group, grid):
                 assert float(np.abs(got - want).max()) <= 1e-13 * scale, (name, sigma)
                 # interior fluxes telescope: the divergence sums to rounding
                 assert abs(float(got.sum())) <= 1e-12 * max(float(np.abs(got).sum()), 1.0)
+
+
+def _poly(*terms):
+    return tuple((Fraction(c), exps) for c, exps in terms)
+
+
+# constant slots 2 and -1 (not 1), next to array slots of both signs
+HAND = VectorFieldSet(kind="hand", dim=3, coefficients=(
+    (_poly((2, (0, 0, 0))), (), _poly((1, (0, 1, 0)))),
+    ((), _poly((-1, (0, 0, 0))), _poly((Fraction(-1, 2), (1, 0, 0)))),
+))
+FRAMES = [(label, left_invariant_fields(group), grid) for label, group, grid in CASES]
+FRAMES.append(("hand-built, constant slots 2 and -1", HAND, default_grid(2.0, 15)))
+
+
+@pytest.mark.parametrize("label,vf,grid", FRAMES, ids=[f[0] for f in FRAMES])
+def test_stepping_kernels_match_the_full_array_kernels(label, vf, grid, monkeypatch):
+    """godunov_gradient bit for bit, horizontal_gradient and feedback_drift
+    within 1e-13 relative, against the kernels on the full arrays."""
+    monkeypatch.setattr(vfields, "left_invariant_fields", lambda group: vf)
+    a = _stencils.frame_tables(grid, vf).a
+    rng = np.random.default_rng(11)
+    coords = node_coordinates(grid)
+    smooth = np.exp(-sum(c**2 for c in coords)) * (1.0 + coords[0] - 0.5 * coords[-1])
+    for values in (rng.normal(size=grid.shape), smooth):
+        u = Field(grid, values)
+        assert hj.godunov_gradient(u, None).tobytes() == _reference_godunov_gradient(u, a).tobytes()
+        want = _reference_horizontal_gradient(a, u)
+        got = vfields.horizontal_gradient(vf, u).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        for gamma in (2.0, 3.0):
+            mag = np.sqrt((want**2).sum(axis=0))
+            drift = gamma * mag ** (gamma - 2.0) * want
+            got = hj.feedback_drift(u, gamma, None)
+            assert np.abs(got - drift).max() <= 1e-13 * np.abs(drift).max(), gamma
+
+
+@pytest.mark.parametrize("label,group,grid", CASES, ids=[c[0] for c in CASES])
+def test_flux_of_a_constant_is_exactly_zero(label, group, grid):
+    geom = _stencils.frame_tables(grid, left_invariant_fields(group))
+    for c in (1.0, 0.1, 1.0 / 3.0, -7.25e3):
+        got = _stencils.flux_divergence(np.full(grid.shape, c), geom, 0.25)
+        assert not got.any(), (c, float(np.abs(got).max()))
+
+
+def test_stepping_modules_import_no_scipy():
+    code = ("import sys\n"
+            "import carnotlab.heat, carnotlab.fokker_planck, carnotlab.hamilton_jacobi\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(carnotlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
