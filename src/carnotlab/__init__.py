@@ -11,7 +11,7 @@ routine adapted to the group translations, and particle simulations give
 independent cross-checks for the grid solvers.
 """
 
-from .grid import BallMask, Field, GridSpec, SolverParams, bump_field, constant_field, default_grid, make_ball_mask
+from .grid import BallMask, Field, GridSpec, bump_field, constant_field, default_grid, make_ball_mask
 from .groups import GroupSpec, preset
 from .vfields import VectorFieldSet, left_invariant_fields, right_invariant_fields
 
@@ -22,7 +22,6 @@ __all__ = [
     "Field",
     "GridSpec",
     "GroupSpec",
-    "SolverParams",
     "VectorFieldSet",
     "bump_field",
     "constant_field",

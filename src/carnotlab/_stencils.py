@@ -12,11 +12,13 @@ adjacent nodes; tangential derivatives average the centered node gradients
 of the two adjacent nodes; the advective part upwinds on the donor cell
 with respect to the transport velocity -Btilde.
 
-Everything the explicit steppers read about one frame on one grid is a
-``FrameTables`` entry of ``_GEOM_CACHE``, keyed by ``(grid, vf)``.  A
-``VectorFieldSet`` is a frozen tuple of polynomials, so the key holds the
-value of the frame, not the name of its group: two laws that share a name
-never share an entry.
+There are two explicit steps, ``fokker_planck.fp_step`` (the heat step
+is this step without drift) and ``hamilton_jacobi.hj_step_direct``.
+Everything they read about one frame on one grid is a ``FrameTables``
+entry of ``_GEOM_CACHE``, keyed by ``(grid, vf)``.  A ``VectorFieldSet``
+is a frozen tuple of polynomials, so the key holds the value of the
+frame, not the name of its group: two laws that share a name never share
+an entry.
 
 In exponential coordinates every first-layer coefficient of a Carnot
 frame is the constant 1, so a good part of every table is constant.  The
@@ -31,8 +33,8 @@ Python float and every other one a read-only array:
 * ``upwind[i][l]``: the sign split (``coef[i][l] > 0``, ``coef[i][l] <= 0``)
   of each array coefficient, read by ``godunov_gradient`` to pick the
   upwind side node by node;
-* the face tables of ``flux_divergence``, sigma-free and pre-scaled by the
-  grid spacings: ``diag[k]`` = A_kk/h_k^2, ``cross[k]`` = (l, A_kl/(4 h_k h_l))
+* the face tables of ``flux_divergence``, which both steps call,
+  sigma-free and pre-scaled by the grid spacings: ``diag[k]`` = A_kk/h_k^2, ``cross[k]`` = (l, A_kl/(4 h_k h_l))
   for l != k and ``drift[k]`` = (i, a_face[k][i]/h_k), all on k-faces.
 
 ``diffusion`` is the diffusion part of the CFL denominator at sigma = 1,

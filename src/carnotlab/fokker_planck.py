@@ -22,10 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 import sympy as sp
 
-from . import _stencils, vfields
-from .grid import BallMask, Field, Trajectory, max_stable_dt
+from . import _stencils, groups, vfields
+from .grid import BallMask, CFLViolation, Field, Trajectory, check_dt, march, max_stable_dt, step_count
 from .groups import GroupSpec, hom_norm
-from .heat import CFLViolation
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,8 @@ def fp_step(
     *,
     check_cfl: bool = True,
 ) -> Field:
-    """One conservative explicit step; values outside the mask forced to 0."""
+    """One conservative explicit step (without drift, the heat step); values
+    outside the mask forced to 0, a non-finite result raises CFLViolation."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     if dt == 0:
@@ -115,15 +115,15 @@ def fp_step(
     vf = vfields.left_invariant_fields(group)
     b = drift.at(rho.t)
     if check_cfl:
-        limit = max_stable_dt(rho.grid, group, vf, sigma, b)
-        if dt > limit * (1 + 1e-12):
-            raise CFLViolation(f"dt={dt:g} exceeds stability bound {limit:g}")
+        check_dt(dt, max_stable_dt(rho.grid, group, vf, sigma, b))
     geom = _stencils.frame_tables(rho.grid, vf)
-    new = rho.values + dt * _stencils.flux_divergence(rho.values, geom, sigma, b)
+    new = _stencils.flux_divergence(rho.values, geom, sigma, b)
+    new *= dt
+    new += rho.values
     if not np.isfinite(new).all():
         raise CFLViolation("transport step produced non-finite values")
     if mask is not None:
-        new = np.where(mask.inside, new, 0.0)
+        new[~mask.inside] = 0.0
     return Field(rho.grid, new, rho.t + dt)
 
 
@@ -148,35 +148,25 @@ def fp_solve(
     checks, a zero or constant drift never again, and a piecewise-constant
     drift (``DriftField.from_sequence``) once at each new segment.  A
     sampler that returns a fresh array on every call is checked on every
-    step.
+    step.  store_every = 0 stores the two endpoints only.
     """
     span = t_end - rho0.t
     if span < 0:
         raise ValueError("t_end before the datum's time stamp")
     if span == 0:
         return Trajectory(times=(rho0.t,), fields=(rho0,))
-    if dt is None:
-        limit = max_stable_dt(
-            rho0.grid, group, vfields.left_invariant_fields(group), sigma, drift.at(rho0.t)
-        )
-        if not math.isfinite(limit):
-            n = 1
-        else:
-            n = max(1, math.ceil(span / (cfl_safety * limit)))
-    else:
-        n = max(1, math.ceil(span / dt - 1e-12))
-    step = span / n
-    fields = [rho0]
-    cur = rho0
+    n = step_count(span, dt, lambda: cfl_safety * max_stable_dt(
+        rho0.grid, group, vfields.left_invariant_fields(group), sigma, drift.at(rho0.t)))
     checked = object()  # no drift sample has been checked yet
-    for k in range(n):
+
+    def advance(cur: Field, step: float) -> Field:
+        nonlocal checked
         b = drift.at(cur.t)
         cur = fp_step(cur, drift, sigma, step, group, mask, check_cfl=b is not checked)
         checked = b
-        if k == n - 1 or (k + 1) % store_every == 0:
-            fields.append(cur)
-    if fields[-1] is not cur:
-        fields.append(cur)
+        return cur
+
+    fields = march(rho0, n, span / n, advance, store_every)
     return Trajectory(times=tuple(f.t for f in fields), fields=tuple(fields))
 
 
@@ -487,6 +477,7 @@ def _simulate_block(
     axes: tuple[np.ndarray, ...],
     spacings: tuple[float, ...],
     shape: tuple[int, ...],
+    group: GroupSpec,
     b_table: np.ndarray | None,
     sigma: float,
     dt: float,
@@ -498,37 +489,26 @@ def _simulate_block(
     int64 counts sum exactly, making the total independent of how the
     blocks are distributed.
     """
-    hx, hy, hz = spacings
+    d, m = group.dim, group.horizontal_dim
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(block_index))
     u = rng.random(n)
     flat = np.searchsorted(cdf, u, side="right").clip(0, cdf.size - 1)
     idx = np.unravel_index(flat, shape)
-    pos = np.stack([axes[k][idx[k]] for k in range(3)], axis=-1)
-    pos += (rng.random((n, 3)) - 0.5) * np.array([hx, hy, hz])
+    # coordinate-major (d, n) arrays: the group law reads whole columns
+    pos = np.stack([axes[k][idx[k]] for k in range(d)])
+    pos += (rng.random((n, d)) - 0.5).T * np.array(spacings)[:, None]
     amp = math.sqrt(2 * sigma * dt)
+    step = np.zeros((d, n))
     for k in range(n_steps):
-        # frame coefficients frozen at the step's start position
-        x1, x2 = pos[:, 0].copy(), pos[:, 1].copy()
-        if b_table is not None:
-            v1, v2 = -b_table[k, 0], -b_table[k, 1]
-            pos[:, 0] += dt * v1
-            pos[:, 1] += dt * v2
-            pos[:, 2] += dt * (v1 * (-x2 / 2) + v2 * (x1 / 2))
+        # the horizontal increment, applied by the group law
+        step[:m] = 0.0 if b_table is None else -dt * b_table[k][:, None]
         if sigma > 0:
-            w = rng.standard_normal((n, 2))
-            pos[:, 0] += amp * w[:, 0]
-            pos[:, 1] += amp * w[:, 1]
-            pos[:, 2] += amp * (w[:, 0] * (-x2 / 2) + w[:, 1] * (x1 / 2))
+            step[:m] += amp * rng.standard_normal((n, m)).T
+        pos = groups.multiply(group, pos.T, step.T).T
     counts = np.zeros(shape, dtype=np.int64)
-    ix = np.rint((pos[:, 0] - axes[0][0]) / hx).astype(int)
-    iy = np.rint((pos[:, 1] - axes[1][0]) / hy).astype(int)
-    iz = np.rint((pos[:, 2] - axes[2][0]) / hz).astype(int)
-    keep = (
-        (ix >= 0) & (ix < shape[0])
-        & (iy >= 0) & (iy < shape[1])
-        & (iz >= 0) & (iz < shape[2])
-    )
-    np.add.at(counts, (ix[keep], iy[keep], iz[keep]), 1)
+    bins = [np.rint((pos[k] - axes[k][0]) / spacings[k]).astype(int) for k in range(d)]
+    keep = np.logical_and.reduce([(i >= 0) & (i < s) for i, s in zip(bins, shape)])
+    np.add.at(counts, tuple(i[keep] for i in bins), 1)
     return counts
 
 
@@ -547,8 +527,12 @@ def particle_oracle(
     """Empirical density by Euler-Maruyama in the horizontal frame.
 
     dxi = -sum_i b_i a_i(xi) dt + sqrt(2 sigma) sum_j a_j(xi) dW_j.
-    The Ito and Stratonovich forms coincide for frames whose correction
-    sum (Da_i) a_i vanishes identically; `vfields.stratonovich_correction`
+    A step multiplies each particle on the right by the horizontal
+    increment -b dt + sqrt(2 sigma dt) w through the group law; on a
+    step-2 group that is exactly the Euler-Maruyama step with the frame
+    frozen at the step's start, so deeper groups are refused.  The Ito
+    and Stratonovich forms coincide for frames whose correction sum
+    (Da_i) a_i vanishes identically; `vfields.stratonovich_correction`
     certifies that symbolically for the shipped groups.
 
     Particles are drawn and advanced in fixed blocks of 8192, each block
@@ -556,8 +540,8 @@ def particle_oracle(
     result depends only on (seed, n_particles, n_steps) and not on the
     worker count.  Returns a node-binned density on rho0's grid.
     """
-    if group.dim != 3 or group.horizontal_dim != 2:
-        raise NotImplementedError("particle oracle is wired for the 3d two-generator frame")
+    if group.step > 2:
+        raise NotImplementedError("particle oracle is wired for step-2 groups")
     grid = rho0.grid
     p = np.clip(rho0.values.reshape(-1), 0.0, None)
     if p.sum() <= 0:
@@ -566,7 +550,7 @@ def particle_oracle(
     cdf /= cdf[-1]
     axes = grid.axes()
     if n_steps is None:
-        n_steps = max(1, math.ceil(t_end / 0.005))
+        n_steps = step_count(t_end, None, lambda: 0.005)
     dt = t_end / n_steps
     b_table = None
     if not drift.zero:
@@ -574,17 +558,17 @@ def particle_oracle(
         for k in range(n_steps):
             b = drift.at(k * dt)
             if b is None:
-                b = np.zeros(2)
+                b = np.zeros(group.horizontal_dim)
             if b.ndim != 1:
                 raise NotImplementedError("particle oracle takes constant-coefficient drift")
-            rows.append(b[:2])
+            rows.append(b[:group.horizontal_dim])
         b_table = np.asarray(rows, dtype=float)
     blocks = [
         (start // _BLOCK, min(_BLOCK, n_particles - start))
         for start in range(0, n_particles, _BLOCK)
     ]
     args = [
-        (seed, bi, n, cdf, axes, grid.spacings, grid.shape, b_table, sigma, dt, n_steps)
+        (seed, bi, n, cdf, axes, grid.spacings, grid.shape, group, b_table, sigma, dt, n_steps)
         for bi, n in blocks
     ]
     counts = np.zeros(grid.shape, dtype=np.int64)

@@ -1,12 +1,19 @@
-"""Discretization substrate: box grids, node fields, truncation masks, CFL bookkeeping."""
+"""Discretization substrate: box grids, node fields, truncation masks, CFL bookkeeping.
+
+The CFL bookkeeping serves every explicit solver of the package:
+``max_stable_dt`` is the stability bound, ``check_dt`` refuses a step
+above it, ``step_count`` turns a span and a given step or a bound into a
+number of steps, and ``march`` is the one marching loop, which keeps the
+snapshots a solver stores.
+"""
 
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -174,28 +181,6 @@ def make_ball_mask(grid: GridSpec, group: GroupSpec, radius: float) -> BallMask:
     return BallMask(radius=float(radius), inside=inside, boundary_layer=layer)
 
 
-@dataclass(frozen=True)
-class SolverParams:
-    sigma: float
-    gamma: float = 2.0
-    dt: float | None = None
-    cfl_safety: float = 0.8
-    radius: float | None = None
-    tol_abs: float = 1e-8
-    tol_rel: float = 1e-6
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.gamma < 2:
-            raise ValueError("gamma must be >= 2")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if not (0 < self.cfl_safety <= 1):
-            raise ValueError("cfl_safety in (0, 1]")
-
-
 def max_stable_dt(
     grid: GridSpec,
     group: GroupSpec,
@@ -242,6 +227,44 @@ def max_stable_dt(
     if m <= 0.0:
         return math.inf
     return 1.0 / m
+
+
+class CFLViolation(RuntimeError):
+    """Requested step exceeds the explicit stability bound."""
+
+
+def check_dt(dt: float, limit: float) -> None:
+    """Refuse a step above the stability bound (with a 1e-12 relative slack)."""
+    if dt > limit * (1 + 1e-12):
+        raise CFLViolation(f"dt={dt:g} exceeds stability bound {limit:g}")
+
+
+def step_count(span: float, dt: float | None, bound: Callable[[], float], least: int = 1) -> int:
+    """Number of equal steps that cover span, never fewer than least.
+
+    The fewest steps no longer than dt (with a 1e-12 slack, so a whole
+    number of steps up to rounding gets no extra one), or, when dt is
+    None, no longer than the safe step bound(), which is called only then.
+    """
+    if dt is not None:
+        return max(least, math.ceil(span / dt - 1e-12))
+    limit = bound()
+    if not math.isfinite(limit):
+        return least
+    return max(least, math.ceil(span / limit))
+
+
+def march(x0, n: int, step: float, advance: Callable, store_every: int = 1) -> list:
+    """Apply advance(x, step) n times from x0 and return the kept states:
+    x0, every store_every-th state and the last one (store_every = 0 keeps
+    the two endpoints only)."""
+    kept = [x0]
+    x = x0
+    for k in range(1, n + 1):
+        x = advance(x, step)
+        if k == n or (store_every and k % store_every == 0):
+            kept.append(x)
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -56,16 +56,15 @@ the monitor failing, which is the point of the control).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _stencils, vfields
-from .grid import Field, GridSpec, Trajectory, max_stable_dt
+from .grid import CFLViolation, Field, Trajectory, check_dt, march, max_stable_dt, step_count
 from .groups import GroupSpec
-from .heat import CFLViolation
+from .heat import heat_step
 from .fokker_planck import DriftField, fp_solve
 
 
@@ -264,15 +263,18 @@ def hj_step_direct(
         return u
     vf = vfields.left_invariant_fields(group)
     if check_cfl:
-        limit = hj_stable_dt(u, spec, sigma, group, cfl_safety=1.0)
-        if dt > limit * (1 + 1e-12):
-            raise CFLViolation(f"dt={dt:g} exceeds stability bound {limit:g}")
+        check_dt(dt, hj_stable_dt(u, spec, sigma, group, cfl_safety=1.0))
     geom = _stencils.frame_tables(u.grid, vf)
-    new = u.values + dt * _stencils.flux_divergence(u.values, geom, sigma)
-    new = new - dt * godunov_gradient(u, group) ** spec.gamma
+    # the new state is allocated last: below the step's temporaries it lets the
+    # allocator trim them off the heap top and fault them in again every step
+    nonlinear = dt * godunov_gradient(u, group) ** spec.gamma
+    flux = _stencils.flux_divergence(u.values, geom, sigma)
+    flux *= dt
+    new = u.values + flux
+    new -= nonlinear
     src = spec.source.at(u.t)
     if src is not None:
-        new = new + dt * src
+        new += dt * src
     if not np.isfinite(new).all():
         raise CFLViolation("direct step produced non-finite values")
     return Field(u.grid, new, u.t + dt)
@@ -303,23 +305,8 @@ def hj_solve(
         raise ValueError("t_end before the datum's time stamp")
     if span == 0:
         return Trajectory(times=(u0.t,), fields=(u0,))
-    if dt is None:
-        limit = hj_stable_dt(u0, spec, sigma, group, cfl_safety=cfl_safety)
-        if not math.isfinite(limit):
-            n = 1
-        else:
-            n = max(1, math.ceil(span / limit))
-    else:
-        n = max(1, math.ceil(span / dt - 1e-12))
-    step = span / n
-    fields = [u0]
-    cur = u0
-    for k in range(n):
-        cur = hj_step_direct(cur, spec, sigma, step, group)
-        if k == n - 1 or (k + 1) % store_every == 0:
-            fields.append(cur)
-    if fields[-1] is not cur:
-        fields.append(cur)
+    n = step_count(span, dt, lambda: hj_stable_dt(u0, spec, sigma, group, cfl_safety=cfl_safety))
+    fields = march(u0, n, span / n, lambda u, step: hj_step_direct(u, spec, sigma, step, group), store_every)
     return Trajectory(times=tuple(f.t for f in fields), fields=tuple(fields))
 
 
@@ -327,21 +314,13 @@ def hj_solve(
 # mild-solution sweep
 # ---------------------------------------------------------------------------
 
-def _heat_step_raw(values: np.ndarray, grid: GridSpec, sigma: float, dt: float, group: GroupSpec) -> np.ndarray:
-    vf = vfields.left_invariant_fields(group)
-    geom = _stencils.frame_tables(grid, vf)
-    return values + dt * _stencils.flux_divergence(values, geom, sigma)
-
-
 def heat_baseline(spec: HamiltonianSpec, sigma: float, times: Sequence[float], group: GroupSpec) -> Trajectory:
     """The zeroth iterate e^{tL} u0 on the given time grid."""
     ts = tuple(float(t) for t in times)
     grid = spec.u0.grid
-    vals = spec.u0.values
-    fields = [Field(grid, vals, ts[0])]
+    fields = [Field(grid, spec.u0.values, ts[0])]
     for a, b in zip(ts, ts[1:]):
-        vals = _heat_step_raw(vals, grid, sigma, b - a, group)
-        fields.append(Field(grid, vals, b))
+        fields.append(Field(grid, heat_step(fields[-1], sigma, b - a, group, check_cfl=False).values, b))
     return Trajectory(times=ts, fields=tuple(fields))
 
 
@@ -370,10 +349,8 @@ def duhamel_iterate(
     ts = prev.times
     diff_limit = max_stable_dt(grid, group, vf, sigma, None)
     for a, b in zip(ts, ts[1:]):
-        if (b - a) > diff_limit * (1 + 1e-12):
-            raise CFLViolation(f"time grid step {b - a:g} exceeds heat bound {diff_limit:g}")
-    vals = spec.u0.values
-    fields = [Field(grid, vals, ts[0])]
+        check_dt(b - a, diff_limit)
+    fields = [Field(grid, spec.u0.values, ts[0])]
     for k, (a, b) in enumerate(zip(ts, ts[1:])):
         dt = b - a
         g = vfields.horizontal_gradient(vf, prev.fields[k]).values
@@ -382,8 +359,13 @@ def duhamel_iterate(
         src = spec.source.at(a)
         if src is not None:
             f_k = f_k + src
-        vals = _heat_step_raw(vals + dt * f_k, grid, sigma, dt, group)
-        if not np.isfinite(vals).all() or float(np.abs(vals).max()) > blowup:
+        try:
+            # Field refuses a non-finite push, the heat step a non-finite result
+            vals = heat_step(Field(grid, fields[-1].values + dt * f_k, a), sigma, dt, group,
+                             check_cfl=False).values
+        except (ValueError, CFLViolation):
+            vals = None
+        if vals is None or float(np.abs(vals).max()) > blowup:
             raise DivergenceError(f"iterate norm passed {blowup:g} at t={b:g}")
         fields.append(Field(grid, vals, b))
     return Trajectory(times=ts, fields=tuple(fields))
@@ -439,14 +421,7 @@ class FixedPointReport:
         return self.verdict == "converged"
 
     def to_json_dict(self) -> dict:
-        return {
-            "distances": list(self.distances),
-            "ratios": list(self.ratios),
-            "ball_radius": self.ball_radius,
-            "horizon": self.horizon,
-            "growth_constant": self.growth_constant,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -476,11 +451,7 @@ def hj_fixed_point(
     span = t_end - spec.u0.t
     if span <= 0:
         raise ValueError("horizon must lie after the datum's time stamp")
-    if dt is None:
-        limit = cfl_safety * max_stable_dt(grid, group, vf, sigma, None)
-        n = max(2, math.ceil(span / limit)) if math.isfinite(limit) else 2
-    else:
-        n = max(2, math.ceil(span / dt - 1e-12))
+    n = step_count(span, dt, lambda: cfl_safety * max_stable_dt(grid, group, vf, sigma, None), least=2)
     times = tuple(spec.u0.t + span * k / n for k in range(n + 1))
 
     scale = max(spec.data_scale(span), 1e-30)
@@ -540,14 +511,7 @@ class DualityReport:
     residual: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "tau": self.tau,
-            "gap": self.gap,
-            "gradient_term": self.gradient_term,
-            "source_term": self.source_term,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -649,13 +613,7 @@ class SupBoundsReport:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_value": self.max_value,
-            "min_value": self.min_value,
-            "upper_bound": self.upper_bound,
-            "lower_bound": self.lower_bound,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def sup_bounds_report(traj: Trajectory, spec: HamiltonianSpec) -> SupBoundsReport:
@@ -696,14 +654,7 @@ class BernsteinReport:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "frame_kind": self.frame_kind,
-            "observed": list(self.observed),
-            "initial": list(self.initial),
-            "source": list(self.source),
-            "bounds": list(self.bounds),
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def _central_window(shape: tuple[int, ...], fraction: float) -> tuple[slice, ...]:

@@ -1,28 +1,26 @@
 """Horizontal heat flow: explicit conservative stepping and decay diagnostics.
 
-The step is forward Euler on the divergence-form operator, f + dt sigma
-lap_G f, realized through face fluxes so the total integral is conserved
+The heat flow is the drift-free case of the transport flow of
+``fokker_planck``: a heat step is ``fp_step`` with ``DriftField.none()``,
+forward Euler on the divergence-form operator, f + dt sigma lap_G f,
+realized through face fluxes so the total integral is conserved
 structurally (zero flux through the box boundary, telescoping interior
-fluxes).  The flow is the solver backbone: the transport module adds an
-advective flux to the same machinery, and the fixed-point map for the
-nonlinear problems composes these steps.
+fluxes), and ``evolve`` is ``fp_solve`` keeping the final state only.
+The mild-solution sweep of ``hamilton_jacobi`` composes the same steps.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _stencils, vfields
-from .grid import Field, GridSpec, max_stable_dt
+from . import vfields
+from .fokker_planck import DriftField, fp_solve, fp_step
+from .grid import CFLViolation, Field, GridSpec, march, max_stable_dt, step_count  # noqa: F401 (CFLViolation re-exported)
 from .groups import GroupSpec
-
-
-class CFLViolation(RuntimeError):
-    """Requested step exceeds the explicit stability bound."""
 
 
 def stable_dt(grid: GridSpec, group: GroupSpec, sigma: float, *, cfl_safety: float = 0.8, b=None) -> float:
@@ -31,18 +29,8 @@ def stable_dt(grid: GridSpec, group: GroupSpec, sigma: float, *, cfl_safety: flo
 
 
 def heat_step(f: Field, sigma: float, dt: float, group: GroupSpec, *, check_cfl: bool = True) -> Field:
-    """One explicit Euler step of d_t f = sigma lap_G f."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    if dt == 0:
-        return f
-    if check_cfl:
-        limit = max_stable_dt(f.grid, group, vfields.left_invariant_fields(group), sigma, None)
-        if dt > limit * (1 + 1e-12):
-            raise CFLViolation(f"dt={dt:g} exceeds stability bound {limit:g}")
-    geom = _stencils.frame_tables(f.grid, vfields.left_invariant_fields(group))
-    new = f.values + dt * _stencils.flux_divergence(f.values, geom, sigma)
-    return Field(f.grid, new, f.t + dt)
+    """One explicit Euler step of d_t f = sigma lap_G f (the transport step without drift)."""
+    return fp_step(f, DriftField.none(), sigma, dt, group, check_cfl=check_cfl)
 
 
 def evolve(
@@ -57,29 +45,12 @@ def evolve(
     """Run the heat flow from f.t to t_target by composed steps.
 
     When dt is not given, the largest stable step that lands exactly on
-    t_target is used.
+    t_target is used; a given dt above the stability bound raises
+    CFLViolation on the first step.
     """
-    span = t_target - f.t
-    if span < 0:
-        raise ValueError("t_target before the field's time stamp")
-    if span == 0:
-        return f
-    if dt is None:
-        limit = stable_dt(f.grid, group, sigma, cfl_safety=cfl_safety)
-        if not math.isfinite(limit):
-            n = 1
-        else:
-            n = max(1, math.ceil(span / limit))
-    else:
-        n = max(1, math.ceil(span / dt - 1e-12))
-    step = span / n
-    geom = _stencils.frame_tables(f.grid, vfields.left_invariant_fields(group))
-    vals = f.values
-    for _ in range(n):
-        vals = vals + step * _stencils.flux_divergence(vals, geom, sigma)
-        if not np.isfinite(vals).all():
-            raise CFLViolation("heat flow produced non-finite values")
-    return Field(f.grid, vals, t_target)
+    out = fp_solve(f, DriftField.none(), sigma, t_target, group,
+                   dt=dt, cfl_safety=cfl_safety, store_every=0).final
+    return out if out is f else Field(f.grid, out.values, t_target)
 
 
 @dataclass(frozen=True)
@@ -94,18 +65,7 @@ class DecayReport:
     sup_end: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "times": list(self.times),
-                "grad_sup": list(self.grad_sup),
-                "slope": self.slope,
-                "constant": self.constant,
-                "sup_start": self.sup_start,
-                "sup_end": self.sup_end,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def measure_gradient_decay(
@@ -124,8 +84,7 @@ def measure_gradient_decay(
     data's jump resolution.
     """
     vf = vfields.left_invariant_fields(group)
-    limit = stable_dt(phi.grid, group, sigma, cfl_safety=cfl_safety)
-    n = max(1, math.ceil(t_end / limit))
+    n = step_count(t_end, None, lambda: stable_dt(phi.grid, group, sigma, cfl_safety=cfl_safety))
     dt = t_end / n
     t_lo = 4 * dt
     if t_lo >= t_end:
@@ -133,15 +92,17 @@ def measure_gradient_decay(
     ladder = np.exp(np.linspace(math.log(t_lo), math.log(t_end), n_times))
     steps = sorted({int(round(t / dt)) for t in ladder})
     steps = [s for s in steps if s >= 1]
-    geom = _stencils.frame_tables(phi.grid, vf)
-    vals = phi.values
+
+    def advance(f: Field, step: float) -> Field:
+        return heat_step(f, sigma, step, group, check_cfl=False)
+
+    cur = phi
     times, sups = [], []
     done = 0
     for s in steps:
-        for _ in range(s - done):
-            vals = vals + dt * _stencils.flux_divergence(vals, geom, sigma)
+        cur = march(cur, s - done, dt, advance, store_every=0)[-1]
         done = s
-        g = vfields.horizontal_gradient(vf, Field(phi.grid, vals, s * dt))
+        g = vfields.horizontal_gradient(vf, cur)
         gsup = float(np.sqrt((g.values**2).sum(axis=0)).max())
         times.append(s * dt)
         sups.append(gsup)
@@ -157,5 +118,5 @@ def measure_gradient_decay(
         slope=float(slope),
         constant=float(np.exp(intercept)),
         sup_start=float(np.abs(phi.values).max()),
-        sup_end=float(np.abs(vals).max()),
+        sup_end=cur.sup_norm(),
     )

@@ -47,7 +47,7 @@ import numpy as np
 from . import vfields
 from .flat_metric import DiscreteMeasure, MollifierSpec, flat_distance, mollify
 from .fokker_planck import DriftField, fp_solve
-from .grid import Field, Trajectory
+from .grid import Field, Trajectory, step_count
 from .groups import GroupSpec
 from .hamilton_jacobi import (
     CFLViolation,
@@ -281,11 +281,8 @@ def mfg_picard(
         raise ValueError("horizon must be positive")
 
     seed_spec = HamiltonianSpec(u0=Field(u_T.grid, u_T.values, 0.0), gamma=gamma)
-    if dt is None:
-        limit = hj_stable_dt(seed_spec.u0, seed_spec, sigma, group, cfl_safety=cfl_safety)
-        n = max(2, math.ceil(span / limit)) if math.isfinite(limit) else 2
-    else:
-        n = max(2, math.ceil(span / dt - 1e-12))
+    n = step_count(span, dt, lambda: hj_stable_dt(seed_spec.u0, seed_spec, sigma, group, cfl_safety=cfl_safety),
+                   least=2)
     step = span / n
     times = _accumulated_times(0.0, step, n)
 

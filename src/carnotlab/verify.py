@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import sympy as sp
@@ -45,7 +45,7 @@ class Check:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "budget": self.budget, "ok": self.ok}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

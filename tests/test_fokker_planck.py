@@ -2,6 +2,9 @@
 positivity, energy bounds, weak form, barrier certificates, and the
 stochastic particle cross-check."""
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -256,6 +259,32 @@ def test_particle_oracle_agrees_with_pde_at_small_scale():
     res = flat_distance(mu, nu, G)
     assert res.status == "optimal"
     assert res.value <= 0.05
+
+
+def test_particle_block_follows_the_group_law():
+    # sigma = 0 and b = (0, 1): each step moves a particle by the horizontal
+    # increment (0, -dt), which the law turns into x3 += c x1 (-dt), c the
+    # bracket coefficient (1/2 on heisenberg1, 1 on the doubled law), so the
+    # mean of x3 moves by -c x1 T from a point mass at x1 = 0.6
+    one = Fraction(1)
+    doubled = dataclasses.replace(G, law=((), (), ((one, (1, 0, 0), (0, 1, 0)),
+                                                   (-one, (0, 1, 0), (1, 0, 0)))))
+    grid = cgrid.default_grid(nodes=41)
+    vals = np.zeros(grid.shape)
+    vals[26, 20, 20] = 1.0 / grid.cell_volume
+    rho0 = Field(grid, vals)
+    x3 = node_coordinates(grid)[2]
+    for group, c in ((G, 0.5), (doubled, 1.0)):
+        out = particle_oracle(rho0, DriftField.constant((0.0, 1.0)), 0.0, 0.5, group,
+                              n_particles=4096, seed=3)
+        assert out.integral() == pytest.approx(1.0, abs=1e-12)
+        mean_x3 = float((out.values * x3).sum() * grid.cell_volume)
+        assert mean_x3 == pytest.approx(-c * 0.6 * 0.5, abs=0.01)
+    # a step-3 law is not a frozen-frame Euler step; refused
+    grid4 = cgrid.default_grid(nodes=5, dim=4)
+    with pytest.raises(NotImplementedError):
+        particle_oracle(Field(grid4, np.ones(grid4.shape)), DriftField.none(), 0.25, 0.1,
+                        groups.preset("engel"), n_particles=10, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,16 @@ from carnotlab import preset
 from carnotlab.grid import (
     Field,
     GridSpec,
-    SolverParams,
     bump_field,
     constant_field,
     default_grid,
     dump_field_csv,
     load_field_csv,
     make_ball_mask,
+    march,
     max_stable_dt,
     node_coordinates,
+    step_count,
 )
 from carnotlab.vfields import left_invariant_fields
 
@@ -49,14 +50,22 @@ def test_field_validation():
     assert f.is_vector
 
 
-def test_solver_params_validation():
-    SolverParams(sigma=0.25)
-    with pytest.raises(ValueError):
-        SolverParams(sigma=-1.0)
-    with pytest.raises(ValueError):
-        SolverParams(sigma=0.1, gamma=1.5)
-    with pytest.raises(ValueError):
-        SolverParams(sigma=0.1, cfl_safety=0.0)
+def test_step_count_and_march():
+    def no_bound():
+        raise AssertionError("bound evaluated although dt was given")
+
+    assert step_count(1.0, 0.1, no_bound) == 10
+    assert step_count(1.0, 0.3, no_bound) == 4
+    assert step_count(1.0, 2.0, no_bound, least=2) == 2
+    assert step_count(1.0, None, lambda: 0.3) == 4
+    assert step_count(1.0, None, lambda: math.inf, least=2) == 2
+
+    def add(x, h):
+        return x + h
+
+    assert march(0, 5, 1, add, 2) == [0, 2, 4, 5]
+    assert march(0, 5, 1, add, 0) == [0, 5]
+    assert march(0, 3, 1, add) == [0, 1, 2, 3]
 
 
 def test_ball_mask_extremes():

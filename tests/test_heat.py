@@ -41,6 +41,18 @@ def test_cfl_violation_refused():
         heat_step(f, 0.25, 1.0, H1)
 
 
+def test_oversized_dt_and_non_finite_steps_raise_cfl_violation():
+    grid = default_grid(nodes=15)
+    f = bump_field(grid, H1, radius=1.0)
+    limit = stable_dt(grid, H1, 0.25, cfl_safety=1.0)
+    with pytest.raises(CFLViolation, match="exceeds stability bound"):
+        evolve(f, 0.25, 10 * limit, H1, dt=2 * limit)
+    # finite data whose step overflows
+    huge = Field(grid, 1e308 * f.values)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CFLViolation, match="non-finite"):
+        heat_step(huge, 0.25, limit, H1)
+
+
 def test_mass_conserved():
     grid = default_grid(nodes=21)
     f0 = bump_field(grid, H1, radius=1.2, normalize=True)
