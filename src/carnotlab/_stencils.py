@@ -28,8 +28,9 @@ Python float and every other one a read-only array:
 
 * ``coef[i][l]``: component l of field i at the nodes, None where the
   polynomial is 0 (read by ``grid.max_stable_dt``,
-  ``hamilton_jacobi.godunov_gradient`` and the horizontal gradient and
-  divergence of ``vfields``);
+  ``hamilton_jacobi.godunov_gradient`` and the horizontal gradient,
+  divergence and Laplacian of ``vfields``; ``_products`` forms A_kl
+  from it for the Laplacian and for ``diffusion``);
 * ``upwind[i][l]``: the sign split (``coef[i][l] > 0``, ``coef[i][l] <= 0``)
   of each array coefficient, read by ``godunov_gradient`` to pick the
   upwind side node by node;
@@ -154,7 +155,8 @@ class FrameTables:
 
     Readers: ``kernel.coef`` by ``grid.max_stable_dt``,
     ``hamilton_jacobi.godunov_gradient`` and ``vfields.horizontal_gradient``
-    / ``horizontal_divergence``; ``kernel.upwind`` by ``godunov_gradient``;
+    / ``horizontal_divergence`` / ``horizontal_laplacian``;
+    ``kernel.upwind`` by ``godunov_gradient``;
     ``kernel.diag``/``cross``/``drift`` by ``flux_divergence``;
     ``diffusion``/``diffusion_max`` by ``grid.max_stable_dt``.  ``a``, ``A``
     and ``a_face`` are the full arrays the reference kernels of the tests

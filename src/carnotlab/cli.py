@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from datetime import datetime, timezone
 from importlib import resources
 
@@ -57,10 +58,6 @@ OUTPUT_DIR_ENV = "CARNOTLAB_OUTPUT_DIR"
 # ---------------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------------
-
-def _as_str(raw: str) -> str:
-    return raw.strip()
-
 
 def _as_choice(*options: str):
     def cast(raw: str) -> str:
@@ -385,7 +382,7 @@ class RunOutcome:
         self.nonconverged = False
 
     def add(self, name: str, value: float, budget: str, ok: bool) -> None:
-        self.checks.append(Check(name, float(value), budget, bool(ok)))
+        self.checks.append(Check(name, value, budget, ok))
 
     @property
     def exit_code(self) -> int:
@@ -484,15 +481,7 @@ def _run_fp(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
         "sup_peak": peak,
         "final_min": low,
         "transient_min": transient,
-        "energy": {
-            "l2_initial": erep.l2_initial,
-            "l2_peak": erep.l2_peak,
-            "l2_bound": erep.l2_bound,
-            "grad_energy": erep.grad_energy,
-            "grad_bound": erep.grad_bound,
-            "drift_sup": erep.drift_sup,
-            "ok": erep.ok,
-        },
+        "energy": {**asdict(erep), "ok": erep.ok},
     }))
     return out
 
@@ -636,13 +625,7 @@ def _run_metric(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutc
         "dirac_pairs": pair_log,
         "triangle_worst_violation": tri_worst,
         "symmetry_worst_gap": sym_worst,
-        "holder": {
-            "exponent": hold.exponent,
-            "constant": hold.constant,
-            "gaps": list(hold.gaps),
-            "distances": list(hold.distances),
-            "verdict": hold.verdict,
-        },
+        "holder": asdict(hold),
     }))
     return out
 
@@ -814,11 +797,12 @@ def _cmd_verify(args) -> int:
 
     if args.output_dir or os.environ.get(OUTPUT_DIR_ENV):
         parent = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
+        # serialize first: a report that cannot be written leaves no directory
+        texts = {f"suite_{res.suite}.json": res.to_json() for res in results}
         outdir = _unique_outdir(parent, "verify-" + args.suite)
         artifacts = {}
-        for res in results:
-            name = f"suite_{res.suite}.json"
-            _write_json(outdir, name, res.to_json())
+        for name, text in texts.items():
+            _write_json(outdir, name, text)
             artifacts[name] = _sha256(os.path.join(outdir, name))
         manifest = {
             "suites": [r.suite for r in results],

@@ -47,8 +47,8 @@ import scipy.sparse as sps
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
-from .grid import Field, GridSpec, Trajectory, node_coordinates
-from .groups import GroupSpec, _monomial, dilate, quasi_distance
+from .grid import Field, GridSpec, Trajectory, bump_shape, node_coordinates
+from .groups import GroupSpec, _monomial, dilate, gauge_power, quasi_distance
 
 # Pairs held at once by the Lipschitz violation scan.
 _PAIR_SCAN_BUDGET = 1 << 17
@@ -346,15 +346,6 @@ def two_dirac_distance(group: GroupSpec, x, y) -> float:
 # mollifier
 # ---------------------------------------------------------------------------
 
-def _profile(s: np.ndarray) -> np.ndarray:
-    """exp(1 / (s - 1)) for s < 1 and 0 outside; s = (||x||/eps)^{2k!}."""
-    out = np.zeros_like(s)
-    inside = s < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(1.0 / (s[inside] - 1.0))
-    return out
-
-
 @dataclass(frozen=True)
 class MollifierSpec:
     """Scaled kernel data on a given grid: lattice offsets u inside the
@@ -381,12 +372,7 @@ class MollifierSpec:
             reach = int(math.floor(eps**w / h[k])) + 1
             ranges.append(np.arange(-reach, reach + 1) * h[k])
         mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, group.dim)
-        scaled = dilate(group, 1.0 / eps, mesh)
-        r = group.norm_root
-        s = np.zeros(mesh.shape[0])
-        for i, w in enumerate(group.weights):
-            s += np.abs(scaled[:, i]) ** (r // w)
-        raw = _profile(s)
+        raw = bump_shape(gauge_power(group, dilate(group, 1.0 / eps, mesh)))
         keep = raw > 0
         offsets, raw = mesh[keep], raw[keep]
         total = raw.sum()
@@ -401,12 +387,8 @@ class MollifierSpec:
 def kernel_field(m: MollifierSpec, grid: GridSpec, group: GroupSpec) -> Field:
     """The scaled kernel (C / eps^Q) xi(delta_{1/eps} x) sampled on the grid."""
     pts = np.stack(node_coordinates(grid), axis=-1)
-    scaled = dilate(group, 1.0 / m.eps, pts.reshape(-1, group.dim))
-    r = group.norm_root
-    s = np.zeros(scaled.shape[0])
-    for i, w in enumerate(group.weights):
-        s += np.abs(scaled[:, i]) ** (r // w)
-    vals = m.C / m.eps**group.homogeneous_dimension * _profile(s)
+    s = gauge_power(group, dilate(group, 1.0 / m.eps, pts.reshape(-1, group.dim)))
+    vals = m.C / m.eps**group.homogeneous_dimension * bump_shape(s)
     return Field(grid, vals.reshape(grid.shape))
 
 

@@ -4,7 +4,8 @@ Solves d_t rho = sigma lap_G rho + div_G(b rho) on the box, with values
 forced to zero outside a ball mask (the truncation scheme with Dirichlet
 exterior data).  The advective flux rho Btilde, Btilde = sum_i b_i a_i,
 joins the diffusive flux on faces, so total mass moves only through
-faces and is conserved until the support touches the mask.
+faces and is conserved until the support touches the mask.  A sampled
+drift shares ``piecewise_constant`` with ``hamilton_jacobi.SourceTerm``.
 
 Alongside the grid solver: the weak-form residual of the defining
 identity, the L2 and gradient-energy a priori bounds, the exponential
@@ -31,6 +32,22 @@ from .groups import GroupSpec, hom_norm
 # drift
 # ---------------------------------------------------------------------------
 
+def piecewise_constant(times: Sequence[float], values: Sequence) -> Callable[[float], object]:
+    """The sampler t -> the entry of values with the largest sample time
+    <= t, clamped at the ends; times must increase and align with values."""
+    ts = np.asarray(times, dtype=float)
+    if len(ts) != len(values) or len(ts) == 0:
+        raise ValueError("times and values must align and be nonempty")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("times must increase")
+
+    def sample(t: float):
+        i = int(np.searchsorted(ts, t, side="right")) - 1
+        return values[min(max(i, 0), len(values) - 1)]
+
+    return sample
+
+
 @dataclass(frozen=True)
 class DriftField:
     """Frame coefficients b(t) = (b_1, ..., b_m) of the drift sum b_i a_i.
@@ -40,13 +57,12 @@ class DriftField:
     identically zero so the solver can skip the advective flux.
     """
 
-    m: int
     sampler: Callable[[float], np.ndarray | None]
     zero: bool = False
 
     @staticmethod
-    def none(m: int = 2) -> "DriftField":
-        return DriftField(m=m, sampler=lambda t: None, zero=True)
+    def none() -> "DriftField":
+        return DriftField(sampler=lambda t: None, zero=True)
 
     @staticmethod
     def constant(coeffs: Sequence[float]) -> "DriftField":
@@ -54,26 +70,13 @@ class DriftField:
         if vec.ndim != 1:
             raise ValueError("constant drift takes a flat coefficient vector")
         if np.all(vec == 0.0):
-            return DriftField.none(len(vec))
-        return DriftField(m=len(vec), sampler=lambda t, v=vec: v)
+            return DriftField.none()
+        return DriftField(sampler=lambda t, v=vec: v)
 
     @staticmethod
     def from_sequence(times: Sequence[float], values: Sequence[np.ndarray]) -> "DriftField":
-        """Piecewise-constant in time: at t, the entry with the largest
-        sample time <= t (clamped at the ends)."""
-        ts = np.asarray(times, dtype=float)
-        if len(ts) != len(values) or len(ts) == 0:
-            raise ValueError("times and values must align and be nonempty")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("times must increase")
-        vals = [np.asarray(v, dtype=float) for v in values]
-        m = vals[0].shape[0]
-
-        def sample(t: float) -> np.ndarray:
-            i = int(np.searchsorted(ts, t, side="right")) - 1
-            return vals[min(max(i, 0), len(vals) - 1)]
-
-        return DriftField(m=m, sampler=sample)
+        """Piecewise-constant in time (see ``piecewise_constant``)."""
+        return DriftField(piecewise_constant(times, [np.asarray(v, dtype=float) for v in values]))
 
     def at(self, t: float) -> np.ndarray | None:
         if self.zero:
@@ -335,6 +338,13 @@ class SubsolutionReport:
         return self.max_lhs_at_double <= 1e-10
 
 
+def _squared_gauge(group: GroupSpec, xs) -> sp.Expr:
+    """||x||_G^2 in the coordinate symbols xs."""
+    r = group.norm_root
+    n_pow = sum(sp.Abs(xs[i]) ** sp.Rational(r, w) for i, w in enumerate(group.weights))
+    return n_pow ** sp.Rational(2, r)
+
+
 def _barrier_lhs_fn(group: GroupSpec, b_coeffs, sigma: float):
     """Symbolic LHS of the barrier inequality, lambdified over
     (x1..xd, t, bbar) with beta1, tau0 left as parameters too.
@@ -345,11 +355,7 @@ def _barrier_lhs_fn(group: GroupSpec, b_coeffs, sigma: float):
     vf = vfields.left_invariant_fields(group)
     xs = vfields.coordinate_symbols(group.dim)
     t, bbar, beta1, tau0 = sp.symbols("t bbar beta1 tau0", real=True)
-    r = group.norm_root
-    n_pow = sum(
-        sp.Abs(xs[i]) ** sp.Rational(r, w) for i, w in enumerate(group.weights)
-    )
-    N2 = n_pow ** sp.Rational(2, r)
+    N2 = _squared_gauge(group, xs)
     a = beta1 + bbar * (t - tau0)
     grad_n2 = [vfields.apply_field_analytic(vf, i, N2) for i in range(vf.count)]
     lap_n2 = sum(vfields.apply_field_analytic(vf, i, g) for i, g in enumerate(grad_n2))
@@ -364,6 +370,14 @@ def _barrier_lhs_fn(group: GroupSpec, b_coeffs, sigma: float):
     phi = sp.exp(-a * (N2 + 1))
     lhs = core * phi
     return sp.lambdify(tuple(xs) + (t, bbar, beta1, tau0), lhs, "numpy")
+
+
+def _barrier_sample(group: GroupSpec, params: SubsolutionParams, rng, box, n_space, n_time):
+    """(coordinate columns of box points off the origin, times in [tau0, tau])."""
+    pts = rng.uniform(-box, box, size=(n_space, group.dim))
+    pts = pts[hom_norm(group, pts) > 1e-3]
+    ts = np.linspace(params.tau0, params.tau, n_time)
+    return [pts[:, i][:, None] for i in range(group.dim)], ts
 
 
 def subsolution_check(
@@ -386,11 +400,7 @@ def subsolution_check(
     again at twice that rate.
     """
     fn = _barrier_lhs_fn(group, b_coeffs, sigma)
-    pts = rng.uniform(-box, box, size=(n_space, group.dim))
-    norms = hom_norm(group, pts)
-    pts = pts[norms > 1e-3]
-    ts = np.linspace(params.tau0, params.tau, n_time)
-    cols = [pts[:, i][:, None] for i in range(group.dim)]
+    cols, ts = _barrier_sample(group, params, rng, box, n_space, n_time)
 
     def max_lhs(bbar: float) -> float:
         vals = fn(*cols, ts[None, :], bbar, params.beta1, params.tau0)
@@ -412,7 +422,7 @@ def subsolution_check(
         threshold=threshold,
         max_lhs_at_threshold=max_lhs(threshold),
         max_lhs_at_double=max_lhs(2 * threshold),
-        n_samples=pts.shape[0] * n_time,
+        n_samples=cols[0].shape[0] * n_time,
     )
 
 
@@ -434,10 +444,7 @@ def barrier_max_lhs(
     bbar somewhere in the sampled region.
     """
     fn = _barrier_lhs_fn(group, b_coeffs, sigma)
-    pts = rng.uniform(-box, box, size=(n_space, group.dim))
-    pts = pts[hom_norm(group, pts) > 1e-3]
-    ts = np.linspace(params.tau0, params.tau, n_time)
-    cols = [pts[:, i][:, None] for i in range(group.dim)]
+    cols, ts = _barrier_sample(group, params, rng, box, n_space, n_time)
     return float(np.max(fn(*cols, ts[None, :], bbar, params.beta1, params.tau0)))
 
 
@@ -450,11 +457,7 @@ def barrier_origin_gradient_limit(group: GroupSpec, direction: Sequence[float]) 
     vf = vfields.left_invariant_fields(group)
     xs = vfields.coordinate_symbols(group.dim)
     s = sp.symbols("s", positive=True)
-    r = group.norm_root
-    n_pow = sum(
-        sp.Abs(xs[i]) ** sp.Rational(r, w) for i, w in enumerate(group.weights)
-    )
-    N2 = n_pow ** sp.Rational(2, r)
+    N2 = _squared_gauge(group, xs)
     grad_sq = sum(vfields.apply_field_analytic(vf, i, N2) ** 2 for i in range(vf.count))
     ray = {
         xs[i]: sp.Float(direction[i]) * s ** group.weights[i] for i in range(group.dim)

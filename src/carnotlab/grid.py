@@ -4,7 +4,8 @@ The CFL bookkeeping serves every explicit solver of the package:
 ``max_stable_dt`` is the stability bound, ``check_dt`` refuses a step
 above it, ``step_count`` turns a span and a given step or a bound into a
 number of steps, and ``march`` is the one marching loop, which keeps the
-snapshots a solver stores.
+snapshots a solver stores.  ``node_coordinates`` is uncached, so callers
+own its arrays; ``bump_shape`` is every bump's profile, the mollifier's too.
 """
 
 from __future__ import annotations
@@ -57,16 +58,9 @@ class GridSpec:
         return tuple(np.linspace(l, u, n) for l, u, n in zip(self.lower, self.upper, self.shape))
 
 
-_COORD_CACHE: dict[GridSpec, tuple[np.ndarray, ...]] = {}
-
-
 def node_coordinates(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Meshgrid coordinate arrays (ij indexing), cached per grid."""
-    got = _COORD_CACHE.get(grid)
-    if got is None:
-        got = tuple(np.meshgrid(*grid.axes(), indexing="ij"))
-        _COORD_CACHE[grid] = got
-    return got
+    """Meshgrid coordinate arrays (ij indexing), new arrays on every call."""
+    return tuple(np.meshgrid(*grid.axes(), indexing="ij"))
 
 
 def node_points(grid: GridSpec) -> np.ndarray:
@@ -103,17 +97,11 @@ class Field:
     def is_vector(self) -> bool:
         return self.values.ndim == len(self.grid.shape) + 1
 
-    def with_values(self, values: np.ndarray, t: float | None = None) -> "Field":
-        return Field(self.grid, values, self.t if t is None else t)
-
     def integral(self) -> float:
         return float(self.values.sum() * self.grid.cell_volume)
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
-
-    def l2_norm_sq(self) -> float:
-        return float((self.values**2).sum() * self.grid.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -136,6 +124,11 @@ class Trajectory:
     def final(self) -> Field:
         return self.fields[-1]
 
+    def reflected(self, times: Sequence[float]) -> "Trajectory":
+        """Snapshot k holds the values of snapshot n - k, stamped times[k]."""
+        fields = tuple(Field(f.grid, f.values, t) for f, t in zip(reversed(self.fields), times))
+        return Trajectory(tuple(times), fields)
+
     def at(self, t: float, tol: float = 1e-9) -> Field:
         i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
         if abs(self.times[i] - t) > tol:
@@ -154,10 +147,6 @@ class BallMask:
     radius: float
     inside: np.ndarray
     boundary_layer: np.ndarray
-
-    @property
-    def num_inside(self) -> int:
-        return int(self.inside.sum())
 
 
 def make_ball_mask(grid: GridSpec, group: GroupSpec, radius: float) -> BallMask:
@@ -324,11 +313,14 @@ def bump_profile(group: GroupSpec, coords: Sequence[np.ndarray], center: Sequenc
     pts = np.stack(np.broadcast_arrays(*coords), axis=-1)
     if center is not None:
         pts = groups.multiply(group, -np.asarray(center, dtype=float), pts)
-    s = (groups.hom_norm(group, pts) / radius) ** group.norm_root
+    return bump_shape((groups.hom_norm(group, pts) / radius) ** group.norm_root)
+
+
+def bump_shape(s: np.ndarray) -> np.ndarray:
+    """exp(1/(s-1)) on s < 1 and 0 elsewhere."""
     out = np.zeros(s.shape)
     inside = s < 1.0
-    with np.errstate(divide="ignore"):
-        out[inside] = np.exp(1.0 / (s[inside] - 1.0))
+    out[inside] = np.exp(1.0 / (s[inside] - 1.0))
     return out
 
 

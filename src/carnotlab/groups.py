@@ -12,7 +12,8 @@ homogeneous norm
 
     ||x||_G = ( sum_i |x_i|^{2k!/w_i} )^{1/(2k!)}
 
-satisfies ||delta_lam x||_G = lam ||x||_G.  The quasi-distance used across
+satisfies ||delta_lam x||_G = lam ||x||_G (``gauge_power`` is the sum
+inside the root).  The quasi-distance used across
 the package is the left-invariant  rho(x, y) = ||y^{-1} * x||_G.
 
 Coefficients are stored as exact rationals so the symbolic layer can verify
@@ -181,14 +182,19 @@ def dilate(spec: GroupSpec, lam, x: np.ndarray) -> np.ndarray:
     )
 
 
-def hom_norm(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
-    """Homogeneous norm (sum_i |x_i|^{2k!/w_i})^{1/(2k!)}."""
+def gauge_power(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
+    """||x||_G^{2k!} = sum_i |x_i|^{2k!/w_i} over the trailing axis."""
     x = np.asarray(x, dtype=float)
     r = spec.norm_root
     acc = np.zeros(x.shape[:-1])
     for i, w in enumerate(spec.weights):
         acc = acc + np.abs(x[..., i]) ** (r // w)
-    return acc ** (1.0 / r)
+    return acc
+
+
+def hom_norm(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
+    """Homogeneous norm (sum_i |x_i|^{2k!/w_i})^{1/(2k!)}."""
+    return gauge_power(spec, x) ** (1.0 / spec.norm_root)
 
 
 def quasi_distance(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -65,7 +65,7 @@ from . import _stencils, vfields
 from .grid import CFLViolation, Field, Trajectory, check_dt, march, max_stable_dt, step_count
 from .groups import GroupSpec
 from .heat import heat_step
-from .fokker_planck import DriftField, fp_solve
+from .fokker_planck import DriftField, fp_solve, piecewise_constant
 
 
 class DivergenceError(RuntimeError):
@@ -79,8 +79,8 @@ class DivergenceError(RuntimeError):
 class SourceTerm:
     """Right-hand side F(t, x): absent, static, or piecewise-constant in t.
 
-    Piecewise sampling follows the drift convention: at time t the entry
-    with the largest sample time <= t applies, clamped at the ends.
+    Piecewise sampling is the drift's (``fokker_planck.piecewise_constant``):
+    at time t the entry with the largest sample time <= t applies.
     """
 
     def __init__(self, sampler: Callable[[float], np.ndarray] | None, bound: float):
@@ -98,20 +98,10 @@ class SourceTerm:
 
     @staticmethod
     def from_sequence(times: Sequence[float], fields: Sequence[Field]) -> "SourceTerm":
-        ts = np.asarray(times, dtype=float)
-        if len(ts) != len(fields) or len(ts) == 0:
-            raise ValueError("times and fields must align and be nonempty")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("times must increase")
         vals = [np.asarray(f.values, dtype=float) for f in fields]
         if any(v.shape != vals[0].shape for v in vals):
             raise ValueError("snapshots must share one grid shape")
-
-        def sample(t: float) -> np.ndarray:
-            i = int(np.searchsorted(ts, t, side="right")) - 1
-            return vals[min(max(i, 0), len(vals) - 1)]
-
-        return SourceTerm(sample, max(float(np.abs(v).max()) for v in vals))
+        return SourceTerm(piecewise_constant(times, vals), max(float(np.abs(v).max()) for v in vals))
 
     @property
     def zero(self) -> bool:

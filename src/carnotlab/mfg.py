@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -194,13 +194,7 @@ def _backward_value(
     v = hj_solve(spec_v, sigma, span, group, dt=step, store_every=1)
     if len(v) != n + 1:
         raise RuntimeError("value and density runs fell out of step")
-    fwd = Trajectory(
-        times=rho_traj.times,
-        fields=tuple(
-            Field(u_T.grid, v.fields[n - k].values, rho_traj.times[k]) for k in range(n + 1)
-        ),
-    )
-    return fwd, v, source
+    return v.reflected(rho_traj.times), v, source
 
 
 def _traj_sup_distance(a: Trajectory, b: Trajectory) -> float:
@@ -296,12 +290,7 @@ def mfg_picard(
     iterations = 0
     try:
         v0 = hj_solve(seed_spec, sigma, span, group, dt=step, store_every=1)
-        u_cur = Trajectory(
-            times=tuple(times),
-            fields=tuple(
-                Field(u_T.grid, v0.fields[n - k].values, times[k]) for k in range(n + 1)
-            ),
-        )
+        u_cur = v0.reflected(times)
         for it in range(1, max_iters + 1):
             iterations = it
             rho_cur = _forward_density(u_cur, rho0, sigma, gamma, group, step)
@@ -334,7 +323,7 @@ def mfg_picard(
     if rho_cur is None:
         # nothing completed; report the seed pair so the state is usable
         rho_cur = fp_solve(
-            rho0, DriftField.none(2), sigma, span, group, dt=step, store_every=1
+            rho0, DriftField.none(), sigma, span, group, dt=step, store_every=1
         )
     if verdict == "converged" and len(res_rho) >= 2:
         prev_for_cert = rho_prev if rho_prev is not None else rho_cur
@@ -403,19 +392,9 @@ class MFGReport:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "verdict": self.verdict,
-            "residuals_u": list(self.residuals_u),
-            "residuals_rho": [r if math.isfinite(r) else None for r in self.residuals_rho],
-            "d0_certified": [[t, v] for t, v in self.d0_certified],
-            "mass_error": self.mass_error,
-            "min_density": self.min_density,
-            "duality_residual": self.duality_residual,
-            "duality_bound": self.duality_bound,
-            "sup_bounds_ok": self.sup_bounds_ok,
-            "ok": self.ok,
-        }
+        d = asdict(self)
+        d["residuals_rho"] = [r if math.isfinite(r) else None for r in self.residuals_rho]
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -44,6 +44,11 @@ class Check:
     budget: str
     ok: bool
 
+    def __post_init__(self) -> None:
+        # suites measure with numpy; a report holds plain JSON-able scalars
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "ok", bool(self.ok))
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -69,13 +74,7 @@ class SuiteResult:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "elapsed": self.elapsed,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -678,7 +677,3 @@ def run_suite(name: str, *, jobs: int = 1) -> SuiteResult:
         known = ", ".join(SUITES)
         raise ValueError(f"unknown suite {name!r}; expected one of: {known}")
     return SUITES[name](jobs=jobs)
-
-
-def run_all(*, jobs: int = 1) -> list[SuiteResult]:
-    return [fn(jobs=jobs) for fn in SUITES.values()]

@@ -12,14 +12,14 @@ routines realize
 
 with A = sum_i a_i a_i^T, c_l = sum_i (a_i . grad) a_il, centered
 second-order stencils for pure derivatives and the 4-point cross stencil
-for mixed ones.
+for mixed ones.  The grid routines read the frame from its
+``_stencils.frame_tables`` entry, the Laplacian its A_kl too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import sympy as sp
@@ -62,7 +62,6 @@ def coordinate_field(dim: int, axis: int) -> VectorFieldSet:
 # symbolic layer
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def coordinate_symbols(dim: int) -> tuple[sp.Symbol, ...]:
     return sp.symbols(f"x1:{dim + 1}", real=True)
 
@@ -173,54 +172,31 @@ def horizontal_gradient(vf: VectorFieldSet, f: Field) -> Field:
     return Field(f.grid, out, f.t)
 
 
-@lru_cache(maxsize=8)
-def _laplacian_tables(vf: VectorFieldSet) -> tuple[tuple[tuple[Poly, ...], ...], tuple[Poly, ...]]:
-    """(A_kl polynomial table, first-order correction c_l) for sum X_i^2."""
-    d = vf.dim
-
-    def poly_mul(p: Poly, q: Poly) -> Poly:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for c1, e1 in p:
-            for c2, e2 in q:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return tuple((c, e) for e, c in terms.items() if c != 0)
-
-    def poly_add(p: Poly, q: Poly) -> Poly:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for c, e in list(p) + list(q):
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return tuple((c, e) for e, c in terms.items() if c != 0)
-
-    A: list[list[Poly]] = [[() for _ in range(d)] for _ in range(d)]
-    C: list[Poly] = [() for _ in range(d)]
-    for i in range(vf.count):
-        ai = vf.coefficients[i]
-        for k in range(d):
-            for l in range(d):
-                A[k][l] = poly_add(A[k][l], poly_mul(ai[k], ai[l]))
-        for l in range(d):
-            for k in range(d):
-                C[l] = poly_add(C[l], poly_mul(ai[k], poly_diff(ai[l], k)))
-    return tuple(tuple(row) for row in A), tuple(C)
-
-
 def horizontal_laplacian(vf: VectorFieldSet, f: Field) -> Field:
     """Expanded form sum_kl A_kl d_k d_l + sum_l c_l d_l on the grid."""
     grid = f.grid
     h = grid.spacings
-    coords = node_coordinates(grid)
-    A, C = _laplacian_tables(vf)
+    coef = _stencils.frame_tables(grid, vf).kernel.coef
     out = np.zeros(grid.shape)
     for k in range(grid.dim):
-        if not poly_is_zero(A[k][k]):
-            out += eval_poly(A[k][k], coords) * _second_derivative(f.values, h[k], k)
+        Akk = _stencils._products(coef, k, k)
+        if Akk is not None:
+            out += Akk * _second_derivative(f.values, h[k], k)
         for l in range(k + 1, grid.dim):
-            if not poly_is_zero(A[k][l]):
-                out += 2.0 * eval_poly(A[k][l], coords) * _mixed_derivative(f.values, h[k], h[l], k, l)
+            Akl = _stencils._products(coef, k, l)
+            if Akl is not None:
+                out += 2.0 * Akl * _mixed_derivative(f.values, h[k], h[l], k, l)
+    coords = node_coordinates(grid)
     for l in range(grid.dim):
-        if not poly_is_zero(C[l]):
-            out += eval_poly(C[l], coords) * _axis_gradient(f.values, h[l], l)
+        c = None
+        for i, row in enumerate(coef):
+            for k, aik in enumerate(row):
+                dail = poly_diff(vf.coefficients[i][l], k)
+                if aik is not None and not poly_is_zero(dail):
+                    term = aik * eval_poly(dail, coords)
+                    c = term if c is None else c + term
+        if c is not None:
+            out += c * _axis_gradient(f.values, h[l], l)
     return Field(grid, out, f.t)
 
 

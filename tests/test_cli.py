@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from carnotlab import cli
+from carnotlab import cli, verify
 
 
 @pytest.mark.parametrize("kind", sorted(cli.RUNNERS))
@@ -80,3 +81,29 @@ def test_non_finite_number_is_rejected_before_any_output(old, new, tmp_path, cap
     err = capsys.readouterr().err
     assert "non_finite.cfg:" in err and "expected a finite number" in err
     assert not runs.exists()
+
+
+def test_verify_output_of_numpy_scalars_is_strict_json(tmp_path, monkeypatch, capsys):
+    # suites measure with numpy: their values and verdicts arrive as
+    # numpy scalars, an infinite value among them
+    def fake_suite(*, jobs=1):
+        peak = np.float64(0.5)
+        return verify.SuiteResult("fake", (
+            verify.Check("peak", peak, "<= 1", peak <= 1.0),
+            verify.Check("unbounded", np.float64(np.inf), "reported", np.bool_(True)),
+        ), 0.0)
+
+    monkeypatch.setitem(verify.SUITES, "fake", fake_suite)
+    runs = tmp_path / "runs"
+    assert cli.main(["verify", "fake", "--output-dir", str(runs)]) == cli.EXIT_OK
+    (outdir,) = runs.iterdir()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
+            for p in outdir.glob("*.json")}
+    assert set(docs) == {"manifest.json", "suite_fake.json"}
+    assert docs["manifest.json"]["passed"] is True
+    checks = docs["suite_fake.json"]["checks"]
+    assert [(c["value"], c["ok"]) for c in checks] == [(0.5, True), (None, True)]

@@ -161,3 +161,11 @@ def test_constant_field_integral():
     c = constant_field(grid, 2.0)
     expected = 2.0 * grid.cell_volume * grid.num_nodes
     assert np.isclose(c.integral(), expected, rtol=1e-12)
+
+
+def test_node_coordinates_belong_to_the_caller():
+    grid = default_grid(nodes=5)
+    xs, _, _ = node_coordinates(grid)
+    xs[...] = 7.0
+    again, _, _ = node_coordinates(grid)
+    assert np.array_equal(again[:, 0, 0], grid.axes()[0])

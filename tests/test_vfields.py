@@ -3,10 +3,11 @@
 import itertools
 
 import numpy as np
+import pytest
 import sympy as sp
 
 from carnotlab import preset
-from carnotlab.grid import Field, constant_field, default_grid, node_coordinates
+from carnotlab.grid import Field, GridSpec, constant_field, default_grid, node_coordinates
 from carnotlab import vfields
 from carnotlab.vfields import (
     apply_field_analytic,
@@ -101,6 +102,16 @@ def test_laplacian_exact_cases():
     )
     assert np.abs(horizontal_laplacian(LEFT, Field(grid, zs.copy())).values).max() <= 1e-12
     assert np.all(horizontal_laplacian(LEFT, constant_field(grid, -3.0)).values == 0.0)
+
+
+@pytest.mark.parametrize("frame", [left_invariant_fields, right_invariant_fields])
+def test_laplacian_first_order_term_on_engel(frame):
+    # Engel's frames carry c_4 = sum_ik a_ik d_k a_i4 = x2/6, and on the
+    # linear x4 every second difference vanishes: lap_G x4 is c_4 alone
+    grid = GridSpec((-2.0,) * 4, (2.0,) * 4, (9,) * 4)
+    coords = node_coordinates(grid)
+    lap = horizontal_laplacian(frame(preset("engel")), Field(grid, coords[3]))
+    assert np.abs(lap.values - coords[1] / 6).max() <= 1e-12
 
 
 def test_divergence_trivial_cases():
