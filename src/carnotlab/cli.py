@@ -43,7 +43,7 @@ from .flat_metric import (
     holder_in_time,
     two_dirac_distance,
 )
-from .grid import Field, GridSpec, bump_field, dump_field_csv, node_coordinates
+from .grid import Field, GridSpec, bump_field, dump_field_csv, node_points
 from .groups import preset, quasi_distance
 from .verify import Check
 
@@ -324,17 +324,15 @@ def _make_grid(cfg: dict) -> GridSpec:
     return GridSpec((-e,) * GRID_DIM, (e,) * GRID_DIM, (n,) * GRID_DIM)
 
 
-def _make_datum(cfg: dict, grid: GridSpec, group, *, radius_key: str = "radius",
-                normalize: bool | None = None) -> Field:
+def _make_datum(cfg: dict, grid: GridSpec, group, *, normalize: bool | None = None) -> Field:
     d = cfg["data"]
-    radius = d[radius_key]
+    radius = d["radius"]
     wants_norm = d["normalize"] if normalize is None else normalize
     if d["preset"] == "bump":
         return bump_field(grid, group, center=d["center"], radius=radius,
                           normalize=wants_norm, amplitude=d["amplitude"])
-    pts = np.stack(node_coordinates(grid), axis=-1)
     c = np.asarray(d["center"], dtype=float)
-    inside = quasi_distance(group, c, pts.reshape(-1, 3)).reshape(grid.shape) < radius
+    inside = quasi_distance(group, c, node_points(grid)).reshape(grid.shape) < radius
     if not inside.any():
         raise ValueError("indicator datum has no mass inside the box")
     vals = inside.astype(float) * d["amplitude"]
@@ -408,9 +406,7 @@ def _json_text(payload) -> str:
 
 
 def _write_json(outdir: str, name: str, payload) -> str:
-    """Write payload, a JSON-able value or JSON text, as strict JSON."""
-    if isinstance(payload, str):
-        payload = json.loads(payload)
+    """Write payload, a JSON-able value, as strict JSON."""
     with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
         fh.write(_json_text(payload))
     return name
@@ -440,7 +436,7 @@ def _run_heat(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcom
 
     out.artifacts += _write_field(outdir, "state_initial.csv", f0)
     out.artifacts += _write_field(outdir, "state_final.csv", f_end)
-    out.artifacts.append(_write_json(outdir, "decay_report.json", rep.to_json()))
+    out.artifacts.append(_write_json(outdir, "decay_report.json", asdict(rep)))
     return out
 
 
@@ -512,7 +508,7 @@ def _run_hj(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     out.add("mild_vs_direct_gap", gap, f"<= {budget:.3g}", gap <= budget)
 
     out.artifacts += _write_field(outdir, "value_final.csv", direct.final)
-    out.artifacts.append(_write_json(outdir, "fixed_point_report.json", frep.to_json()))
+    out.artifacts.append(_write_json(outdir, "fixed_point_report.json", frep.to_json_dict()))
     out.artifacts.append(_write_json(outdir, "sup_bounds_report.json",
                                      srep.to_json_dict()))
     out.notes.append(f"fixed point verdict: {frep.verdict}")
@@ -542,7 +538,7 @@ def _run_duality(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOut
     out.add("accumulated_gradient_fraction", frac, "<= 1.01", frac <= 1.01)
 
     out.artifacts += _write_field(outdir, "value_final.csv", traj.final)
-    out.artifacts.append(_write_json(outdir, "duality_report.json", rep.to_json()))
+    out.artifacts.append(_write_json(outdir, "duality_report.json", rep.to_json_dict()))
     return out
 
 
@@ -572,7 +568,7 @@ def _run_mfg(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome
 
     out.artifacts += _write_field(outdir, "value_initial.csv", state.u_traj.fields[0])
     out.artifacts += _write_field(outdir, "density_final.csv", state.rho_traj.final)
-    out.artifacts.append(_write_json(outdir, "mfg_report.json", rep.to_json()))
+    out.artifacts.append(_write_json(outdir, "mfg_report.json", rep.to_json_dict()))
     return out
 
 
@@ -767,7 +763,7 @@ def _cmd_run(args) -> int:
     # --jobs parallelizes across independent scenarios only; a single
     # config always runs in-process
     if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             results = list(pool.map(execute_run, paths,
                                     [parent] * len(paths),
                                     [args.seed] * len(paths)))
@@ -798,11 +794,12 @@ def _cmd_verify(args) -> int:
     if args.output_dir or os.environ.get(OUTPUT_DIR_ENV):
         parent = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
         # serialize first: a report that cannot be written leaves no directory
-        texts = {f"suite_{res.suite}.json": res.to_json() for res in results}
+        texts = {f"suite_{res.suite}.json": _json_text(res.to_json_dict()) for res in results}
         outdir = _unique_outdir(parent, "verify-" + args.suite)
         artifacts = {}
         for name, text in texts.items():
-            _write_json(outdir, name, text)
+            with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
             artifacts[name] = _sha256(os.path.join(outdir, name))
         manifest = {
             "suites": [r.suite for r in results],

@@ -10,7 +10,7 @@ point) and a norm split (alpha, beta) with |f| <= alpha,
 The all-pairs constraint matrix is quadratic in the support size, so
 the solver generates rows lazily: solve on an active pair set, scan all
 pairs for violations, then drop the active pair rows whose slack
-beta rho_ij - |f_i - f_j| exceeds tol and add the worst offenders,
+beta rho_ij - |f_i - f_j| exceeds _LP_TOL and add the worst offenders,
 repeat.  A pair leaves the active set at most once; after the last
 departure the active set only grows, by at least one pair a round, so
 the loop ends.  The final scan certifies feasibility of the full LP,
@@ -47,9 +47,12 @@ import scipy.sparse as sps
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
-from .grid import Field, GridSpec, Trajectory, bump_shape, node_coordinates
+from .grid import Field, GridSpec, Trajectory, bump_shape, node_points
 from .groups import GroupSpec, _monomial, dilate, gauge_power, quasi_distance
 
+# Lipschitz violation an LP solution may keep, and the slack past which
+# a pair row leaves the LP.
+_LP_TOL = 1e-8
 # Pairs held at once by the Lipschitz violation scan.
 _PAIR_SCAN_BUDGET = 1 << 17
 # Pair distances one flat_distance call keeps between its scans.
@@ -114,7 +117,7 @@ class DiscreteMeasure:
             pts = coords.reshape(-1, grid.dim)
             w = acc.reshape(-1)
         else:
-            pts = np.stack(node_coordinates(grid), axis=-1).reshape(-1, grid.dim)
+            pts = node_points(grid)
             w = vals.reshape(-1)
         if w.size and w.max() > 0:
             keep = w > threshold * w.max()
@@ -258,11 +261,10 @@ def flat_distance(
     nu: DiscreteMeasure,
     group: GroupSpec,
     *,
-    tol: float = 1e-8,
-    max_rounds: int = 60,
     top_k: int = 2000,
 ) -> FlatMetricResult:
-    """Flat distance by lazy constraint generation; exact at convergence."""
+    """Flat distance by lazy constraint generation; exact at convergence,
+    reported as an iteration limit after 60 LP rounds."""
     points, delta = _merge_supports(mu, nu)
     n = points.shape[0]
     if n == 0 or np.abs(delta).max() == 0.0:
@@ -308,7 +310,7 @@ def flat_distance(
     alpha = beta = 0.0
     value = 0.0
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, 61):
         A = sps.vstack([static, pair_rows(active, active_d)], format="csr")
         b = np.concatenate([static_b, np.zeros(2 * active.size)])
         res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
@@ -319,7 +321,7 @@ def flat_distance(
         value = -res.fun
         viol, worst = _pair_scan(points, f, beta, group, top_k, memo)
         gap = max(0.0, viol)
-        if viol <= tol:
+        if viol <= _LP_TOL:
             status = "optimal"
             break
         fresh = worst[~np.isin(worst, active)]
@@ -328,7 +330,7 @@ def flat_distance(
             break
         # rows with slack leave the LP, each pair at most once
         slack = beta * active_d - np.abs(f[active // n] - f[active % n])
-        drop = (slack > tol) & ~np.isin(active, left)
+        drop = (slack > _LP_TOL) & ~np.isin(active, left)
         left = np.concatenate([left, active[drop]])
         active = np.concatenate([active[~drop], fresh])
         active_d = np.concatenate([active_d[~drop], distances(fresh)])
@@ -386,8 +388,7 @@ class MollifierSpec:
 
 def kernel_field(m: MollifierSpec, grid: GridSpec, group: GroupSpec) -> Field:
     """The scaled kernel (C / eps^Q) xi(delta_{1/eps} x) sampled on the grid."""
-    pts = np.stack(node_coordinates(grid), axis=-1)
-    s = gauge_power(group, dilate(group, 1.0 / m.eps, pts.reshape(-1, group.dim)))
+    s = gauge_power(group, dilate(group, 1.0 / m.eps, node_points(grid)))
     vals = m.C / m.eps**group.homogeneous_dimension * bump_shape(s)
     return Field(grid, vals.reshape(grid.shape))
 
@@ -534,30 +535,27 @@ def holder_in_time(
     group: GroupSpec,
     *,
     coarsen: int = 2,
-    threshold: float = 1e-12,
-    base_index: int = 0,
-    max_pairs: int = 6,
-    lp_tol: float = 1e-8,
 ) -> TimeHolderReport:
     """Fit d0(rho_s, rho_t) against |t - s| on trajectory snapshots.
 
-    Distances are taken from one base snapshot to later ones (a ladder,
-    not all pairs, to keep the LP count small).  A trajectory whose
-    snapshots coincide is reported as degenerate; one with fewer than two
-    distinct gaps fixes no slope and is reported as underdetermined.
+    Distances are taken from the first snapshot to up to six later ones
+    (a ladder, not all pairs, to keep the LP count small).  A trajectory
+    whose snapshots coincide is reported as degenerate; one with fewer
+    than two distinct gaps fixes no slope and is reported as
+    underdetermined.
     """
-    idx = np.unique(np.linspace(base_index + 1, len(traj) - 1, max_pairs).astype(int))
-    base = DiscreteMeasure.from_field(traj.fields[base_index], coarsen=coarsen, threshold=threshold)
+    idx = np.unique(np.linspace(1, len(traj) - 1, 6).astype(int))
+    base = DiscreteMeasure.from_field(traj.fields[0], coarsen=coarsen)
     gaps, dists = [], []
     for i in idx:
-        m_i = DiscreteMeasure.from_field(traj.fields[i], coarsen=coarsen, threshold=threshold)
-        res = flat_distance(base, m_i, group, tol=lp_tol)
+        m_i = DiscreteMeasure.from_field(traj.fields[i], coarsen=coarsen)
+        res = flat_distance(base, m_i, group)
         if not res.ok:
             raise RuntimeError(f"flat distance failed: {res.status}")
-        gaps.append(traj.times[i] - traj.times[base_index])
+        gaps.append(traj.times[i] - traj.times[0])
         dists.append(res.value)
     gaps_a, dists_a = np.asarray(gaps), np.asarray(dists)
-    if np.all(dists_a <= max(1e-14, lp_tol)):
+    if np.all(dists_a <= _LP_TOL):
         return TimeHolderReport(float("nan"), 0.0, tuple(gaps), tuple(dists), "degenerate")
     if np.unique(gaps_a).size < 2:
         return TimeHolderReport(float("nan"), float("nan"), tuple(gaps), tuple(dists),

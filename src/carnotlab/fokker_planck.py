@@ -24,7 +24,7 @@ import numpy as np
 import sympy as sp
 
 from . import _stencils, groups, vfields
-from .grid import BallMask, CFLViolation, Field, Trajectory, check_dt, march, max_stable_dt, step_count
+from .grid import CFL_SAFETY, BallMask, CFLViolation, Field, Trajectory, check_dt, march, max_stable_dt, step_count
 from .groups import GroupSpec, hom_norm
 
 
@@ -118,7 +118,7 @@ def fp_step(
     vf = vfields.left_invariant_fields(group)
     b = drift.at(rho.t)
     if check_cfl:
-        check_dt(dt, max_stable_dt(rho.grid, group, vf, sigma, b))
+        check_dt(dt, max_stable_dt(rho.grid, group, sigma, b))
     geom = _stencils.frame_tables(rho.grid, vf)
     new = _stencils.flux_divergence(rho.values, geom, sigma, b)
     new *= dt
@@ -139,17 +139,17 @@ def fp_solve(
     mask: BallMask | None = None,
     *,
     dt: float | None = None,
-    cfl_safety: float = 0.8,
     store_every: int = 1,
 ) -> Trajectory:
     """Evolve rho0 to t_end; returns the trajectory including both endpoints.
 
     store_every thins the stored snapshots (the final state is always
-    kept).  The step count is chosen once from the stability bound at the
-    initial drift sample.  A step re-checks the bound only when its drift
-    sample is not the object the last check saw: the first step always
-    checks, a zero or constant drift never again, and a piecewise-constant
-    drift (``DriftField.from_sequence``) once at each new segment.  A
+    kept).  Without a dt the step count is chosen once, from
+    ``grid.CFL_SAFETY`` times the stability bound at the initial drift
+    sample.  A step re-checks the bound only when its drift sample is not
+    the object the last check saw: the first step always checks, a zero
+    or constant drift never again, and a piecewise-constant drift
+    (``DriftField.from_sequence``) once at each new segment.  A
     sampler that returns a fresh array on every call is checked on every
     step.  store_every = 0 stores the two endpoints only.
     """
@@ -158,8 +158,7 @@ def fp_solve(
         raise ValueError("t_end before the datum's time stamp")
     if span == 0:
         return Trajectory(times=(rho0.t,), fields=(rho0,))
-    n = step_count(span, dt, lambda: cfl_safety * max_stable_dt(
-        rho0.grid, group, vfields.left_invariant_fields(group), sigma, drift.at(rho0.t)))
+    n = step_count(span, dt, lambda: CFL_SAFETY * max_stable_dt(rho0.grid, group, sigma, drift.at(rho0.t)))
     checked = object()  # no drift sample has been checked yet
 
     def advance(cur: Field, step: float) -> Field:
@@ -180,7 +179,6 @@ def r_monotonicity_report(
     t_end: float,
     group: GroupSpec,
     radii: tuple[float, float],
-    **solve_kw,
 ) -> dict[str, float]:
     """Solve on two nested balls; enlarging the ball should only add mass.
 
@@ -192,8 +190,8 @@ def r_monotonicity_report(
     r_small, r_big = radii
     if not r_small < r_big:
         raise ValueError("radii must increase")
-    small = fp_solve(rho0, drift, sigma, t_end, group, make_ball_mask(rho0.grid, group, r_small), **solve_kw)
-    big = fp_solve(rho0, drift, sigma, t_end, group, make_ball_mask(rho0.grid, group, r_big), **solve_kw)
+    small = fp_solve(rho0, drift, sigma, t_end, group, make_ball_mask(rho0.grid, group, r_small))
+    big = fp_solve(rho0, drift, sigma, t_end, group, make_ball_mask(rho0.grid, group, r_big))
     worst = min(
         float((fb.values - fs.values).min()) for fs, fb in zip(small.fields, big.fields)
     )
@@ -372,11 +370,12 @@ def _barrier_lhs_fn(group: GroupSpec, b_coeffs, sigma: float):
     return sp.lambdify(tuple(xs) + (t, bbar, beta1, tau0), lhs, "numpy")
 
 
-def _barrier_sample(group: GroupSpec, params: SubsolutionParams, rng, box, n_space, n_time):
-    """(coordinate columns of box points off the origin, times in [tau0, tau])."""
-    pts = rng.uniform(-box, box, size=(n_space, group.dim))
+def _barrier_sample(group: GroupSpec, params: SubsolutionParams, rng):
+    """(coordinate columns of 400 points of the box [-2, 2]^d off the
+    origin, 9 times in [tau0, tau])."""
+    pts = rng.uniform(-2.0, 2.0, size=(400, group.dim))
     pts = pts[hom_norm(group, pts) > 1e-3]
-    ts = np.linspace(params.tau0, params.tau, n_time)
+    ts = np.linspace(params.tau0, params.tau, 9)
     return [pts[:, i][:, None] for i in range(group.dim)], ts
 
 
@@ -387,20 +386,16 @@ def subsolution_check(
     sigma: float,
     *,
     rng: np.random.Generator,
-    box: float = 2.0,
-    n_space: int = 400,
-    n_time: int = 9,
-    bbar_cap: float = 1e8,
 ) -> SubsolutionReport:
     """Find the smallest decay rate making the barrier a subsolution.
 
     Samples space-time points (the origin is excluded: ||x||_G^2 is not
     twice differentiable there), locates by bisection the smallest bbar
     with max LHS <= 1e-10 over the sample, and certifies the inequality
-    again at twice that rate.
+    again at twice that rate.  The search gives up past bbar = 1e8.
     """
     fn = _barrier_lhs_fn(group, b_coeffs, sigma)
-    cols, ts = _barrier_sample(group, params, rng, box, n_space, n_time)
+    cols, ts = _barrier_sample(group, params, rng)
 
     def max_lhs(bbar: float) -> float:
         vals = fn(*cols, ts[None, :], bbar, params.beta1, params.tau0)
@@ -409,7 +404,7 @@ def subsolution_check(
     lo, hi = 0.0, 1.0
     while max_lhs(hi) > 1e-10:
         hi *= 2
-        if hi > bbar_cap:
+        if hi > 1e8:
             raise RuntimeError("no subsolution rate below the search cap")
     for _ in range(60):
         mid = (lo + hi) / 2
@@ -422,7 +417,7 @@ def subsolution_check(
         threshold=threshold,
         max_lhs_at_threshold=max_lhs(threshold),
         max_lhs_at_double=max_lhs(2 * threshold),
-        n_samples=cols[0].shape[0] * n_time,
+        n_samples=cols[0].shape[0] * ts.size,
     )
 
 
@@ -434,9 +429,6 @@ def barrier_max_lhs(
     bbar: float,
     *,
     rng: np.random.Generator,
-    box: float = 2.0,
-    n_space: int = 400,
-    n_time: int = 9,
 ) -> float:
     """Max of the barrier operator over a space-time sample at a fixed rate.
 
@@ -444,7 +436,7 @@ def barrier_max_lhs(
     bbar somewhere in the sampled region.
     """
     fn = _barrier_lhs_fn(group, b_coeffs, sigma)
-    cols, ts = _barrier_sample(group, params, rng, box, n_space, n_time)
+    cols, ts = _barrier_sample(group, params, rng)
     return float(np.max(fn(*cols, ts[None, :], bbar, params.beta1, params.tau0)))
 
 
@@ -578,7 +570,7 @@ def particle_oracle(
     if jobs > 1 and len(args) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
             for c in pool.map(_simulate_block, *zip(*args)):
                 counts += c
     else:

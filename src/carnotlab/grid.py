@@ -1,10 +1,12 @@
 """Discretization substrate: box grids, node fields, truncation masks, CFL bookkeeping.
 
 The CFL bookkeeping serves every explicit solver of the package:
-``max_stable_dt`` is the stability bound, ``check_dt`` refuses a step
-above it, ``step_count`` turns a span and a given step or a bound into a
-number of steps, and ``march`` is the one marching loop, which keeps the
-snapshots a solver stores.  ``node_coordinates`` is uncached, so callers
+``max_stable_dt`` is the stability bound of the group's left-invariant
+frame, ``CFL_SAFETY`` the share of it a solver steps at when no step is
+given, ``check_dt`` refuses a step above the bound, ``step_count`` turns
+a span and a given step or a bound into a number of steps, and
+``march`` is the one marching loop, which keeps the snapshots a solver
+stores.  ``node_coordinates`` is uncached, so callers
 own its arrays; ``bump_shape`` is every bump's profile, the mollifier's too.
 """
 
@@ -170,10 +172,13 @@ def make_ball_mask(grid: GridSpec, group: GroupSpec, radius: float) -> BallMask:
     return BallMask(radius=float(radius), inside=inside, boundary_layer=layer)
 
 
+# Share of the stability bound the explicit solvers step at when no dt is given.
+CFL_SAFETY = 0.8
+
+
 def max_stable_dt(
     grid: GridSpec,
     group: GroupSpec,
-    vf,
     sigma: float,
     b: Field | np.ndarray | None = None,
 ) -> float:
@@ -186,15 +191,13 @@ def max_stable_dt(
     drift and diffusion vanish ("unconstrained").
 
     The diffusion part and the frame coefficients come from the shared
-    tables of (grid, vf) (the left-invariant frame of group when vf is
-    None), so a call costs O(N) with a drift and O(1) without; a constant
-    coefficient 1 costs no multiply.
+    tables of grid and the left-invariant frame of group, so a call costs
+    O(N) with a drift and O(1) without; a constant coefficient 1 costs no
+    multiply.
     """
     from . import _stencils, vfields
 
-    if vf is None:
-        vf = vfields.left_invariant_fields(group)
-    tables = _stencils.frame_tables(grid, vf)
+    tables = _stencils.frame_tables(grid, vfields.left_invariant_fields(group))
     if b is None:
         m = sigma * tables.diffusion_max if sigma > 0 else 0.0
     else:
@@ -324,7 +327,7 @@ def bump_shape(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_field(grid: GridSpec, group: GroupSpec, *, center: Sequence[float] | None = None, radius: float = 1.0, normalize: bool = False, amplitude: float = 1.0, t: float = 0.0) -> Field:
+def bump_field(grid: GridSpec, group: GroupSpec, *, center: Sequence[float] | None = None, radius: float = 1.0, normalize: bool = False, amplitude: float = 1.0) -> Field:
     vals = bump_profile(group, node_coordinates(grid), center=center, radius=radius)
     if normalize:
         s = vals.sum() * grid.cell_volume
@@ -336,4 +339,4 @@ def bump_field(grid: GridSpec, group: GroupSpec, *, center: Sequence[float] | No
         if peak <= 0:
             raise ValueError("bump has no mass on this grid")
         vals = amplitude * vals / peak
-    return Field(grid, vals, t)
+    return Field(grid, vals)

@@ -314,17 +314,15 @@ def check_homogeneous_bound(
     c: float,
     *,
     rng: np.random.Generator,
-    box: float = 2.0,
-    n_sphere: int = 2000,
-    n_box: int = 2000,
 ) -> HomogeneousBoundReport:
     """Audit |g(x)| <= c ||x||_G for a degree-1 homogeneous g.
 
-    The unit sphere {||x||_G = 1} is sampled by dilating random box points
-    to norm one; if the bound holds there it holds everywhere by
-    homogeneity, which the box sample double-checks.
+    The unit sphere {||x||_G = 1} is sampled by dilating 2000 random
+    points of the box [-2, 2]^d to norm one; if the bound holds there it
+    holds everywhere by homogeneity, which 2000 more box points
+    double-check.
     """
-    raw = rng.uniform(-box, box, size=(n_sphere, spec.dim))
+    raw = rng.uniform(-2.0, 2.0, size=(2000, spec.dim))
     norms = hom_norm(spec, raw)
     keep = norms > 1e-9
     raw, norms = raw[keep], norms[keep]
@@ -334,7 +332,7 @@ def check_homogeneous_bound(
     if sphere_max > c + 1e-12:
         raise ValueError(f"bound constant too small on the unit sphere: {sphere_max} > {c}")
 
-    pts = rng.uniform(-box, box, size=(n_box, spec.dim))
+    pts = rng.uniform(-2.0, 2.0, size=(2000, spec.dim))
     nrm = hom_norm(spec, pts)
     keep = nrm > 1e-9
     ratio = np.abs(np.asarray(g(pts[keep]))) / (c * nrm[keep])
@@ -342,16 +340,15 @@ def check_homogeneous_bound(
     return HomogeneousBoundReport(ok=worst <= 1.0 + 1e-12, sphere_max=sphere_max, worst_ratio=worst, samples=int(keep.sum()))
 
 
-def equivalence_ratio_report(
-    spec: GroupSpec, *, rng: np.random.Generator, box: float = 2.0, n: int = 4000
-) -> dict[str, float]:
-    """Empirical spread of quasi-distance against the Euclidean metric on a box.
+def equivalence_ratio_report(spec: GroupSpec, *, rng: np.random.Generator) -> dict[str, float]:
+    """Empirical spread of quasi-distance against the Euclidean metric,
+    over 4000 random point pairs of the box [-2, 2]^d.
 
     The two are topologically equivalent but not metrically so; the report
     gives the observed ratio range, no certified constants.
     """
-    x = rng.uniform(-box, box, size=(n, spec.dim))
-    y = rng.uniform(-box, box, size=(n, spec.dim))
+    x = rng.uniform(-2.0, 2.0, size=(4000, spec.dim))
+    y = rng.uniform(-2.0, 2.0, size=(4000, spec.dim))
     qd = quasi_distance(spec, x, y)
     eu = np.linalg.norm(x - y, axis=-1)
     keep = eu > 1e-9

@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _stencils, vfields
-from .grid import CFLViolation, Field, Trajectory, check_dt, march, max_stable_dt, step_count
+from .grid import CFL_SAFETY, CFLViolation, Field, Trajectory, check_dt, march, max_stable_dt, step_count
 from .groups import GroupSpec
 from .heat import heat_step
 from .fokker_planck import DriftField, fp_solve, piecewise_constant
@@ -225,16 +225,15 @@ def feedback_drift(u: Field, gamma: float, group: GroupSpec) -> np.ndarray:
     return coeff * g
 
 
-def hj_stable_dt(u: Field, spec: HamiltonianSpec, sigma: float, group: GroupSpec, *, cfl_safety: float = 0.8) -> float:
+def hj_stable_dt(u: Field, spec: HamiltonianSpec, sigma: float, group: GroupSpec, *, cfl_safety: float = CFL_SAFETY) -> float:
     """Step bound for the direct scheme at the current state.
 
     The nonlinearity acts like transport at speed gamma |grad u|^{gamma-1}
     along the gradient, so it enters the bound through the same frame
     channels as a drift with those coefficients.
     """
-    vf = vfields.left_invariant_fields(group)
     b = feedback_drift(u, spec.gamma, group)
-    return cfl_safety * max_stable_dt(u.grid, group, vf, sigma, b)
+    return cfl_safety * max_stable_dt(u.grid, group, sigma, b)
 
 
 def hj_step_direct(
@@ -243,17 +242,15 @@ def hj_step_direct(
     sigma: float,
     dt: float,
     group: GroupSpec,
-    *,
-    check_cfl: bool = True,
 ) -> Field:
-    """One explicit step of d_t u = sigma lap_G u - |grad_G u|^gamma + F."""
+    """One explicit step of d_t u = sigma lap_G u - |grad_G u|^gamma + F;
+    a dt above the stability bound at u raises CFLViolation."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     if dt == 0:
         return u
     vf = vfields.left_invariant_fields(group)
-    if check_cfl:
-        check_dt(dt, hj_stable_dt(u, spec, sigma, group, cfl_safety=1.0))
+    check_dt(dt, hj_stable_dt(u, spec, sigma, group, cfl_safety=1.0))
     geom = _stencils.frame_tables(u.grid, vf)
     # the new state is allocated last: below the step's temporaries it lets the
     # allocator trim them off the heap top and fault them in again every step
@@ -277,12 +274,12 @@ def hj_solve(
     group: GroupSpec,
     *,
     dt: float | None = None,
-    cfl_safety: float = 0.8,
     store_every: int = 1,
 ) -> Trajectory:
     """March the direct scheme from spec.u0 to t_end.
 
-    The step count comes from the stability bound at the initial state;
+    Without a dt the step count comes from ``grid.CFL_SAFETY`` times the
+    stability bound at the initial state;
     every step re-checks the bound at the current state, because the
     feedback drift in it moves with u, so gradient growth past the
     initial estimate fails loudly rather than drifting into instability.
@@ -295,7 +292,7 @@ def hj_solve(
         raise ValueError("t_end before the datum's time stamp")
     if span == 0:
         return Trajectory(times=(u0.t,), fields=(u0,))
-    n = step_count(span, dt, lambda: hj_stable_dt(u0, spec, sigma, group, cfl_safety=cfl_safety))
+    n = step_count(span, dt, lambda: hj_stable_dt(u0, spec, sigma, group))
     fields = march(u0, n, span / n, lambda u, step: hj_step_direct(u, spec, sigma, step, group), store_every)
     return Trajectory(times=tuple(f.t for f in fields), fields=tuple(fields))
 
@@ -337,7 +334,7 @@ def duhamel_iterate(
     vf = vfields.left_invariant_fields(group)
     grid = spec.u0.grid
     ts = prev.times
-    diff_limit = max_stable_dt(grid, group, vf, sigma, None)
+    diff_limit = max_stable_dt(grid, group, sigma)
     for a, b in zip(ts, ts[1:]):
         check_dt(b - a, diff_limit)
     fields = [Field(grid, spec.u0.values, ts[0])]
@@ -423,25 +420,25 @@ def hj_fixed_point(
     t_end: float,
     group: GroupSpec,
     *,
-    dt: float | None = None,
-    cfl_safety: float = 0.8,
     max_iters: int = 12,
-    tol: float = 1e-9,
 ) -> tuple[Trajectory, FixedPointReport]:
     """Iterate the mild map from the heat baseline until the sweep stalls.
 
-    Successive distances are measured in the xt norm.  The report keeps
-    the whole distance sequence, the pairwise ratios, the radius of the
-    ball around the baseline the iterates explored, and an empirical
-    growth constant gamma * (sup ||grad u||)^{gamma-1} of the
-    nonlinearity on that ball.  Verdicts: converged, maxiter, diverged.
+    The time grid has the fewest equal steps, at least two, no longer
+    than ``grid.CFL_SAFETY`` times the diffusion bound.  Successive
+    distances are measured in the xt norm; one at most 1e-9 times the
+    data scale counts as converged.  The report keeps the whole distance
+    sequence, the pairwise ratios, the radius of the ball around the
+    baseline the iterates explored, and an empirical growth constant
+    gamma * (sup ||grad u||)^{gamma-1} of the nonlinearity on that ball.
+    Verdicts: converged, maxiter, diverged.
     """
     grid = spec.u0.grid
     vf = vfields.left_invariant_fields(group)
     span = t_end - spec.u0.t
     if span <= 0:
         raise ValueError("horizon must lie after the datum's time stamp")
-    n = step_count(span, dt, lambda: cfl_safety * max_stable_dt(grid, group, vf, sigma, None), least=2)
+    n = step_count(span, None, lambda: CFL_SAFETY * max_stable_dt(grid, group, sigma), least=2)
     times = tuple(spec.u0.t + span * k / n for k in range(n + 1))
 
     scale = max(spec.data_scale(span), 1e-30)
@@ -467,7 +464,7 @@ def hj_fixed_point(
             g = vfields.horizontal_gradient(vf, f).values
             grad_peak = max(grad_peak, float(np.sqrt((g**2).sum(axis=0)).max()))
         current = nxt
-        if distances[-1] <= tol * scale:
+        if distances[-1] <= 1e-9 * scale:
             verdict = "converged"
             break
     for a, b in zip(distances, distances[1:]):
@@ -647,10 +644,11 @@ class BernsteinReport:
         return asdict(self)
 
 
-def _central_window(shape: tuple[int, ...], fraction: float) -> tuple[slice, ...]:
+def _central_window(shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """The centered half of the nodes along each axis."""
     out = []
     for n in shape:
-        cut = int(round(n * (1.0 - fraction) / 2.0))
+        cut = int(round(n * 0.25))
         cut = min(cut, (n - 1) // 2)
         out.append(slice(cut, n - cut))
     return tuple(out)
@@ -662,7 +660,6 @@ def bernstein_report(
     group: GroupSpec,
     *,
     frame: vfields.VectorFieldSet | None = None,
-    fraction: float = 0.5,
     slack: float = 1e-2,
 ) -> BernsteinReport:
     """First-derivative bounds along a frame, away from the box edge.
@@ -674,12 +671,12 @@ def bernstein_report(
     commute pick up commutator sources and the bound has no reason to
     hold; run one to see the monitor catch it.
 
-    ``fraction`` is the per-axis share of nodes kept (centered), so the
-    window stays clear of the one-sided differences at the edge.
+    The window keeps the centered half of the nodes per axis, clear of
+    the one-sided differences at the edge.
     """
     vf = frame if frame is not None else vfields.right_invariant_fields(group)
     grid = traj.fields[0].grid
-    win = _central_window(grid.shape, fraction)
+    win = _central_window(grid.shape)
     m = vf.count
 
     def dir_sups(f: Field) -> list[float]:

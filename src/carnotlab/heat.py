@@ -19,13 +19,12 @@ import numpy as np
 
 from . import vfields
 from .fokker_planck import DriftField, fp_solve, fp_step
-from .grid import CFLViolation, Field, GridSpec, march, max_stable_dt, step_count  # noqa: F401 (CFLViolation re-exported)
+from .grid import CFL_SAFETY, CFLViolation, Field, GridSpec, march, max_stable_dt, step_count  # noqa: F401 (CFLViolation re-exported)
 from .groups import GroupSpec
 
 
-def stable_dt(grid: GridSpec, group: GroupSpec, sigma: float, *, cfl_safety: float = 0.8, b=None) -> float:
-    vf = vfields.left_invariant_fields(group)
-    return cfl_safety * max_stable_dt(grid, group, vf, sigma, b)
+def stable_dt(grid: GridSpec, group: GroupSpec, sigma: float, *, cfl_safety: float = CFL_SAFETY) -> float:
+    return cfl_safety * max_stable_dt(grid, group, sigma)
 
 
 def heat_step(f: Field, sigma: float, dt: float, group: GroupSpec, *, check_cfl: bool = True) -> Field:
@@ -40,16 +39,15 @@ def evolve(
     group: GroupSpec,
     *,
     dt: float | None = None,
-    cfl_safety: float = 0.8,
 ) -> Field:
     """Run the heat flow from f.t to t_target by composed steps.
 
-    When dt is not given, the largest stable step that lands exactly on
-    t_target is used; a given dt above the stability bound raises
-    CFLViolation on the first step.
+    When dt is not given, the steps are the fewest equal ones no longer
+    than ``grid.CFL_SAFETY`` times the stability bound that land exactly
+    on t_target; a given dt above the bound raises CFLViolation on the
+    first step.
     """
-    out = fp_solve(f, DriftField.none(), sigma, t_target, group,
-                   dt=dt, cfl_safety=cfl_safety, store_every=0).final
+    out = fp_solve(f, DriftField.none(), sigma, t_target, group, dt=dt, store_every=0).final
     return out if out is f else Field(f.grid, out.values, t_target)
 
 
@@ -73,23 +71,20 @@ def measure_gradient_decay(
     sigma: float,
     t_end: float,
     group: GroupSpec,
-    *,
-    n_times: int = 8,
-    cfl_safety: float = 0.8,
 ) -> DecayReport:
     """Evolve rough data and fit the decay exponent of the horizontal gradient.
 
-    Sample times are log-spaced in [4 dt, t_end] so the first samples sit
-    past the initial layer where the discrete gradient saturates at the
-    data's jump resolution.
+    Eight sample times are log-spaced in [4 dt, t_end] so the first
+    samples sit past the initial layer where the discrete gradient
+    saturates at the data's jump resolution.
     """
     vf = vfields.left_invariant_fields(group)
-    n = step_count(t_end, None, lambda: stable_dt(phi.grid, group, sigma, cfl_safety=cfl_safety))
+    n = step_count(t_end, None, lambda: stable_dt(phi.grid, group, sigma))
     dt = t_end / n
     t_lo = 4 * dt
     if t_lo >= t_end:
         raise ValueError("time horizon too short for the sample ladder")
-    ladder = np.exp(np.linspace(math.log(t_lo), math.log(t_end), n_times))
+    ladder = np.exp(np.linspace(math.log(t_lo), math.log(t_end), 8))
     steps = sorted({int(round(t / dt)) for t in ladder})
     steps = [s for s in steps if s >= 1]
 

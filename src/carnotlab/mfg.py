@@ -62,6 +62,12 @@ from .hamilton_jacobi import (
 )
 
 
+# The Picard step is fixed once, from the bound at the terminal data, yet
+# every sweep's value function and feedback drift move that bound; half
+# the share of ``grid.CFL_SAFETY`` keeps the later steps inside it.
+PICARD_CFL_SAFETY = 0.4
+
+
 # ---------------------------------------------------------------------------
 # coupling
 # ---------------------------------------------------------------------------
@@ -214,17 +220,15 @@ def _certify_d0(
     prev: Trajectory,
     cur: Trajectory,
     group: GroupSpec,
-    *,
-    coarsen: int,
-    lp_tol: float,
 ) -> tuple[tuple[float, float], ...]:
+    """Flat distances at the middle and final snapshots, on the coarsen-2 lattice."""
     n = len(cur) - 1
     picks = sorted({n // 2, n})
     out = []
     for k in picks:
-        mu = DiscreteMeasure.from_field(prev.fields[k], coarsen=coarsen)
-        nu = DiscreteMeasure.from_field(cur.fields[k], coarsen=coarsen)
-        res = flat_distance(mu, nu, group, tol=lp_tol)
+        mu = DiscreteMeasure.from_field(prev.fields[k], coarsen=2)
+        nu = DiscreteMeasure.from_field(cur.fields[k], coarsen=2)
+        res = flat_distance(mu, nu, group)
         if not res.ok:
             raise RuntimeError(f"flat-distance certification failed: {res.status}")
         out.append((float(cur.times[k]), res.value))
@@ -244,10 +248,6 @@ def mfg_picard(
     tol_u: float = 1e-5,
     tol_rho: float = 1e-4,
     max_iters: int = 50,
-    dt: float | None = None,
-    cfl_safety: float = 0.4,
-    coarsen: int = 2,
-    lp_tol: float = 1e-8,
 ) -> MFGState:
     """Damped best-response iteration for the coupled pair.
 
@@ -256,10 +256,12 @@ def mfg_picard(
     mollified density, and mixes the result in with weight theta
     (theta = 1 is the plain iteration).  Stopping needs both residuals
     below tolerance: the sup change of u and the L1 bound on the flat
-    change of rho; the latter is then certified with the LP metric.
+    change of rho; the latter is then certified with the LP metric on
+    the coarsen-2 lattice.
 
-    The step is chosen once, from the terminal data's bound with a
-    conservative safety share, and both solvers re-check it per step;
+    The step is chosen once, as the fewest equal steps (at least two) no
+    longer than ``PICARD_CFL_SAFETY`` times the terminal data's bound,
+    and both solvers re-check it per step;
     a mid-run violation or iterate escape ends the run with the
     no-fixed-point verdict rather than an exception.
     """
@@ -275,8 +277,8 @@ def mfg_picard(
         raise ValueError("horizon must be positive")
 
     seed_spec = HamiltonianSpec(u0=Field(u_T.grid, u_T.values, 0.0), gamma=gamma)
-    n = step_count(span, dt, lambda: hj_stable_dt(seed_spec.u0, seed_spec, sigma, group, cfl_safety=cfl_safety),
-                   least=2)
+    n = step_count(span, None, lambda: hj_stable_dt(seed_spec.u0, seed_spec, sigma, group,
+                                                    cfl_safety=PICARD_CFL_SAFETY), least=2)
     step = span / n
     times = _accumulated_times(0.0, step, n)
 
@@ -327,9 +329,7 @@ def mfg_picard(
         )
     if verdict == "converged" and len(res_rho) >= 2:
         prev_for_cert = rho_prev if rho_prev is not None else rho_cur
-        certified = _certify_d0(
-            prev_for_cert, rho_cur, group, coarsen=coarsen, lp_tol=lp_tol
-        )
+        certified = _certify_d0(prev_for_cert, rho_cur, group)
         if any(v > tol_rho for _, v in certified):
             verdict = "no fixed point found at this T"
             note = "certified flat distance exceeded tolerance"

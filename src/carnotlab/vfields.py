@@ -26,7 +26,7 @@ import sympy as sp
 
 from . import _stencils
 from .groups import GroupSpec, Poly, eval_poly, poly_diff, poly_is_zero
-from .grid import Field, GridSpec, node_coordinates
+from .grid import Field, GridSpec, node_coordinates, node_points
 
 
 @dataclass(frozen=True)
@@ -232,18 +232,18 @@ def holder_seminorm(
     group: GroupSpec,
     *,
     rng: np.random.Generator | None = None,
-    n_pairs: int = 20000,
 ) -> float:
     """Sampled-pair estimate of sup |f(x)-f(y)| / rho(x,y)^alpha.
 
     All axis-neighbor pairs enter (they dominate for alpha <= 1 on smooth
-    data), topped up with random long-range pairs.
+    data), topped up, when rng is given, with 20000 random long-range
+    pairs.
     """
     from . import groups as G
 
     grid = f.grid
     vals = f.values.reshape(-1)
-    pts = np.stack([c.reshape(-1) for c in node_coordinates(grid)], axis=-1)
+    pts = node_points(grid)
     best = 0.0
     idx = np.arange(grid.num_nodes).reshape(grid.shape)
     for ax in range(grid.dim):
@@ -252,9 +252,9 @@ def holder_seminorm(
         dist = G.quasi_distance(group, pts[a], pts[b])
         ratio = np.abs(vals[a] - vals[b]) / dist**alpha
         best = max(best, float(ratio.max()))
-    if rng is not None and n_pairs > 0:
-        a = rng.integers(0, grid.num_nodes, size=n_pairs)
-        b = rng.integers(0, grid.num_nodes, size=n_pairs)
+    if rng is not None:
+        a = rng.integers(0, grid.num_nodes, size=20000)
+        b = rng.integers(0, grid.num_nodes, size=20000)
         keep = a != b
         a, b = a[keep], b[keep]
         dist = G.quasi_distance(group, pts[a], pts[b])

@@ -107,3 +107,22 @@ def test_verify_output_of_numpy_scalars_is_strict_json(tmp_path, monkeypatch, ca
     assert docs["manifest.json"]["passed"] is True
     checks = docs["suite_fake.json"]["checks"]
     assert [(c["value"], c["ok"]) for c in checks] == [(0.5, True), (None, True)]
+
+
+def test_run_starts_no_more_workers_than_configs(tmp_path, monkeypatch, serial_pool, capsys):
+    # a process pool starts all max_workers processes at its first submit
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool)
+    runs = tmp_path / "runs"
+    code = cli.main(["run", "heat_decay", "fp_baseline", "--jobs", "8", "--output-dir", str(runs)])
+    assert code == cli.EXIT_OK
+    assert serial_pool.sizes == [2]
+    assert sorted(p.name.split("-")[0] for p in runs.iterdir()) == ["fp_baseline", "heat_decay"]
+
+
+def test_schema_lists_every_section_and_default(capsys):
+    assert cli.main(["schema"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for section, keys in cli.SCHEMA.items():
+        assert f"[{section}]" in lines
+        for key, (default, *_) in keys.items():
+            assert f"{key} = {default}" in lines

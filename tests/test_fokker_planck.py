@@ -27,7 +27,6 @@ from carnotlab.fokker_planck import (
     weak_form_residual,
 )
 from carnotlab.grid import Field, Trajectory, bump_field, make_ball_mask, node_coordinates
-from carnotlab.vfields import left_invariant_fields
 
 G = groups.preset("heisenberg1")
 
@@ -232,6 +231,23 @@ def test_particle_oracle_is_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+def test_particle_oracle_starts_no_more_workers_than_blocks(monkeypatch, serial_pool):
+    # a process pool starts all max_workers processes at its first submit
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool)
+    grid = cgrid.default_grid(nodes=9)
+    rho0 = bump_field(grid, G, radius=1.0, normalize=True)
+
+    def run(jobs):
+        return particle_oracle(rho0, DriftField.none(), 0.25, 0.01, G,
+                               n_particles=8193, seed=5, n_steps=2, jobs=jobs)
+
+    two_blocks = run(8)
+    assert serial_pool.sizes == [2]
+    assert np.array_equal(two_blocks.values, run(1).values)
+
+
 def test_particle_oracle_pure_drift_matches_exact_flow():
     # sigma = 0, constant b: the flow is the right translation by
     # (t b1, t b2, 0); Euler integration of the area term is exact for it
@@ -336,7 +352,7 @@ def test_explicit_step_above_the_bound_raises_on_the_first_step(monkeypatch):
     grid = cgrid.default_grid(nodes=15)
     rho0 = bump_field(grid, G, radius=1.0, normalize=True)
     drift = DriftField.constant((1.0, 0.5))
-    limit = cgrid.max_stable_dt(grid, G, left_invariant_fields(G), 0.25, drift.at(0.0))
+    limit = cgrid.max_stable_dt(grid, G, 0.25, drift.at(0.0))
     steps = _count_calls(monkeypatch, "fp_step")
     with pytest.raises(heat.CFLViolation, match="exceeds stability bound"):
         fp_solve(rho0, drift, 0.25, 20 * limit, G, dt=1.5 * limit)

@@ -18,7 +18,6 @@ from carnotlab.grid import (
     node_coordinates,
     step_count,
 )
-from carnotlab.vfields import left_invariant_fields
 
 H1 = preset("heisenberg1")
 
@@ -107,27 +106,24 @@ def test_ball_mask_boundary_layer_inside():
 
 def test_max_stable_dt_unconstrained():
     grid = default_grid(nodes=9)
-    vf = left_invariant_fields(H1)
-    assert max_stable_dt(grid, H1, vf, 0.0, None) == math.inf
+    assert max_stable_dt(grid, H1, 0.0, None) == math.inf
 
 
 def test_max_stable_dt_h_squared_scaling():
-    vf = left_invariant_fields(H1)
     coarse = default_grid(nodes=11)
     fine = GridSpec(coarse.lower, coarse.upper, (21, 21, 21))
-    dt_c = max_stable_dt(coarse, H1, vf, 0.25, None)
-    dt_f = max_stable_dt(fine, H1, vf, 0.25, None)
+    dt_c = max_stable_dt(coarse, H1, 0.25, None)
+    dt_f = max_stable_dt(fine, H1, 0.25, None)
     assert np.isclose(dt_c / dt_f, 4.0, rtol=1e-12)
 
 
 def test_max_stable_dt_reference_value():
-    vf = left_invariant_fields(H1)
     grid = default_grid(nodes=41)  # h = 0.1 on [-2,2]
-    dt = max_stable_dt(grid, H1, vf, 0.25, None)
+    dt = max_stable_dt(grid, H1, 0.25, None)
     assert 0 < dt < 1
     # drift shrinks the bound
     b = np.array([1.0, -2.0])
-    dt_b = max_stable_dt(grid, H1, vf, 0.25, b)
+    dt_b = max_stable_dt(grid, H1, 0.25, b)
     assert dt_b < dt
 
 

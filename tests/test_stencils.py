@@ -170,13 +170,13 @@ def test_cached_bound_matches_the_node_loop(label, group, grid):
     for name, b in _drifts(grid, vf.count, rng).items():
         for sigma in (0.25, 0.0):
             want = _reference_max_stable_dt(grid, group, vf, sigma, b)
-            got = max_stable_dt(grid, group, vf, sigma, b)
+            got = max_stable_dt(grid, group, sigma, b)
             if math.isinf(want):
                 assert got == want, (name, sigma)
             else:
                 assert abs(got - want) <= 1e-14 * want, (name, sigma, got, want)
         nodal_field = Field(grid, rng.normal(size=(vf.count,) + grid.shape))
-        assert max_stable_dt(grid, group, None, 0.25, nodal_field) == pytest.approx(
+        assert max_stable_dt(grid, group, 0.25, nodal_field) == pytest.approx(
             _reference_max_stable_dt(grid, group, None, 0.25, nodal_field), rel=1e-14)
 
 
@@ -191,8 +191,7 @@ def test_cached_tables_are_read_only_and_keyed_by_value(monkeypatch):
         tables.a[0][0][0, 0, 0] = 2.0
     assert _stencils.frame_tables(grid, left_invariant_fields(H1)) is tables
     assert _stencils.frame_tables(grid, left_invariant_fields(DOUBLED)) is not tables
-    assert max_stable_dt(grid, DOUBLED, left_invariant_fields(DOUBLED), 0.25) < max_stable_dt(
-        grid, H1, left_invariant_fields(H1), 0.25)
+    assert max_stable_dt(grid, DOUBLED, 0.25) < max_stable_dt(grid, H1, 0.25)
 
 
 @pytest.mark.parametrize("label,group,grid", CASES[:2], ids=[c[0] for c in CASES[:2]])
