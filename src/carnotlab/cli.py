@@ -11,6 +11,10 @@ Subcommands:
 * ``schema``: print the config reference with every key, type, and
   default.
 
+Each command imports what it runs: ``schema`` and the heat, fp, hj and
+duality kinds load numpy only, the mfg and metric kinds add scipy (through
+``flat_metric``) once selected, and ``verify`` adds scipy and sympy.
+
 Exit codes: 0 when every asserted invariant passes, 1 on invariant
 failure, 2 on solver non-convergence, 64 on a malformed config or bad
 usage.  For a fixed config and seed the artifact bytes are identical
@@ -35,17 +39,10 @@ import numpy as np
 from . import __version__
 from . import fokker_planck as fp
 from . import hamilton_jacobi as hj
-from . import heat, mfg, verify
-from .flat_metric import (
-    DiscreteMeasure,
-    MollifierSpec,
-    flat_distance,
-    holder_in_time,
-    two_dirac_distance,
-)
+from . import heat
 from .grid import Field, GridSpec, bump_field, dump_field_csv, node_points
 from .groups import preset, quasi_distance
-from .verify import Check
+from .report import Check, summary_rows
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -80,32 +77,21 @@ def _as_float(raw: str) -> float:
     return v
 
 
-def _as_pos_float(raw: str) -> float:
-    v = _as_float(raw)
-    if v <= 0:
-        raise ValueError(f"expected a positive number; got {raw!r}")
-    return v
+def _as_float_where(ok, expected: str):
+    """A finite number v with ok(v); otherwise the error says what was expected."""
+    def cast(raw: str) -> float:
+        v = _as_float(raw)
+        if not ok(v):
+            raise ValueError(f"{expected}; got {raw!r}")
+        return v
+
+    return cast
 
 
-def _as_nonneg_float(raw: str) -> float:
-    v = _as_float(raw)
-    if v < 0:
-        raise ValueError(f"expected a nonnegative number; got {raw!r}")
-    return v
-
-
-def _as_gamma(raw: str) -> float:
-    v = _as_float(raw)
-    if v < 2.0:
-        raise ValueError(f"gradient power must be >= 2; got {raw!r}")
-    return v
-
-
-def _as_theta(raw: str) -> float:
-    v = _as_float(raw)
-    if not 0.0 < v <= 1.0:
-        raise ValueError(f"damping weight must lie in (0, 1]; got {raw!r}")
-    return v
+_as_pos_float = _as_float_where(lambda v: v > 0, "expected a positive number")
+_as_nonneg_float = _as_float_where(lambda v: v >= 0, "expected a nonnegative number")
+_as_gamma = _as_float_where(lambda v: v >= 2.0, "gradient power must be >= 2")
+_as_theta = _as_float_where(lambda v: 0.0 < v <= 1.0, "damping weight must lie in (0, 1]")
 
 
 def _as_int_min(lo: int):
@@ -361,8 +347,12 @@ def _scenario_data(cfg: dict, group) -> dict:
         data["mu"] = bump_field(grid, group, center=d["center"], radius=d["mu_radius"],
                                 normalize=True)
     elif kind == "mfg":
+        from .flat_metric import MollifierSpec
+
         data["u_T"] = bump_field(grid, group, center=d["center"], radius=d["value_radius"])
         data["mollifier"] = MollifierSpec.build(dyn["eps"], grid, group)
+    elif kind == "heat":
+        heat.decay_ladder(grid, group, dyn["sigma"], dyn["t_end"])
     return data
 
 
@@ -544,6 +534,8 @@ def _run_duality(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOut
 
 def _run_mfg(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Damped best-response iteration for the coupled backward-forward pair."""
+    from . import mfg
+
     out = RunOutcome()
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
     coupling = mfg.CouplingSpec(mollifier=data["mollifier"], gain=dyn["gain"])
@@ -574,6 +566,8 @@ def _run_mfg(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome
 
 def _run_metric(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Flat-distance closed forms, metric axioms, and time regularity."""
+    from .flat_metric import DiscreteMeasure, flat_distance, holder_in_time, two_dirac_distance
+
     out = RunOutcome()
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
     rng = np.random.default_rng(seed)
@@ -704,6 +698,9 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
     kind = cfg["scenario"]["kind"]
     group = preset(cfg["scenario"]["group"])
     stem = os.path.splitext(os.path.basename(config_path))[0]
+    if kind in ("mfg", "metric"):
+        # the LP and mollifier kinds load flat_metric, and scipy, before any output exists
+        from . import flat_metric, mfg  # noqa: F401
     try:
         data = _scenario_data(cfg, group)
     except ValueError as exc:
@@ -719,11 +716,7 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
         EXIT_NO_CONVERGENCE: "no convergence",
     }
     lines = [f"scenario {stem} (kind {kind}, seed {seed}): {verdicts[code]}"]
-    for c in outcome.checks:
-        mark = "ok" if c.ok else "FAIL"
-        lines.append(f"  [{mark}] {c.name} = {c.value:.6g}  (budget {c.budget})")
-    lines.extend(f"  note: {n}" for n in outcome.notes)
-    summary = "\n".join(lines)
+    summary = "\n".join(lines + summary_rows(outcome.checks, outcome.notes))
 
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(summary + "\n")
@@ -743,9 +736,7 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
         },
         "package": {"name": "carnotlab", "version": __version__},
     }
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(_json_text(manifest))
-
+    _write_json(outdir, "manifest.json", manifest)
     return code, outdir, summary
 
 
@@ -781,6 +772,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     try:
         results = [verify.run_suite(n, jobs=args.jobs) for n in names]
@@ -807,8 +800,7 @@ def _cmd_verify(args) -> int:
             "artifacts": artifacts,
             "package": {"name": "carnotlab", "version": __version__},
         }
-        with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-            fh.write(_json_text(manifest))
+        _write_json(outdir, "manifest.json", manifest)
         print(f"outputs: {outdir}")
 
     return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
@@ -844,7 +836,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", help="suite name, or 'all'")
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes inside the suite")
+                          help="worker processes of the particle_oracle suite; "
+                               "the other suites run in one process")
     p_verify.add_argument("--output-dir", default=None,
                           help="also write suite reports under this directory")
 

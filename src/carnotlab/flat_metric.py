@@ -47,7 +47,7 @@ import scipy.sparse as sps
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
-from .grid import Field, GridSpec, Trajectory, bump_shape, node_points
+from .grid import Field, GridSpec, Trajectory, bump_shape, node_points, write_points_csv
 from .groups import GroupSpec, _monomial, dilate, gauge_power, quasi_distance
 
 # Lipschitz violation an LP solution may keep, and the slack past which
@@ -126,14 +126,7 @@ class DiscreteMeasure:
         return DiscreteMeasure(points=pts[keep], weights=w[keep])
 
     def to_csv(self, path: str) -> None:
-        path = os.fspath(path)
-        d = self.points.shape[1]
-        header = ",".join(f"x{i+1}" for i in range(d)) + ",weight"
-        lines = [header]
-        for p, w in zip(self.points, self.weights):
-            lines.append(",".join(repr(float(c)) for c in p) + "," + repr(float(w)))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_points_csv(path, self.points, self.weights, "weight")
 
     @staticmethod
     def from_csv(path: str) -> "DiscreteMeasure":

@@ -11,7 +11,8 @@ Alongside the grid solver: the weak-form residual of the defining
 identity, the L2 and gradient-energy a priori bounds, the exponential
 barrier inequality behind the uniqueness argument, and a stochastic
 particle oracle that approximates the same law without touching the
-grid stencils.
+grid stencils.  The barrier operator comes from ``symbolic`` (sympy),
+imported only when a barrier check runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from . import _stencils, groups, vfields
 from .grid import CFL_SAFETY, BallMask, CFLViolation, Field, Trajectory, check_dt, march, max_stable_dt, step_count
@@ -336,47 +336,21 @@ class SubsolutionReport:
         return self.max_lhs_at_double <= 1e-10
 
 
-def _squared_gauge(group: GroupSpec, xs) -> sp.Expr:
-    """||x||_G^2 in the coordinate symbols xs."""
-    r = group.norm_root
-    n_pow = sum(sp.Abs(xs[i]) ** sp.Rational(r, w) for i, w in enumerate(group.weights))
-    return n_pow ** sp.Rational(2, r)
+def _barrier_max(group: GroupSpec, params: SubsolutionParams, b_coeffs, sigma: float, rng):
+    """bbar -> max of the barrier LHS over 400 points of the box [-2, 2]^d
+    off the origin and 9 times in [tau0, tau]; with the sample size."""
+    from .symbolic import barrier_lhs
 
-
-def _barrier_lhs_fn(group: GroupSpec, b_coeffs, sigma: float):
-    """Symbolic LHS of the barrier inequality, lambdified over
-    (x1..xd, t, bbar) with beta1, tau0 left as parameters too.
-
-    Phi = exp(-(beta1 + bbar (t - tau0)) (N2 + 1)) with N2 = ||x||_G^2;
-    LHS = d_t Phi + sigma lap_G Phi + B . grad_G Phi + (div_G B) Phi.
-    """
-    vf = vfields.left_invariant_fields(group)
-    xs = vfields.coordinate_symbols(group.dim)
-    t, bbar, beta1, tau0 = sp.symbols("t bbar beta1 tau0", real=True)
-    N2 = _squared_gauge(group, xs)
-    a = beta1 + bbar * (t - tau0)
-    grad_n2 = [vfields.apply_field_analytic(vf, i, N2) for i in range(vf.count)]
-    lap_n2 = sum(vfields.apply_field_analytic(vf, i, g) for i, g in enumerate(grad_n2))
-    grad_sq = sum(g**2 for g in grad_n2)
-    # Phi-normalized form; multiply by Phi at the end
-    core = -bbar * (N2 + 1) + sigma * (a**2 * grad_sq - a * lap_n2)
-    if b_coeffs is not None:
-        # constant frame coefficients: div_G B = sum X_i b_i = 0, so the
-        # (div_G B) Phi term drops out
-        bs = [sp.Float(c) for c in np.asarray(b_coeffs, dtype=float)]
-        core += sum(bi * (-a * gi) for bi, gi in zip(bs, grad_n2))
-    phi = sp.exp(-a * (N2 + 1))
-    lhs = core * phi
-    return sp.lambdify(tuple(xs) + (t, bbar, beta1, tau0), lhs, "numpy")
-
-
-def _barrier_sample(group: GroupSpec, params: SubsolutionParams, rng):
-    """(coordinate columns of 400 points of the box [-2, 2]^d off the
-    origin, 9 times in [tau0, tau])."""
+    fn = barrier_lhs(group, b_coeffs, sigma)
     pts = rng.uniform(-2.0, 2.0, size=(400, group.dim))
     pts = pts[hom_norm(group, pts) > 1e-3]
-    ts = np.linspace(params.tau0, params.tau, 9)
-    return [pts[:, i][:, None] for i in range(group.dim)], ts
+    cols = [pts[:, i][:, None] for i in range(group.dim)]
+    ts = np.linspace(params.tau0, params.tau, 9)[None, :]
+
+    def max_lhs(bbar: float) -> float:
+        return float(np.max(fn(*cols, ts, bbar, params.beta1, params.tau0)))
+
+    return max_lhs, pts.shape[0] * ts.size
 
 
 def subsolution_check(
@@ -394,13 +368,7 @@ def subsolution_check(
     with max LHS <= 1e-10 over the sample, and certifies the inequality
     again at twice that rate.  The search gives up past bbar = 1e8.
     """
-    fn = _barrier_lhs_fn(group, b_coeffs, sigma)
-    cols, ts = _barrier_sample(group, params, rng)
-
-    def max_lhs(bbar: float) -> float:
-        vals = fn(*cols, ts[None, :], bbar, params.beta1, params.tau0)
-        return float(np.max(vals))
-
+    max_lhs, n_samples = _barrier_max(group, params, b_coeffs, sigma, rng)
     lo, hi = 0.0, 1.0
     while max_lhs(hi) > 1e-10:
         hi *= 2
@@ -417,7 +385,7 @@ def subsolution_check(
         threshold=threshold,
         max_lhs_at_threshold=max_lhs(threshold),
         max_lhs_at_double=max_lhs(2 * threshold),
-        n_samples=cols[0].shape[0] * ts.size,
+        n_samples=n_samples,
     )
 
 
@@ -435,26 +403,7 @@ def barrier_max_lhs(
     Positive values mean the barrier fails to be a subsolution at this
     bbar somewhere in the sampled region.
     """
-    fn = _barrier_lhs_fn(group, b_coeffs, sigma)
-    cols, ts = _barrier_sample(group, params, rng)
-    return float(np.max(fn(*cols, ts[None, :], bbar, params.beta1, params.tau0)))
-
-
-def barrier_origin_gradient_limit(group: GroupSpec, direction: Sequence[float]) -> float:
-    """Directional limit of |grad_G ||x||_G^2|^2 at the group identity.
-
-    The squared norm is C^1 but not C^2 at the origin; the gradient still
-    vanishes there along every dilation ray, which this limit certifies.
-    """
-    vf = vfields.left_invariant_fields(group)
-    xs = vfields.coordinate_symbols(group.dim)
-    s = sp.symbols("s", positive=True)
-    N2 = _squared_gauge(group, xs)
-    grad_sq = sum(vfields.apply_field_analytic(vf, i, N2) ** 2 for i in range(vf.count))
-    ray = {
-        xs[i]: sp.Float(direction[i]) * s ** group.weights[i] for i in range(group.dim)
-    }
-    return float(sp.limit(grad_sq.subs(ray), s, 0, "+"))
+    return _barrier_max(group, params, b_coeffs, sigma, rng)[0](bbar)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +476,7 @@ def particle_oracle(
     step-2 group that is exactly the Euler-Maruyama step with the frame
     frozen at the step's start, so deeper groups are refused.  The Ito
     and Stratonovich forms coincide for frames whose correction sum
-    (Da_i) a_i vanishes identically; `vfields.stratonovich_correction`
+    (Da_i) a_i vanishes identically; `symbolic.stratonovich_correction`
     certifies that symbolically for the shipped groups.
 
     Particles are drawn and advanced in fixed blocks of 8192, each block

@@ -263,6 +263,15 @@ def march(x0, n: int, step: float, advance: Callable, store_every: int = 1) -> l
 # dump format: CSV of node coordinates plus value, JSON sidecar, exact round trip
 # ---------------------------------------------------------------------------
 
+def write_points_csv(path: str, points: np.ndarray, values: np.ndarray, name: str) -> None:
+    """One row x1..xd,name per point, every float in its shortest round-trip repr."""
+    header = ",".join(f"x{i+1}" for i in range(points.shape[1])) + "," + name
+    lines = [header] + [",".join(repr(float(c)) for c in row) + "," + repr(float(v))
+                        for row, v in zip(points, values)]
+    with open(os.fspath(path), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def dump_field_csv(f: Field, path: str) -> None:
     """Write a scalar field as CSV (x1..xd,value) plus a JSON sidecar.
 
@@ -272,15 +281,7 @@ def dump_field_csv(f: Field, path: str) -> None:
     if f.is_vector:
         raise ValueError("CSV dump is defined for scalar fields; dump components separately")
     path = os.fspath(path)
-    d = f.grid.dim
-    header = ",".join(f"x{i+1}" for i in range(d)) + ",value"
-    pts = node_points(f.grid)
-    vals = f.values.reshape(-1)
-    lines = [header]
-    for row, v in zip(pts, vals):
-        lines.append(",".join(repr(float(c)) for c in row) + "," + repr(float(v)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_points_csv(path, node_points(f.grid), f.values.reshape(-1), "value")
     sidecar = {
         "grid": {"lower": list(f.grid.lower), "upper": list(f.grid.upper), "shape": list(f.grid.shape)},
         "t": f.t,

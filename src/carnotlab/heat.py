@@ -66,6 +66,20 @@ class DecayReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
+def decay_ladder(grid: GridSpec, group: GroupSpec, sigma: float, t_end: float) -> tuple[float, list[int]]:
+    """The stable step dt to t_end and the step counts of eight sample
+    times log-spaced in [4 dt, t_end]; ValueError when 4 dt reaches t_end."""
+    n = step_count(t_end, None, lambda: stable_dt(grid, group, sigma))
+    dt = t_end / n
+    t_lo = 4 * dt
+    if t_lo >= t_end:
+        raise ValueError(f"t_end = {t_end:g} spans {n} of the 5 stable steps the sample ladder "
+                         f"needs at sigma = {sigma:g} on this grid")
+    ladder = np.exp(np.linspace(math.log(t_lo), math.log(t_end), 8))
+    steps = sorted({int(round(t / dt)) for t in ladder})
+    return dt, [s for s in steps if s >= 1]
+
+
 def measure_gradient_decay(
     phi: Field,
     sigma: float,
@@ -74,19 +88,12 @@ def measure_gradient_decay(
 ) -> DecayReport:
     """Evolve rough data and fit the decay exponent of the horizontal gradient.
 
-    Eight sample times are log-spaced in [4 dt, t_end] so the first
-    samples sit past the initial layer where the discrete gradient
-    saturates at the data's jump resolution.
+    Samples on ``decay_ladder``, so the first samples sit past the
+    initial layer where the discrete gradient saturates at the data's
+    jump resolution.
     """
     vf = vfields.left_invariant_fields(group)
-    n = step_count(t_end, None, lambda: stable_dt(phi.grid, group, sigma))
-    dt = t_end / n
-    t_lo = 4 * dt
-    if t_lo >= t_end:
-        raise ValueError("time horizon too short for the sample ladder")
-    ladder = np.exp(np.linspace(math.log(t_lo), math.log(t_end), 8))
-    steps = sorted({int(round(t / dt)) for t in ladder})
-    steps = [s for s in steps if s >= 1]
+    dt, steps = decay_ladder(phi.grid, group, sigma, t_end)
 
     def advance(f: Field, step: float) -> Field:
         return heat_step(f, sigma, step, group, check_cfl=False)

@@ -38,7 +38,6 @@ re-raised as NaN fields.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -186,8 +185,8 @@ def _backward_value(
     gamma: float,
     group: GroupSpec,
     step: float,
-) -> tuple[Trajectory, Trajectory, SourceTerm]:
-    """Solve the reflected problem; returns (forward u, reflected v, source)."""
+) -> tuple[Trajectory, Trajectory, HamiltonianSpec]:
+    """Solve the reflected problem; returns (forward u, reflected v, its data)."""
     n = len(rho_traj) - 1
     span = rho_traj.times[-1] - rho_traj.times[0]
     r_times = _accumulated_times(0.0, step, n)
@@ -200,7 +199,7 @@ def _backward_value(
     v = hj_solve(spec_v, sigma, span, group, dt=step, store_every=1)
     if len(v) != n + 1:
         raise RuntimeError("value and density runs fell out of step")
-    return v.reflected(rho_traj.times), v, source
+    return v.reflected(rho_traj.times), v, spec_v
 
 
 def _traj_sup_distance(a: Trajectory, b: Trajectory) -> float:
@@ -396,9 +395,6 @@ class MFGReport:
         d["residuals_rho"] = [r if math.isfinite(r) else None for r in self.residuals_rho]
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def mfg_residual_report(state: MFGState) -> MFGReport:
     """Cross-checks on the final pair, whatever the verdict.
@@ -415,13 +411,8 @@ def mfg_residual_report(state: MFGState) -> MFGReport:
     mass_error = max(abs(f.integral() - 1.0) for f in rho.fields)
     min_density = min(float(f.values.min()) for f in rho.fields)
 
-    _, v_traj, source = _backward_value(
+    _, v_traj, spec_v = _backward_value(
         rho, state.u_terminal, state.coupling, state.sigma, state.gamma, state.group, step
-    )
-    spec_v = HamiltonianSpec(
-        u0=Field(state.u_terminal.grid, state.u_terminal.values, 0.0),
-        gamma=state.gamma,
-        source=source,
     )
     dual = duality_report(
         v_traj,

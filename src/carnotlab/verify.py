@@ -12,18 +12,15 @@ Suites use fixed seeds throughout; two invocations see identical data.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
-import sympy as sp
 
 from . import fokker_planck as fp
 from . import grid as cgrid
 from . import hamilton_jacobi as hj
-from . import heat, mfg, vfields
+from . import heat, mfg, symbolic, vfields
 from .flat_metric import (
     DiscreteMeasure,
     MollifierSpec,
@@ -33,51 +30,12 @@ from .flat_metric import (
 )
 from .grid import Field, GridSpec, bump_field, constant_field, make_ball_mask, node_coordinates
 from .groups import dilate, hom_norm, inverse, multiply, preset, quasi_distance
+from .report import Check, SuiteResult
 
 
-@dataclass(frozen=True)
-class Check:
-    """One measured quantity with its budget and verdict."""
-
-    name: str
-    value: float
-    budget: str
-    ok: bool
-
-    def __post_init__(self) -> None:
-        # suites measure with numpy; a report holds plain JSON-able scalars
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "ok", bool(self.ok))
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    suite: str
-    checks: tuple[Check, ...]
-    elapsed: float
-    notes: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def summary_lines(self) -> list[str]:
-        verdict = "PASS" if self.passed else "FAIL"
-        out = [f"{self.suite}: {verdict} ({len(self.checks)} checks, {self.elapsed:.1f}s)"]
-        for c in self.checks:
-            mark = "ok" if c.ok else "FAIL"
-            out.append(f"  [{mark}] {c.name} = {c.value:.6g}  (budget {c.budget})")
-        out.extend(f"  note: {n}" for n in self.notes)
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+# every suite runs on the first Heisenberg group, the diffusive ones at this strength
+G = preset("heisenberg1")
+SIGMA = 0.25
 
 
 def _box(n: int) -> GridSpec:
@@ -88,10 +46,9 @@ def _box(n: int) -> GridSpec:
 # 1. group algebra
 # ---------------------------------------------------------------------------
 
-def group_algebra_suite(*, jobs: int = 1) -> SuiteResult:
+def group_algebra_suite() -> SuiteResult:
     """Group law identities on random samples plus the weighted dimension."""
     t0 = time.perf_counter()
-    G = preset("heisenberg1")
     rng = np.random.default_rng(2026)
     x, y, z = rng.normal(size=(3, 1000, 3)) * 2.0
     lam = rng.uniform(0.1, 4.0, size=1000)
@@ -123,28 +80,12 @@ def group_algebra_suite(*, jobs: int = 1) -> SuiteResult:
 # 2. frame calculus
 # ---------------------------------------------------------------------------
 
-def calculus_suite(*, jobs: int = 1) -> SuiteResult:
+def calculus_suite() -> SuiteResult:
     """Symbolic bracket identities and the discrete stencil order."""
     t0 = time.perf_counter()
-    G = preset("heisenberg1")
     left = vfields.left_invariant_fields(G)
     right = vfields.right_invariant_fields(G)
-    X1, X2, X3 = vfields.coordinate_symbols(3)
-
-    monomials = [
-        X1 ** a * X2 ** b * X3 ** c
-        for a, b, c in itertools.product(range(5), repeat=3)
-        if 0 < a + b + c <= 4
-    ]
-    bracket_bad = 0
-    commute_bad = 0
-    for f in monomials:
-        if sp.simplify(vfields.commutator_apply(left, 0, left, 1, f) - sp.diff(f, X3)) != 0:
-            bracket_bad += 1
-        for i in range(2):
-            for j in range(2):
-                if sp.simplify(vfields.commutator_apply(left, i, right, j, f)) != 0:
-                    commute_bad += 1
+    bracket_bad, commute_bad, n_monomials = symbolic.bracket_failures(left, right, 4)
 
     # interior stencil error on quartic data must drop at second order;
     # the analytic frame applied symbolically provides the exact values.
@@ -157,11 +98,7 @@ def calculus_suite(*, jobs: int = 1) -> SuiteResult:
         lambda x, y, z: z ** 2 + x * y * z,
         lambda x, y, z: x ** 3 * y - y ** 2 * z,
     ):
-        exact = sp.lambdify(
-            (X1, X2, X3),
-            sp.expand(vfields.horizontal_laplacian_symbolic(left, poly(X1, X2, X3))),
-            "numpy",
-        )
+        exact = symbolic.laplacian_function(left, poly)
         errs = []
         for nodes in (21, 41):
             grid = _box(nodes)
@@ -179,7 +116,7 @@ def calculus_suite(*, jobs: int = 1) -> SuiteResult:
         Check("left_right_commutator_failures", float(commute_bad), "== 0", commute_bad == 0),
         Check("stencil_refinement_order", order, ">= 1.9", order >= 1.9),
     )
-    notes = (f"{len(monomials)} monomials through degree 4",)
+    notes = (f"{n_monomials} monomials through degree 4",)
     return SuiteResult("calculus", checks, time.perf_counter() - t0, notes)
 
 
@@ -187,11 +124,9 @@ def calculus_suite(*, jobs: int = 1) -> SuiteResult:
 # 3. heat flow
 # ---------------------------------------------------------------------------
 
-def heat_flow_suite(*, jobs: int = 1) -> SuiteResult:
+def heat_flow_suite() -> SuiteResult:
     """Sup-norm non-expansion and gradient decay on rough data."""
     t0 = time.perf_counter()
-    G = preset("heisenberg1")
-    sigma = 0.25
 
     grid = _box(21)
     f0 = bump_field(grid, G, radius=1.2)
@@ -199,13 +134,13 @@ def heat_flow_suite(*, jobs: int = 1) -> SuiteResult:
     f = f0
     worst = 0.0
     for t in (0.01, 0.02, 0.05):
-        f = heat.evolve(f, sigma, t, G)
+        f = heat.evolve(f, SIGMA, t, G)
         worst = max(worst, f.sup_norm() / sup0 - 1.0)
 
     grid41 = _box(41)
     pts = np.stack(node_coordinates(grid41), axis=-1)
     rough = Field(grid41, (hom_norm(G, pts) < 1.0).astype(float))
-    rep = heat.measure_gradient_decay(rough, sigma, 0.2, G)
+    rep = heat.measure_gradient_decay(rough, SIGMA, 0.2, G)
 
     checks = (
         Check("sup_norm_excess", worst, "<= 1e-3", worst <= 1e-3),
@@ -220,40 +155,38 @@ def heat_flow_suite(*, jobs: int = 1) -> SuiteResult:
 # 4. transport-diffusion solver
 # ---------------------------------------------------------------------------
 
-def fokker_planck_suite(*, jobs: int = 1) -> SuiteResult:
+def fokker_planck_suite() -> SuiteResult:
     """Conservation, bounds, ball monotonicity, energy, weak form."""
     t0 = time.perf_counter()
-    G = preset("heisenberg1")
-    sigma = 0.25
 
     grid41 = _box(41)
     rho_int = bump_field(grid41, G, radius=0.7, normalize=True)
     mask = make_ball_mask(grid41, G, radius=1.8)
-    traj = fp.fp_solve(rho_int, fp.DriftField.constant((0.3, -0.2)), sigma, 0.05, G,
+    traj = fp.fp_solve(rho_int, fp.DriftField.constant((0.3, -0.2)), SIGMA, 0.05, G,
                        mask=mask, store_every=10 ** 9)
     mass_err = abs(traj.final.integral() - 1.0)
 
     grid21 = _box(21)
     rho0 = bump_field(grid21, G, radius=1.0, normalize=True)
-    traj_b = fp.fp_solve(rho0, fp.DriftField.constant((0.5, 0.25)), sigma, 0.1, G,
+    traj_b = fp.fp_solve(rho0, fp.DriftField.constant((0.5, 0.25)), SIGMA, 0.1, G,
                          store_every=1)
     sup0 = rho0.sup_norm()
     sup_excess = max(f.values.max() for f in traj_b.fields) / sup0 - 1.0
     rho0_41 = bump_field(grid41, G, radius=1.0, normalize=True)
-    traj_f = fp.fp_solve(rho0_41, fp.DriftField.constant((0.5, 0.25)), sigma, 0.1, G,
+    traj_f = fp.fp_solve(rho0_41, fp.DriftField.constant((0.5, 0.25)), SIGMA, 0.1, G,
                          store_every=10 ** 9)
     floor = float(traj_f.final.values.min()) / rho0_41.sup_norm()
 
     mono = fp.r_monotonicity_report(rho_int, fp.DriftField.constant((0.3, 0.0)),
-                                    sigma, 0.05, G, radii=(1.5, 1.9))
+                                    SIGMA, 0.05, G, radii=(1.5, 1.9))
 
-    energy = fp.energy_report(traj_b, fp.DriftField.constant((0.5, 0.25)), sigma, G)
+    energy = fp.energy_report(traj_b, fp.DriftField.constant((0.5, 0.25)), SIGMA, G)
 
     residuals = []
     for nodes in (21, 41):
         grid = _box(nodes)
         r0 = bump_field(grid, G, radius=1.0, normalize=True)
-        tr = fp.fp_solve(r0, fp.DriftField.constant((0.4, 0.2)), sigma, 0.05, G,
+        tr = fp.fp_solve(r0, fp.DriftField.constant((0.4, 0.2)), SIGMA, 0.05, G,
                          store_every=1)
         x = node_coordinates(grid)[0]
 
@@ -261,7 +194,7 @@ def fokker_planck_suite(*, jobs: int = 1) -> SuiteResult:
             return Field(grid, np.cos(x) + 0.5, t)
 
         residuals.append(abs(fp.weak_form_residual(tr, phi, fp.DriftField.constant((0.4, 0.2)),
-                                                   sigma, G)))
+                                                   SIGMA, G)))
     weak_ratio = residuals[0] / residuals[1]
 
     checks = (
@@ -283,18 +216,16 @@ def fokker_planck_suite(*, jobs: int = 1) -> SuiteResult:
 # 5. barrier subsolution certificate
 # ---------------------------------------------------------------------------
 
-def uniqueness_barrier_suite(*, jobs: int = 1) -> SuiteResult:
+def uniqueness_barrier_suite() -> SuiteResult:
     """Exponential barrier certificate at twice the bisected rate threshold."""
     t0 = time.perf_counter()
-    G = preset("heisenberg1")
-    sigma = 0.25
     params = fp.SubsolutionParams(beta=0.1, beta1=1.0, tau0=0.0, tau=0.1)
 
-    rep0 = fp.subsolution_check(G, params, (0.0, 0.0), sigma,
+    rep0 = fp.subsolution_check(G, params, (0.0, 0.0), SIGMA,
                                 rng=np.random.default_rng(5))
-    rep_b = fp.subsolution_check(G, params, (0.4, -0.2), sigma,
+    rep_b = fp.subsolution_check(G, params, (0.4, -0.2), SIGMA,
                                  rng=np.random.default_rng(6))
-    worst0 = fp.barrier_max_lhs(G, params, (0.0, 0.0), sigma, 0.0,
+    worst0 = fp.barrier_max_lhs(G, params, (0.0, 0.0), SIGMA, 0.0,
                                 rng=np.random.default_rng(7))
 
     checks = (
@@ -315,13 +246,11 @@ def uniqueness_barrier_suite(*, jobs: int = 1) -> SuiteResult:
 
 def _particle_case(tag: str, b: tuple[float, float] | None, jobs: int) -> tuple[str, float]:
     """Flat distance between the particle law and the grid solution."""
-    G = preset("heisenberg1")
-    sigma = 0.25
     grid = _box(21)
     rho0 = bump_field(grid, G, radius=0.8, normalize=True)
     drift = fp.DriftField.none() if b is None else fp.DriftField.constant(b)
-    pde = fp.fp_solve(rho0, drift, sigma, 0.5, G, store_every=10 ** 9).final
-    emp = fp.particle_oracle(rho0, drift, sigma, 0.5, G,
+    pde = fp.fp_solve(rho0, drift, SIGMA, 0.5, G, store_every=10 ** 9).final
+    emp = fp.particle_oracle(rho0, drift, SIGMA, 0.5, G,
                              n_particles=100_000, seed=424242, jobs=jobs)
     mu = DiscreteMeasure.from_field(emp, coarsen=2)
     nu = DiscreteMeasure.from_field(pde, coarsen=2)
@@ -400,10 +329,9 @@ def _enumerated_flat_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, group) -
     return best
 
 
-def flat_metric_suite(*, jobs: int = 1) -> SuiteResult:
+def flat_metric_suite() -> SuiteResult:
     """LP against closed forms, vertex enumeration, metric axioms, time regularity."""
     t0 = time.perf_counter()
-    G = preset("heisenberg1")
 
     def dirac(x):
         return DiscreteMeasure(points=np.array([x], dtype=float),
@@ -466,35 +394,32 @@ def flat_metric_suite(*, jobs: int = 1) -> SuiteResult:
 # 8. nonlinear value equation
 # ---------------------------------------------------------------------------
 
-def hamilton_jacobi_suite(*, jobs: int = 1) -> SuiteResult:
+def hamilton_jacobi_suite() -> SuiteResult:
     """Exactness, bounds, mild-solution fixed point, pairing, derivative monitor."""
     t0 = time.perf_counter()
-    G = preset("heisenberg1")
-    sigma = 0.25
 
     # spatially constant data: every term drops except the source ramp,
     # which must come out bitwise
-    gs = _box(21)
+    gs21 = _box(21)
     c0 = 1.3
-    spec_c = hj.HamiltonianSpec(u0=constant_field(gs, 0.0),
-                                source=hj.SourceTerm.static(constant_field(gs, c0)))
-    traj_c = hj.hj_solve(spec_c, sigma, 0.05, G)
+    spec_c = hj.HamiltonianSpec(u0=constant_field(gs21, 0.0),
+                                source=hj.SourceTerm.static(constant_field(gs21, c0)))
+    traj_c = hj.hj_solve(spec_c, SIGMA, 0.05, G)
     ramp_err = max(
         float(np.abs(f.values - c0 * t).max())
         for t, f in zip(traj_c.times, traj_c.fields)
     )
 
-    gs21 = _box(21)
     spec_b = hj.HamiltonianSpec(u0=bump_field(gs21, G, radius=1.5))
-    traj_sup = hj.hj_solve(spec_b, sigma, 0.2, G, store_every=4)
+    traj_sup = hj.hj_solve(spec_b, SIGMA, 0.2, G, store_every=4)
     sup_rep = hj.sup_bounds_report(traj_sup, spec_b)
 
     spec_h = hj.HamiltonianSpec(u0=bump_field(gs21, G, radius=1.2))
-    traj_fp, fp_rep = hj.hj_fixed_point(spec_h, sigma, 0.05, G)
+    traj_fp, fp_rep = hj.hj_fixed_point(spec_h, SIGMA, 0.05, G)
     worst_ratio = max(fp_rep.ratios)
     final_dist = fp_rep.distances[-1]
 
-    direct = hj.hj_solve(spec_h, sigma, 0.05, G)
+    direct = hj.hj_solve(spec_h, SIGMA, 0.05, G)
     gap = float(np.abs(direct.final.values - traj_fp.final.values).max())
     h = max(gs21.spacings)
     dt_h = traj_fp.times[1] - traj_fp.times[0]
@@ -504,22 +429,21 @@ def hamilton_jacobi_suite(*, jobs: int = 1) -> SuiteResult:
     for n in (21, 41):
         gsd = _box(n)
         spec_d = hj.HamiltonianSpec(u0=bump_field(gsd, G, radius=1.2))
-        traj_d = hj.hj_solve(spec_d, sigma, 0.3, G)
+        traj_d = hj.hj_solve(spec_d, SIGMA, 0.3, G)
         mu = bump_field(gsd, G, radius=1.0, normalize=True)
-        reps[n] = hj.duality_report(traj_d, spec_d, sigma, G, mu,
+        reps[n] = hj.duality_report(traj_d, spec_d, SIGMA, G, mu,
                                     traj_d.times[0], traj_d.times[-1])
     pairing_ratio = reps[21].residual / reps[41].residual
     # mass-1 adjoint: total gradient cost is capped by twice the data scale
     comb = reps[41].gradient_term / (2.0 * 1.0)
 
     gs41 = _box(41)
-    Y = node_coordinates(gs41)[1]
-    Z = node_coordinates(gs41)[2]
+    _, Y, Z = node_coordinates(gs41)
     r2 = (Y / 1.2) ** 2 + (Z / 1.2) ** 2
     with np.errstate(divide="ignore", over="ignore"):
         vals = np.where(r2 < 1.0, np.exp(1.0 / np.minimum(r2 - 1.0, -1e-12) + 1.0), 0.0)
     spec_s = hj.HamiltonianSpec(u0=Field(gs41, vals, 0.0))
-    traj_s = hj.hj_solve(spec_s, sigma, 0.2, G, store_every=4)
+    traj_s = hj.hj_solve(spec_s, SIGMA, 0.2, G, store_every=4)
     bern = hj.bernstein_report(traj_s, spec_s, G, slack=5e-2)
     bern_excess = max(o - bd for o, bd in zip(bern.observed, bern.bounds))
 
@@ -541,17 +465,15 @@ def hamilton_jacobi_suite(*, jobs: int = 1) -> SuiteResult:
 # 9. coupled game system
 # ---------------------------------------------------------------------------
 
-def mfg_suite(*, jobs: int = 1) -> SuiteResult:
+def mfg_suite() -> SuiteResult:
     """Headline coupled run plus damping stability, symmetry, long horizon."""
     t0 = time.perf_counter()
-    G = preset("heisenberg1")
-    sigma = 0.25
 
     gs21 = _box(21)
     c21 = mfg.CouplingSpec(mollifier=MollifierSpec.build(0.8, gs21, G), gain=1.0)
     u_T = bump_field(gs21, G, radius=1.2)
     rho0 = bump_field(gs21, G, radius=1.4, normalize=True)
-    state = mfg.mfg_picard(u_T, rho0, c21, sigma, 0.1, G)
+    state = mfg.mfg_picard(u_T, rho0, c21, SIGMA, 0.1, G)
     report = mfg.mfg_residual_report(state)
     cert_worst = max((v for _, v in state.d0_certified), default=float("inf"))
     regap = mfg.fixed_point_residual(state) if state.converged else float("inf")
@@ -563,7 +485,7 @@ def mfg_suite(*, jobs: int = 1) -> SuiteResult:
     limits = {}
     all_converged = True
     for theta in (0.3, 0.5, 0.8):
-        st = mfg.mfg_picard(u_T15, rho15, c15, sigma, 0.1, G, theta=theta)
+        st = mfg.mfg_picard(u_T15, rho15, c15, SIGMA, 0.1, G, theta=theta)
         all_converged = all_converged and st.converged
         limits[theta] = st.u_traj
     theta_gap = 0.0
@@ -573,14 +495,14 @@ def mfg_suite(*, jobs: int = 1) -> SuiteResult:
             for fa, fb in zip(limits[a].fields, limits[b].fields)
         ))
 
-    st_sym = mfg.mfg_picard(u_T15, rho15, c15, sigma, 0.1, G, max_iters=4, tol_u=0.0)
+    st_sym = mfg.mfg_picard(u_T15, rho15, c15, SIGMA, 0.1, G, max_iters=4, tol_u=0.0)
     sym_worst = 0.0
     for traj in (st_sym.u_traj, st_sym.rho_traj):
         for f in traj.fields:
             sym_worst = max(sym_worst, float(
                 np.abs(mfg.rotation_image(f).values - f.values).max()))
 
-    st_long = mfg.mfg_picard(u_T15, rho15, c15, sigma, 5.0, G, max_iters=6)
+    st_long = mfg.mfg_picard(u_T15, rho15, c15, SIGMA, 5.0, G, max_iters=6)
     long_documented = st_long.verdict in ("converged", "no fixed point found at this T")
 
     checks = (
@@ -609,23 +531,21 @@ def mfg_suite(*, jobs: int = 1) -> SuiteResult:
 # 10. determinism
 # ---------------------------------------------------------------------------
 
-def determinism_suite(*, jobs: int = 1) -> SuiteResult:
+def determinism_suite() -> SuiteResult:
     """Bit-stable reruns: particle law, worker layouts, serialized artifacts."""
     t0 = time.perf_counter()
-    G = preset("heisenberg1")
-    sigma = 0.25
     grid = _box(21)
     rho0 = bump_field(grid, G, radius=1.0, normalize=True)
 
-    a = fp.particle_oracle(rho0, fp.DriftField.none(), sigma, 0.05, G,
+    a = fp.particle_oracle(rho0, fp.DriftField.none(), SIGMA, 0.05, G,
                            n_particles=20000, seed=99)
-    b = fp.particle_oracle(rho0, fp.DriftField.none(), sigma, 0.05, G,
+    b = fp.particle_oracle(rho0, fp.DriftField.none(), SIGMA, 0.05, G,
                            n_particles=20000, seed=99)
     rerun_equal = np.array_equal(a.values, b.values)
 
-    c = fp.particle_oracle(rho0, fp.DriftField.constant((0.3, -0.1)), sigma, 0.1, G,
+    c = fp.particle_oracle(rho0, fp.DriftField.constant((0.3, -0.1)), SIGMA, 0.1, G,
                            n_particles=30000, seed=7, jobs=1)
-    d = fp.particle_oracle(rho0, fp.DriftField.constant((0.3, -0.1)), sigma, 0.1, G,
+    d = fp.particle_oracle(rho0, fp.DriftField.constant((0.3, -0.1)), SIGMA, 0.1, G,
                            n_particles=30000, seed=7, jobs=3)
     workers_equal = np.array_equal(c.values, d.values)
 
@@ -636,8 +556,8 @@ def determinism_suite(*, jobs: int = 1) -> SuiteResult:
     with tempfile.TemporaryDirectory() as tmp:
         for k in range(2):
             spec = hj.HamiltonianSpec(u0=bump_field(grid, G, radius=1.2))
-            _, rep = hj.hj_fixed_point(spec, sigma, 0.05, G)
-            tr = fp.fp_solve(rho0, fp.DriftField.constant((0.2, 0.1)), sigma, 0.05, G,
+            _, rep = hj.hj_fixed_point(spec, SIGMA, 0.05, G)
+            tr = fp.fp_solve(rho0, fp.DriftField.constant((0.2, 0.1)), SIGMA, 0.05, G,
                              store_every=10 ** 9)
             path = Path(tmp) / f"run{k}.csv"
             cgrid.dump_field_csv(tr.final, str(path))
@@ -673,7 +593,10 @@ SUITES = {
 
 
 def run_suite(name: str, *, jobs: int = 1) -> SuiteResult:
+    """Run one suite; jobs sets the workers of particle_oracle, the one suite that forks."""
     if name not in SUITES:
         known = ", ".join(SUITES)
         raise ValueError(f"unknown suite {name!r}; expected one of: {known}")
-    return SUITES[name](jobs=jobs)
+    if name == "particle_oracle":
+        return SUITES[name](jobs=jobs)
+    return SUITES[name]()

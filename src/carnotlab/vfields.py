@@ -1,10 +1,11 @@
-"""Horizontal calculus: invariant frames, their symbolic action, and grid stencils.
+"""Horizontal calculus: invariant frames and their grid stencils.
 
 The left-invariant horizontal frame X_1..X_m and the right-invariant frame
-Y_1..Y_m are polynomial vector fields derived from the group law.  Symbolic
-routines (sympy) provide exact derivatives for oracle checks: commutators,
-divergences, and the drift correction needed by the particle scheme.  Grid
-routines realize
+Y_1..Y_m are polynomial vector fields derived from the group law.  Their
+exact action on expressions (commutators, divergences, the drift
+correction of the particle scheme) lives in ``symbolic``, the one module
+that imports sympy, so loading the frames loads no sympy.  Grid routines
+realize
 
     grad_G f = (X_1 f, ..., X_m f),
     div_G  F = sum_i X_i F_i,
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
 from . import _stencils
 from .groups import GroupSpec, Poly, eval_poly, poly_diff, poly_is_zero
@@ -56,75 +56,6 @@ def coordinate_field(dim: int, axis: int) -> VectorFieldSet:
     zero: Poly = ()
     comps = tuple(one if l == axis else zero for l in range(dim))
     return VectorFieldSet(kind="coordinate", dim=dim, coefficients=(comps,))
-
-
-# ---------------------------------------------------------------------------
-# symbolic layer
-# ---------------------------------------------------------------------------
-
-def coordinate_symbols(dim: int) -> tuple[sp.Symbol, ...]:
-    return sp.symbols(f"x1:{dim + 1}", real=True)
-
-
-def poly_to_sympy(poly: Poly, xs: tuple[sp.Symbol, ...]) -> sp.Expr:
-    expr = sp.Integer(0)
-    for coeff, exps in poly:
-        term = sp.Rational(coeff.numerator, coeff.denominator)
-        for x, e in zip(xs, exps):
-            if e:
-                term *= x**e
-        expr += term
-    return sp.expand(expr)
-
-
-def apply_field_analytic(vf: VectorFieldSet, i: int, f: sp.Expr) -> sp.Expr:
-    """Exact X_i f for a symbolic expression f in the coordinates x1..xd."""
-    xs = coordinate_symbols(vf.dim)
-    out = sp.Integer(0)
-    for l in range(vf.dim):
-        coeff = poly_to_sympy(vf.coefficients[i][l], xs)
-        if coeff != 0:
-            out += coeff * sp.diff(f, xs[l])
-    return sp.expand(out)
-
-
-def commutator_apply(vf_a: VectorFieldSet, i: int, vf_b: VectorFieldSet, j: int, f: sp.Expr) -> sp.Expr:
-    """[A_i, B_j] f computed symbolically."""
-    return sp.expand(
-        apply_field_analytic(vf_a, i, apply_field_analytic(vf_b, j, f))
-        - apply_field_analytic(vf_b, j, apply_field_analytic(vf_a, i, f))
-    )
-
-
-def divergence_analytic(vf: VectorFieldSet, i: int) -> sp.Expr:
-    xs = coordinate_symbols(vf.dim)
-    out = sp.Integer(0)
-    for l in range(vf.dim):
-        out += sp.diff(poly_to_sympy(vf.coefficients[i][l], xs), xs[l])
-    return sp.expand(out)
-
-
-def stratonovich_correction(vf: VectorFieldSet) -> list[sp.Expr]:
-    """sum_i (Da_i) a_i per coordinate; the Ito drift correction of the frame.
-
-    The particle scheme may drop the correction only when this is
-    identically zero, so verify before trusting it.
-    """
-    xs = coordinate_symbols(vf.dim)
-    out = [sp.Integer(0) for _ in range(vf.dim)]
-    for i in range(vf.count):
-        comps = [poly_to_sympy(vf.coefficients[i][l], xs) for l in range(vf.dim)]
-        for l in range(vf.dim):
-            for k in range(vf.dim):
-                out[l] += sp.diff(comps[l], xs[k]) * comps[k]
-    return [sp.expand(e) for e in out]
-
-
-def horizontal_laplacian_symbolic(vf: VectorFieldSet, f: sp.Expr) -> sp.Expr:
-    out = sp.Integer(0)
-    for i in range(vf.count):
-        out += apply_field_analytic(vf, i, apply_field_analytic(vf, i, f))
-    return sp.expand(out)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,25 @@ def test_non_finite_number_is_rejected_before_any_output(old, new, tmp_path, cap
     assert not runs.exists()
 
 
+@pytest.mark.parametrize("old,new", [
+    ("nodes = 41", "nodes = 5"),
+    ("sigma = 0.25", "sigma = 1e-9"),
+], ids=["nodes-5", "sigma-1e-9"])
+def test_heat_horizon_of_too_few_steps_is_rejected_before_any_output(old, new, tmp_path, capsys):
+    # the decay ladder samples at least 4 stable steps in, before t_end
+    with open(cli.resolve_config("heat_decay"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old + "\n" in text
+    cfg = tmp_path / "short_ladder.cfg"
+    cfg.write_text(text.replace(old + "\n", new + "\n"))
+    runs = tmp_path / "runs"
+    code = cli.main(["run", str(cfg), "--output-dir", str(runs)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "short_ladder.cfg:" in err and "t_end = 0.2 spans" in err and "sample ladder" in err
+    assert not runs.exists()
+
+
 def test_verify_output_of_numpy_scalars_is_strict_json(tmp_path, monkeypatch, capsys):
     # suites measure with numpy: their values and verdicts arrive as
     # numpy scalars, an infinite value among them

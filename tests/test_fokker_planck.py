@@ -17,7 +17,6 @@ from carnotlab.fokker_planck import (
     EnergyReport,
     SubsolutionParams,
     barrier_max_lhs,
-    barrier_origin_gradient_limit,
     energy_report,
     fp_solve,
     fp_step,
@@ -27,6 +26,7 @@ from carnotlab.fokker_planck import (
     weak_form_residual,
 )
 from carnotlab.grid import Field, Trajectory, bump_field, make_ball_mask, node_coordinates
+from carnotlab.symbolic import barrier_origin_gradient_limit
 
 G = groups.preset("heisenberg1")
 

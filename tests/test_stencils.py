@@ -1,6 +1,7 @@
 """Shared frame tables: the O(N) stability bound and the stepping kernels
 against the formulas they replace."""
 
+import ast
 import dataclasses
 import math
 import os
@@ -254,13 +255,40 @@ def test_flux_of_a_constant_is_exactly_zero(label, group, grid):
         assert not got.any(), (c, float(np.abs(got).max()))
 
 
-def test_stepping_modules_import_no_scipy():
-    code = ("import sys\n"
-            "import carnotlab.heat, carnotlab.fokker_planck, carnotlab.hamilton_jacobi\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+def _loaded_libraries(code: str) -> set[str]:
+    """Which of scipy and sympy a fresh interpreter holds after running code."""
+    code += "\nimport sys\nprint(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))\n"
     src = os.path.dirname(os.path.dirname(os.path.abspath(carnotlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    return set(ast.literal_eval(out.stdout.strip().splitlines()[-1]))
+
+
+def test_stepping_modules_import_no_scipy():
+    stepping = "import carnotlab.heat, carnotlab.fokker_planck, carnotlab.hamilton_jacobi"
+    assert _loaded_libraries(stepping) == set()
+    # the package, the front end and the coupled solver: no sympy
+    assert "sympy" not in _loaded_libraries(
+        stepping + "\nimport carnotlab, carnotlab.cli, carnotlab.mfg")
+    # `carnotlab schema` prints a table: neither library
+    assert _loaded_libraries("from carnotlab import cli\ncli.main(['schema'])") == set()
+    # one module of the package imports sympy
+    package = os.path.dirname(os.path.abspath(carnotlab.__file__))
+    importers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                mods = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "sympy" for m in mods):
+                importers.add(name)
+    assert importers == {"symbolic.py"}

@@ -9,19 +9,21 @@ import sympy as sp
 from carnotlab import preset
 from carnotlab.grid import Field, GridSpec, constant_field, default_grid, node_coordinates
 from carnotlab import vfields
-from carnotlab.vfields import (
+from carnotlab.symbolic import (
     apply_field_analytic,
     commutator_apply,
-    coordinate_field,
     coordinate_symbols,
     divergence_analytic,
+    stratonovich_correction,
+)
+from carnotlab.vfields import (
+    coordinate_field,
     holder_seminorm,
     horizontal_divergence,
     horizontal_gradient,
     horizontal_laplacian,
     left_invariant_fields,
     right_invariant_fields,
-    stratonovich_correction,
 )
 
 H1 = preset("heisenberg1")
