@@ -19,18 +19,18 @@ Exit codes: 0 when every asserted invariant passes, 1 on invariant
 failure, 2 on solver non-convergence, 64 on a malformed config or bad
 usage.  For a fixed config and seed the artifact bytes are identical
 across runs; wall-clock time only ever enters the directory name.
+Every JSON file, report and manifest alike, is written by
+``report.json_text``, which is passed the report objects as they are.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 from datetime import datetime, timezone
 from importlib import resources
 
@@ -42,7 +42,7 @@ from . import hamilton_jacobi as hj
 from . import heat
 from .grid import Field, GridSpec, bump_field, dump_field_csv, node_points
 from .groups import preset, quasi_distance
-from .report import Check, summary_rows
+from .report import Check, json_text, summary_rows
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -381,24 +381,10 @@ class RunOutcome:
         return EXIT_INVARIANT
 
 
-def _json_text(payload) -> str:
-    """Strict JSON: a non-finite float is written as null."""
-    def finite(v):
-        if isinstance(v, float) and not math.isfinite(v):
-            return None
-        if isinstance(v, dict):
-            return {k: finite(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [finite(x) for x in v]
-        return v
-
-    return json.dumps(finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _write_json(outdir: str, name: str, payload) -> str:
-    """Write payload, a JSON-able value, as strict JSON."""
+    """Write payload through ``report.json_text``."""
     with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
-        fh.write(_json_text(payload))
+        fh.write(json_text(payload))
     return name
 
 
@@ -426,7 +412,7 @@ def _run_heat(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcom
 
     out.artifacts += _write_field(outdir, "state_initial.csv", f0)
     out.artifacts += _write_field(outdir, "state_final.csv", f_end)
-    out.artifacts.append(_write_json(outdir, "decay_report.json", asdict(rep)))
+    out.artifacts.append(_write_json(outdir, "decay_report.json", rep))
     return out
 
 
@@ -467,7 +453,7 @@ def _run_fp(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
         "sup_peak": peak,
         "final_min": low,
         "transient_min": transient,
-        "energy": {**asdict(erep), "ok": erep.ok},
+        "energy": erep,
     }))
     return out
 
@@ -498,9 +484,8 @@ def _run_hj(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     out.add("mild_vs_direct_gap", gap, f"<= {budget:.3g}", gap <= budget)
 
     out.artifacts += _write_field(outdir, "value_final.csv", direct.final)
-    out.artifacts.append(_write_json(outdir, "fixed_point_report.json", frep.to_json_dict()))
-    out.artifacts.append(_write_json(outdir, "sup_bounds_report.json",
-                                     srep.to_json_dict()))
+    out.artifacts.append(_write_json(outdir, "fixed_point_report.json", frep))
+    out.artifacts.append(_write_json(outdir, "sup_bounds_report.json", srep))
     out.notes.append(f"fixed point verdict: {frep.verdict}")
     return out
 
@@ -528,7 +513,7 @@ def _run_duality(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOut
     out.add("accumulated_gradient_fraction", frac, "<= 1.01", frac <= 1.01)
 
     out.artifacts += _write_field(outdir, "value_final.csv", traj.final)
-    out.artifacts.append(_write_json(outdir, "duality_report.json", rep.to_json_dict()))
+    out.artifacts.append(_write_json(outdir, "duality_report.json", rep))
     return out
 
 
@@ -560,7 +545,7 @@ def _run_mfg(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome
 
     out.artifacts += _write_field(outdir, "value_initial.csv", state.u_traj.fields[0])
     out.artifacts += _write_field(outdir, "density_final.csv", state.rho_traj.final)
-    out.artifacts.append(_write_json(outdir, "mfg_report.json", rep.to_json_dict()))
+    out.artifacts.append(_write_json(outdir, "mfg_report.json", rep))
     return out
 
 
@@ -615,7 +600,7 @@ def _run_metric(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutc
         "dirac_pairs": pair_log,
         "triangle_worst_violation": tri_worst,
         "symmetry_worst_gap": sym_worst,
-        "holder": asdict(hold),
+        "holder": hold,
     }))
     return out
 
@@ -675,13 +660,13 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _config_json(cfg: dict) -> dict:
-    out = {}
-    for section, keys in cfg.items():
-        out[section] = {
-            k: list(v) if isinstance(v, tuple) else v for k, v in keys.items()
-        }
-    return out
+def _write_manifest(outdir: str, artifacts, **fields) -> None:
+    """manifest.json: fields, the hash of every artifact and the package stamp."""
+    _write_json(outdir, "manifest.json", {
+        **fields,
+        "artifacts": {name: _sha256(os.path.join(outdir, name)) for name in artifacts},
+        "package": {"name": "carnotlab", "version": __version__},
+    })
 
 
 def execute_run(config_path: str, parent_dir: str, seed_override: int | None) -> tuple[int, str, str]:
@@ -722,21 +707,9 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
         fh.write(summary + "\n")
     outcome.artifacts.append("summary.txt")
 
-    manifest = {
-        "config": _config_json(cfg),
-        "config_name": os.path.basename(config_path),
-        "kind": kind,
-        "seed": seed,
-        "exit_code": code,
-        "checks": [c.to_json_dict() for c in outcome.checks],
-        "notes": outcome.notes,
-        "artifacts": {
-            name: _sha256(os.path.join(outdir, name))
-            for name in sorted(outcome.artifacts)
-        },
-        "package": {"name": "carnotlab", "version": __version__},
-    }
-    _write_json(outdir, "manifest.json", manifest)
+    _write_manifest(outdir, outcome.artifacts, config=cfg,
+                    config_name=os.path.basename(config_path), kind=kind, seed=seed,
+                    exit_code=code, checks=outcome.checks, notes=outcome.notes)
     return code, outdir, summary
 
 
@@ -787,20 +760,13 @@ def _cmd_verify(args) -> int:
     if args.output_dir or os.environ.get(OUTPUT_DIR_ENV):
         parent = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
         # serialize first: a report that cannot be written leaves no directory
-        texts = {f"suite_{res.suite}.json": _json_text(res.to_json_dict()) for res in results}
+        texts = {f"suite_{res.suite}.json": json_text(res.to_json_dict()) for res in results}
         outdir = _unique_outdir(parent, "verify-" + args.suite)
-        artifacts = {}
         for name, text in texts.items():
             with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
-            artifacts[name] = _sha256(os.path.join(outdir, name))
-        manifest = {
-            "suites": [r.suite for r in results],
-            "passed": all(r.passed for r in results),
-            "artifacts": artifacts,
-            "package": {"name": "carnotlab", "version": __version__},
-        }
-        _write_json(outdir, "manifest.json", manifest)
+        _write_manifest(outdir, texts, suites=[r.suite for r in results],
+                        passed=all(r.passed for r in results))
         print(f"outputs: {outdir}")
 
     return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT

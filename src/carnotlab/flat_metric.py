@@ -147,9 +147,6 @@ class FlatMetricResult:
     def ok(self) -> bool:
         return self.status in ("optimal", "trivial")
 
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "status": self.status, "gap": self.gap, "rounds": self.rounds}
-
 
 # ---------------------------------------------------------------------------
 # LP

@@ -266,10 +266,7 @@ class EnergyReport:
     grad_energy: float
     grad_bound: float
     drift_sup: float
-
-    @property
-    def ok(self) -> bool:
-        return self.l2_peak <= self.l2_bound and self.grad_energy <= self.grad_bound
+    ok: bool
 
 
 def energy_report(traj: Trajectory, drift: DriftField, sigma: float, group: GroupSpec) -> EnergyReport:
@@ -296,13 +293,16 @@ def energy_report(traj: Trajectory, drift: DriftField, sigma: float, group: Grou
         grad_energy += wj * (g**2).sum() * h_d
     K = math.exp(b_sup**2 * span / (2 * sigma)) * (1 + 1e-2)
     K_grad = (1 + (b_sup**2) * span * K / sigma) / sigma
+    l2_peak, l2_bound = float(l2.max()), float(K * l2[0])
+    grad_energy, grad_bound = float(grad_energy), float(K_grad * l2[0])
     return EnergyReport(
         l2_initial=float(l2[0]),
-        l2_peak=float(l2.max()),
-        l2_bound=float(K * l2[0]),
-        grad_energy=float(grad_energy),
-        grad_bound=float(K_grad * l2[0]),
+        l2_peak=l2_peak,
+        l2_bound=l2_bound,
+        grad_energy=grad_energy,
+        grad_bound=grad_bound,
         drift_sup=float(b_sup),
+        ok=l2_peak <= l2_bound and grad_energy <= grad_bound,
     )
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import groups
 from .groups import GroupSpec
+from .report import json_text
 
 
 @dataclass(frozen=True)
@@ -282,14 +283,8 @@ def dump_field_csv(f: Field, path: str) -> None:
         raise ValueError("CSV dump is defined for scalar fields; dump components separately")
     path = os.fspath(path)
     write_points_csv(path, node_points(f.grid), f.values.reshape(-1), "value")
-    sidecar = {
-        "grid": {"lower": list(f.grid.lower), "upper": list(f.grid.upper), "shape": list(f.grid.shape)},
-        "t": f.t,
-        "kind": "scalar",
-    }
     with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text({"grid": f.grid, "t": f.t, "kind": "scalar"}))
 
 
 def load_field_csv(path: str) -> Field:

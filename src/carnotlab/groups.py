@@ -31,6 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .report import json_text
+
 # A polynomial is a tuple of (coefficient, exponent-multi-index) monomials.
 PolyTerm = tuple[Fraction, tuple[int, ...]]
 Poly = tuple[PolyTerm, ...]
@@ -212,13 +214,10 @@ def to_text(spec: GroupSpec) -> str:
         "dim": spec.dim,
         "horizontal_dim": spec.horizontal_dim,
         "step": spec.step,
-        "weights": list(spec.weights),
-        "law": [
-            [[str(coeff), list(px), list(py)] for coeff, px, py in terms]
-            for terms in spec.law
-        ],
+        "weights": spec.weights,
+        "law": [[[str(coeff), px, py] for coeff, px, py in terms] for terms in spec.law],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def from_text(text: str) -> GroupSpec:

@@ -55,8 +55,7 @@ the monitor failing, which is the point of the control).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -407,12 +406,6 @@ class FixedPointReport:
     def ok(self) -> bool:
         return self.verdict == "converged"
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def hj_fixed_point(
     spec: HamiltonianSpec,
@@ -496,12 +489,6 @@ class DualityReport:
     gradient_term: float
     source_term: float
     residual: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def duality_report(
@@ -599,9 +586,6 @@ class SupBoundsReport:
     lower_bound: float
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def sup_bounds_report(traj: Trajectory, spec: HamiltonianSpec) -> SupBoundsReport:
     """One-sided bounds from the comparison principle.
@@ -639,9 +623,6 @@ class BernsteinReport:
     source: tuple[float, ...]
     bounds: tuple[float, ...]
     ok: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _central_window(shape: tuple[int, ...]) -> tuple[slice, ...]:

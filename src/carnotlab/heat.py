@@ -11,9 +11,8 @@ The mild-solution sweep of ``hamilton_jacobi`` composes the same steps.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +60,6 @@ class DecayReport:
     constant: float
     sup_start: float
     sup_end: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def decay_ladder(grid: GridSpec, group: GroupSpec, sigma: float, t_end: float) -> tuple[float, list[int]]:

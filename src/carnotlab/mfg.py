@@ -39,7 +39,7 @@ re-raised as NaN fields.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +120,12 @@ def rotation_image(f: Field) -> Field:
 
 @dataclass(frozen=True)
 class MFGState:
-    """One Picard run: the current pair, its history, and the verdict."""
+    """One Picard run: the current pair, its history, and the verdict.
+
+    v_traj and v_spec are the reflected backward solve fed by rho_traj and
+    its data, from the last completed sweep; None when the run stopped
+    before any backward solve from rho_traj completed.
+    """
 
     u_traj: Trajectory
     rho_traj: Trajectory
@@ -139,6 +144,8 @@ class MFGState:
     rho_initial: Field
     tol_u: float
     tol_rho: float
+    v_traj: Trajectory | None
+    v_spec: HamiltonianSpec | None
 
     @property
     def converged(self) -> bool:
@@ -288,6 +295,8 @@ def mfg_picard(
     certified: tuple[tuple[float, float], ...] = ()
     rho_prev: Trajectory | None = None
     rho_cur: Trajectory | None = None
+    v_last: Trajectory | None = None
+    spec_last: HamiltonianSpec | None = None
     iterations = 0
     try:
         v0 = hj_solve(seed_spec, sigma, span, group, dt=step, store_every=1)
@@ -295,7 +304,10 @@ def mfg_picard(
         for it in range(1, max_iters + 1):
             iterations = it
             rho_cur = _forward_density(u_cur, rho0, sigma, gamma, group, step)
-            u_cand, _, _ = _backward_value(rho_cur, u_T, coupling, sigma, gamma, group, step)
+            # a backward solve that stops leaves none paired with rho_cur
+            v_last = spec_last = None
+            u_cand, v_last, spec_last = _backward_value(rho_cur, u_T, coupling, sigma, gamma,
+                                                        group, step)
             u_next = Trajectory(
                 times=u_cur.times,
                 fields=tuple(
@@ -350,6 +362,8 @@ def mfg_picard(
         rho_initial=rho0,
         tol_u=tol_u,
         tol_rho=tol_rho,
+        v_traj=v_last,
+        v_spec=spec_last,
     )
 
 
@@ -390,20 +404,16 @@ class MFGReport:
     sup_bounds_ok: bool
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["residuals_rho"] = [r if math.isfinite(r) else None for r in self.residuals_rho]
-        return d
-
 
 def mfg_residual_report(state: MFGState) -> MFGReport:
     """Cross-checks on the final pair, whatever the verdict.
 
-    The pairing check reflects the value trajectory back into its
-    forward variable, rebuilds the source it was solved with from the
-    stored density, and runs the adjoint integration from rho0; on a
-    converged pair the identity's residual stays within the two-method
-    error bar 5 (h + dt) * scale.
+    The pairing check takes the backward solve the last sweep ran from
+    the stored density, with the source rebuilt from it, and runs the
+    adjoint integration from rho0; on a converged pair the identity's
+    residual stays within the two-method error bar 5 (h + dt) * scale.
+    A state with no backward solve from its density fails the audit,
+    with the pairing residual and bound left NaN.
     """
     n = len(state.u_traj) - 1
     step = state.horizon / n
@@ -411,29 +421,23 @@ def mfg_residual_report(state: MFGState) -> MFGReport:
     mass_error = max(abs(f.integral() - 1.0) for f in rho.fields)
     min_density = min(float(f.values.min()) for f in rho.fields)
 
-    _, v_traj, spec_v = _backward_value(
-        rho, state.u_terminal, state.coupling, state.sigma, state.gamma, state.group, step
-    )
-    dual = duality_report(
-        v_traj,
-        spec_v,
-        state.sigma,
-        state.group,
-        state.rho_initial,
-        v_traj.times[0],
-        v_traj.times[-1],
-    )
-    h = max(state.u_terminal.grid.spacings)
-    scale = spec_v.data_scale(state.horizon)
-    bound = 5.0 * (h + step) * scale
-    sup_rep = sup_bounds_report(v_traj, spec_v)
+    v_traj, spec_v = state.v_traj, state.v_spec
+    if v_traj is None:
+        residual = bound = math.nan
+        sup_ok = False
+    else:
+        residual = duality_report(v_traj, spec_v, state.sigma, state.group, state.rho_initial,
+                                  v_traj.times[0], v_traj.times[-1]).residual
+        h = max(state.u_terminal.grid.spacings)
+        bound = 5.0 * (h + step) * spec_v.data_scale(state.horizon)
+        sup_ok = sup_bounds_report(v_traj, spec_v).ok
     rho_peak = max(f.sup_norm() for f in rho.fields)
     ok = (
         state.converged
         and mass_error <= 1e-6
         and min_density >= -1e-3 * rho_peak
-        and dual.residual <= bound
-        and sup_rep.ok
+        and residual <= bound
+        and sup_ok
     )
     return MFGReport(
         iterations=state.iterations,
@@ -443,8 +447,8 @@ def mfg_residual_report(state: MFGState) -> MFGReport:
         d0_certified=state.d0_certified,
         mass_error=mass_error,
         min_density=min_density,
-        duality_residual=dual.residual,
+        duality_residual=residual,
         duality_bound=bound,
-        sup_bounds_ok=sup_rep.ok,
+        sup_bounds_ok=sup_ok,
         ok=ok,
     )

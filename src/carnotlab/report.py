@@ -1,4 +1,8 @@
-"""Checks held to budgets: the rows of run manifests and suite reports.
+"""Checks held to budgets, and the one JSON encoder of every artifact.
+
+``json_text`` writes every JSON file the package produces: run and
+verify manifests, reports, field sidecars and group documents.  Reports
+are plain dataclasses and are passed to it as they are.
 
 Imports neither sympy nor scipy, so ``cli`` can report a run without
 loading the verification suites.
@@ -6,7 +10,32 @@ loading the verification suites.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import json
+import math
+from dataclasses import asdict, dataclass, fields, is_dataclass
+
+
+def _plain(v):
+    if is_dataclass(v):
+        return {f.name: _plain(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    if hasattr(v, "tolist"):  # numpy arrays and scalars
+        return _plain(v.tolist())
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
+
+
+def json_text(value) -> str:
+    """Strict JSON of value, with sorted keys, indented by 2, ending in one newline.
+
+    A dataclass is written as its fields, a tuple or array as a list and a
+    non-finite float as null.
+    """
+    return json.dumps(_plain(value), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True)
@@ -22,9 +51,6 @@ class Check:
         # suites measure with numpy; a report holds plain JSON-able scalars
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "ok", bool(self.ok))
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def summary_rows(checks, notes) -> list[str]:

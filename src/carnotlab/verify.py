@@ -30,7 +30,7 @@ from .flat_metric import (
 )
 from .grid import Field, GridSpec, bump_field, constant_field, make_ball_mask, node_coordinates
 from .groups import dilate, hom_norm, inverse, multiply, preset, quasi_distance
-from .report import Check, SuiteResult
+from .report import Check, SuiteResult, json_text
 
 
 # every suite runs on the first Heisenberg group, the diffusive ones at this strength
@@ -290,9 +290,11 @@ def _enumerated_flat_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, group) -
 
     The feasible set in variables (f_1..f_n, alpha, beta) is a polytope;
     the optimum sits at a vertex, i.e. at some choice of n+2 active
-    constraints.  Every square subsystem is solved and feasible vertices
-    are scanned for the best objective.  Chunked so the 5-point case
-    stays within memory.
+    constraints.  Every other row is homogeneous, so a positive optimum
+    can be scaled up until alpha + beta <= 1 is active: only the square
+    subsystems holding that row, each in ascending row order, are solved,
+    and feasible vertices are scanned for the best objective.  Chunked so
+    the 5-point case stays within memory.
     """
     pts = np.vstack([mu.points, nu.points])
     delta = np.concatenate([mu.weights, -nu.weights])
@@ -311,13 +313,15 @@ def _enumerated_flat_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, group) -
     r = np.zeros(n + 2); r[n + 1] = -1.0; rows.append(r); rhs.append(0.0)
     A, b = np.array(rows), np.array(rhs)
     m, dim = A.shape
+    unit = m - 3  # the alpha + beta <= 1 row
     best = -np.inf
-    combos = itertools.combinations(range(m), dim)
+    combos = itertools.combinations([i for i in range(m) if i != unit], dim - 1)
     while True:
-        chunk = list(itertools.islice(combos, 200_000))
-        if not chunk:
+        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, 200_000)),
+                            dtype=np.intp).reshape(-1, dim - 1)
+        if chunk.size == 0:
             break
-        idx = np.array(chunk)
+        idx = np.sort(np.column_stack([chunk, np.full(len(chunk), unit)]), axis=1)
         A_sub, b_sub = A[idx], b[idx]
         good = np.abs(np.linalg.det(A_sub)) > 1e-10
         if not good.any():
@@ -561,7 +565,7 @@ def determinism_suite() -> SuiteResult:
                              store_every=10 ** 9)
             path = Path(tmp) / f"run{k}.csv"
             cgrid.dump_field_csv(tr.final, str(path))
-            docs.append((rep.to_json(), path.read_bytes(),
+            docs.append((json_text(rep), path.read_bytes(),
                          (path.parent / (path.name + ".json")).read_bytes()))
     artifacts_equal = docs[0] == docs[1]
 

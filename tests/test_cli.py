@@ -128,6 +128,29 @@ def test_verify_output_of_numpy_scalars_is_strict_json(tmp_path, monkeypatch, ca
     assert [(c["value"], c["ok"]) for c in checks] == [(0.5, True), (None, True)]
 
 
+def test_mfg_solver_stop_ends_in_exit_2_and_a_failed_audit(tmp_path, capsys):
+    # the coupling overwhelms the Picard step: a sweep's backward solve stops
+    # on the step bound, so no backward solve pairs with the final density
+    text = open(cli.resolve_config("mfg_small_T")).read()
+    for old, new in (("nodes = 21", "nodes = 11"), ("gain = 1.0", "gain = 1e5"),
+                     ("eps = 0.8", "eps = 1.3")):
+        assert old + "\n" in text
+        text = text.replace(old + "\n", new + "\n")
+    cfg = tmp_path / "mfg_stiff.cfg"
+    cfg.write_text(text)
+    runs = tmp_path / "runs"
+    code = cli.main(["run", str(cfg), "--output-dir", str(runs)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert "Traceback" not in out + err
+    (outdir,) = runs.iterdir()
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    (audit,) = [c for c in manifest["checks"] if c["name"] == "audit_ok"]
+    assert not audit["ok"]
+    assert sorted(manifest["artifacts"]) == sorted(
+        p.name for p in outdir.iterdir() if p.name != "manifest.json")
+
+
 def test_run_starts_no_more_workers_than_configs(tmp_path, monkeypatch, serial_pool, capsys):
     # a process pool starts all max_workers processes at its first submit
     monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool)

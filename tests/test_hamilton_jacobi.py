@@ -7,6 +7,7 @@ import pytest
 
 from carnotlab import grid, groups, heat, vfields
 from carnotlab import hamilton_jacobi as hj
+from carnotlab.report import json_text
 
 G = groups.preset("heisenberg1")
 SIGMA = 0.25
@@ -147,7 +148,7 @@ def test_sup_bounds_report_on_bump():
     # gamma = 2 puts the one-sided factor at (gamma+1)/(gamma-1) = 3
     assert rep.lower_bound == pytest.approx(-3.0 * 1.0, rel=2e-3)
     assert rep.upper_bound == pytest.approx(1.0, rel=2e-3)
-    assert set(rep.to_json_dict()) == {
+    assert set(json.loads(json_text(rep))) == {
         "max_value",
         "min_value",
         "upper_bound",
@@ -257,7 +258,7 @@ def test_fixed_point_report_fields(headline):
     assert rep.ball_radius > 0.0
     assert rep.horizon == pytest.approx(0.05)
     assert rep.growth_constant > 0.0
-    loaded = json.loads(rep.to_json())
+    loaded = json.loads(json_text(rep))
     assert set(loaded) == {
         "distances",
         "ratios",
@@ -354,7 +355,7 @@ def test_duality_report_json_round_trip():
     traj = hj.hj_solve(spec, SIGMA, 0.05, G)
     mu = grid.bump_field(gs, G, radius=1.0, normalize=True)
     rep = hj.duality_report(traj, spec, SIGMA, G, mu, traj.times[0], traj.times[-1])
-    loaded = json.loads(rep.to_json())
+    loaded = json.loads(json_text(rep))
     assert set(loaded) == {"s", "tau", "gap", "gradient_term", "source_term", "residual"}
     assert loaded["residual"] == rep.residual
 
@@ -400,6 +401,6 @@ def test_bernstein_report_shapes(skew_trajectory):
     spec, traj = skew_trajectory
     rep = hj.bernstein_report(traj, spec, G)
     assert len(rep.observed) == len(rep.initial) == len(rep.bounds) == 2
-    d = rep.to_json_dict()
+    d = json.loads(json_text(rep))
     assert d["frame_kind"] == "right"
     assert len(d["observed"]) == 2

@@ -1,6 +1,7 @@
 """Heat flow: conservation, contraction, degeneracy signature, gradient decay."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from carnotlab import _stencils, preset
 from carnotlab.grid import Field, bump_field, constant_field, default_grid, node_coordinates
 from carnotlab.groups import hom_norm
 from carnotlab.heat import CFLViolation, evolve, heat_step, measure_gradient_decay, stable_dt
+from carnotlab.report import json_text
 from carnotlab.vfields import horizontal_gradient, left_invariant_fields
 
 H1 = preset("heisenberg1")
@@ -108,7 +110,7 @@ def test_gradient_decay_exponent_rough_data():
     rep = measure_gradient_decay(_indicator(grid), 0.25, 0.2, H1)
     assert -0.65 <= rep.slope <= -0.35
     assert rep.constant > 0
-    payload = rep.to_json()
+    payload = json_text(rep)
     assert '"slope"' in payload
 
 
@@ -126,6 +128,18 @@ def test_gradient_of_constant_stays_zero():
     grid = default_grid(nodes=15)
     rep = measure_gradient_decay(constant_field(grid, 1.0), 0.25, 0.5, H1)
     assert all(s == 0.0 for s in rep.grad_sup)
+
+
+def test_decay_report_json_is_strict_on_a_constant_datum():
+    grid = default_grid(nodes=21)
+    rep = measure_gradient_decay(constant_field(grid, 1.0), 0.25, 0.5, H1)
+    assert np.isnan(rep.slope)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(json_text(rep), parse_constant=reject)
+    assert doc["slope"] is None
 
 
 def test_face_geometry_is_cached_by_law_not_by_name(monkeypatch):

@@ -1,5 +1,6 @@
 """Coupled value/density iteration and its coupling operator."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from carnotlab import grid, groups, mfg
 from carnotlab.flat_metric import DiscreteMeasure, MollifierSpec, flat_distance, kernel_field
+from carnotlab.report import json_text
 
 G = groups.preset("heisenberg1")
 SIGMA = 0.25
@@ -181,7 +183,7 @@ def test_picard_headline_report(headline):
     assert rep.min_density >= -1e-3 * max(f.sup_norm() for f in headline.rho_traj.fields)
     assert rep.duality_residual <= rep.duality_bound
     assert rep.sup_bounds_ok
-    d = rep.to_json_dict()
+    d = json.loads(json_text(rep))
     assert d["verdict"] == "converged"
     assert d["residuals_rho"][0] is None
     assert len(d["d0_certified"]) == 2
