@@ -156,8 +156,10 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "preset": ("bump", _as_choice("bump", "indicator"), "initial datum shape", "all"),
         "radius": ("1.0", _as_pos_float, "datum radius in the homogeneous gauge", "all"),
         "center": ("0.0 0.0 0.0", _as_floats(GRID_DIM), "datum center", "all"),
-        "amplitude": ("1.0", _as_pos_float, "datum peak value before normalization", "all"),
-        "normalize": ("true", _as_bool, "rescale the datum to unit mass", "fp, mfg, metric"),
+        "amplitude": ("1.0", _as_pos_float, "datum peak value (normalization divides it out)",
+                      "heat, hj, duality; fp when normalize = false"),
+        "normalize": ("true", _as_bool, "rescale the datum to unit mass (mfg and metric always "
+                      "do, heat, hj and duality never)", "fp"),
         "value_radius": ("1.2", _as_pos_float, "terminal value bump radius", "mfg"),
         "mu_radius": ("1.0", _as_pos_float, "adjoint density bump radius", "duality"),
     },
@@ -461,7 +463,6 @@ def _run_fp(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
 def _run_hj(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Direct solve plus the mild fixed point, cross-checked against each other."""
     out = RunOutcome()
-    grid = data["grid"]
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
     spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
 
@@ -478,9 +479,7 @@ def _run_hj(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
             f"<= {tol['fixed_point']:g}", frep.distances[-1] <= tol["fixed_point"])
 
     gap = float(np.abs(direct.final.values - mild.final.values).max())
-    h = max(grid.spacings)
-    dt = mild.times[1] - mild.times[0]
-    budget = 5.0 * (h + dt) * spec.data_scale(dyn["t_end"])
+    budget = spec.error_bar(mild.times[1] - mild.times[0], dyn["t_end"])
     out.add("mild_vs_direct_gap", gap, f"<= {budget:.3g}", gap <= budget)
 
     out.artifacts += _write_field(outdir, "value_final.csv", direct.final)
@@ -493,7 +492,6 @@ def _run_hj(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
 def _run_duality(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Pairing identity between the value flow and an adjoint density."""
     out = RunOutcome()
-    grid = data["grid"]
     dyn = cfg["dynamics"]
     spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
 
@@ -501,15 +499,12 @@ def _run_duality(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOut
     rep = hj.duality_report(traj, spec, dyn["sigma"], group, data["mu"],
                             traj.times[0], traj.times[-1])
 
-    scale = spec.data_scale(dyn["t_end"])
-    h = max(grid.spacings)
-    dt = traj.times[1] - traj.times[0]
-    budget = 5.0 * (h + dt) * scale
+    budget = spec.error_bar(traj.times[1] - traj.times[0], dyn["t_end"])
     out.add("pairing_residual", abs(rep.residual), f"<= {budget:.3g}",
             abs(rep.residual) <= budget)
     # unit-mass adjoint: the accumulated gradient cost stays under twice
     # the data scale, up to the same first-order error
-    frac = rep.gradient_term / (2.0 * scale)
+    frac = rep.gradient_term / (2.0 * spec.data_scale(dyn["t_end"]))
     out.add("accumulated_gradient_fraction", frac, "<= 1.01", frac <= 1.01)
 
     out.artifacts += _write_field(outdir, "value_final.csv", traj.final)
@@ -532,9 +527,12 @@ def _run_mfg(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome
     )
     out.nonconverged = not state.converged
     out.notes.append(f"verdict: {state.verdict} after {state.iterations} iterations")
+    if state.note:
+        out.notes.append(state.note)
 
-    res_u = state.residuals_u[-1] if state.residuals_u else float("inf")
-    out.add("value_residual", res_u, f"<= {tol['tol_u']:g}", res_u <= tol["tol_u"])
+    if state.residuals_u:
+        res_u = state.residuals_u[-1]
+        out.add("value_residual", res_u, f"<= {tol['tol_u']:g}", res_u <= tol["tol_u"])
     if state.d0_certified:
         cert = max(v for _, v in state.d0_certified)
         out.add("certified_flat_residual", cert, f"<= {tol['tol_rho']:g}",
@@ -551,40 +549,23 @@ def _run_mfg(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome
 
 def _run_metric(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     """Flat-distance closed forms, metric axioms, and time regularity."""
-    from .flat_metric import DiscreteMeasure, flat_distance, holder_in_time, two_dirac_distance
+    from .flat_metric import (DiscreteMeasure, axiom_gaps, flat_distance, holder_in_time,
+                              two_dirac_distance)
 
     out = RunOutcome()
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
     rng = np.random.default_rng(seed)
 
-    def dirac(x):
-        return DiscreteMeasure(points=np.asarray([x], dtype=float),
-                               weights=np.array([1.0]))
-
     form_err = 0.0
     pair_log = []
     for x, y in rng.normal(size=(4, 2, 3)):
-        got = flat_distance(dirac(x), dirac(y), group).value
-        r = float(quasi_distance(group, x, y))
-        form_err = max(form_err, abs(got - 2 * r / (r + 2)),
-                       abs(got - two_dirac_distance(group, x, y)))
-        pair_log.append({"distance": got, "gauge_separation": r})
+        got = flat_distance(DiscreteMeasure.dirac(x), DiscreteMeasure.dirac(y), group).value
+        form_err = max(form_err, abs(got - two_dirac_distance(group, x, y)))
+        pair_log.append({"distance": got, "gauge_separation": float(quasi_distance(group, x, y))})
     out.add("two_dirac_closed_form_error", form_err, f"<= {tol['metric']:g}",
             form_err <= tol["metric"])
 
-    tri_worst = -np.inf
-    sym_worst = 0.0
-    for _ in range(20):
-        a, b, c = (
-            DiscreteMeasure(points=rng.uniform(-1, 1, (4, 3)),
-                            weights=rng.uniform(0.1, 1.0, 4))
-            for _ in range(3)
-        )
-        dab = flat_distance(a, b, group).value
-        sym_worst = max(sym_worst, abs(dab - flat_distance(b, a, group).value))
-        tri_worst = max(tri_worst,
-                        flat_distance(a, c, group).value
-                        - dab - flat_distance(b, c, group).value)
+    tri_worst, sym_worst = axiom_gaps(group, rng, 20)
     out.add("triangle_worst_violation", tri_worst, f"<= {tol['metric']:g}",
             tri_worst <= tol["metric"])
     out.add("symmetry_worst_gap", sym_worst, f"<= {tol['metric']:g}",

@@ -90,6 +90,11 @@ class DiscreteMeasure:
         return float(self.weights.sum())
 
     @staticmethod
+    def dirac(x) -> "DiscreteMeasure":
+        """Unit mass at the point x."""
+        return DiscreteMeasure(points=np.array([x], dtype=float), weights=np.array([1.0]))
+
+    @staticmethod
     def from_field(
         f: Field, *, coarsen: int = 1, threshold: float = 1e-12
     ) -> "DiscreteMeasure":
@@ -332,6 +337,25 @@ def two_dirac_distance(group: GroupSpec, x, y) -> float:
     f(x) = -f(y) = alpha and saturates 2 alpha = (1 - alpha) r."""
     r = float(quasi_distance(group, np.asarray(x, float), np.asarray(y, float)))
     return 2 * r / (r + 2)
+
+
+def axiom_gaps(group: GroupSpec, rng: np.random.Generator, trials: int) -> tuple[float, float]:
+    """Worst triangle violation d(a, c) - d(a, b) - d(b, c) and worst symmetry
+    gap |d(a, b) - d(b, a)| over trials triples of random 4-point measures
+    in [-1, 1]^d (each measure draws its points, then its weights)."""
+    tri_worst = -np.inf
+    sym_worst = 0.0
+    for _ in range(trials):
+        a, b, c = (
+            DiscreteMeasure(points=rng.uniform(-1, 1, (4, group.dim)),
+                            weights=rng.uniform(0.1, 1.0, 4))
+            for _ in range(3)
+        )
+        dab = flat_distance(a, b, group).value
+        sym_worst = max(sym_worst, abs(dab - flat_distance(b, a, group).value))
+        tri_worst = max(tri_worst,
+                        flat_distance(a, c, group).value - dab - flat_distance(b, c, group).value)
+    return tri_worst, sym_worst
 
 
 # ---------------------------------------------------------------------------

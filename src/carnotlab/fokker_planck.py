@@ -215,12 +215,12 @@ def _time_weights(times: np.ndarray) -> np.ndarray:
 
 def weak_form_residual(
     traj: Trajectory,
-    phi: Trajectory | Callable[[float], Field],
+    phi: Callable[[float], Field],
     drift: DriftField,
     sigma: float,
     group: GroupSpec,
 ) -> float:
-    """Residual of the defining identity against a test trajectory.
+    """Residual of the defining identity against a test function t -> phi(t).
 
     int rho(T) phi(T) - int rho(0) phi(0)
       = int_0^T [ int rho d_t phi - sigma int grad rho . grad phi
@@ -232,7 +232,7 @@ def weak_form_residual(
     times = np.asarray(traj.times)
     if len(times) < 3:
         raise ValueError("need at least three snapshots for the time derivative")
-    phis = [phi.at(t) if isinstance(phi, Trajectory) else phi(t) for t in times]
+    phis = [phi(t) for t in times]
     h_d = traj.fields[0].grid.cell_volume
 
     # d_t phi on the ladder

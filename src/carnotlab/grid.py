@@ -132,12 +132,6 @@ class Trajectory:
         fields = tuple(Field(f.grid, f.values, t) for f, t in zip(reversed(self.fields), times))
         return Trajectory(tuple(times), fields)
 
-    def at(self, t: float, tol: float = 1e-9) -> Field:
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        if abs(self.times[i] - t) > tol:
-            raise KeyError(f"no snapshot at t={t:g}; nearest is {self.times[i]:g}")
-        return self.fields[i]
-
 
 def constant_field(grid: GridSpec, value: float, t: float = 0.0) -> Field:
     return Field(grid, np.full(grid.shape, float(value)), t)

@@ -18,9 +18,11 @@ backward solve smooths all n+1 density snapshots with one product.
 rho0 forward with the feedback drift; feed the mollified density back
 into the backward problem solved from u_T; mix the new value function
 in with weight theta.  The backward solve is the forward solver in the
-reflected variable r = T - t, and the two runs share one uniform step,
-so drift and source sequences pair snapshots by index rather than by
-floating-point time lookup.
+reflected variable r = T - t, and the two runs share one uniform step.
+The drift and source sequences are piecewise constant in time
+(``fokker_planck.piecewise_constant``), sampled at the snapshot times
+of the run that produced them: the drift at the value run's, the source
+at the density run's.
 
 Residual bookkeeping: the u-residual is the sup-norm change per
 iteration; the rho-residual is tracked through the L1 mass of the
@@ -55,8 +57,8 @@ from .hamilton_jacobi import (
     SourceTerm,
     duality_report,
     feedback_drift,
+    hj_max_stable_dt,
     hj_solve,
-    hj_stable_dt,
     sup_bounds_report,
 )
 
@@ -92,9 +94,7 @@ def coupling_eval(rho: Field, c: CouplingSpec, group: GroupSpec) -> Field:
 
 def c1_norm(f: Field, group: GroupSpec) -> float:
     """sup |f| + sup |grad_G f|, the norm the coupling is bounded in."""
-    vf = vfields.left_invariant_fields(group)
-    g = vfields.horizontal_gradient(vf, f).values
-    return f.sup_norm() + float(np.sqrt((g**2).sum(axis=0)).max())
+    return f.sup_norm() + vfields.gradient_sup(vfields.left_invariant_fields(group), f)
 
 
 def rotation_image(f: Field) -> Field:
@@ -160,16 +160,6 @@ class MFGState:
 # iteration
 # ---------------------------------------------------------------------------
 
-def _accumulated_times(t0: float, step: float, n: int) -> list[float]:
-    # same float additions the steppers perform, so lookups hit keys exactly
-    out = [t0]
-    t = t0
-    for _ in range(n):
-        t = t + step
-        out.append(t)
-    return out
-
-
 def _forward_density(
     u_traj: Trajectory,
     rho0: Field,
@@ -196,17 +186,17 @@ def _backward_value(
     """Solve the reflected problem; returns (forward u, reflected v, its data)."""
     n = len(rho_traj) - 1
     span = rho_traj.times[-1] - rho_traj.times[0]
-    r_times = _accumulated_times(0.0, step, n)
+    times = rho_traj.times
     # all snapshots, in reflected order, through one coupling product
     stack = Field(u_T.grid, np.stack([f.values for f in reversed(rho_traj.fields)]))
     smoothed = coupling_eval(stack, coupling, group).values
-    src_fields = [Field(u_T.grid, smoothed[j], r_times[j]) for j in range(n + 1)]
-    source = SourceTerm.from_sequence(r_times, src_fields)
+    source = SourceTerm.from_sequence(times, [Field(u_T.grid, v, t)
+                                              for v, t in zip(smoothed, times)])
     spec_v = HamiltonianSpec(u0=Field(u_T.grid, u_T.values, 0.0), gamma=gamma, source=source)
     v = hj_solve(spec_v, sigma, span, group, dt=step, store_every=1)
     if len(v) != n + 1:
         raise RuntimeError("value and density runs fell out of step")
-    return v.reflected(rho_traj.times), v, spec_v
+    return v.reflected(times), v, spec_v
 
 
 def _traj_sup_distance(a: Trajectory, b: Trajectory) -> float:
@@ -283,10 +273,10 @@ def mfg_picard(
         raise ValueError("horizon must be positive")
 
     seed_spec = HamiltonianSpec(u0=Field(u_T.grid, u_T.values, 0.0), gamma=gamma)
-    n = step_count(span, None, lambda: hj_stable_dt(seed_spec.u0, seed_spec, sigma, group,
-                                                    cfl_safety=PICARD_CFL_SAFETY), least=2)
+    n = step_count(span, None,
+                   lambda: PICARD_CFL_SAFETY * hj_max_stable_dt(seed_spec.u0, seed_spec, sigma, group),
+                   least=2)
     step = span / n
-    times = _accumulated_times(0.0, step, n)
 
     verdict = "no fixed point found at this T"
     note = ""
@@ -300,7 +290,7 @@ def mfg_picard(
     iterations = 0
     try:
         v0 = hj_solve(seed_spec, sigma, span, group, dt=step, store_every=1)
-        u_cur = v0.reflected(times)
+        u_cur = v0.reflected(v0.times)
         for it in range(1, max_iters + 1):
             iterations = it
             rho_cur = _forward_density(u_cur, rho0, sigma, gamma, group, step)
@@ -411,7 +401,7 @@ def mfg_residual_report(state: MFGState) -> MFGReport:
     The pairing check takes the backward solve the last sweep ran from
     the stored density, with the source rebuilt from it, and runs the
     adjoint integration from rho0; on a converged pair the identity's
-    residual stays within the two-method error bar 5 (h + dt) * scale.
+    residual stays within the two-method error bar ``HamiltonianSpec.error_bar``.
     A state with no backward solve from its density fails the audit,
     with the pairing residual and bound left NaN.
     """
@@ -428,8 +418,7 @@ def mfg_residual_report(state: MFGState) -> MFGReport:
     else:
         residual = duality_report(v_traj, spec_v, state.sigma, state.group, state.rho_initial,
                                   v_traj.times[0], v_traj.times[-1]).residual
-        h = max(state.u_terminal.grid.spacings)
-        bound = 5.0 * (h + step) * spec_v.data_scale(state.horizon)
+        bound = spec_v.error_bar(step, state.horizon)
         sup_ok = sup_bounds_report(v_traj, spec_v).ok
     rho_peak = max(f.sup_norm() for f in rho.fields)
     ok = (

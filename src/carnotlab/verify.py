@@ -1,8 +1,9 @@
 """Named end-to-end verification suites.
 
 Each suite re-runs one capability of the package from scratch at a
-fixed, documented scale and returns a SuiteResult whose rows carry the
-measured quantity, the budget it was held to, and the outcome.  The
+fixed, documented scale and returns its checks, each carrying the
+measured quantity, the budget it was held to, and the outcome, and its
+notes; ``run_suite`` names, times and wraps them in a SuiteResult.  The
 command line dispatches here (``carnotlab verify <name>``) and the
 acceptance tests call the same functions, so both report one verdict.
 
@@ -24,6 +25,7 @@ from . import heat, mfg, symbolic, vfields
 from .flat_metric import (
     DiscreteMeasure,
     MollifierSpec,
+    axiom_gaps,
     flat_distance,
     holder_in_time,
     two_dirac_distance,
@@ -37,6 +39,9 @@ from .report import Check, SuiteResult, json_text
 G = preset("heisenberg1")
 SIGMA = 0.25
 
+# what a suite returns: its checks and its notes
+Rows = tuple[tuple[Check, ...], tuple[str, ...]]
+
 
 def _box(n: int) -> GridSpec:
     return GridSpec((-2.0,) * 3, (2.0,) * 3, (n,) * 3)
@@ -46,9 +51,8 @@ def _box(n: int) -> GridSpec:
 # 1. group algebra
 # ---------------------------------------------------------------------------
 
-def group_algebra_suite() -> SuiteResult:
+def group_algebra_suite() -> Rows:
     """Group law identities on random samples plus the weighted dimension."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(2026)
     x, y, z = rng.normal(size=(3, 1000, 3)) * 2.0
     lam = rng.uniform(0.1, 4.0, size=1000)
@@ -73,16 +77,15 @@ def group_algebra_suite() -> SuiteResult:
         Check("norm_homogeneity_relative", homog, "<= 1e-10", homog <= 1e-10),
         Check("weighted_dimension", float(q), "== 4", q == 4),
     )
-    return SuiteResult("group_algebra", checks, time.perf_counter() - t0)
+    return checks, ()
 
 
 # ---------------------------------------------------------------------------
 # 2. frame calculus
 # ---------------------------------------------------------------------------
 
-def calculus_suite() -> SuiteResult:
+def calculus_suite() -> Rows:
     """Symbolic bracket identities and the discrete stencil order."""
-    t0 = time.perf_counter()
     left = vfields.left_invariant_fields(G)
     right = vfields.right_invariant_fields(G)
     bracket_bad, commute_bad, n_monomials = symbolic.bracket_failures(left, right, 4)
@@ -117,17 +120,15 @@ def calculus_suite() -> SuiteResult:
         Check("stencil_refinement_order", order, ">= 1.9", order >= 1.9),
     )
     notes = (f"{n_monomials} monomials through degree 4",)
-    return SuiteResult("calculus", checks, time.perf_counter() - t0, notes)
+    return checks, notes
 
 
 # ---------------------------------------------------------------------------
 # 3. heat flow
 # ---------------------------------------------------------------------------
 
-def heat_flow_suite() -> SuiteResult:
+def heat_flow_suite() -> Rows:
     """Sup-norm non-expansion and gradient decay on rough data."""
-    t0 = time.perf_counter()
-
     grid = _box(21)
     f0 = bump_field(grid, G, radius=1.2)
     sup0 = f0.sup_norm()
@@ -148,17 +149,15 @@ def heat_flow_suite() -> SuiteResult:
               -0.65 <= rep.slope <= -0.35),
         Check("decay_constant_positive", rep.constant, "> 0", rep.constant > 0),
     )
-    return SuiteResult("heat_flow", checks, time.perf_counter() - t0)
+    return checks, ()
 
 
 # ---------------------------------------------------------------------------
 # 4. transport-diffusion solver
 # ---------------------------------------------------------------------------
 
-def fokker_planck_suite() -> SuiteResult:
+def fokker_planck_suite() -> Rows:
     """Conservation, bounds, ball monotonicity, energy, weak form."""
-    t0 = time.perf_counter()
-
     grid41 = _box(41)
     rho_int = bump_field(grid41, G, radius=0.7, normalize=True)
     mask = make_ball_mask(grid41, G, radius=1.8)
@@ -209,16 +208,15 @@ def fokker_planck_suite() -> SuiteResult:
               "<= 1", energy.grad_energy <= energy.grad_bound),
         Check("weak_form_refinement_ratio", weak_ratio, ">= 1.7", weak_ratio >= 1.7),
     )
-    return SuiteResult("fokker_planck", checks, time.perf_counter() - t0)
+    return checks, ()
 
 
 # ---------------------------------------------------------------------------
 # 5. barrier subsolution certificate
 # ---------------------------------------------------------------------------
 
-def uniqueness_barrier_suite() -> SuiteResult:
+def uniqueness_barrier_suite() -> Rows:
     """Exponential barrier certificate at twice the bisected rate threshold."""
-    t0 = time.perf_counter()
     params = fp.SubsolutionParams(beta=0.1, beta1=1.0, tau0=0.0, tau=0.1)
 
     rep0 = fp.subsolution_check(G, params, (0.0, 0.0), SIGMA,
@@ -237,7 +235,7 @@ def uniqueness_barrier_suite() -> SuiteResult:
               0.5 <= rep0.threshold <= 1.5),
         Check("negative_control_rate_zero", worst0, "> 1e-3", worst0 > 1e-3),
     )
-    return SuiteResult("uniqueness_barrier", checks, time.perf_counter() - t0)
+    return checks, ()
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +258,8 @@ def _particle_case(tag: str, b: tuple[float, float] | None, jobs: int) -> tuple[
     return tag, res.value
 
 
-def particle_oracle_suite(*, jobs: int = 2) -> SuiteResult:
+def particle_oracle_suite(*, jobs: int = 2) -> Rows:
     """Empirical law vs grid solution at T=0.5, diffusion alone and with drift."""
-    t0 = time.perf_counter()
     cases = [("zero_drift", None), ("constant_drift", (0.2, 0.1))]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -278,7 +275,7 @@ def particle_oracle_suite(*, jobs: int = 2) -> SuiteResult:
         Check(f"particle_vs_grid_d0_{tag}", val, "<= 0.05", val <= 0.05)
         for tag, val in results
     )
-    return SuiteResult("particle_oracle", checks, time.perf_counter() - t0)
+    return checks, ()
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +330,13 @@ def _enumerated_flat_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, group) -
     return best
 
 
-def flat_metric_suite() -> SuiteResult:
+def flat_metric_suite() -> Rows:
     """LP against closed forms, vertex enumeration, metric axioms, time regularity."""
-    t0 = time.perf_counter()
-
-    def dirac(x):
-        return DiscreteMeasure(points=np.array([x], dtype=float),
-                               weights=np.array([1.0]))
-
-    origin = dirac((0.0, 0.0, 0.0))
+    origin = (0.0, 0.0, 0.0)
     form_err = 0.0
     for x in ((0.5, 0.0, 0.0), (0.0, 0.0, 1.0), (2.3, 0.0, 0.0), (0.4, -0.3, 0.7)):
-        got = flat_distance(dirac(x), origin, G).value
-        r = float(quasi_distance(G, np.array(x, dtype=float), np.zeros(3)))
-        form_err = max(form_err, abs(got - 2 * r / (r + 2)),
-                       abs(got - two_dirac_distance(G, x, (0, 0, 0))))
+        got = flat_distance(DiscreteMeasure.dirac(x), DiscreteMeasure.dirac(origin), G).value
+        form_err = max(form_err, abs(got - two_dirac_distance(G, x, origin)))
 
     rng = np.random.default_rng(7)
     enum_err = 0.0
@@ -362,21 +351,7 @@ def flat_metric_suite() -> SuiteResult:
             raise RuntimeError(f"flat distance failed: {lp.status}")
         enum_err = max(enum_err, abs(lp.value - _enumerated_flat_distance(mu, nu, G)))
 
-    rng = np.random.default_rng(3)
-    tri_worst = -np.inf
-    sym_worst = 0.0
-    for _ in range(100):
-        a, b, c = (
-            DiscreteMeasure(points=rng.uniform(-1, 1, (4, 3)),
-                            weights=rng.uniform(0.1, 1.0, 4))
-            for _ in range(3)
-        )
-        dab = flat_distance(a, b, G).value
-        dba = flat_distance(b, a, G).value
-        dbc = flat_distance(b, c, G).value
-        dac = flat_distance(a, c, G).value
-        sym_worst = max(sym_worst, abs(dab - dba))
-        tri_worst = max(tri_worst, dac - dab - dbc)
+    tri_worst, sym_worst = axiom_gaps(G, np.random.default_rng(3), 100)
 
     grid = _box(21)
     rho0 = bump_field(grid, G, radius=1.0, normalize=True)
@@ -391,17 +366,15 @@ def flat_metric_suite() -> SuiteResult:
         Check("time_regularity_exponent", hold.exponent, ">= 0.4",
               hold.verdict == "fitted" and hold.exponent >= 0.4),
     )
-    return SuiteResult("flat_metric", checks, time.perf_counter() - t0)
+    return checks, ()
 
 
 # ---------------------------------------------------------------------------
 # 8. nonlinear value equation
 # ---------------------------------------------------------------------------
 
-def hamilton_jacobi_suite() -> SuiteResult:
+def hamilton_jacobi_suite() -> Rows:
     """Exactness, bounds, mild-solution fixed point, pairing, derivative monitor."""
-    t0 = time.perf_counter()
-
     # spatially constant data: every term drops except the source ramp,
     # which must come out bitwise
     gs21 = _box(21)
@@ -425,9 +398,7 @@ def hamilton_jacobi_suite() -> SuiteResult:
 
     direct = hj.hj_solve(spec_h, SIGMA, 0.05, G)
     gap = float(np.abs(direct.final.values - traj_fp.final.values).max())
-    h = max(gs21.spacings)
-    dt_h = traj_fp.times[1] - traj_fp.times[0]
-    duhamel_budget = 5.0 * (h + dt_h) * spec_h.data_scale(0.05)
+    duhamel_budget = spec_h.error_bar(traj_fp.times[1] - traj_fp.times[0], 0.05)
 
     reps = {}
     for n in (21, 41):
@@ -462,17 +433,15 @@ def hamilton_jacobi_suite() -> SuiteResult:
         Check("derivative_monitor_excess", bern_excess, "<= 0",
               bern.ok and bern_excess <= 0.0),
     )
-    return SuiteResult("hamilton_jacobi", checks, time.perf_counter() - t0)
+    return checks, ()
 
 
 # ---------------------------------------------------------------------------
 # 9. coupled game system
 # ---------------------------------------------------------------------------
 
-def mfg_suite() -> SuiteResult:
+def mfg_suite() -> Rows:
     """Headline coupled run plus damping stability, symmetry, long horizon."""
-    t0 = time.perf_counter()
-
     gs21 = _box(21)
     c21 = mfg.CouplingSpec(mollifier=MollifierSpec.build(0.8, gs21, G), gain=1.0)
     u_T = bump_field(gs21, G, radius=1.2)
@@ -528,16 +497,15 @@ def mfg_suite() -> SuiteResult:
         f"T=5 verdict: {st_long.verdict} after {st_long.iterations} iterations "
         f"(residual_u {st_long.residuals_u[-1]:.3g})",
     )
-    return SuiteResult("mfg", checks, time.perf_counter() - t0, notes)
+    return checks, notes
 
 
 # ---------------------------------------------------------------------------
 # 10. determinism
 # ---------------------------------------------------------------------------
 
-def determinism_suite() -> SuiteResult:
+def determinism_suite() -> Rows:
     """Bit-stable reruns: particle law, worker layouts, serialized artifacts."""
-    t0 = time.perf_counter()
     grid = _box(21)
     rho0 = bump_field(grid, G, radius=1.0, normalize=True)
 
@@ -575,7 +543,7 @@ def determinism_suite() -> SuiteResult:
         Check("serialized_artifacts_identical", float(artifacts_equal), "== 1",
               artifacts_equal),
     )
-    return SuiteResult("determinism", checks, time.perf_counter() - t0)
+    return checks, ()
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +565,10 @@ SUITES = {
 
 
 def run_suite(name: str, *, jobs: int = 1) -> SuiteResult:
-    """Run one suite; jobs sets the workers of particle_oracle, the one suite that forks."""
+    """Run and time one suite; jobs sets the workers of particle_oracle, the one suite that forks."""
     if name not in SUITES:
         known = ", ".join(SUITES)
         raise ValueError(f"unknown suite {name!r}; expected one of: {known}")
-    if name == "particle_oracle":
-        return SUITES[name](jobs=jobs)
-    return SUITES[name]()
+    t0 = time.perf_counter()
+    checks, notes = SUITES[name](jobs=jobs) if name == "particle_oracle" else SUITES[name]()
+    return SuiteResult(name, checks, time.perf_counter() - t0, notes)

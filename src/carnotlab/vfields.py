@@ -146,6 +146,12 @@ def horizontal_divergence(vf: VectorFieldSet, F: Field) -> Field:
     return Field(grid, out, F.t)
 
 
+def gradient_sup(vf: VectorFieldSet, f: Field) -> float:
+    """||grad_G f||_inf, the largest Euclidean length of (X_1 f, ..., X_m f)."""
+    g = horizontal_gradient(vf, f).values
+    return float(np.sqrt((g**2).sum(axis=0)).max())
+
+
 def second_gradient_sup(vf: VectorFieldSet, f: Field) -> float:
     """max_ij ||X_i X_j f||_inf via composed first-order stencils."""
     grad = horizontal_gradient(vf, f)

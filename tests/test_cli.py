@@ -105,12 +105,12 @@ def test_heat_horizon_of_too_few_steps_is_rejected_before_any_output(old, new, t
 def test_verify_output_of_numpy_scalars_is_strict_json(tmp_path, monkeypatch, capsys):
     # suites measure with numpy: their values and verdicts arrive as
     # numpy scalars, an infinite value among them
-    def fake_suite(*, jobs=1):
+    def fake_suite():
         peak = np.float64(0.5)
-        return verify.SuiteResult("fake", (
+        return (
             verify.Check("peak", peak, "<= 1", peak <= 1.0),
             verify.Check("unbounded", np.float64(np.inf), "reported", np.bool_(True)),
-        ), 0.0)
+        ), ()
 
     monkeypatch.setitem(verify.SUITES, "fake", fake_suite)
     runs = tmp_path / "runs"
@@ -149,6 +149,10 @@ def test_mfg_solver_stop_ends_in_exit_2_and_a_failed_audit(tmp_path, capsys):
     assert not audit["ok"]
     assert sorted(manifest["artifacts"]) == sorted(
         p.name for p in outdir.iterdir() if p.name != "manifest.json")
+    # every check reports a number, and the run says why the solver stopped
+    assert all(c["value"] is not None for c in manifest["checks"])
+    assert any(n.startswith("solver stopped:") for n in manifest["notes"])
+    assert "note: solver stopped:" in (outdir / "summary.txt").read_text()
 
 
 def test_run_starts_no_more_workers_than_configs(tmp_path, monkeypatch, serial_pool, capsys):

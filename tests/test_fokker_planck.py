@@ -67,7 +67,7 @@ def test_piecewise_drift_selects_largest_time_not_beyond():
 def test_zero_drift_step_is_exactly_the_heat_step():
     grid = cgrid.default_grid(nodes=21)
     rho = bump_field(grid, G, radius=1.0, normalize=True)
-    dt = 0.5 * heat.stable_dt(grid, G, 0.25)
+    dt = 0.5 * cgrid.CFL_SAFETY * cgrid.max_stable_dt(grid, G, 0.25)
     a = fp_step(rho, DriftField.none(), 0.25, dt, G)
     b = heat.heat_step(rho, 0.25, dt, G)
     assert np.array_equal(a.values, b.values)

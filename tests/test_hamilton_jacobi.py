@@ -123,7 +123,7 @@ def test_godunov_tracks_centered_magnitude_on_smooth_data():
 def test_step_rejects_oversized_dt():
     gs = box(21)
     spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
-    limit = hj.hj_stable_dt(spec.u0, spec, SIGMA, G, cfl_safety=1.0)
+    limit = hj.hj_max_stable_dt(spec.u0, spec, SIGMA, G)
     with pytest.raises(heat.CFLViolation):
         hj.hj_step_direct(spec.u0, spec, SIGMA, 2.0 * limit, G)
 
@@ -251,6 +251,22 @@ def test_fixed_point_matches_direct_scheme(headline):
     assert gap <= 5.0 * (h + dt) * spec.data_scale(0.05)
     assert gap <= 0.08
     assert abs(direct.times[-1] - traj.times[-1]) < 1e-12
+
+
+def test_fixed_point_with_a_source_matches_direct_scheme():
+    # a static source enters every sweep (f_k = F - |grad u|^gamma) and the
+    # error bar through its horizon * ||F|| term
+    gs = box(21)
+    source = hj.SourceTerm.static(grid.Field(gs, 0.5 * grid.bump_field(gs, G, radius=1.0).values))
+    spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2), source=source)
+    mild, rep = hj.hj_fixed_point(spec, SIGMA, 0.05, G)
+    assert rep.verdict == "converged"
+    assert max(rep.ratios) < 1.0
+    direct = hj.hj_solve(spec, SIGMA, 0.05, G)
+    gap = np.abs(direct.final.values - mild.final.values).max()
+    bar = spec.error_bar(mild.times[1] - mild.times[0], 0.05)
+    assert bar == 5.0 * (max(gs.spacings) + mild.times[1] - mild.times[0]) * (1.0 + 0.05 * 0.5)
+    assert gap <= bar
 
 
 def test_fixed_point_report_fields(headline):

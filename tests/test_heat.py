@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from carnotlab import _stencils, preset
-from carnotlab.grid import Field, bump_field, constant_field, default_grid, node_coordinates
+from carnotlab.grid import (CFL_SAFETY, Field, bump_field, constant_field, default_grid,
+                            max_stable_dt, node_coordinates)
 from carnotlab.groups import hom_norm
-from carnotlab.heat import CFLViolation, evolve, heat_step, measure_gradient_decay, stable_dt
+from carnotlab.heat import CFLViolation, evolve, heat_step, measure_gradient_decay
 from carnotlab.report import json_text
 from carnotlab.vfields import horizontal_gradient, left_invariant_fields
 
@@ -31,7 +32,7 @@ def test_zero_step_is_identity():
 def test_constant_is_fixed_point():
     grid = default_grid(nodes=15)
     c = constant_field(grid, 3.7)
-    dt = stable_dt(grid, H1, 0.25)
+    dt = CFL_SAFETY * max_stable_dt(grid, H1, 0.25)
     out = heat_step(c, 0.25, dt, H1)
     assert np.array_equal(out.values, c.values)
 
@@ -46,7 +47,7 @@ def test_cfl_violation_refused():
 def test_oversized_dt_and_non_finite_steps_raise_cfl_violation():
     grid = default_grid(nodes=15)
     f = bump_field(grid, H1, radius=1.0)
-    limit = stable_dt(grid, H1, 0.25, cfl_safety=1.0)
+    limit = max_stable_dt(grid, H1, 0.25)
     with pytest.raises(CFLViolation, match="exceeds stability bound"):
         evolve(f, 0.25, 10 * limit, H1, dt=2 * limit)
     # finite data whose step overflows
@@ -87,7 +88,7 @@ def test_vertical_diffusion_degenerates_on_axis():
     grid = default_grid(nodes=21)
     _, _, zs = node_coordinates(grid)
     f = Field(grid, np.sin(zs))
-    dt = stable_dt(grid, H1, 0.25)
+    dt = CFL_SAFETY * max_stable_dt(grid, H1, 0.25)
     out = heat_step(f, 0.25, dt, H1)
     mid = grid.shape[0] // 2
     update = out.values - f.values
