@@ -371,7 +371,6 @@ class MollifierSpec:
 
     eps: float
     C: float
-    step: int
     offsets: np.ndarray
     weights: np.ndarray
     # materialised operators, keyed by the value of (grid, group)
@@ -397,7 +396,7 @@ class MollifierSpec:
         weights = raw / total
         cell = float(np.prod(h))
         C = eps**group.homogeneous_dimension / (total * cell)
-        return MollifierSpec(eps=eps, C=C, step=group.step, offsets=offsets, weights=weights)
+        return MollifierSpec(eps=eps, C=C, offsets=offsets, weights=weights)
 
 
 def kernel_field(m: MollifierSpec, grid: GridSpec, group: GroupSpec) -> Field:

@@ -138,27 +138,30 @@ def fp_solve(
     group: GroupSpec,
     mask: BallMask | None = None,
     *,
-    dt: float | None = None,
+    steps: int | None = None,
     store_every: int = 1,
 ) -> Trajectory:
-    """Evolve rho0 to t_end; returns the trajectory including both endpoints.
+    """Evolve rho0 to t_end in steps equal steps; returns the trajectory
+    including both endpoints.
 
     store_every thins the stored snapshots (the final state is always
-    kept).  Without a dt the step count is chosen once, from
+    kept).  Without a count the fewest steps no longer than
     ``grid.CFL_SAFETY`` times the stability bound at the initial drift
-    sample.  A step re-checks the bound only when its drift sample is not
-    the object the last check saw: the first step always checks, a zero
-    or constant drift never again, and a piecewise-constant drift
-    (``DriftField.from_sequence``) once at each new segment.  A
-    sampler that returns a fresh array on every call is checked on every
-    step.  store_every = 0 stores the two endpoints only.
+    sample are taken; a given count whose step exceeds the bound raises
+    CFLViolation.  A step re-checks the bound only when its drift sample
+    is not the object the last check saw: the first step always checks,
+    a zero or constant drift never again, and a piecewise-constant drift
+    (``DriftField.from_sequence``) once at each new segment.  A sampler
+    that returns a fresh array on every call is checked on every step.
+    store_every = 0 stores the two endpoints only.
     """
     span = t_end - rho0.t
     if span < 0:
         raise ValueError("t_end before the datum's time stamp")
     if span == 0:
         return Trajectory(times=(rho0.t,), fields=(rho0,))
-    n = step_count(span, dt, lambda: CFL_SAFETY * max_stable_dt(rho0.grid, group, sigma, drift.at(rho0.t)))
+    if steps is None:
+        steps = step_count(span, CFL_SAFETY * max_stable_dt(rho0.grid, group, sigma, drift.at(rho0.t)))
     checked = object()  # no drift sample has been checked yet
 
     def advance(cur: Field, step: float) -> Field:
@@ -168,7 +171,7 @@ def fp_solve(
         checked = b
         return cur
 
-    fields = march(rho0, n, span / n, advance, store_every)
+    fields = march(rho0, steps, span / steps, advance, store_every)
     return Trajectory(times=tuple(f.t for f in fields), fields=tuple(fields))
 
 
@@ -494,7 +497,7 @@ def particle_oracle(
     cdf /= cdf[-1]
     axes = grid.axes()
     if n_steps is None:
-        n_steps = step_count(t_end, None, lambda: 0.005)
+        n_steps = step_count(t_end, 0.005)
     dt = t_end / n_steps
     b_table = None
     if not drift.zero:

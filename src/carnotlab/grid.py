@@ -2,12 +2,16 @@
 
 The CFL bookkeeping serves every explicit solver of the package:
 ``max_stable_dt`` is the stability bound of the group's left-invariant
-frame, ``CFL_SAFETY`` the share of it a solver steps at when no step is
-given, ``check_dt`` refuses a step above the bound, ``step_count`` turns
-a span and a given step or a bound into a number of steps, and
-``march`` is the one marching loop, which keeps the snapshots a solver
-stores.  ``node_coordinates`` is uncached, so callers
-own its arrays; ``bump_shape`` is every bump's profile, the mollifier's too.
+frame, ``CFL_SAFETY`` the share of it a solver steps at when no step
+count is given, ``check_dt`` refuses a step above the bound,
+``step_count`` turns a span and a step bound into a number of equal
+steps, and ``march`` is the one marching loop, which keeps the
+snapshots a solver stores.  A solver given a count of n steps over a
+span steps by span / n, and its snapshot times are the running sum of
+that step from the datum's time stamp, so two runs given the same
+start, span and count stamp the same floats.  ``node_coordinates`` is
+uncached, so callers own its arrays; ``bump_shape`` is every bump's
+profile, the mollifier's too.
 """
 
 from __future__ import annotations
@@ -167,7 +171,7 @@ def make_ball_mask(grid: GridSpec, group: GroupSpec, radius: float) -> BallMask:
     return BallMask(radius=float(radius), inside=inside, boundary_layer=layer)
 
 
-# Share of the stability bound the explicit solvers step at when no dt is given.
+# Share of the stability bound the explicit solvers step at when no step count is given.
 CFL_SAFETY = 0.8
 
 
@@ -226,16 +230,9 @@ def check_dt(dt: float, limit: float) -> None:
         raise CFLViolation(f"dt={dt:g} exceeds stability bound {limit:g}")
 
 
-def step_count(span: float, dt: float | None, bound: Callable[[], float], least: int = 1) -> int:
-    """Number of equal steps that cover span, never fewer than least.
-
-    The fewest steps no longer than dt (with a 1e-12 slack, so a whole
-    number of steps up to rounding gets no extra one), or, when dt is
-    None, no longer than the safe step bound(), which is called only then.
-    """
-    if dt is not None:
-        return max(least, math.ceil(span / dt - 1e-12))
-    limit = bound()
+def step_count(span: float, limit: float, least: int = 1) -> int:
+    """The fewest equal steps no longer than limit that cover span, never
+    fewer than least (least when limit is infinite)."""
     if not math.isfinite(limit):
         return least
     return max(least, math.ceil(span / limit))

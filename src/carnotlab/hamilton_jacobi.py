@@ -56,6 +56,7 @@ the monitor failing, which is the point of the control).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,8 +97,9 @@ class SourceTerm:
         return SourceTerm(lambda t, arr=vals: arr, float(np.abs(vals).max()))
 
     @staticmethod
-    def from_sequence(times: Sequence[float], fields: Sequence[Field]) -> "SourceTerm":
-        vals = [np.asarray(f.values, dtype=float) for f in fields]
+    def from_sequence(times: Sequence[float], values: Sequence[np.ndarray]) -> "SourceTerm":
+        """Piecewise-constant in time (see ``fokker_planck.piecewise_constant``)."""
+        vals = [np.asarray(v, dtype=float) for v in values]
         if any(v.shape != vals[0].shape for v in vals):
             raise ValueError("snapshots must share one grid shape")
         return SourceTerm(piecewise_constant(times, vals), max(float(np.abs(v).max()) for v in vals))
@@ -278,14 +280,14 @@ def hj_solve(
     t_end: float,
     group: GroupSpec,
     *,
-    dt: float | None = None,
+    steps: int | None = None,
     store_every: int = 1,
 ) -> Trajectory:
-    """March the direct scheme from spec.u0 to t_end.
+    """March the direct scheme from spec.u0 to t_end in steps equal steps.
 
-    Without a dt the step count comes from ``grid.CFL_SAFETY`` times the
-    stability bound at the initial state;
-    every step re-checks the bound at the current state, because the
+    Without a count the fewest steps no longer than ``grid.CFL_SAFETY``
+    times the stability bound at the initial state are taken; every
+    step re-checks the bound at the current state, because the
     feedback drift in it moves with u, so gradient growth past the
     initial estimate fails loudly rather than drifting into instability.
     The re-check is O(N): the diffusion part and the frame coefficients
@@ -297,8 +299,9 @@ def hj_solve(
         raise ValueError("t_end before the datum's time stamp")
     if span == 0:
         return Trajectory(times=(u0.t,), fields=(u0,))
-    n = step_count(span, dt, lambda: CFL_SAFETY * hj_max_stable_dt(u0, spec, sigma, group))
-    fields = march(u0, n, span / n, lambda u, step: hj_step_direct(u, spec, sigma, step, group), store_every)
+    if steps is None:
+        steps = step_count(span, CFL_SAFETY * hj_max_stable_dt(u0, spec, sigma, group))
+    fields = march(u0, steps, span / steps, lambda u, step: hj_step_direct(u, spec, sigma, step, group), store_every)
     return Trajectory(times=tuple(f.t for f in fields), fields=tuple(fields))
 
 
@@ -435,7 +438,7 @@ def hj_fixed_point(
     span = t_end - spec.u0.t
     if span <= 0:
         raise ValueError("horizon must lie after the datum's time stamp")
-    n = step_count(span, None, lambda: CFL_SAFETY * max_stable_dt(grid, group, sigma), least=2)
+    n = step_count(span, CFL_SAFETY * max_stable_dt(grid, group, sigma), least=2)
     times = tuple(spec.u0.t + span * k / n for k in range(n + 1))
 
     scale = max(spec.data_scale(span), 1e-30)
@@ -506,10 +509,12 @@ def duality_report(
     is parabolic backward in time, so the density is integrated in the
     reversed variable r = tau - t (a forward transport-diffusion run with
     the drift sequence read off the trajectory in reverse) and mapped
-    back.  The run reuses the trajectory's own time grid; the step must
-    satisfy the transport bound for the feedback drift, which it does
-    whenever the trajectory came from hj_solve, whose bound includes the
-    same speed.
+    back.  The run takes one step of (tau - s) / n per window interval,
+    n intervals in all, and its drift is keyed by its own snapshot times,
+    the running sum of that step from 0.  The step must satisfy the
+    transport bound for the feedback drift, which it does whenever the
+    window holds every snapshot of an hj_solve run, whose bound includes
+    the same speed.
 
     Time integrals use the trapezoid rule on that grid, space integrals
     the grid sum.
@@ -523,27 +528,18 @@ def duality_report(
         raise ValueError("tau must come after s")
     window = traj.fields[i0 : i1 + 1]
     wt = ts[i0 : i1 + 1]
+    n = len(window) - 1
+    span = float(tau - s)
 
-    # drift at reversed time r corresponds to u at t = tau - r
-    rev_times = [float(tau - wt[len(wt) - 1 - j]) for j in range(len(wt))]
-    rev_values = [
-        feedback_drift(window[len(window) - 1 - j], spec.gamma, group)
-        for j in range(len(window))
-    ]
+    # the adjoint's snapshot k, stamped as its stepper stamps it, carries
+    # the drift of window snapshot n - k
+    rev_times = list(accumulate([span / n] * n, initial=0.0))
+    rev_values = [feedback_drift(f, spec.gamma, group) for f in reversed(window)]
     drift = DriftField.from_sequence(rev_times, rev_values)
-    nu = fp_solve(
-        Field(mu_tau.grid, mu_tau.values, 0.0),
-        drift,
-        sigma,
-        float(tau - s),
-        group,
-        dt=float(wt[1] - wt[0]),
-        store_every=1,
-    )
-    if len(nu) != len(window):
-        raise RuntimeError("adjoint run and trajectory window fell out of step")
+    nu = fp_solve(Field(mu_tau.grid, mu_tau.values, 0.0), drift, sigma, span, group,
+                  steps=n, store_every=1)
     # mu at window time index j is nu at reversed index
-    mu_fields = [nu.fields[len(window) - 1 - j] for j in range(len(window))]
+    mu_fields = nu.fields[::-1]
 
     vf = vfields.left_invariant_fields(group)
     cell = traj.fields[0].grid.cell_volume

@@ -34,16 +34,15 @@ def evolve(
     t_target: float,
     group: GroupSpec,
     *,
-    dt: float | None = None,
+    steps: int | None = None,
 ) -> Field:
-    """Run the heat flow from f.t to t_target by composed steps.
+    """Run the heat flow from f.t to t_target by steps equal composed steps.
 
-    When dt is not given, the steps are the fewest equal ones no longer
-    than ``grid.CFL_SAFETY`` times the stability bound that land exactly
-    on t_target; a given dt above the bound raises CFLViolation on the
-    first step.
+    Without a count the steps are the fewest equal ones no longer than
+    ``grid.CFL_SAFETY`` times the stability bound; a count whose step
+    exceeds the bound raises CFLViolation on the first step.
     """
-    out = fp_solve(f, DriftField.none(), sigma, t_target, group, dt=dt, store_every=0).final
+    out = fp_solve(f, DriftField.none(), sigma, t_target, group, steps=steps, store_every=0).final
     return out if out is f else Field(f.grid, out.values, t_target)
 
 
@@ -62,7 +61,7 @@ class DecayReport:
 def decay_ladder(grid: GridSpec, group: GroupSpec, sigma: float, t_end: float) -> tuple[float, list[int]]:
     """The stable step dt to t_end and the step counts of eight sample
     times log-spaced in [4 dt, t_end]; ValueError when 4 dt reaches t_end."""
-    n = step_count(t_end, None, lambda: CFL_SAFETY * max_stable_dt(grid, group, sigma))
+    n = step_count(t_end, CFL_SAFETY * max_stable_dt(grid, group, sigma))
     dt = t_end / n
     t_lo = 4 * dt
     if t_lo >= t_end:

@@ -18,11 +18,13 @@ backward solve smooths all n+1 density snapshots with one product.
 rho0 forward with the feedback drift; feed the mollified density back
 into the backward problem solved from u_T; mix the new value function
 in with weight theta.  The backward solve is the forward solver in the
-reflected variable r = T - t, and the two runs share one uniform step.
-The drift and source sequences are piecewise constant in time
-(``fokker_planck.piecewise_constant``), sampled at the snapshot times
-of the run that produced them: the drift at the value run's, the source
-at the density run's.
+reflected variable r = T - t.  Every solve of a run is handed the same
+horizon T and step count n, so every one steps by T / n from 0 and
+stamps the same snapshot times.  The drift and source sequences are
+piecewise constant in time (``fokker_planck.piecewise_constant``),
+keyed by the snapshot times of the run that produced them (the drift
+by the value run's, the source by the density run's), so each step
+reads the entry of its own time.
 
 Residual bookkeeping: the u-residual is the sup-norm change per
 iteration; the rho-residual is tracked through the L1 mass of the
@@ -142,6 +144,7 @@ class MFGState:
     group: GroupSpec
     u_terminal: Field
     rho_initial: Field
+    t_end: float
     tol_u: float
     tol_rho: float
     v_traj: Trajectory | None
@@ -150,10 +153,6 @@ class MFGState:
     @property
     def converged(self) -> bool:
         return self.verdict == "converged"
-
-    @property
-    def horizon(self) -> float:
-        return self.u_traj.times[-1] - self.u_traj.times[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +165,11 @@ def _forward_density(
     sigma: float,
     gamma: float,
     group: GroupSpec,
-    step: float,
+    t_end: float,
 ) -> Trajectory:
-    times = list(u_traj.times)
     values = [feedback_drift(f, gamma, group) for f in u_traj.fields]
-    drift = DriftField.from_sequence(times, values)
-    return fp_solve(rho0, drift, sigma, times[-1], group, dt=step, store_every=1)
+    drift = DriftField.from_sequence(u_traj.times, values)
+    return fp_solve(rho0, drift, sigma, t_end, group, steps=len(u_traj) - 1, store_every=1)
 
 
 def _backward_value(
@@ -181,21 +179,15 @@ def _backward_value(
     sigma: float,
     gamma: float,
     group: GroupSpec,
-    step: float,
+    t_end: float,
 ) -> tuple[Trajectory, Trajectory, HamiltonianSpec]:
     """Solve the reflected problem; returns (forward u, reflected v, its data)."""
-    n = len(rho_traj) - 1
-    span = rho_traj.times[-1] - rho_traj.times[0]
     times = rho_traj.times
     # all snapshots, in reflected order, through one coupling product
     stack = Field(u_T.grid, np.stack([f.values for f in reversed(rho_traj.fields)]))
-    smoothed = coupling_eval(stack, coupling, group).values
-    source = SourceTerm.from_sequence(times, [Field(u_T.grid, v, t)
-                                              for v, t in zip(smoothed, times)])
+    source = SourceTerm.from_sequence(times, coupling_eval(stack, coupling, group).values)
     spec_v = HamiltonianSpec(u0=Field(u_T.grid, u_T.values, 0.0), gamma=gamma, source=source)
-    v = hj_solve(spec_v, sigma, span, group, dt=step, store_every=1)
-    if len(v) != n + 1:
-        raise RuntimeError("value and density runs fell out of step")
+    v = hj_solve(spec_v, sigma, t_end, group, steps=len(rho_traj) - 1, store_every=1)
     return v.reflected(times), v, spec_v
 
 
@@ -255,9 +247,10 @@ def mfg_picard(
     change of rho; the latter is then certified with the LP metric on
     the coarsen-2 lattice.
 
-    The step is chosen once, as the fewest equal steps (at least two) no
-    longer than ``PICARD_CFL_SAFETY`` times the terminal data's bound,
-    and both solvers re-check it per step;
+    The step count n is chosen once, as the fewest equal steps (at least
+    two) no longer than ``PICARD_CFL_SAFETY`` times the terminal data's
+    bound, and every solve of the run takes n steps over [0, t_end];
+    both solvers re-check the bound per step;
     a mid-run violation or iterate escape ends the run with the
     no-fixed-point verdict rather than an exception.
     """
@@ -273,10 +266,8 @@ def mfg_picard(
         raise ValueError("horizon must be positive")
 
     seed_spec = HamiltonianSpec(u0=Field(u_T.grid, u_T.values, 0.0), gamma=gamma)
-    n = step_count(span, None,
-                   lambda: PICARD_CFL_SAFETY * hj_max_stable_dt(seed_spec.u0, seed_spec, sigma, group),
+    n = step_count(span, PICARD_CFL_SAFETY * hj_max_stable_dt(seed_spec.u0, seed_spec, sigma, group),
                    least=2)
-    step = span / n
 
     verdict = "no fixed point found at this T"
     note = ""
@@ -289,15 +280,15 @@ def mfg_picard(
     spec_last: HamiltonianSpec | None = None
     iterations = 0
     try:
-        v0 = hj_solve(seed_spec, sigma, span, group, dt=step, store_every=1)
+        v0 = hj_solve(seed_spec, sigma, span, group, steps=n, store_every=1)
         u_cur = v0.reflected(v0.times)
         for it in range(1, max_iters + 1):
             iterations = it
-            rho_cur = _forward_density(u_cur, rho0, sigma, gamma, group, step)
+            rho_cur = _forward_density(u_cur, rho0, sigma, gamma, group, span)
             # a backward solve that stops leaves none paired with rho_cur
             v_last = spec_last = None
             u_cand, v_last, spec_last = _backward_value(rho_cur, u_T, coupling, sigma, gamma,
-                                                        group, step)
+                                                        group, span)
             u_next = Trajectory(
                 times=u_cur.times,
                 fields=tuple(
@@ -325,9 +316,7 @@ def mfg_picard(
         note = f"solver stopped: {exc}"
     if rho_cur is None:
         # nothing completed; report the seed pair so the state is usable
-        rho_cur = fp_solve(
-            rho0, DriftField.none(), sigma, span, group, dt=step, store_every=1
-        )
+        rho_cur = fp_solve(rho0, DriftField.none(), sigma, span, group, steps=n, store_every=1)
     if verdict == "converged" and len(res_rho) >= 2:
         prev_for_cert = rho_prev if rho_prev is not None else rho_cur
         certified = _certify_d0(prev_for_cert, rho_cur, group)
@@ -350,6 +339,7 @@ def mfg_picard(
         group=group,
         u_terminal=u_T,
         rho_initial=rho0,
+        t_end=span,
         tol_u=tol_u,
         tol_rho=tol_rho,
         v_traj=v_last,
@@ -363,13 +353,11 @@ def fixed_point_residual(state: MFGState) -> float:
     A converged state should move by at most a couple of stopping
     tolerances when the map is applied once more.
     """
-    n = len(state.u_traj) - 1
-    step = state.horizon / n
     rho = _forward_density(
-        state.u_traj, state.rho_initial, state.sigma, state.gamma, state.group, step
+        state.u_traj, state.rho_initial, state.sigma, state.gamma, state.group, state.t_end
     )
     u_new, _, _ = _backward_value(
-        rho, state.u_terminal, state.coupling, state.sigma, state.gamma, state.group, step
+        rho, state.u_terminal, state.coupling, state.sigma, state.gamma, state.group, state.t_end
     )
     return _traj_sup_distance(u_new, state.u_traj)
 
@@ -405,8 +393,6 @@ def mfg_residual_report(state: MFGState) -> MFGReport:
     A state with no backward solve from its density fails the audit,
     with the pairing residual and bound left NaN.
     """
-    n = len(state.u_traj) - 1
-    step = state.horizon / n
     rho = state.rho_traj
     mass_error = max(abs(f.integral() - 1.0) for f in rho.fields)
     min_density = min(float(f.values.min()) for f in rho.fields)
@@ -418,7 +404,7 @@ def mfg_residual_report(state: MFGState) -> MFGReport:
     else:
         residual = duality_report(v_traj, spec_v, state.sigma, state.group, state.rho_initial,
                                   v_traj.times[0], v_traj.times[-1]).residual
-        bound = spec_v.error_bar(step, state.horizon)
+        bound = spec_v.error_bar(state.t_end / (len(v_traj) - 1), state.t_end)
         sup_ok = sup_bounds_report(v_traj, spec_v).ok
     rho_peak = max(f.sup_norm() for f in rho.fields)
     ok = (

@@ -8,6 +8,10 @@ command line dispatches here (``carnotlab verify <name>``) and the
 acceptance tests call the same functions, so both report one verdict.
 
 Suites use fixed seeds throughout; two invocations see identical data.
+Each suite imports what only it needs: sympy comes in through
+``symbolic`` for the calculus suite (and the barrier checks of
+``fokker_planck`` for the uniqueness_barrier suite), scipy through
+``flat_metric`` for the particle_oracle, flat_metric and mfg suites.
 """
 
 from __future__ import annotations
@@ -15,24 +19,20 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import fokker_planck as fp
 from . import grid as cgrid
 from . import hamilton_jacobi as hj
-from . import heat, mfg, symbolic, vfields
-from .flat_metric import (
-    DiscreteMeasure,
-    MollifierSpec,
-    axiom_gaps,
-    flat_distance,
-    holder_in_time,
-    two_dirac_distance,
-)
+from . import heat, vfields
 from .grid import Field, GridSpec, bump_field, constant_field, make_ball_mask, node_coordinates
 from .groups import dilate, hom_norm, inverse, multiply, preset, quasi_distance
 from .report import Check, SuiteResult, json_text
+
+if TYPE_CHECKING:
+    from .flat_metric import DiscreteMeasure
 
 
 # every suite runs on the first Heisenberg group, the diffusive ones at this strength
@@ -86,6 +86,8 @@ def group_algebra_suite() -> Rows:
 
 def calculus_suite() -> Rows:
     """Symbolic bracket identities and the discrete stencil order."""
+    from . import symbolic
+
     left = vfields.left_invariant_fields(G)
     right = vfields.right_invariant_fields(G)
     bracket_bad, commute_bad, n_monomials = symbolic.bracket_failures(left, right, 4)
@@ -244,6 +246,8 @@ def uniqueness_barrier_suite() -> Rows:
 
 def _particle_case(tag: str, b: tuple[float, float] | None, jobs: int) -> tuple[str, float]:
     """Flat distance between the particle law and the grid solution."""
+    from .flat_metric import DiscreteMeasure, flat_distance
+
     grid = _box(21)
     rho0 = bump_field(grid, G, radius=0.8, normalize=True)
     drift = fp.DriftField.none() if b is None else fp.DriftField.constant(b)
@@ -258,7 +262,7 @@ def _particle_case(tag: str, b: tuple[float, float] | None, jobs: int) -> tuple[
     return tag, res.value
 
 
-def particle_oracle_suite(*, jobs: int = 2) -> Rows:
+def particle_oracle_suite(*, jobs: int) -> Rows:
     """Empirical law vs grid solution at T=0.5, diffusion alone and with drift."""
     cases = [("zero_drift", None), ("constant_drift", (0.2, 0.1))]
     if jobs > 1:
@@ -332,6 +336,9 @@ def _enumerated_flat_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, group) -
 
 def flat_metric_suite() -> Rows:
     """LP against closed forms, vertex enumeration, metric axioms, time regularity."""
+    from .flat_metric import (DiscreteMeasure, axiom_gaps, flat_distance, holder_in_time,
+                              two_dirac_distance)
+
     origin = (0.0, 0.0, 0.0)
     form_err = 0.0
     for x in ((0.5, 0.0, 0.0), (0.0, 0.0, 1.0), (2.3, 0.0, 0.0), (0.4, -0.3, 0.7)):
@@ -442,6 +449,9 @@ def hamilton_jacobi_suite() -> Rows:
 
 def mfg_suite() -> Rows:
     """Headline coupled run plus damping stability, symmetry, long horizon."""
+    from . import mfg
+    from .flat_metric import MollifierSpec
+
     gs21 = _box(21)
     c21 = mfg.CouplingSpec(mollifier=MollifierSpec.build(0.8, gs21, G), gain=1.0)
     u_T = bump_field(gs21, G, radius=1.2)

@@ -355,7 +355,7 @@ def test_explicit_step_above_the_bound_raises_on_the_first_step(monkeypatch):
     limit = cgrid.max_stable_dt(grid, G, 0.25, drift.at(0.0))
     steps = _count_calls(monkeypatch, "fp_step")
     with pytest.raises(heat.CFLViolation, match="exceeds stability bound"):
-        fp_solve(rho0, drift, 0.25, 20 * limit, G, dt=1.5 * limit)
+        fp_solve(rho0, drift, 0.25, 20 * limit, G, steps=14)
     assert steps == [0.0]
 
 

@@ -50,14 +50,10 @@ def test_field_validation():
 
 
 def test_step_count_and_march():
-    def no_bound():
-        raise AssertionError("bound evaluated although dt was given")
-
-    assert step_count(1.0, 0.1, no_bound) == 10
-    assert step_count(1.0, 0.3, no_bound) == 4
-    assert step_count(1.0, 2.0, no_bound, least=2) == 2
-    assert step_count(1.0, None, lambda: 0.3) == 4
-    assert step_count(1.0, None, lambda: math.inf, least=2) == 2
+    assert step_count(1.0, 0.1) == 10
+    assert step_count(1.0, 0.3) == 4
+    assert step_count(1.0, 2.0, least=2) == 2
+    assert step_count(1.0, math.inf, least=2) == 2
 
     def add(x, h):
         return x + h

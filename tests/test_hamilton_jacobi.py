@@ -46,8 +46,8 @@ def test_spec_rejects_negative_datum():
 
 def test_source_sequence_lookup():
     gs = box(9)
-    fields = [grid.constant_field(gs, v, t) for v, t in ((1.0, 0.0), (2.0, 0.5), (5.0, 1.0))]
-    src = hj.SourceTerm.from_sequence([0.0, 0.5, 1.0], fields)
+    values = [np.full(gs.shape, v) for v in (1.0, 2.0, 5.0)]
+    src = hj.SourceTerm.from_sequence([0.0, 0.5, 1.0], values)
     assert src.at(0.2)[0, 0, 0] == 1.0
     assert src.at(0.5)[0, 0, 0] == 2.0
     assert src.at(0.7)[0, 0, 0] == 2.0
@@ -168,7 +168,7 @@ def test_heat_baseline_matches_evolve():
     n, T = 8, 0.05
     times = tuple(T * k / n for k in range(n + 1))
     base = hj.heat_baseline(spec, SIGMA, times, G)
-    ref = heat.evolve(u0, SIGMA, T, G, dt=T / n)
+    ref = heat.evolve(u0, SIGMA, T, G, steps=n)
     assert np.abs(base.final.values - ref.values).max() <= 1e-12
 
 

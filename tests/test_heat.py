@@ -49,7 +49,7 @@ def test_oversized_dt_and_non_finite_steps_raise_cfl_violation():
     f = bump_field(grid, H1, radius=1.0)
     limit = max_stable_dt(grid, H1, 0.25)
     with pytest.raises(CFLViolation, match="exceeds stability bound"):
-        evolve(f, 0.25, 10 * limit, H1, dt=2 * limit)
+        evolve(f, 0.25, 10 * limit, H1, steps=5)
     # finite data whose step overflows
     huge = Field(grid, 1e308 * f.values)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CFLViolation, match="non-finite"):
@@ -77,8 +77,8 @@ def test_semigroup_composition():
     grid = default_grid(nodes=15)
     f0 = bump_field(grid, H1, radius=1.2)
     dt = 2.0**-10
-    two_leg = evolve(evolve(f0, 0.25, 8 * dt, H1, dt=dt), 0.25, 12 * dt, H1, dt=dt)
-    one_leg = evolve(f0, 0.25, 12 * dt, H1, dt=dt)
+    two_leg = evolve(evolve(f0, 0.25, 8 * dt, H1, steps=8), 0.25, 12 * dt, H1, steps=4)
+    one_leg = evolve(f0, 0.25, 12 * dt, H1, steps=12)
     assert np.abs(two_leg.values - one_leg.values).max() <= 1e-10
 
 

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from carnotlab import grid, groups, mfg
+from carnotlab import fokker_planck, grid, groups, mfg
+from carnotlab import hamilton_jacobi as hj
 from carnotlab.flat_metric import DiscreteMeasure, MollifierSpec, flat_distance, kernel_field
 from carnotlab.report import json_text
 
@@ -249,3 +250,38 @@ def test_picard_nonconvergence_is_a_verdict(coupling15):
     rep = mfg.mfg_residual_report(st)
     assert not rep.ok
     assert rep.mass_error <= 1e-6
+
+
+def test_paired_runs_sample_drift_and_source_at_their_keys(monkeypatch):
+    # every solve of a paired run steps on the producing run's time grid,
+    # so each piecewise-constant lookup lands on a key, never just below it
+    lookups = []
+    real = fokker_planck.piecewise_constant
+
+    def recording(times, values):
+        sample, keys = real(times, values), {float(t) for t in times}
+
+        def traced(t):
+            lookups.append(t in keys)
+            return sample(t)
+
+        return traced
+
+    for module in (fokker_planck, hj):
+        monkeypatch.setattr(module, "piecewise_constant", recording)
+
+    gs = box(11)
+    c = mfg.CouplingSpec(mollifier=MollifierSpec.build(1.3, gs, G), gain=1.0)
+    u_T = grid.bump_field(gs, G, radius=1.2)
+    rho0 = grid.bump_field(gs, G, radius=1.4, normalize=True)
+    st = mfg.mfg_picard(u_T, rho0, c, SIGMA, 0.2, G, max_iters=3)
+    assert st.iterations == 3 and len(st.u_traj) == 9
+    assert len(lookups) == 72 and all(lookups)
+
+    lookups.clear()
+    gs = box(21)
+    spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
+    traj = hj.hj_solve(spec, SIGMA, 0.3, G)
+    mu = grid.bump_field(gs, G, radius=1.0, normalize=True)
+    hj.duality_report(traj, spec, SIGMA, G, mu, traj.times[0], traj.times[-1])
+    assert len(lookups) == 38 and all(lookups)

@@ -274,6 +274,9 @@ def test_stepping_modules_import_no_scipy():
         stepping + "\nimport carnotlab, carnotlab.cli, carnotlab.mfg")
     # `carnotlab schema` prints a table: neither library
     assert _loaded_libraries("from carnotlab import cli\ncli.main(['schema'])") == set()
+    # `verify` loads a library only for the suites that use it
+    assert _loaded_libraries("import carnotlab.verify") == set()
+    assert _loaded_libraries("from carnotlab import cli\ncli.main(['verify', 'group_algebra'])") == set()
     # one module of the package imports sympy
     package = os.path.dirname(os.path.abspath(carnotlab.__file__))
     importers = set()
