@@ -41,7 +41,7 @@ from . import __version__
 from . import fokker_planck as fp
 from . import hamilton_jacobi as hj
 from . import heat
-from .grid import Field, GridSpec, bump_field, dump_field_csv, node_points
+from .grid import Field, GridSpec, bump_field, default_grid, dump_field_csv, node_points
 from .groups import preset, quasi_distance
 from .report import Check, json_text, summary_rows
 
@@ -307,12 +307,6 @@ def load_config(path: str) -> tuple[dict, list[str]]:
 # scenario data
 # ---------------------------------------------------------------------------
 
-def _make_grid(cfg: dict) -> GridSpec:
-    e = cfg["grid"]["extent"]
-    n = cfg["grid"]["nodes"]
-    return GridSpec((-e,) * GRID_DIM, (e,) * GRID_DIM, (n,) * GRID_DIM)
-
-
 def _make_datum(cfg: dict, grid: GridSpec, group, *, normalize: bool | None = None) -> Field:
     d = cfg["data"]
     radius = d["radius"]
@@ -342,7 +336,7 @@ def _scenario_data(cfg: dict, group) -> dict:
     bump centred where it has no mass or an eps the lattice cannot resolve.
     """
     kind = cfg["scenario"]["kind"]
-    grid = _make_grid(cfg)
+    grid = default_grid(cfg["grid"]["extent"], cfg["grid"]["nodes"], GRID_DIM)
     data = {"grid": grid,
             "datum": _make_datum(cfg, grid, group, normalize=_DATUM_NORMALIZE[kind])}
     d, dyn = cfg["data"], cfg["dynamics"]

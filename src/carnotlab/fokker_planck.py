@@ -4,8 +4,9 @@ Solves d_t rho = sigma lap_G rho + div_G(b rho) on the box, with values
 forced to zero outside a ball mask (the truncation scheme with Dirichlet
 exterior data).  The advective flux rho Btilde, Btilde = sum_i b_i a_i,
 joins the diffusive flux on faces, so total mass moves only through
-faces and is conserved until the support touches the mask.  A sampled
-drift shares ``piecewise_constant`` with ``hamilton_jacobi.SourceTerm``.
+faces and is conserved until the support touches the mask.  The drift
+is a ``Coefficient``, the time-sampled class that also carries the
+source of ``hamilton_jacobi``.
 
 Alongside the grid solver: the weak-form residual of the defining
 identity, the L2 and gradient-energy a priori bounds, the exponential
@@ -29,7 +30,7 @@ from .groups import GroupSpec, hom_norm
 
 
 # ---------------------------------------------------------------------------
-# drift
+# time-sampled coefficients
 # ---------------------------------------------------------------------------
 
 def piecewise_constant(times: Sequence[float], values: Sequence) -> Callable[[float], object]:
@@ -49,50 +50,58 @@ def piecewise_constant(times: Sequence[float], values: Sequence) -> Callable[[fl
 
 
 @dataclass(frozen=True)
-class DriftField:
-    """Frame coefficients b(t) = (b_1, ..., b_m) of the drift sum b_i a_i.
+class Coefficient:
+    """A coefficient sampled in time: absent, constant, or piecewise constant.
 
-    sampler(t) returns either an (m,) constant vector or an (m, *shape)
-    nodal array.  Use the constructors; they record whether the drift is
-    identically zero so the solver can skip the advective flux.
+    One class backs the drift of ``fp_solve``, frame coefficients
+    b(t) = (b_1, ..., b_m) of the sum b_i a_i as an (m,) vector or an
+    (m, *shape) nodal array, and the source F(t) of ``hamilton_jacobi``,
+    a nodal array.  Use the constructors: an absent coefficient has no
+    sampler, so the solvers skip its term; bound is the largest |entry|
+    over the samples.
     """
 
-    sampler: Callable[[float], np.ndarray | None]
-    zero: bool = False
+    sampler: Callable[[float], np.ndarray] | None = None
+    bound: float = 0.0
 
     @staticmethod
-    def none() -> "DriftField":
-        return DriftField(sampler=lambda t: None, zero=True)
+    def none() -> "Coefficient":
+        return Coefficient()
 
     @staticmethod
-    def constant(coeffs: Sequence[float]) -> "DriftField":
-        vec = np.asarray(coeffs, dtype=float)
-        if vec.ndim != 1:
-            raise ValueError("constant drift takes a flat coefficient vector")
-        if np.all(vec == 0.0):
-            return DriftField.none()
-        return DriftField(sampler=lambda t, v=vec: v)
+    def constant(values: Sequence[float] | np.ndarray) -> "Coefficient":
+        """The same value at every time; an all-zero value is absent."""
+        arr = np.asarray(values, dtype=float)
+        if not arr.any():
+            return Coefficient()
+        return Coefficient(lambda t, v=arr: v, float(np.abs(arr).max()))
 
     @staticmethod
-    def from_sequence(times: Sequence[float], values: Sequence[np.ndarray]) -> "DriftField":
+    def from_sequence(times: Sequence[float], values: Sequence[np.ndarray]) -> "Coefficient":
         """Piecewise-constant in time (see ``piecewise_constant``)."""
-        return DriftField(piecewise_constant(times, [np.asarray(v, dtype=float) for v in values]))
+        vals = [np.asarray(v, dtype=float) for v in values]
+        if any(v.shape != vals[0].shape for v in vals):
+            raise ValueError("samples must share one shape")
+        return Coefficient(piecewise_constant(times, vals), max(float(np.abs(v).max()) for v in vals))
+
+    @property
+    def zero(self) -> bool:
+        return self.sampler is None
 
     def at(self, t: float) -> np.ndarray | None:
-        if self.zero:
+        if self.sampler is None:
             return None
         v = self.sampler(t)
-        if v is not None and not np.isfinite(v).all():
-            raise ValueError(f"drift not finite at t={t:g}")
+        if not np.isfinite(v).all():
+            raise ValueError(f"coefficient not finite at t={t:g}")
         return v
 
-    def sup_norm(self, t: float) -> float:
-        v = self.at(t)
-        if v is None:
-            return 0.0
-        if v.ndim == 1:
-            return float(np.sqrt((v**2).sum()))
-        return float(np.sqrt((v**2).sum(axis=0)).max())
+    def sup_norm(self) -> float:
+        """Largest |entry| over the samples (0 when absent)."""
+        return self.bound
+
+
+DriftField = SourceTerm = Coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +159,8 @@ def fp_solve(
     sample are taken; a given count whose step exceeds the bound raises
     CFLViolation.  A step re-checks the bound only when its drift sample
     is not the object the last check saw: the first step always checks,
-    a zero or constant drift never again, and a piecewise-constant drift
-    (``DriftField.from_sequence``) once at each new segment.  A sampler
+    an absent or constant drift never again, and a piecewise-constant one
+    (``Coefficient.from_sequence``) once at each new segment.  A sampler
     that returns a fresh array on every call is checked on every step.
     store_every = 0 stores the two endpoints only.
     """
@@ -286,7 +295,11 @@ def energy_report(traj: Trajectory, drift: DriftField, sigma: float, group: Grou
     vf = vfields.left_invariant_fields(group)
     times = np.asarray(traj.times)
     span = float(times[-1] - times[0])
-    b_sup = max(drift.sup_norm(float(t)) for t in times)
+    b_sup = 0.0
+    for t in times:
+        b = drift.at(float(t))
+        if b is not None:
+            b_sup = max(b_sup, float(np.sqrt((b**2).sum(axis=0)).max()))
     h_d = traj.fields[0].grid.cell_volume
     l2 = np.array([(f.values**2).sum() * h_d for f in traj.fields])
     w = _time_weights(times)
@@ -504,8 +517,6 @@ def particle_oracle(
         rows = []
         for k in range(n_steps):
             b = drift.at(k * dt)
-            if b is None:
-                b = np.zeros(group.horizontal_dim)
             if b.ndim != 1:
                 raise NotImplementedError("particle oracle takes constant-coefficient drift")
             rows.append(b[:group.horizontal_dim])

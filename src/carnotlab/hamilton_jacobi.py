@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from . import _stencils, vfields
 from .grid import CFL_SAFETY, CFLViolation, Field, Trajectory, check_dt, march, max_stable_dt, step_count
 from .groups import GroupSpec
 from .heat import heat_step
-from .fokker_planck import DriftField, fp_solve, piecewise_constant
+from .fokker_planck import DriftField, SourceTerm, fp_solve
 
 
 class DivergenceError(RuntimeError):
@@ -76,66 +76,19 @@ class DivergenceError(RuntimeError):
 # problem data
 # ---------------------------------------------------------------------------
 
-class SourceTerm:
-    """Right-hand side F(t, x): absent, static, or piecewise-constant in t.
-
-    Piecewise sampling is the drift's (``fokker_planck.piecewise_constant``):
-    at time t the entry with the largest sample time <= t applies.
-    """
-
-    def __init__(self, sampler: Callable[[float], np.ndarray] | None, bound: float):
-        self._sampler = sampler
-        self._bound = float(bound)
-
-    @staticmethod
-    def none() -> "SourceTerm":
-        return SourceTerm(None, 0.0)
-
-    @staticmethod
-    def static(field: Field) -> "SourceTerm":
-        vals = np.asarray(field.values, dtype=float)
-        return SourceTerm(lambda t, arr=vals: arr, float(np.abs(vals).max()))
-
-    @staticmethod
-    def from_sequence(times: Sequence[float], values: Sequence[np.ndarray]) -> "SourceTerm":
-        """Piecewise-constant in time (see ``fokker_planck.piecewise_constant``)."""
-        vals = [np.asarray(v, dtype=float) for v in values]
-        if any(v.shape != vals[0].shape for v in vals):
-            raise ValueError("snapshots must share one grid shape")
-        return SourceTerm(piecewise_constant(times, vals), max(float(np.abs(v).max()) for v in vals))
-
-    @property
-    def zero(self) -> bool:
-        return self._sampler is None
-
-    def at(self, t: float) -> np.ndarray | None:
-        if self._sampler is None:
-            return None
-        v = self._sampler(t)
-        if not np.isfinite(v).all():
-            raise ValueError(f"source not finite at t={t:g}")
-        return v
-
-    def sup_norm(self) -> float:
-        """Largest |F| over the stored samples (0 when absent)."""
-        return self._bound
-
-
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Data for one initial-value problem: u0 >= 0, power gamma >= 2, source."""
 
     u0: Field
     gamma: float = 2.0
-    source: SourceTerm | None = None
+    source: SourceTerm = SourceTerm()
 
     def __post_init__(self) -> None:
         if self.gamma < 2.0:
             raise ValueError("gamma must be >= 2")
         if float(self.u0.values.min()) < 0.0:
             raise ValueError("initial datum must be nonnegative")
-        if self.source is None:
-            object.__setattr__(self, "source", SourceTerm.none())
 
     def data_scale(self, horizon: float) -> float:
         """||u0||_inf + T ||F||_inf, the natural size of solutions up to T."""
@@ -590,13 +543,10 @@ def sup_bounds_report(traj: Trajectory, spec: HamiltonianSpec) -> SupBoundsRepor
     factor (gamma+1)/(gamma-1).  Both sides get a relative slack of 1e-3
     on the data scale for the discretization.
     """
-    horizon = traj.times[-1] - traj.times[0]
-    scale = max(spec.data_scale(horizon), 1e-30)
-    tol = 1e-3 * scale
-    upper = spec.u0.sup_norm() + horizon * spec.source.sup_norm() + tol
-    lower = -((spec.gamma + 1.0) / (spec.gamma - 1.0)) * (
-        spec.u0.sup_norm() + horizon * spec.source.sup_norm()
-    ) - tol
+    data = spec.data_scale(traj.times[-1] - traj.times[0])
+    tol = 1e-3 * max(data, 1e-30)
+    upper = data + tol
+    lower = -((spec.gamma + 1.0) / (spec.gamma - 1.0)) * data - tol
     mx = max(float(f.values.max()) for f in traj.fields)
     mn = min(float(f.values.min()) for f in traj.fields)
     return SupBoundsReport(
@@ -660,16 +610,13 @@ def bernstein_report(
         return [float(np.abs(g[i][win]).max()) for i in range(m)]
 
     init = dir_sups(traj.fields[0])
-    if spec.source.zero:
-        src = [0.0] * m
-    else:
-        src = [0.0] * m
-        for t in traj.times:
-            fs = spec.source.at(float(t))
-            if fs is None:
-                continue
-            sv = dir_sups(Field(grid, fs, float(t)))
-            src = [max(a, b) for a, b in zip(src, sv)]
+    src = [0.0] * m
+    for t in traj.times:
+        fs = spec.source.at(float(t))
+        if fs is None:
+            continue
+        sv = dir_sups(Field(grid, fs, float(t)))
+        src = [max(a, b) for a, b in zip(src, sv)]
     observed = [0.0] * m
     for f in traj.fields:
         sv = dir_sups(f)

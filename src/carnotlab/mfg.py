@@ -49,14 +49,13 @@ import numpy as np
 
 from . import vfields
 from .flat_metric import DiscreteMeasure, MollifierSpec, flat_distance, mollify
-from .fokker_planck import DriftField, fp_solve
+from .fokker_planck import DriftField, SourceTerm, fp_solve
 from .grid import Field, Trajectory, step_count
 from .groups import GroupSpec
 from .hamilton_jacobi import (
     CFLViolation,
     DivergenceError,
     HamiltonianSpec,
-    SourceTerm,
     duality_report,
     feedback_drift,
     hj_max_stable_dt,

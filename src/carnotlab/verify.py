@@ -27,7 +27,7 @@ from . import fokker_planck as fp
 from . import grid as cgrid
 from . import hamilton_jacobi as hj
 from . import heat, vfields
-from .grid import Field, GridSpec, bump_field, constant_field, make_ball_mask, node_coordinates
+from .grid import Field, bump_field, constant_field, default_grid, make_ball_mask, node_coordinates
 from .groups import dilate, hom_norm, inverse, multiply, preset, quasi_distance
 from .report import Check, SuiteResult, json_text
 
@@ -41,10 +41,6 @@ SIGMA = 0.25
 
 # what a suite returns: its checks and its notes
 Rows = tuple[tuple[Check, ...], tuple[str, ...]]
-
-
-def _box(n: int) -> GridSpec:
-    return GridSpec((-2.0,) * 3, (2.0,) * 3, (n,) * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +102,7 @@ def calculus_suite() -> Rows:
         exact = symbolic.laplacian_function(left, poly)
         errs = []
         for nodes in (21, 41):
-            grid = _box(nodes)
+            grid = default_grid(nodes=nodes)
             xs, ys, zs = node_coordinates(grid)
             got = vfields.horizontal_laplacian(left, Field(grid, poly(xs, ys, zs))).values
             want = np.broadcast_to(exact(xs, ys, zs), grid.shape)
@@ -131,7 +127,7 @@ def calculus_suite() -> Rows:
 
 def heat_flow_suite() -> Rows:
     """Sup-norm non-expansion and gradient decay on rough data."""
-    grid = _box(21)
+    grid = default_grid(nodes=21)
     f0 = bump_field(grid, G, radius=1.2)
     sup0 = f0.sup_norm()
     f = f0
@@ -140,7 +136,7 @@ def heat_flow_suite() -> Rows:
         f = heat.evolve(f, SIGMA, t, G)
         worst = max(worst, f.sup_norm() / sup0 - 1.0)
 
-    grid41 = _box(41)
+    grid41 = default_grid(nodes=41)
     pts = np.stack(node_coordinates(grid41), axis=-1)
     rough = Field(grid41, (hom_norm(G, pts) < 1.0).astype(float))
     rep = heat.measure_gradient_decay(rough, SIGMA, 0.2, G)
@@ -160,14 +156,14 @@ def heat_flow_suite() -> Rows:
 
 def fokker_planck_suite() -> Rows:
     """Conservation, bounds, ball monotonicity, energy, weak form."""
-    grid41 = _box(41)
+    grid41 = default_grid(nodes=41)
     rho_int = bump_field(grid41, G, radius=0.7, normalize=True)
     mask = make_ball_mask(grid41, G, radius=1.8)
     traj = fp.fp_solve(rho_int, fp.DriftField.constant((0.3, -0.2)), SIGMA, 0.05, G,
-                       mask=mask, store_every=10 ** 9)
+                       mask=mask, store_every=0)
     mass_err = abs(traj.final.integral() - 1.0)
 
-    grid21 = _box(21)
+    grid21 = default_grid(nodes=21)
     rho0 = bump_field(grid21, G, radius=1.0, normalize=True)
     traj_b = fp.fp_solve(rho0, fp.DriftField.constant((0.5, 0.25)), SIGMA, 0.1, G,
                          store_every=1)
@@ -175,7 +171,7 @@ def fokker_planck_suite() -> Rows:
     sup_excess = max(f.values.max() for f in traj_b.fields) / sup0 - 1.0
     rho0_41 = bump_field(grid41, G, radius=1.0, normalize=True)
     traj_f = fp.fp_solve(rho0_41, fp.DriftField.constant((0.5, 0.25)), SIGMA, 0.1, G,
-                         store_every=10 ** 9)
+                         store_every=0)
     floor = float(traj_f.final.values.min()) / rho0_41.sup_norm()
 
     mono = fp.r_monotonicity_report(rho_int, fp.DriftField.constant((0.3, 0.0)),
@@ -185,7 +181,7 @@ def fokker_planck_suite() -> Rows:
 
     residuals = []
     for nodes in (21, 41):
-        grid = _box(nodes)
+        grid = default_grid(nodes=nodes)
         r0 = bump_field(grid, G, radius=1.0, normalize=True)
         tr = fp.fp_solve(r0, fp.DriftField.constant((0.4, 0.2)), SIGMA, 0.05, G,
                          store_every=1)
@@ -248,10 +244,10 @@ def _particle_case(tag: str, b: tuple[float, float] | None, jobs: int) -> tuple[
     """Flat distance between the particle law and the grid solution."""
     from .flat_metric import DiscreteMeasure, flat_distance
 
-    grid = _box(21)
+    grid = default_grid(nodes=21)
     rho0 = bump_field(grid, G, radius=0.8, normalize=True)
     drift = fp.DriftField.none() if b is None else fp.DriftField.constant(b)
-    pde = fp.fp_solve(rho0, drift, SIGMA, 0.5, G, store_every=10 ** 9).final
+    pde = fp.fp_solve(rho0, drift, SIGMA, 0.5, G, store_every=0).final
     emp = fp.particle_oracle(rho0, drift, SIGMA, 0.5, G,
                              n_particles=100_000, seed=424242, jobs=jobs)
     mu = DiscreteMeasure.from_field(emp, coarsen=2)
@@ -360,7 +356,7 @@ def flat_metric_suite() -> Rows:
 
     tri_worst, sym_worst = axiom_gaps(G, np.random.default_rng(3), 100)
 
-    grid = _box(21)
+    grid = default_grid(nodes=21)
     rho0 = bump_field(grid, G, radius=1.0, normalize=True)
     traj = fp.fp_solve(rho0, fp.DriftField.none(), 0.25, 0.1, G, store_every=1)
     hold = holder_in_time(traj, G, coarsen=2)
@@ -384,10 +380,10 @@ def hamilton_jacobi_suite() -> Rows:
     """Exactness, bounds, mild-solution fixed point, pairing, derivative monitor."""
     # spatially constant data: every term drops except the source ramp,
     # which must come out bitwise
-    gs21 = _box(21)
+    gs21 = default_grid(nodes=21)
     c0 = 1.3
     spec_c = hj.HamiltonianSpec(u0=constant_field(gs21, 0.0),
-                                source=hj.SourceTerm.static(constant_field(gs21, c0)))
+                                source=hj.SourceTerm.constant(constant_field(gs21, c0).values))
     traj_c = hj.hj_solve(spec_c, SIGMA, 0.05, G)
     ramp_err = max(
         float(np.abs(f.values - c0 * t).max())
@@ -409,7 +405,7 @@ def hamilton_jacobi_suite() -> Rows:
 
     reps = {}
     for n in (21, 41):
-        gsd = _box(n)
+        gsd = default_grid(nodes=n)
         spec_d = hj.HamiltonianSpec(u0=bump_field(gsd, G, radius=1.2))
         traj_d = hj.hj_solve(spec_d, SIGMA, 0.3, G)
         mu = bump_field(gsd, G, radius=1.0, normalize=True)
@@ -419,7 +415,7 @@ def hamilton_jacobi_suite() -> Rows:
     # mass-1 adjoint: total gradient cost is capped by twice the data scale
     comb = reps[41].gradient_term / (2.0 * 1.0)
 
-    gs41 = _box(41)
+    gs41 = default_grid(nodes=41)
     _, Y, Z = node_coordinates(gs41)
     r2 = (Y / 1.2) ** 2 + (Z / 1.2) ** 2
     with np.errstate(divide="ignore", over="ignore"):
@@ -452,7 +448,7 @@ def mfg_suite() -> Rows:
     from . import mfg
     from .flat_metric import MollifierSpec
 
-    gs21 = _box(21)
+    gs21 = default_grid(nodes=21)
     c21 = mfg.CouplingSpec(mollifier=MollifierSpec.build(0.8, gs21, G), gain=1.0)
     u_T = bump_field(gs21, G, radius=1.2)
     rho0 = bump_field(gs21, G, radius=1.4, normalize=True)
@@ -461,7 +457,7 @@ def mfg_suite() -> Rows:
     cert_worst = max((v for _, v in state.d0_certified), default=float("inf"))
     regap = mfg.fixed_point_residual(state) if state.converged else float("inf")
 
-    gs15 = _box(15)
+    gs15 = default_grid(nodes=15)
     c15 = mfg.CouplingSpec(mollifier=MollifierSpec.build(0.9, gs15, G), gain=1.0)
     u_T15 = bump_field(gs15, G, radius=1.2)
     rho15 = bump_field(gs15, G, radius=1.0, normalize=True)
@@ -471,12 +467,8 @@ def mfg_suite() -> Rows:
         st = mfg.mfg_picard(u_T15, rho15, c15, SIGMA, 0.1, G, theta=theta)
         all_converged = all_converged and st.converged
         limits[theta] = st.u_traj
-    theta_gap = 0.0
-    for a, b in ((0.3, 0.5), (0.3, 0.8), (0.5, 0.8)):
-        theta_gap = max(theta_gap, max(
-            float(np.abs(fa.values - fb.values).max())
-            for fa, fb in zip(limits[a].fields, limits[b].fields)
-        ))
+    theta_gap = max(mfg._traj_sup_distance(limits[a], limits[b])
+                    for a, b in ((0.3, 0.5), (0.3, 0.8), (0.5, 0.8)))
 
     st_sym = mfg.mfg_picard(u_T15, rho15, c15, SIGMA, 0.1, G, max_iters=4, tol_u=0.0)
     sym_worst = 0.0
@@ -516,7 +508,7 @@ def mfg_suite() -> Rows:
 
 def determinism_suite() -> Rows:
     """Bit-stable reruns: particle law, worker layouts, serialized artifacts."""
-    grid = _box(21)
+    grid = default_grid(nodes=21)
     rho0 = bump_field(grid, G, radius=1.0, normalize=True)
 
     a = fp.particle_oracle(rho0, fp.DriftField.none(), SIGMA, 0.05, G,
@@ -540,7 +532,7 @@ def determinism_suite() -> Rows:
             spec = hj.HamiltonianSpec(u0=bump_field(grid, G, radius=1.2))
             _, rep = hj.hj_fixed_point(spec, SIGMA, 0.05, G)
             tr = fp.fp_solve(rho0, fp.DriftField.constant((0.2, 0.1)), SIGMA, 0.05, G,
-                             store_every=10 ** 9)
+                             store_every=0)
             path = Path(tmp) / f"run{k}.csv"
             cgrid.dump_field_csv(tr.final, str(path))
             docs.append((json_text(rep), path.read_bytes(),

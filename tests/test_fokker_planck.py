@@ -13,6 +13,7 @@ from carnotlab import grid as cgrid
 from carnotlab import groups, heat
 from carnotlab.flat_metric import DiscreteMeasure, flat_distance
 from carnotlab.fokker_planck import (
+    Coefficient,
     DriftField,
     EnergyReport,
     SubsolutionParams,
@@ -50,7 +51,7 @@ def test_constant_drift_values_and_sup():
     d = DriftField.constant((0.5, -0.25))
     assert np.array_equal(d.at(0.0), [0.5, -0.25])
     assert np.array_equal(d.at(10.0), [0.5, -0.25])
-    assert d.sup_norm(0.0) == pytest.approx(np.hypot(0.5, 0.25))
+    assert d.sup_norm() == 0.5
 
 
 def test_piecewise_drift_selects_largest_time_not_beyond():
@@ -58,6 +59,17 @@ def test_piecewise_drift_selects_largest_time_not_beyond():
     assert np.array_equal(d.at(0.5), [1.0, 0.0])
     assert np.array_equal(d.at(1.0), [0.0, 2.0])
     assert np.array_equal(d.at(5.0), [0.0, 2.0])
+
+
+def test_coefficient_refuses_bad_input():
+    with pytest.raises(ValueError, match="one shape"):
+        Coefficient.from_sequence((0.0, 1.0), (np.zeros(2), np.ones((2, 3, 3, 3))))
+    c = Coefficient.from_sequence((0.0, 1.0), (np.array([1.0, 0.0]), np.array([np.nan, 0.0])))
+    assert np.array_equal(c.at(0.5), [1.0, 0.0])
+    with pytest.raises(ValueError, match="not finite"):
+        c.at(1.0)
+    nodal = Coefficient.constant(np.zeros((2, 5, 5, 5)))
+    assert nodal.zero and nodal.at(0.0) is None and nodal.sup_norm() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +144,7 @@ def test_energy_bounds_with_drift():
     rep = energy_report(traj, drift, 0.25, G)
     assert isinstance(rep, EnergyReport)
     assert rep.ok
+    assert rep.drift_sup == pytest.approx(np.hypot(0.5, 0.25))
     assert rep.l2_peak <= rep.l2_bound
     assert rep.grad_energy <= rep.grad_bound
 

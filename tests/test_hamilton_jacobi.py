@@ -63,7 +63,7 @@ def test_data_scale_combines_datum_and_source():
     gs = box(9)
     spec = hj.HamiltonianSpec(
         u0=grid.constant_field(gs, 2.0),
-        source=hj.SourceTerm.static(grid.constant_field(gs, 3.0)),
+        source=hj.SourceTerm.constant(grid.constant_field(gs, 3.0).values),
     )
     assert spec.data_scale(0.5) == pytest.approx(2.0 + 0.5 * 3.0)
 
@@ -84,11 +84,27 @@ def test_constant_source_gives_linear_ramp_exactly():
     c0 = 1.3
     spec = hj.HamiltonianSpec(
         u0=grid.constant_field(gs, 0.0),
-        source=hj.SourceTerm.static(grid.constant_field(gs, c0)),
+        source=hj.SourceTerm.constant(grid.constant_field(gs, c0).values),
     )
     traj = hj.hj_solve(spec, SIGMA, 0.05, G)
     worst = max(np.abs(f.values - c0 * t).max() for t, f in zip(traj.times, traj.fields))
     assert worst == 0.0
+
+
+def test_hopf_cole_exact_reference():
+    # gamma = 2 and F = 0: u = -sigma log w with w the heat flow of
+    # exp(-u0 / sigma) solves the equation exactly (Hopf 1950, Cole 1951),
+    # so the direct scheme's gap to it is first order in h
+    T = 0.2
+    gaps = []
+    for n in (11, 21, 41):
+        gs = box(n)
+        u0 = grid.bump_field(gs, G, radius=1.2, amplitude=0.5)
+        u = hj.hj_solve(hj.HamiltonianSpec(u0=u0), SIGMA, T, G).final
+        w = heat.evolve(grid.Field(gs, np.exp(-u0.values / SIGMA)), SIGMA, T, G)
+        gaps.append(float(np.abs(u.values + SIGMA * np.log(w.values)).max()))
+    assert all(a >= 1.9 * b for a, b in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] <= 1.0e-2, gaps
 
 
 def test_godunov_gradient_on_linear_data():
@@ -257,7 +273,7 @@ def test_fixed_point_with_a_source_matches_direct_scheme():
     # a static source enters every sweep (f_k = F - |grad u|^gamma) and the
     # error bar through its horizon * ||F|| term
     gs = box(21)
-    source = hj.SourceTerm.static(grid.Field(gs, 0.5 * grid.bump_field(gs, G, radius=1.0).values))
+    source = hj.SourceTerm.constant(0.5 * grid.bump_field(gs, G, radius=1.0).values)
     spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2), source=source)
     mild, rep = hj.hj_fixed_point(spec, SIGMA, 0.05, G)
     assert rep.verdict == "converged"
@@ -326,7 +342,7 @@ def test_duality_exact_for_spatially_constant_solution():
     gs = box(21)
     spec = hj.HamiltonianSpec(
         u0=grid.constant_field(gs, 0.4),
-        source=hj.SourceTerm.static(grid.constant_field(gs, 0.9)),
+        source=hj.SourceTerm.constant(grid.constant_field(gs, 0.9).values),
     )
     traj = hj.hj_solve(spec, SIGMA, 0.1, G)
     mu = grid.bump_field(gs, G, radius=1.0, normalize=True)

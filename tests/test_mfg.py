@@ -267,8 +267,7 @@ def test_paired_runs_sample_drift_and_source_at_their_keys(monkeypatch):
 
         return traced
 
-    for module in (fokker_planck, hj):
-        monkeypatch.setattr(module, "piecewise_constant", recording)
+    monkeypatch.setattr(fokker_planck, "piecewise_constant", recording)
 
     gs = box(11)
     c = mfg.CouplingSpec(mollifier=MollifierSpec.build(1.3, gs, G), gain=1.0)
