@@ -13,7 +13,9 @@ of the two adjacent nodes; the advective part upwinds on the donor cell
 with respect to the transport velocity -Btilde.
 
 There are two explicit steps, ``fokker_planck.fp_step`` (the heat step
-is this step without drift) and ``hamilton_jacobi.hj_step_direct``.
+is this step without drift) and ``hamilton_jacobi.hj_step_direct``;
+``vfields.horizontal_laplacian`` is the same divergence at sigma = 1
+without drift, so the calculus suite certifies the operator they step with.
 Everything they read about one frame on one grid is a ``FrameTables``
 entry of ``_GEOM_CACHE``, keyed by ``(grid, vf)``.  A ``VectorFieldSet``
 is a frozen tuple of polynomials, so the key holds the value of the
@@ -28,14 +30,15 @@ Python float and every other one a read-only array:
 
 * ``coef[i][l]``: component l of field i at the nodes, None where the
   polynomial is 0 (read by ``grid.max_stable_dt``,
-  ``hamilton_jacobi.godunov_gradient`` and the horizontal gradient,
-  divergence and Laplacian of ``vfields``; ``_products`` forms A_kl
-  from it for the Laplacian and for ``diffusion``);
+  ``hamilton_jacobi.godunov_gradient`` and the horizontal gradient and
+  divergence of ``vfields``; ``_products`` forms A_kl from it for
+  ``diffusion``);
 * ``upwind[i][l]``: the sign split (``coef[i][l] > 0``, ``coef[i][l] <= 0``)
   of each array coefficient, read by ``godunov_gradient`` to pick the
   upwind side node by node;
-* the face tables of ``flux_divergence``, which both steps call,
-  sigma-free and pre-scaled by the grid spacings: ``diag[k]`` = A_kk/h_k^2, ``cross[k]`` = (l, A_kl/(4 h_k h_l))
+* the face tables of ``flux_divergence``, which both steps and the
+  horizontal Laplacian call, sigma-free and pre-scaled by the grid
+  spacings: ``diag[k]`` = A_kk/h_k^2, ``cross[k]`` = (l, A_kl/(4 h_k h_l))
   for l != k and ``drift[k]`` = (i, a_face[k][i]/h_k), all on k-faces.
 
 ``diffusion`` is the diffusion part of the CFL denominator at sigma = 1,
@@ -155,9 +158,10 @@ class FrameTables:
 
     Readers: ``kernel.coef`` by ``grid.max_stable_dt``,
     ``hamilton_jacobi.godunov_gradient`` and ``vfields.horizontal_gradient``
-    / ``horizontal_divergence`` / ``horizontal_laplacian``;
+    / ``horizontal_divergence``;
     ``kernel.upwind`` by ``godunov_gradient``;
-    ``kernel.diag``/``cross``/``drift`` by ``flux_divergence``;
+    ``kernel.diag``/``cross``/``drift`` by ``flux_divergence``, which
+    ``vfields.horizontal_laplacian`` calls too;
     ``diffusion``/``diffusion_max`` by ``grid.max_stable_dt``.  ``a``, ``A``
     and ``a_face`` are the full arrays the reference kernels of the tests
     read; they are built lazily, only when such a test asks for them.

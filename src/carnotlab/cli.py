@@ -17,9 +17,9 @@ duality kinds load numpy only, the mfg and metric kinds add scipy (through
 for the suites that use them.
 
 Exit codes: 0 when every asserted invariant passes, 1 on invariant
-failure, 2 on solver non-convergence, 64 on a malformed config or bad
-usage.  For a fixed config and seed the artifact bytes are identical
-across runs; wall-clock time only ever enters the directory name.
+failure, 2 on solver non-convergence or a solver stop, 64 on a malformed
+config or bad usage.  For a fixed config and seed the artifact bytes are
+identical across runs; wall-clock time only ever enters the directory name.
 Every JSON file, report and manifest alike, is written by
 ``report.json_text``, which is passed the report objects as they are.
 """
@@ -41,7 +41,7 @@ from . import __version__
 from . import fokker_planck as fp
 from . import hamilton_jacobi as hj
 from . import heat
-from .grid import Field, GridSpec, bump_field, default_grid, dump_field_csv, node_points
+from .grid import CFLViolation, Field, GridSpec, bump_field, default_grid, dump_field_csv, node_points
 from .groups import preset, quasi_distance
 from .report import Check, json_text, summary_rows
 
@@ -358,11 +358,10 @@ def _scenario_data(cfg: dict, group) -> dict:
 # ---------------------------------------------------------------------------
 
 class RunOutcome:
-    """Rows, artifact files, and the convergence flag of one scenario."""
+    """Rows, notes, and the convergence flag of one scenario."""
 
     def __init__(self) -> None:
         self.checks: list[Check] = []
-        self.artifacts: list[str] = []
         self.notes: list[str] = []
         self.nonconverged = False
 
@@ -378,16 +377,14 @@ class RunOutcome:
         return EXIT_INVARIANT
 
 
-def _write_json(outdir: str, name: str, payload) -> str:
+def _write_json(outdir: str, name: str, payload) -> None:
     """Write payload through ``report.json_text``."""
     with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
         fh.write(json_text(payload))
-    return name
 
 
-def _write_field(outdir: str, name: str, field: Field) -> list[str]:
+def _write_field(outdir: str, name: str, field: Field) -> None:
     dump_field_csv(field, os.path.join(outdir, name))
-    return [name, name + ".json"]
 
 
 def _run_heat(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
@@ -407,9 +404,9 @@ def _run_heat(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcom
             tol["slope_lo"] <= rep.slope <= tol["slope_hi"])
     out.add("gradient_decay_constant", rep.constant, "> 0", rep.constant > 0)
 
-    out.artifacts += _write_field(outdir, "state_initial.csv", f0)
-    out.artifacts += _write_field(outdir, "state_final.csv", f_end)
-    out.artifacts.append(_write_json(outdir, "decay_report.json", rep))
+    _write_field(outdir, "state_initial.csv", f0)
+    _write_field(outdir, "state_final.csv", f_end)
+    _write_json(outdir, "decay_report.json", rep)
     return out
 
 
@@ -443,15 +440,15 @@ def _run_fp(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     erep = fp.energy_report(traj, drift, dyn["sigma"], group)
     out.add("energy_bounds_hold", float(erep.ok), "== 1", erep.ok)
 
-    out.artifacts += _write_field(outdir, "density_final.csv", traj.final)
-    out.artifacts.append(_write_json(outdir, "fp_report.json", {
+    _write_field(outdir, "density_final.csv", traj.final)
+    _write_json(outdir, "fp_report.json", {
         "times": list(traj.times),
         "masses": masses,
         "sup_peak": peak,
         "final_min": low,
         "transient_min": transient,
         "energy": erep,
-    }))
+    })
     return out
 
 
@@ -477,9 +474,9 @@ def _run_hj(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
     budget = spec.error_bar(mild.times[1] - mild.times[0], dyn["t_end"])
     out.add("mild_vs_direct_gap", gap, f"<= {budget:.3g}", gap <= budget)
 
-    out.artifacts += _write_field(outdir, "value_final.csv", direct.final)
-    out.artifacts.append(_write_json(outdir, "fixed_point_report.json", frep))
-    out.artifacts.append(_write_json(outdir, "sup_bounds_report.json", srep))
+    _write_field(outdir, "value_final.csv", direct.final)
+    _write_json(outdir, "fixed_point_report.json", frep)
+    _write_json(outdir, "sup_bounds_report.json", srep)
     out.notes.append(f"fixed point verdict: {frep.verdict}")
     return out
 
@@ -502,8 +499,8 @@ def _run_duality(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOut
     frac = rep.gradient_term / (2.0 * spec.data_scale(dyn["t_end"]))
     out.add("accumulated_gradient_fraction", frac, "<= 1.01", frac <= 1.01)
 
-    out.artifacts += _write_field(outdir, "value_final.csv", traj.final)
-    out.artifacts.append(_write_json(outdir, "duality_report.json", rep))
+    _write_field(outdir, "value_final.csv", traj.final)
+    _write_json(outdir, "duality_report.json", rep)
     return out
 
 
@@ -536,9 +533,9 @@ def _run_mfg(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome
     rep = mfg.mfg_residual_report(state)
     out.add("audit_ok", float(rep.ok), "== 1", rep.ok)
 
-    out.artifacts += _write_field(outdir, "value_initial.csv", state.u_traj.fields[0])
-    out.artifacts += _write_field(outdir, "density_final.csv", state.rho_traj.final)
-    out.artifacts.append(_write_json(outdir, "mfg_report.json", rep))
+    _write_field(outdir, "value_initial.csv", state.u_traj.fields[0])
+    _write_field(outdir, "density_final.csv", state.rho_traj.final)
+    _write_json(outdir, "mfg_report.json", rep)
     return out
 
 
@@ -572,12 +569,12 @@ def _run_metric(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutc
     out.add("time_regularity_exponent", hold.exponent, ">= 0.4",
             hold.verdict == "fitted" and hold.exponent >= 0.4)
 
-    out.artifacts.append(_write_json(outdir, "metric_report.json", {
+    _write_json(outdir, "metric_report.json", {
         "dirac_pairs": pair_log,
         "triangle_worst_violation": tri_worst,
         "symmetry_worst_gap": sym_worst,
         "holder": hold,
-    }))
+    })
     return out
 
 
@@ -636,11 +633,15 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(outdir: str, artifacts, **fields) -> None:
-    """manifest.json: fields, the hash of every artifact and the package stamp."""
+def _write_manifest(outdir: str, **fields) -> None:
+    """manifest.json: fields, the hash of every file in outdir and the package stamp.
+
+    Written last, so its artifacts are exactly the directory's other files.
+    """
     _write_json(outdir, "manifest.json", {
         **fields,
-        "artifacts": {name: _sha256(os.path.join(outdir, name)) for name in artifacts},
+        "artifacts": {name: _sha256(os.path.join(outdir, name))
+                      for name in sorted(os.listdir(outdir))},
         "package": {"name": "carnotlab", "version": __version__},
     })
 
@@ -668,7 +669,13 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
         return EXIT_CONFIG, "", f"{config_path}: cannot build the scenario data: {exc}"
     outdir = _unique_outdir(parent_dir, stem)
 
-    outcome = RUNNERS[kind](cfg, data, outdir, seed, group)
+    try:
+        outcome = RUNNERS[kind](cfg, data, outdir, seed, group)
+    except (CFLViolation, hj.DivergenceError) as exc:
+        # a solver stop is a non-convergence verdict over what was written
+        outcome = RunOutcome()
+        outcome.nonconverged = True
+        outcome.notes.append(f"solver stopped: {exc}")
     code = outcome.exit_code
 
     verdicts = {
@@ -681,9 +688,8 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
 
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(summary + "\n")
-    outcome.artifacts.append("summary.txt")
 
-    _write_manifest(outdir, outcome.artifacts, config=cfg,
+    _write_manifest(outdir, config=cfg,
                     config_name=os.path.basename(config_path), kind=kind, seed=seed,
                     exit_code=code, checks=outcome.checks, notes=outcome.notes)
     return code, outdir, summary
@@ -741,7 +747,7 @@ def _cmd_verify(args) -> int:
         for name, text in texts.items():
             with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
-        _write_manifest(outdir, texts, suites=[r.suite for r in results],
+        _write_manifest(outdir, suites=[r.suite for r in results],
                         passed=all(r.passed for r in results))
         print(f"outputs: {outdir}")
 

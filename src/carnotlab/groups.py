@@ -58,17 +58,6 @@ def eval_poly(poly: Poly, coords: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def poly_diff(poly: Poly, axis: int) -> Poly:
-    out = []
-    for coeff, exps in poly:
-        e = exps[axis]
-        if e > 0:
-            new = list(exps)
-            new[axis] = e - 1
-            out.append((coeff * e, tuple(new)))
-    return tuple(out)
-
-
 def poly_is_zero(poly: Poly) -> bool:
     return all(c == 0 for c, _ in poly)
 

@@ -167,6 +167,12 @@ def godunov_gradient(u: Field, group: GroupSpec) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
+def gradient_power(vf: vfields.VectorFieldSet, u: Field, gamma: float) -> np.ndarray:
+    """|grad_G u|^gamma at the nodes, the Hamiltonian of the equation."""
+    g = vfields.horizontal_gradient(vf, u).values
+    return ((g**2).sum(axis=0)) ** (gamma / 2.0)
+
+
 def feedback_drift(u: Field, gamma: float, group: GroupSpec) -> np.ndarray:
     """Frame coefficients of the feedback drift gamma |grad u|^{gamma-2} grad u.
 
@@ -301,9 +307,7 @@ def duhamel_iterate(
     fields = [Field(grid, spec.u0.values, ts[0])]
     for k, (a, b) in enumerate(zip(ts, ts[1:])):
         dt = b - a
-        g = vfields.horizontal_gradient(vf, prev.fields[k]).values
-        mag_pow = ((g**2).sum(axis=0)) ** (spec.gamma / 2.0)
-        f_k = -mag_pow
+        f_k = -gradient_power(vf, prev.fields[k], spec.gamma)
         src = spec.source.at(a)
         if src is not None:
             f_k = f_k + src
@@ -499,8 +503,7 @@ def duality_report(
     grad_int = np.empty(len(window))
     src_int = np.empty(len(window))
     for j, (uf, mf) in enumerate(zip(window, mu_fields)):
-        g = vfields.horizontal_gradient(vf, uf).values
-        mag_pow = ((g**2).sum(axis=0)) ** (spec.gamma / 2.0)
+        mag_pow = gradient_power(vf, uf, spec.gamma)
         grad_int[j] = (spec.gamma - 1.0) * float((mag_pow * mf.values).sum()) * cell
         fsrc = spec.source.at(float(wt[j]))
         src_int[j] = float((fsrc * mf.values).sum()) * cell if fsrc is not None else 0.0

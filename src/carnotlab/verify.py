@@ -81,17 +81,17 @@ def group_algebra_suite() -> Rows:
 # ---------------------------------------------------------------------------
 
 def calculus_suite() -> Rows:
-    """Symbolic bracket identities and the discrete stencil order."""
+    """Symbolic bracket identities and the order of the flux-form Laplacian the solvers run."""
     from . import symbolic
 
     left = vfields.left_invariant_fields(G)
     right = vfields.right_invariant_fields(G)
     bracket_bad, commute_bad, n_monomials = symbolic.bracket_failures(left, right, 4)
 
-    # interior stencil error on quartic data must drop at second order;
-    # the analytic frame applied symbolically provides the exact values.
-    # entries the stencil reproduces exactly (roundoff-size error) carry
-    # no order information and are skipped
+    # interior error of the flux-form Laplacian on quartic data must drop
+    # at second order; the analytic frame applied symbolically provides
+    # the exact values.  entries the stencil reproduces exactly
+    # (roundoff-size error) carry no order information and are skipped
     orders = []
     for poly in (
         lambda x, y, z: x ** 4 + y ** 4,

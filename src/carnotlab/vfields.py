@@ -9,12 +9,13 @@ realize
 
     grad_G f = (X_1 f, ..., X_m f),
     div_G  F = sum_i X_i F_i,
-    lap_G  f = sum_i X_i^2 f = sum_{kl} A_kl d_k d_l f + sum_l c_l d_l f,
+    lap_G  f = sum_i X_i^2 f = div(A grad f),      A = sum_i a_i a_i^T,
 
-with A = sum_i a_i a_i^T, c_l = sum_i (a_i . grad) a_il, centered
-second-order stencils for pure derivatives and the 4-point cross stencil
-for mixed ones.  The grid routines read the frame from its
-``_stencils.frame_tables`` entry, the Laplacian its A_kl too.
+the last because the frame is divergence-free.  The gradient and the
+divergence use centered differences; the Laplacian is the flux form the
+solvers step with, ``_stencils.flux_divergence`` at sigma = 1, with zero
+flux through the box edge, so its node sum telescopes to 0.  The grid
+routines read the frame from its ``_stencils.frame_tables`` entry.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _stencils
-from .groups import GroupSpec, Poly, eval_poly, poly_diff, poly_is_zero
-from .grid import Field, GridSpec, node_coordinates, node_points
+from .groups import GroupSpec, Poly
+from .grid import Field, node_points
 
 
 @dataclass(frozen=True)
@@ -66,30 +67,6 @@ def _axis_gradient(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.gradient(values, h, axis=axis, edge_order=2)
 
 
-def _second_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    out = np.empty_like(values)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    # one-sided second-order stencils at the box edges
-    o[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    o[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return out
-
-
-def _mixed_derivative(values: np.ndarray, h1: float, h2: float, ax1: int, ax2: int) -> np.ndarray:
-    # nested first derivatives fill the edges, interior overwritten by the
-    # standard 4-point cross stencil
-    out = _axis_gradient(_axis_gradient(values, h2, ax2), h1, ax1)
-    n1, n2 = values.shape[ax1], values.shape[ax2]
-    v = np.moveaxis(np.moveaxis(values, ax1, 0), ax2, 1)
-    o = np.moveaxis(np.moveaxis(out, ax1, 0), ax2, 1)
-    o[1 : n1 - 1, 1 : n2 - 1] = (
-        v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]
-    ) / (4.0 * h1 * h2)
-    return out
-
-
 def horizontal_gradient(vf: VectorFieldSet, f: Field) -> Field:
     """(X_1 f, ..., X_m f) with centered differences for the Euclidean partials."""
     h = f.grid.spacings
@@ -104,31 +81,9 @@ def horizontal_gradient(vf: VectorFieldSet, f: Field) -> Field:
 
 
 def horizontal_laplacian(vf: VectorFieldSet, f: Field) -> Field:
-    """Expanded form sum_kl A_kl d_k d_l + sum_l c_l d_l on the grid."""
-    grid = f.grid
-    h = grid.spacings
-    coef = _stencils.frame_tables(grid, vf).kernel.coef
-    out = np.zeros(grid.shape)
-    for k in range(grid.dim):
-        Akk = _stencils._products(coef, k, k)
-        if Akk is not None:
-            out += Akk * _second_derivative(f.values, h[k], k)
-        for l in range(k + 1, grid.dim):
-            Akl = _stencils._products(coef, k, l)
-            if Akl is not None:
-                out += 2.0 * Akl * _mixed_derivative(f.values, h[k], h[l], k, l)
-    coords = node_coordinates(grid)
-    for l in range(grid.dim):
-        c = None
-        for i, row in enumerate(coef):
-            for k, aik in enumerate(row):
-                dail = poly_diff(vf.coefficients[i][l], k)
-                if aik is not None and not poly_is_zero(dail):
-                    term = aik * eval_poly(dail, coords)
-                    c = term if c is None else c + term
-        if c is not None:
-            out += c * _axis_gradient(f.values, h[l], l)
-    return Field(grid, out, f.t)
+    """sum_i X_i^2 f as div(A grad f) on the face fluxes, zero flux at the box edge."""
+    geom = _stencils.frame_tables(f.grid, vf)
+    return Field(f.grid, _stencils.flux_divergence(f.values, geom, 1.0), f.t)
 
 
 def horizontal_divergence(vf: VectorFieldSet, F: Field) -> Field:

@@ -155,6 +155,26 @@ def test_mfg_solver_stop_ends_in_exit_2_and_a_failed_audit(tmp_path, capsys):
     assert "note: solver stopped:" in (outdir / "summary.txt").read_text()
 
 
+def test_stepping_solver_stop_ends_in_exit_2_with_a_complete_manifest(tmp_path, capsys):
+    # the heat step on a 0.01 box overflows: the run must end as a solver stop
+    cfg = tmp_path / "heat_tiny.cfg"
+    cfg.write_text("[scenario]\nkind = heat\n\n[grid]\nnodes = 9\nextent = 0.01\n")
+    runs = tmp_path / "runs"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", str(cfg), "--output-dir", str(runs)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert "Traceback" not in out + err
+    (outdir,) = runs.iterdir()
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["exit_code"] == cli.EXIT_NO_CONVERGENCE
+    assert sorted(manifest["artifacts"]) == sorted(
+        p.name for p in outdir.iterdir() if p.name != "manifest.json")
+    assert all(c["value"] is not None for c in manifest["checks"])
+    assert any(n.startswith("solver stopped:") for n in manifest["notes"])
+    assert "note: solver stopped:" in (outdir / "summary.txt").read_text()
+
+
 def test_run_starts_no_more_workers_than_configs(tmp_path, monkeypatch, serial_pool, capsys):
     # a process pool starts all max_workers processes at its first submit
     monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool)

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from carnotlab import _stencils, preset
-from carnotlab.grid import (CFL_SAFETY, Field, bump_field, constant_field, default_grid,
-                            max_stable_dt, node_coordinates)
+from carnotlab.grid import (CFL_SAFETY, Field, GridSpec, bump_field, constant_field,
+                            default_grid, max_stable_dt, node_coordinates)
 from carnotlab.groups import hom_norm
 from carnotlab.heat import CFLViolation, evolve, heat_step, measure_gradient_decay
 from carnotlab.report import json_text
-from carnotlab.vfields import horizontal_gradient, left_invariant_fields
+from carnotlab.vfields import horizontal_gradient, horizontal_laplacian, left_invariant_fields
 
 H1 = preset("heisenberg1")
 
@@ -54,6 +54,20 @@ def test_oversized_dt_and_non_finite_steps_raise_cfl_violation():
     huge = Field(grid, 1e308 * f.values)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CFLViolation, match="non-finite"):
         heat_step(huge, 0.25, limit, H1)
+
+
+@pytest.mark.parametrize("group, nodes", [("heisenberg1", 15), ("engel", 9)])
+def test_heat_step_is_forward_euler_on_the_certified_laplacian(group, nodes):
+    # the calculus suite certifies horizontal_laplacian: the heat step must
+    # step with that operator at every node, box edges included
+    G = preset(group)
+    grid = GridSpec((-2.0,) * G.dim, (2.0,) * G.dim, (nodes,) * G.dim)
+    f = Field(grid, np.random.default_rng(7).standard_normal(grid.shape))
+    sigma = 0.25
+    dt = CFL_SAFETY * max_stable_dt(grid, G, sigma)
+    lap = horizontal_laplacian(left_invariant_fields(G), f).values
+    got = heat_step(f, sigma, dt, G).values
+    assert np.abs(got - (f.values + dt * sigma * lap)).max() <= 1e-14 * np.abs(f.values).max()
 
 
 def test_mass_conserved():
