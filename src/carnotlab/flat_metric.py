@@ -28,11 +28,13 @@ on node values, and its entries come from the group law alone: slots of
 weight 1 move by whole lattice cells (the law adds no correction there),
 the other slots are read by multilinear interpolation, and x * u - x is
 evaluated only on the coordinates of x its law terms involve (one shift
-per vertical column for a step-2 law).  ``mollify`` materialises the
-operator as a CSR matrix on first use when its estimated size fits
+per vertical column for a step-2 law).  Offsets that differ in the top
+slot only add their interpolation corners into one tap per lattice cell,
+in column order for a step-2 law.  ``mollify`` materialises the operator
+as a CSR matrix on first use when its estimated size fits
 _OPERATOR_BUDGET_BYTES, memoized on the MollifierSpec under the value of
-(grid, group); above the budget it streams the same entries into its
-output on every call.
+(grid, group); above the budget it streams the same taps into its output
+on every call.
 """
 
 from __future__ import annotations
@@ -406,62 +408,82 @@ def kernel_field(m: MollifierSpec, grid: GridSpec, group: GroupSpec) -> Field:
     return Field(grid, vals.reshape(grid.shape))
 
 
-def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, i1: int):
-    """Entries of phi -> sum_u w_u phi(x * u) in the rows of the nodes x
+def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, i1: int,
+                   width: int | None = None):
+    """Taps of phi -> sum_u w_u phi(x * u) in the rows of the nodes x
     whose first index lies in [i0, i1); in C order those rows are the
     contiguous range [i0, i1) * (nodes per first-axis slab).
 
-    Yields (cols, weights), one pair per offset u and interpolation
-    corner: flat arrays over the block's rows in order.  A corner that
-    falls outside the box has weight 0 and an arbitrary col.
+    Offsets that agree on every slot but the top (last) one form a run,
+    one per horizontal move for a step-2 law, taken in ascending order.
+    A run climbs one column of cells: the top interpolation corners of
+    its offsets add, in offset order, into one tap per cell, and its
+    taps ascend with the cells (per corner of any lower vertical slot).
+    Yields (cols, weights) for width taps at a time, all by default, as
+    (rows, taps) arrays.  A tap outside the box or reached by no corner
+    has weight 0 and an arbitrary col.  For a step-2 law the nonzero
+    taps of a row have strictly increasing cols.
     """
     shape, h, d = grid.shape, grid.spacings, grid.dim
     strides = [int(np.prod(shape[a + 1:])) for a in range(d)]
-    block = (i1 - i0,) + tuple(shape[1:])
 
     def along(a, v):
-        return np.reshape(v, [-1 if b == a else 1 for b in range(d)])
+        # grid axis a of the block; the offsets, then the taps, run along the last axis
+        return np.reshape(v, [-1 if b == a else 1 for b in range(d + 1)])
 
     idx = [along(a, np.arange(i0, i1) if a == 0 else np.arange(shape[a])).astype(np.int32)
            for a in range(d)]
     xs = [along(a, ax[i0:i1] if a == 0 else ax) for a, ax in enumerate(grid.axes())]
-    # a weight-1 slot carries no law term (each term has degree >= 2)
-    horizontal = [a for a in range(d) if group.weights[a] == 1]
-    moves = np.rint(m.offsets[:, horizontal] / np.take(h, horizontal)).astype(np.int32)
-    vertical = [a for a in range(d) if group.weights[a] > 1]
     us = [m.offsets[:, b] for b in range(d)]
-    # law terms of each vertical slot: (coeff * x-monomial on the block,
-    # u-monomial per offset); x * u - x = u + sum of their products
-    terms = [
-        [(float(coeff) * _monomial(xs, px), _monomial(us, pu))
-         for coeff, px, pu in group.law[a]]
-        for a in vertical
-    ]
-    for k, w in enumerate(m.weights):
-        # horizontal moves and their box test live on the horizontal axes only
-        base, wt_h = 0, w
-        for a, move in zip(horizontal, moves[k]):
-            p = idx[a] + move
-            base = base + p * strides[a]
-            wt_h = wt_h * ((p >= 0) & (p < shape[a]))
-        lows, fracs = [], []
-        for a, law_terms in zip(vertical, terms):
-            s = m.offsets[k, a]
-            for cx, mu in law_terms:
-                s = s + cx * mu[k]
-            steps = np.asarray(s) / h[a]
-            lo = np.floor(steps)
-            fracs.append(steps - lo)
-            lows.append(lo.astype(np.int32))
-        for corner in itertools.product((0, 1), repeat=len(vertical)):
-            col, wt = base, wt_h
-            for a, lo, frac, c in zip(vertical, lows, fracs, corner):
-                p = idx[a] + (lo + c)
-                col = col + p * strides[a]
-                # one unsigned compare tests 0 <= p < n
-                wt = wt * (frac if c else 1.0 - frac) * (p.view(np.uint32) < shape[a])
-            yield (np.broadcast_to(col, block).reshape(-1),
-                   np.broadcast_to(wt, block).reshape(-1))
+    col, wt, vertical = np.zeros(len(m.weights), np.int32), m.weights, []
+    for a in range(d):
+        if group.weights[a] == 1 and a < d - 1:
+            # a weight-1 slot carries no law term (each term has degree >= 2)
+            p = idx[a] + np.rint(us[a] / h[a]).astype(np.int32)
+            # one unsigned compare tests 0 <= p < n
+            col, wt = col + p * strides[a], wt * (p.view(np.uint32) < shape[a])
+            continue
+        # x * u - x = u + the products of the law terms, read between cells
+        s = us[a]
+        for coeff, px, pu in group.law[a]:
+            s = s + float(coeff) * _monomial(xs, px) * _monomial(us, pu)
+        steps = s / h[a]
+        lo = np.floor(steps)
+        vertical.append((a, lo.astype(np.int32), steps - lo))
+    top, lo, frac = vertical.pop()
+    _, first, run = np.unique(m.offsets[:, :top], axis=0,
+                              return_index=True, return_inverse=True)
+    # in each row a run's taps reach from its first offset's cell to its last one's + 1
+    rise = lo - np.take(lo, first[run], axis=-1)
+    span = np.maximum.reduceat(rise.reshape(-1, len(run)).max(axis=0), first) + 2
+    n_taps, tap0 = span.sum(), np.cumsum(span) - span
+    tap_run = np.repeat(np.arange(len(first)), span)
+    tap_cell = (np.take(lo, first[tap_run], axis=-1)
+                + (np.arange(n_taps) - tap0[tap_run]).astype(np.int32))
+    cols, wts = [], []
+    for corner in itertools.product((0, 1), repeat=len(vertical)):
+        c_col, c_wt = col, wt
+        for (a, lo_a, frac_a), c in zip(vertical, corner):
+            p = idx[a] + (lo_a + c)
+            c_col = c_col + p * strides[a]
+            c_wt = c_wt * (frac_a if c else 1.0 - frac_a) * (p.view(np.uint32) < shape[a])
+        slot, below, above = np.broadcast_arrays(tap0[run] + rise, c_wt * (1.0 - frac),
+                                                 c_wt * frac)
+        at = np.arange(slot.size).reshape(slot.shape) // len(run) * n_taps + slot
+        taps = np.bincount(np.stack([at, at + 1], axis=-1).ravel(),
+                           np.stack([below, above], axis=-1).ravel(),
+                           slot.size // len(run) * n_taps)
+        wts.append(taps.reshape(slot.shape[:-1] + (n_taps,)))
+        cols.append(np.take(c_col, first[tap_run], axis=-1) + tap_cell)
+    col, wt = np.concatenate(cols, axis=-1), np.concatenate(wts, axis=-1)
+    cell = np.tile(tap_cell, len(cols))
+    width = width or col.shape[-1]
+    for j in range(0, col.shape[-1], width):
+        # the top slot is the last axis (stride 1); col and wt span the others
+        p = cell[..., j:j + width] + idx[top]
+        k = p.shape[-1]
+        yield ((col[..., j:j + width] + idx[top]).reshape(-1, k),
+               (wt[..., j:j + width] * (p.view(np.uint32) < shape[top])).reshape(-1, k))
 
 
 def _operator(m: MollifierSpec, grid: GridSpec, group: GroupSpec):
@@ -474,30 +496,26 @@ def _operator(m: MollifierSpec, grid: GridSpec, group: GroupSpec):
     corners = 2 ** sum(1 for w in group.weights if w > 1)
     row_len = grid.num_nodes // grid.shape[0]
     per_row = len(m.offsets) * corners
-    # one float64 value and one int32 column per entry, before merging
+    # at most one float64 value and one int32 column per (offset, corner)
     if grid.num_nodes * per_row * 12 > _OPERATOR_BUDGET_BYTES:
         return None
     slabs = max(1, _BUILD_BLOCK_ENTRIES // (row_len * per_row))
-    blocks = []
-    for i0 in range(0, grid.shape[0], slabs):
-        i1 = min(i0 + slabs, grid.shape[0])
-        n_rows = (i1 - i0) * row_len
-        # every row holds one candidate per (offset, corner): the block is
-        # a CSR matrix with duplicates and explicit zeros until merged
-        cols = np.empty((n_rows, per_row), dtype=np.int32)
-        vals = np.empty((n_rows, per_row))
-        for k, (c, w) in enumerate(_shift_entries(m, grid, group, i0, i1)):
-            cols[:, k] = np.where(w != 0.0, c, 0)
-            vals[:, k] = w
-        part = sps.csr_matrix(
-            (vals.reshape(-1), cols.reshape(-1), np.arange(0, cols.size + 1, per_row)),
-            shape=(n_rows, grid.num_nodes),
-        )
-        del cols, vals
-        part.sum_duplicates()
-        part.eliminate_zeros()
-        blocks.append(part)
-    op = sps.vstack(blocks, format="csr")
+    blocks = [(i0, min(i0 + slabs, grid.shape[0])) for i0 in range(0, grid.shape[0], slabs)]
+    # count the entries of every row, then fill arrays of that exact size
+    indptr = np.zeros(grid.num_nodes + 1, dtype=np.int32)
+    for i0, i1 in blocks:
+        (_, wts), = _shift_entries(m, grid, group, i0, i1)
+        indptr[i0 * row_len + 1:i1 * row_len + 1] = np.count_nonzero(wts, axis=1)
+    np.cumsum(indptr, out=indptr)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    for i0, i1 in blocks:
+        (cols, wts), = _shift_entries(m, grid, group, i0, i1)
+        keep = wts != 0.0
+        at = slice(indptr[i0 * row_len], indptr[i1 * row_len])
+        indices[at], data[at] = cols[keep], wts[keep]
+    op = sps.csr_matrix((data, indices, indptr), shape=(grid.num_nodes, grid.num_nodes))
+    # a no-op for a step-2 law; a higher step leaves repeated columns out of order
+    op.sum_duplicates()
     m._operators[key] = op
     return op
 
@@ -516,7 +534,7 @@ def mollify(rho: Field, m: MollifierSpec, group: GroupSpec) -> Field:
 
     The operator is assembled once per (grid, group) value and memoized
     on m when its estimated size fits _OPERATOR_BUDGET_BYTES; above that
-    its entries are streamed into the output on every call.
+    its taps (see _shift_entries) are gathered one by one on every call.
     """
     grid = rho.grid
     flat = rho.values.reshape(-1, grid.num_nodes)
@@ -525,8 +543,8 @@ def mollify(rho: Field, m: MollifierSpec, group: GroupSpec) -> Field:
         out = (op @ flat.T).T
     else:
         out = np.zeros_like(flat)
-        for cols, wts in _shift_entries(m, grid, group, 0, grid.shape[0]):
-            out += wts * flat.take(cols, axis=1, mode="clip")
+        for cols, wts in _shift_entries(m, grid, group, 0, grid.shape[0], 1):
+            out += wts[:, 0] * flat.take(cols[:, 0], axis=1, mode="clip")
     return Field(grid, out.reshape(rho.values.shape), rho.t)
 
 

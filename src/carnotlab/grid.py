@@ -239,15 +239,20 @@ def step_count(span: float, limit: float, least: int = 1) -> int:
 
 
 def march(x0, n: int, step: float, advance: Callable, store_every: int = 1) -> list:
-    """Apply advance(x, step) n times from x0 and return the kept states:
-    x0, every store_every-th state and the last one (store_every = 0 keeps
-    the two endpoints only)."""
+    """Apply advance(x, step) n times from the Field x0 and return the kept
+    states: x0, every store_every-th state and the last one (store_every = 0
+    keeps the two endpoints only).  A CFLViolation is re-raised naming its
+    step; overflow warns nothing, as advance refuses non-finite states."""
     kept = [x0]
     x = x0
-    for k in range(1, n + 1):
-        x = advance(x, step)
-        if k == n or (store_every and k % store_every == 0):
-            kept.append(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            try:
+                x = advance(x, step)
+            except CFLViolation as exc:
+                raise CFLViolation(f"{exc} (step {k} of {n}, from t = {x.t:g})") from exc
+            if k == n or (store_every and k % store_every == 0):
+                kept.append(x)
     return kept
 
 
@@ -258,10 +263,9 @@ def march(x0, n: int, step: float, advance: Callable, store_every: int = 1) -> l
 def write_points_csv(path: str, points: np.ndarray, values: np.ndarray, name: str) -> None:
     """One row x1..xd,name per point, every float in its shortest round-trip repr."""
     header = ",".join(f"x{i+1}" for i in range(points.shape[1])) + "," + name
-    lines = [header] + [",".join(repr(float(c)) for c in row) + "," + repr(float(v))
-                        for row, v in zip(points, values)]
+    columns = [map(repr, c.tolist()) for c in (*np.asarray(points, float).T, np.asarray(values, float))]
     with open(os.fspath(path), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 
 
 def dump_field_csv(f: Field, path: str) -> None:

@@ -1,6 +1,8 @@
 """Config validation and artifacts of the command-line front end."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -156,23 +158,26 @@ def test_mfg_solver_stop_ends_in_exit_2_and_a_failed_audit(tmp_path, capsys):
 
 
 def test_stepping_solver_stop_ends_in_exit_2_with_a_complete_manifest(tmp_path, capsys):
-    # the heat step on a 0.01 box overflows: the run must end as a solver stop
+    # the heat step on a 0.01 box overflows: the run must end as a solver
+    # stop that warns nothing and says where it stopped
     cfg = tmp_path / "heat_tiny.cfg"
     cfg.write_text("[scenario]\nkind = heat\n\n[grid]\nnodes = 9\nextent = 0.01\n")
     runs = tmp_path / "runs"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = cli.main(["run", str(cfg), "--output-dir", str(runs)])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_NO_CONVERGENCE
-    assert "Traceback" not in out + err
+    assert "Traceback" not in out and err == ""
     (outdir,) = runs.iterdir()
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["exit_code"] == cli.EXIT_NO_CONVERGENCE
     assert sorted(manifest["artifacts"]) == sorted(
         p.name for p in outdir.iterdir() if p.name != "manifest.json")
     assert all(c["value"] is not None for c in manifest["checks"])
-    assert any(n.startswith("solver stopped:") for n in manifest["notes"])
-    assert "note: solver stopped:" in (outdir / "summary.txt").read_text()
+    (note,) = [n for n in manifest["notes"] if n.startswith("solver stopped:")]
+    assert re.search(r"non-finite values \(step \d+ of \d+, from t = [0-9.e-]+\)$", note)
+    assert f"note: {note}" in (outdir / "summary.txt").read_text()
 
 
 def test_run_starts_no_more_workers_than_configs(tmp_path, monkeypatch, serial_pool, capsys):

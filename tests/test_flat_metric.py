@@ -440,7 +440,12 @@ def test_mollifier_operator_is_stored_under_budget_and_keyed_by_value():
     small = cgrid.default_grid(nodes=21)
     m = MollifierSpec.build(0.8, small, G)
     op = flat_metric._operator(m, small, G)
-    assert op.nnz > 2_000_000
+    assert op.nnz == 2_339_428
+    # the nonzero taps of every row come in strictly increasing column
+    # order, so the operator is assembled without a sort
+    (cols, wts), = flat_metric._shift_entries(m, small, G, 0, small.shape[0])
+    rows, _ = np.nonzero(wts)
+    assert np.diff(cols[wts != 0])[rows[1:] == rows[:-1]].min() > 0
     assert flat_metric._operator(m, cgrid.default_grid(nodes=21), groups.preset("heisenberg1")) is op
     assert list(m._operators) == [(small, G)]
 
@@ -450,10 +455,11 @@ def test_mollifier_operator_is_stored_under_budget_and_keyed_by_value():
     assert m41._operators == {}
 
 
-def test_mollify_on_engel_keeps_mass_and_sup():
+def test_mollify_on_engel_keeps_mass_and_sup(monkeypatch):
     E = groups.preset("engel")
     grid = GridSpec((-1.5,) * 4, (1.5,) * 4, (11,) * 4)
     m = MollifierSpec.build(0.9, grid, E)
+    assert flat_metric._operator(m, grid, E) is None
     ones = mollify(Field(grid, np.ones(grid.shape)), m, E).values
     inside = _translates_inside(grid, E, m)
     assert inside.sum() > 0
@@ -464,6 +470,13 @@ def test_mollify_on_engel_keeps_mass_and_sup():
     assert abs(out.integral() - rho.integral()) <= 1e-12
     assert out.values.max() <= rho.values.max()
     assert out.values.min() >= 0.0
+
+    # the stored operator, whose runs of taps meet a column more than
+    # once, sums to the streamed taps
+    monkeypatch.setattr(flat_metric, "_OPERATOR_BUDGET_BYTES", 1 << 40)
+    stored = MollifierSpec.build(0.9, grid, E)
+    assert np.abs(mollify(rho, stored, E).values - out.values).max() <= 1e-12
+    assert list(stored._operators) == [(grid, E)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from carnotlab.grid import (
     max_stable_dt,
     node_coordinates,
     step_count,
+    write_points_csv,
 )
 
 H1 = preset("heisenberg1")
@@ -133,6 +134,19 @@ def test_field_csv_round_trip(tmp_path):
     assert back.grid == f.grid
     assert back.t == f.t
     assert np.array_equal(back.values, f.values)  # bit-exact
+
+
+def test_field_csv_golden_text(tmp_path):
+    # shortest round-trip reprs, one row per node, one final newline
+    grid = GridSpec((0.0,), (1.5,), (4,))
+    f = Field(grid, np.array([-0.0, 1e-300, 0.1 + 0.2, 7]), t=0.5)
+    base = tmp_path / "field"
+    dump_field_csv(f, base)
+    assert base.read_text() == "x1,value\n0.0,-0.0\n0.5,1e-300\n1.0,0.30000000000000004\n1.5,7.0\n"
+    assert load_field_csv(base).values.tobytes() == f.values.tobytes()
+    # an integer array is written as floats
+    write_points_csv(tmp_path / "ints", np.array([[1, -2], [0, 3]]), np.array([4, 5]), "weight")
+    assert (tmp_path / "ints").read_text() == "x1,x2,weight\n1.0,-2.0,4.0\n0.0,3.0,5.0\n"
 
 
 def test_bump_field_normalized():
