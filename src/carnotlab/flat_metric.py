@@ -30,11 +30,12 @@ the other slots are read by multilinear interpolation, and x * u - x is
 evaluated only on the coordinates of x its law terms involve (one shift
 per vertical column for a step-2 law).  Offsets that differ in the top
 slot only add their interpolation corners into one tap per lattice cell,
-in column order for a step-2 law.  ``mollify`` materialises the operator
-as a CSR matrix on first use when its estimated size fits
-_OPERATOR_BUDGET_BYTES, memoized on the MollifierSpec under the value of
-(grid, group); above the budget it streams the same taps into its output
-on every call.
+in column order for a step-2 law.  ``mollify`` applies the operator as
+CSR row blocks, one per block of first-axis slabs.  A MollifierSpec
+smooths only on the grid and group it was built for, and memoizes the
+blocks on first use when their estimated size fits
+_OPERATOR_BUDGET_BYTES; above the budget every call builds them again,
+one block at a time.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ _LP_TOL = 1e-8
 _PAIR_SCAN_BUDGET = 1 << 17
 # Pair distances one flat_distance call keeps between its scans.
 _DISTANCE_MEMO_BYTES = 1 << 25
-# A mollifier operator estimated above this size is streamed, not stored.
+# A mollifier operator estimated above this size is rebuilt on every call.
 _OPERATOR_BUDGET_BYTES = 1 << 27
-# Entries gathered per row block while a mollifier operator is assembled.
+# Entries gathered per row block of a mollifier operator.
 _BUILD_BLOCK_ENTRIES = 1 << 20
 
 
@@ -366,17 +367,19 @@ def axiom_gaps(group: GroupSpec, rng: np.random.Generator, trials: int) -> tuple
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Scaled kernel data on a given grid: lattice offsets u inside the
-    eps-ball with convex weights w_u (sum exactly 1), plus the derived
-    normalization constant C of the continuum scaling (C / eps^Q)
-    xi(delta_{1/eps} x)."""
+    """Scaled kernel data on the grid and group it was built for: lattice
+    offsets u inside the eps-ball with convex weights w_u (sum exactly 1),
+    plus the derived normalization constant C of the continuum scaling
+    (C / eps^Q) xi(delta_{1/eps} x)."""
 
     eps: float
     C: float
     offsets: np.ndarray
     weights: np.ndarray
-    # materialised operators, keyed by the value of (grid, group)
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    grid: GridSpec
+    group: GroupSpec
+    # the operator's CSR row blocks, once memoized
+    _blocks: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(eps: float, grid: GridSpec, group: GroupSpec) -> "MollifierSpec":
@@ -398,7 +401,8 @@ class MollifierSpec:
         weights = raw / total
         cell = float(np.prod(h))
         C = eps**group.homogeneous_dimension / (total * cell)
-        return MollifierSpec(eps=eps, C=C, offsets=offsets, weights=weights)
+        return MollifierSpec(eps=eps, C=C, offsets=offsets, weights=weights,
+                             grid=grid, group=group)
 
 
 def kernel_field(m: MollifierSpec, grid: GridSpec, group: GroupSpec) -> Field:
@@ -408,8 +412,7 @@ def kernel_field(m: MollifierSpec, grid: GridSpec, group: GroupSpec) -> Field:
     return Field(grid, vals.reshape(grid.shape))
 
 
-def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, i1: int,
-                   width: int | None = None):
+def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, i1: int):
     """Taps of phi -> sum_u w_u phi(x * u) in the rows of the nodes x
     whose first index lies in [i0, i1); in C order those rows are the
     contiguous range [i0, i1) * (nodes per first-axis slab).
@@ -419,10 +422,9 @@ def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, 
     A run climbs one column of cells: the top interpolation corners of
     its offsets add, in offset order, into one tap per cell, and its
     taps ascend with the cells (per corner of any lower vertical slot).
-    Yields (cols, weights) for width taps at a time, all by default, as
-    (rows, taps) arrays.  A tap outside the box or reached by no corner
-    has weight 0 and an arbitrary col.  For a step-2 law the nonzero
-    taps of a row have strictly increasing cols.
+    Returns (cols, weights) as (rows, taps) arrays.  A tap outside the
+    box or reached by no corner has weight 0 and an arbitrary col.  For
+    a step-2 law the nonzero taps of a row have strictly increasing cols.
     """
     shape, h, d = grid.shape, grid.spacings, grid.dim
     strides = [int(np.prod(shape[a + 1:])) for a in range(d)]
@@ -476,55 +478,39 @@ def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, 
         wts.append(taps.reshape(slot.shape[:-1] + (n_taps,)))
         cols.append(np.take(c_col, first[tap_run], axis=-1) + tap_cell)
     col, wt = np.concatenate(cols, axis=-1), np.concatenate(wts, axis=-1)
-    cell = np.tile(tap_cell, len(cols))
-    width = width or col.shape[-1]
-    for j in range(0, col.shape[-1], width):
-        # the top slot is the last axis (stride 1); col and wt span the others
-        p = cell[..., j:j + width] + idx[top]
-        k = p.shape[-1]
-        yield ((col[..., j:j + width] + idx[top]).reshape(-1, k),
-               (wt[..., j:j + width] * (p.view(np.uint32) < shape[top])).reshape(-1, k))
+    # the top slot is the last axis (stride 1); col and wt span the others
+    p = np.tile(tap_cell, len(cols)) + idx[top]
+    k = p.shape[-1]
+    return (col + idx[top]).reshape(-1, k), (wt * (p.view(np.uint32) < shape[top])).reshape(-1, k)
 
 
-def _operator(m: MollifierSpec, grid: GridSpec, group: GroupSpec):
-    """The memoized CSR operator, assembled on first use, or None when its
-    estimated size exceeds _OPERATOR_BUDGET_BYTES."""
-    key = (grid, group)
-    op = m._operators.get(key)
-    if op is not None:
-        return op
-    corners = 2 ** sum(1 for w in group.weights if w > 1)
+def _row_blocks(m: MollifierSpec):
+    """The operator of m as CSR row blocks, one per block of first-axis
+    slabs holding about _BUILD_BLOCK_ENTRIES taps, in row order."""
+    grid, group = m.grid, m.group
     row_len = grid.num_nodes // grid.shape[0]
-    per_row = len(m.offsets) * corners
-    # at most one float64 value and one int32 column per (offset, corner)
-    if grid.num_nodes * per_row * 12 > _OPERATOR_BUDGET_BYTES:
-        return None
-    slabs = max(1, _BUILD_BLOCK_ENTRIES // (row_len * per_row))
-    blocks = [(i0, min(i0 + slabs, grid.shape[0])) for i0 in range(0, grid.shape[0], slabs)]
-    # count the entries of every row, then fill arrays of that exact size
-    indptr = np.zeros(grid.num_nodes + 1, dtype=np.int32)
-    for i0, i1 in blocks:
-        (_, wts), = _shift_entries(m, grid, group, i0, i1)
-        indptr[i0 * row_len + 1:i1 * row_len + 1] = np.count_nonzero(wts, axis=1)
-    np.cumsum(indptr, out=indptr)
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-    for i0, i1 in blocks:
-        (cols, wts), = _shift_entries(m, grid, group, i0, i1)
+    slabs = max(1, _BUILD_BLOCK_ENTRIES // (row_len * _taps_per_row(m)))
+    for i0 in range(0, grid.shape[0], slabs):
+        cols, wts = _shift_entries(m, grid, group, i0, min(i0 + slabs, grid.shape[0]))
         keep = wts != 0.0
-        at = slice(indptr[i0 * row_len], indptr[i1 * row_len])
-        indices[at], data[at] = cols[keep], wts[keep]
-    op = sps.csr_matrix((data, indices, indptr), shape=(grid.num_nodes, grid.num_nodes))
-    # a no-op for a step-2 law; a higher step leaves repeated columns out of order
-    op.sum_duplicates()
-    m._operators[key] = op
-    return op
+        indptr = np.zeros(len(wts) + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        block = sps.csr_matrix((wts[keep], cols[keep], indptr), shape=(len(wts), grid.num_nodes))
+        # a no-op for a step-2 law; a higher step leaves repeated columns out of order
+        block.sum_duplicates()
+        yield block
+
+
+def _taps_per_row(m: MollifierSpec) -> int:
+    """Taps per row in the size estimate: one per (offset, interpolation corner)."""
+    return len(m.offsets) * 2 ** sum(1 for w in m.group.weights if w > 1)
 
 
 def mollify(rho: Field, m: MollifierSpec, group: GroupSpec) -> Field:
     """Group-translation smoothing phi_eps(x) = sum_u w_u phi(x * u).
 
     rho may hold one snapshot or a stack of them along a leading axis;
-    a stack is smoothed in one sparse matrix product.  The offsets u
+    a stack is smoothed in one sparse product per row block.  The offsets u
     live on the lattice, so horizontal shifts are exact index moves;
     the other slots of x * u come from the group law and are read by
     multilinear interpolation, with zero outside the box.  Weights are
@@ -532,19 +518,22 @@ def mollify(rho: Field, m: MollifierSpec, group: GroupSpec) -> Field:
     moves whole vertical columns, so mass is kept until the support
     reaches the box edge.
 
-    The operator is assembled once per (grid, group) value and memoized
-    on m when its estimated size fits _OPERATOR_BUDGET_BYTES; above that
-    its taps (see _shift_entries) are gathered one by one on every call.
+    The operator is applied as its CSR row blocks (see _row_blocks), each
+    block's rows summing their taps in _shift_entries order.  The blocks
+    are memoized on m on first use when their estimated size, one float64
+    value and one int32 column per tap, fits _OPERATOR_BUDGET_BYTES;
+    above that every call builds them again, one at a time.  Raises
+    ValueError on a grid or group other than the ones m was built for.
     """
     grid = rho.grid
-    flat = rho.values.reshape(-1, grid.num_nodes)
-    op = _operator(m, grid, group)
-    if op is not None:
-        out = (op @ flat.T).T
-    else:
-        out = np.zeros_like(flat)
-        for cols, wts in _shift_entries(m, grid, group, 0, grid.shape[0], 1):
-            out += wts[:, 0] * flat.take(cols[:, 0], axis=1, mode="clip")
+    if grid != m.grid or group != m.group:
+        raise ValueError("the mollifier was built for another grid or group")
+    if not m._blocks and grid.num_nodes * _taps_per_row(m) * 12 <= _OPERATOR_BUDGET_BYTES:
+        # all blocks or none: an interrupted build memoizes nothing
+        m._blocks.extend(list(_row_blocks(m)))
+    # one C-order copy of the snapshots, node-major, serves every block
+    nodes = np.ascontiguousarray(rho.values.reshape(-1, grid.num_nodes).T)
+    out = np.concatenate([b @ nodes for b in m._blocks or _row_blocks(m)]).T
     return Field(grid, out.reshape(rho.values.shape), rho.t)
 
 

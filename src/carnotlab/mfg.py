@@ -10,9 +10,11 @@ where the coupling F[rho] regularizes the density through the group
 mollifier, scaled by a gain.  By construction F[rho] is bounded in
 C^1_G uniformly over probability densities (the dirac is the extremal
 case), which is exactly the regularity the fixed-point argument needs.
-The mollifier is a sparse operator assembled from the group law on the
-first coupling evaluation and memoized on its MollifierSpec; each
-backward solve smooths all n+1 density snapshots with one product.
+The mollifier is a sparse operator assembled from the group law as CSR
+row blocks, memoized on its MollifierSpec on the first coupling
+evaluation while it fits the size budget and rebuilt on every
+evaluation above it; each backward solve smooths all n+1 density
+snapshots with one product per row block.
 
 ``mfg_picard`` runs the damped best-response iteration: given u, push
 rho0 forward with the feedback drift; feed the mollified density back

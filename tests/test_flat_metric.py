@@ -337,15 +337,17 @@ def test_mollify_sup_error_for_lipschitz_data():
         "x1": pts[..., 0],
         "tanh_x2": np.tanh(pts[..., 1]),
     }
+    stack = Field(grid, np.stack(list(family.values())))
     for eps in (0.4, 0.8):
         m = MollifierSpec.build(eps, grid, G)
         pad = int(np.ceil(eps / grid.spacings[0])) + 1
         interior = (slice(pad, -pad),) * 3
-        for name, vals in family.items():
-            phi = Field(grid, vals)
-            out = mollify(phi, m, G)
-            err = np.abs(out.values[interior] - vals[interior]).max()
+        # one product per row block smooths every field of the stack
+        for (name, vals), out in zip(family.items(), mollify(stack, m, G).values):
+            err = np.abs(out[interior] - vals[interior]).max()
             assert err <= (1 + 1e-1) * eps, f"{name} at eps={eps}: {err}"
+    # above the budget the row blocks are built again on every call
+    assert m._blocks == []
 
 
 def _loop_mollify(rho, m, group):
@@ -396,21 +398,38 @@ def _translates_inside(grid, group, m):
     return ok.reshape(grid.shape)
 
 
-def test_mollify_operator_and_stream_match_the_loop(monkeypatch):
+def test_mollify_memoized_and_rebuilt_blocks_match_the_loop(monkeypatch):
     grid = cgrid.default_grid(nodes=21)
     rng = np.random.default_rng(3)
     stack = np.stack([bump_field(grid, G, radius=1.0, normalize=True).values,
                       rng.uniform(-1.0, 1.0, grid.shape)])
     stored = MollifierSpec.build(0.8, grid, G)
     want = np.stack([_loop_mollify(Field(grid, v), stored, G) for v in stack])
-    assert np.abs(mollify(Field(grid, stack), stored, G).values - want).max() <= 1e-12
+    memoized = mollify(Field(grid, stack), stored, G).values
+    assert np.abs(memoized - want).max() <= 1e-12
     assert np.abs(mollify(Field(grid, stack[1]), stored, G).values - want[1]).max() <= 1e-12
-    assert list(stored._operators) == [(grid, G)]
+    assert stored._blocks
 
     monkeypatch.setattr(flat_metric, "_OPERATOR_BUDGET_BYTES", 0)
-    streamed = MollifierSpec.build(0.8, grid, G)
-    assert np.abs(mollify(Field(grid, stack), streamed, G).values - want).max() <= 1e-12
-    assert streamed._operators == {}
+    rebuilt = MollifierSpec.build(0.8, grid, G)
+    got = mollify(Field(grid, stack), rebuilt, G).values
+    assert np.abs(got - want).max() <= 1e-12
+    # every row sums its taps in the same order on both paths
+    assert np.array_equal(got, memoized)
+    assert rebuilt._blocks == []
+
+
+def test_mollify_refuses_a_grid_or_law_it_was_not_built_for():
+    grid = cgrid.default_grid(nodes=21)
+    m = MollifierSpec.build(0.8, grid, G)
+    coarse = cgrid.default_grid(nodes=11)
+    with pytest.raises(ValueError):
+        MollifierSpec.build(0.8, coarse, G)
+    with pytest.raises(ValueError):
+        mollify(bump_field(coarse, G, radius=1.0), m, G)
+    with pytest.raises(ValueError):
+        mollify(bump_field(grid, G, radius=1.0), m, _doubled_bracket())
+    assert m._blocks == []
 
 
 def test_mollify_follows_the_group_law():
@@ -439,28 +458,28 @@ def test_mollify_follows_the_group_law():
 def test_mollifier_operator_is_stored_under_budget_and_keyed_by_value():
     small = cgrid.default_grid(nodes=21)
     m = MollifierSpec.build(0.8, small, G)
-    op = flat_metric._operator(m, small, G)
-    assert op.nnz == 2_339_428
+    rho = bump_field(small, G, radius=1.0, normalize=True)
+    mollify(rho, m, G)
+    blocks = list(m._blocks)
+    assert sum(b.nnz for b in blocks) == 2_339_428
     # the nonzero taps of every row come in strictly increasing column
-    # order, so the operator is assembled without a sort
-    (cols, wts), = flat_metric._shift_entries(m, small, G, 0, small.shape[0])
+    # order, so the blocks are assembled without a sort
+    cols, wts = flat_metric._shift_entries(m, small, G, 0, small.shape[0])
     rows, _ = np.nonzero(wts)
     assert np.diff(cols[wts != 0])[rows[1:] == rows[:-1]].min() > 0
-    assert flat_metric._operator(m, cgrid.default_grid(nodes=21), groups.preset("heisenberg1")) is op
-    assert list(m._operators) == [(small, G)]
-
-    large = cgrid.default_grid(nodes=41)
-    m41 = MollifierSpec.build(0.8, large, G)
-    assert flat_metric._operator(m41, large, G) is None
-    assert m41._operators == {}
+    same = Field(cgrid.default_grid(nodes=21), rho.values)
+    mollify(same, m, groups.preset("heisenberg1"))
+    assert len(m._blocks) == len(blocks)
+    assert all(a is b for a, b in zip(m._blocks, blocks))
+    # nothing is memoized at 41^3, eps 0.8: see test_mollify_sup_error_for_lipschitz_data
 
 
 def test_mollify_on_engel_keeps_mass_and_sup(monkeypatch):
     E = groups.preset("engel")
     grid = GridSpec((-1.5,) * 4, (1.5,) * 4, (11,) * 4)
     m = MollifierSpec.build(0.9, grid, E)
-    assert flat_metric._operator(m, grid, E) is None
     ones = mollify(Field(grid, np.ones(grid.shape)), m, E).values
+    assert m._blocks == []
     inside = _translates_inside(grid, E, m)
     assert inside.sum() > 0
     assert np.abs(ones[inside] - 1.0).max() <= 1e-12
@@ -471,12 +490,12 @@ def test_mollify_on_engel_keeps_mass_and_sup(monkeypatch):
     assert out.values.max() <= rho.values.max()
     assert out.values.min() >= 0.0
 
-    # the stored operator, whose runs of taps meet a column more than
-    # once, sums to the streamed taps
+    # the memoized blocks, whose runs of taps meet a column more than
+    # once, are the rebuilt ones
     monkeypatch.setattr(flat_metric, "_OPERATOR_BUDGET_BYTES", 1 << 40)
     stored = MollifierSpec.build(0.9, grid, E)
-    assert np.abs(mollify(rho, stored, E).values - out.values).max() <= 1e-12
-    assert list(stored._operators) == [(grid, E)]
+    assert np.array_equal(mollify(rho, stored, E).values, out.values)
+    assert stored._blocks
 
 
 # ---------------------------------------------------------------------------
