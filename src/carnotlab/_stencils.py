@@ -40,6 +40,13 @@ Python float and every other one a read-only array:
   horizontal Laplacian call, sigma-free and pre-scaled by the grid
   spacings: ``diag[k]`` = A_kk/h_k^2, ``cross[k]`` = (l, A_kl/(4 h_k h_l))
   for l != k and ``drift[k]`` = (i, a_face[k][i]/h_k), all on k-faces.
+  A k-face table is node-shaped, each face at its lower node p.  With s_k
+  the C-order stride of axis k, the lower and upper nodes of the faces are
+  the flat slices ``[:N - s_k]`` and ``[s_k:]``, so a pass over the faces
+  is one contiguous shift of the node array.  The layer i_k = n_k - 1
+  holds no face (there p + s_k lies in the next row): this wrap layer is
+  0 in every array table, and the kernels zero it before a face value
+  reaches a node.
 
 ``diffusion`` is the diffusion part of the CFL denominator at sigma = 1,
 sum_k A_kk/h_k^2 + sum_{k != l} |A_kl|/(2 h_k h_l), with its maximum; it
@@ -121,13 +128,6 @@ def _products(a: CoefTable, k: int, l: int) -> Coef:
     return acc
 
 
-def _scaled(c: Coef, s: float) -> Coef:
-    """c * s; None stays None and an array product is read-only."""
-    if isinstance(c, np.ndarray):
-        return _read_only(c * s)
-    return None if c is None else c * s
-
-
 def times(c: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     """c * x, where a coefficient that is the constant 1 costs no multiply."""
     if isinstance(c, float) and c == 1.0:
@@ -147,10 +147,30 @@ class Kernel:
     drift: list[list[tuple[int, float | np.ndarray]]]
 
 
+def steps(shape: tuple[int, ...]) -> list[int]:
+    """The C-order stride of every axis, in entries."""
+    return [int(np.prod(shape[k + 1:], dtype=np.int64)) for k in range(len(shape))]
+
+
+def layer(k: int, j: int | slice) -> tuple:
+    """The index of the layer i_k = j (or layers, for a slice j) of a node array."""
+    return (slice(None),) * k + (j,)
+
+
 def _face_coordinates(grid: GridSpec, k: int) -> list[np.ndarray]:
+    """Node-shaped coordinates of the k-faces; the wrap layer lies beyond the box."""
     axes = list(grid.axes())
-    axes[k] = axes[k][:-1] + 0.5 * grid.spacings[k]
+    axes[k] = axes[k] + 0.5 * grid.spacings[k]
     return np.meshgrid(*axes, indexing="ij")
+
+
+def _on_faces(c: Coef, s: float, k: int) -> Coef:
+    """c * s on the k-faces: an array is 0 on its wrap layer and read-only."""
+    if not isinstance(c, np.ndarray):
+        return None if c is None else c * s
+    c = c * s
+    c[layer(k, -1)] = 0.0
+    return _read_only(c)
 
 
 class FrameTables:
@@ -160,11 +180,12 @@ class FrameTables:
     ``hamilton_jacobi.godunov_gradient`` and ``vfields.horizontal_gradient``
     / ``horizontal_divergence``;
     ``kernel.upwind`` by ``godunov_gradient``;
-    ``kernel.diag``/``cross``/``drift`` by ``flux_divergence``, which
-    ``vfields.horizontal_laplacian`` calls too;
+    ``kernel.diag``/``cross``/``drift``, node-shaped with a zero wrap layer,
+    by ``flux_divergence``, which ``vfields.horizontal_laplacian`` calls too;
     ``diffusion``/``diffusion_max`` by ``grid.max_stable_dt``.  ``a``, ``A``
     and ``a_face`` are the full arrays the reference kernels of the tests
-    read; they are built lazily, only when such a test asks for them.
+    read, ``A`` and ``a_face`` face-shaped (axis k one node shorter); they
+    are built lazily, only when such a test asks for them.
     """
 
     def __init__(self, grid: GridSpec, vf: VectorFieldSet):
@@ -185,13 +206,13 @@ class FrameTables:
         diag, cross, drift = [], [], []
         for k in range(d):
             af = _coefficients(self.vf, _face_coordinates(grid, k))
-            diag.append(_scaled(_products(af, k, k), 1.0 / h[k] ** 2))
+            diag.append(_on_faces(_products(af, k, k), 1.0 / h[k] ** 2, k))
             cross.append([
-                (l, _scaled(Akl, 1.0 / (4.0 * h[k] * h[l])))
+                (l, _on_faces(Akl, 1.0 / (4.0 * h[k] * h[l]), k))
                 for l in range(d) if l != k and (Akl := _products(af, k, l)) is not None
             ])
             drift.append([
-                (i, _scaled(ai[k], 1.0 / h[k])) for i, ai in enumerate(af) if ai[k] is not None
+                (i, _on_faces(ai[k], 1.0 / h[k], k)) for i, ai in enumerate(af) if ai[k] is not None
             ])
         return Kernel(coef, upwind, diag, cross, drift)
 
@@ -206,7 +227,8 @@ class FrameTables:
         A: Table = []
         a_face: Table = []
         for k in range(d):
-            face = _face_coordinates(self.grid, k)
+            faces = layer(k, slice(None, -1))
+            face = [x[faces] for x in _face_coordinates(self.grid, k)]
             ai = _expand(_coefficients(self.vf, face), face[0].shape)
             A.append([_read_only(_products(ai, k, l)) for l in range(d)])
             a_face.append([field[k] for field in ai])
@@ -256,37 +278,39 @@ def frame_tables(grid: GridSpec, vf: VectorFieldSet) -> FrameTables:
     return got
 
 
-def face_slices(k: int, d: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """The lower and upper node of every k-face, as slices of a node array."""
-    lo = tuple(slice(None, -1) if ax == k else slice(None) for ax in range(d))
-    hi = tuple(slice(1, None) if ax == k else slice(None) for ax in range(d))
-    return lo, hi
-
-
-def _centered_difference(s: np.ndarray, l: int, out: np.ndarray) -> np.ndarray:
-    """s[j+1] - s[j-1] along axis l, into out.  The edge rows hold the
-    one-sided second-order numerator -3 s0 + 4 s1 - s2 (and its mirror)
-    written as differences, so a constant s gives exactly 0."""
-    v = np.moveaxis(s, l, 0)
-    o = np.moveaxis(out, l, 0)
-    np.subtract(v[2:], v[:-2], out=o[1:-1])
-    o[0] = 3.0 * (v[1] - v[0]) - (v[2] - v[1])
-    o[-1] = 3.0 * (v[-1] - v[-2]) - (v[-2] - v[-3])
+def _centered_difference(s: np.ndarray, shape: tuple[int, ...], l: int, out: np.ndarray) -> np.ndarray:
+    """s[j+1] - s[j-1] along axis l of the flat node array s, into out.  The
+    interior is one shift by 2 s_l; the edge rows then get the one-sided
+    second-order numerator -3 s0 + 4 s1 - s2 (and its mirror) written as
+    differences, so a constant s gives exactly 0."""
+    st = steps(shape)[l]
+    np.subtract(s[2 * st:], s[: s.size - 2 * st], out=out[st: s.size - st])
+    v, o = s.reshape(shape), out.reshape(shape)
+    o[layer(l, 0)] = 3.0 * (v[layer(l, 1)] - v[layer(l, 0)]) - (v[layer(l, 2)] - v[layer(l, 1)])
+    o[layer(l, -1)] = 3.0 * (v[layer(l, -1)] - v[layer(l, -2)]) - (v[layer(l, -2)] - v[layer(l, -3)])
     return out
 
 
-def _face_drift(drift, b_values, lo, hi, out: np.ndarray, tmp: np.ndarray) -> float | np.ndarray:
+def _face_entries(c: float | np.ndarray, m: int) -> float | np.ndarray:
+    """A face table as its first m flat entries; a float stays a float."""
+    return c.reshape(-1)[:m] if isinstance(c, np.ndarray) else c
+
+
+def _face_drift(drift, b_values, st: int, out: np.ndarray, tmp: np.ndarray) -> float | np.ndarray:
     """Btilde/h_k on the k-faces: a float when b and every coefficient are
     constant, else written into out (tmp is scratch)."""
     if all(np.ndim(b_values[i]) == 0 and isinstance(c, float) for i, c in drift):
         return sum(b_values[i] * c for i, c in drift)
+    m = out.size
     out.fill(0.0)
     for i, c in drift:
         bi = b_values[i]
+        c = _face_entries(c, m)
         if np.ndim(bi) == 0:
             np.multiply(c, bi, out=tmp)
         else:
-            np.add(bi[lo], bi[hi], out=tmp)
+            bi = bi.reshape(-1)
+            np.add(bi[:m], bi[st:], out=tmp)
             tmp *= 0.5
             tmp *= c
         out += tmp
@@ -304,21 +328,24 @@ def flux_divergence(
     b_values, when given, holds the m frame coefficients at nodes with
     shape (m, *grid.shape) or a constant (m,) vector.  The tangential
     derivative on a k-face is the centered gradient of the face sum
-    v[lo] + v[hi], formed once per axis k and shared by every cross term.
-    Each k-face flux enters once with each sign, + at its lower node and
-    - at its upper one, and no flux crosses the box boundary, so the
-    divergence telescopes exactly.  The face arrays of every axis are
-    views of one scratch allocation.
+    v[p] + v[p + s_k], formed once per axis k and shared by every cross
+    term.  Each k-face flux enters once with each sign, + at its lower
+    node and - at its upper one, and no flux crosses the box boundary, so
+    the divergence telescopes exactly.  Every face pass is a shift of the
+    flat node array (see the module docstring); the flux of the wrap
+    layer is set to +0.0 before the scatter, so it adds nothing.
     """
     kern = geom.kernel
-    d = values.ndim
-    out = np.zeros_like(values)
-    work = np.empty((3, values.size))
-    for k in range(d):
-        lo, hi = face_slices(k, d)
-        v_lo, v_hi = values[lo], values[hi]
-        # flux / h_k through every k-face, and two scratch arrays of its shape
-        flux, tmp, s = (row[: v_lo.size].reshape(v_lo.shape) for row in work)
+    shape = values.shape
+    v = np.ascontiguousarray(values).reshape(-1)
+    out = np.zeros(v.size)
+    # node-shaped scratch: the face sums are read across the wrap layer
+    work = np.zeros((3, v.size))
+    for k, st in enumerate(steps(shape)):
+        m = v.size - st
+        v_lo, v_hi = v[:m], v[st:]
+        # flux / h_k through every k-face, and two scratch arrays
+        flux, tmp, s = work[0, :m], work[1, :m], work[2, :m]
         diag = kern.diag[k] if sigma > 0 else None
         cross = kern.cross[k] if sigma > 0 else ()
         drift = kern.drift[k] if b_values is not None else ()
@@ -326,19 +353,19 @@ def flux_divergence(
             continue
         if diag is not None:
             np.subtract(v_hi, v_lo, out=flux)
-            flux *= diag
+            flux *= _face_entries(diag, m)
         else:
             flux.fill(0.0)
         if cross:
             np.add(v_lo, v_hi, out=s)
             for l, c in cross:
-                _centered_difference(s, l, tmp)
-                tmp *= c
+                _centered_difference(work[2], shape, l, work[1])
+                tmp *= _face_entries(c, m)
                 flux += tmp
         if diag is not None or cross:
             flux *= sigma
         if drift:
-            bt = _face_drift(drift, b_values, lo, hi, s, tmp)
+            bt = _face_drift(drift, b_values, st, s, tmp)
             # donor cell: transport velocity is -Btilde, so positive
             # Btilde moves mass toward smaller k-index
             if isinstance(bt, np.ndarray):
@@ -348,7 +375,8 @@ def flux_divergence(
             else:
                 np.multiply(v_hi if bt > 0 else v_lo, bt, out=tmp)
             flux += tmp
-        # node j gains (F[j] - F[j-1]) / h_k, with F = 0 beyond the box
-        out[lo] += flux
-        out[hi] -= flux
-    return out
+        work[0].reshape(shape)[layer(k, -1)] = 0.0
+        # node p gains (F[p] - F[p - s_k]) / h_k, with F = 0 beyond the box
+        out[:m] += flux
+        out[st:] -= flux
+    return out.reshape(shape)

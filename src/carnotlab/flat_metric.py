@@ -405,8 +405,10 @@ class MollifierSpec:
                              grid=grid, group=group)
 
 
-def kernel_field(m: MollifierSpec, grid: GridSpec, group: GroupSpec) -> Field:
-    """The scaled kernel (C / eps^Q) xi(delta_{1/eps} x) sampled on the grid."""
+def kernel_field(m: MollifierSpec) -> Field:
+    """The scaled kernel (C / eps^Q) xi(delta_{1/eps} x) sampled on the grid
+    and for the group m was built for."""
+    grid, group = m.grid, m.group
     s = gauge_power(group, dilate(group, 1.0 / m.eps, node_points(grid)))
     vals = m.C / m.eps**group.homogeneous_dimension * bump_shape(s)
     return Field(grid, vals.reshape(grid.shape))

@@ -117,46 +117,44 @@ def godunov_gradient(u: Field, group: GroupSpec) -> np.ndarray:
     matching the zero-flux convention of the diffusion stencil).
 
     The coefficients and their sign split come from the kernel tables of
-    ``_stencils``: a constant coefficient picks its side once and is
-    added as a slice, an array coefficient picks per node.
+    ``_stencils``: a constant coefficient picks its side once and adds a
+    shifted view, an array coefficient picks per node.
     """
     vf = vfields.left_invariant_fields(group)
     grid = u.grid
     kern = _stencils.frame_tables(grid, vf).kernel
-    values = u.values
+    values = np.ascontiguousarray(u.values).reshape(-1)
+    n = values.size
     h = grid.spacings
-    d = grid.dim
-    diffs: dict[int, np.ndarray] = {}
-    total = np.zeros(grid.shape)
-    d_minus, d_plus, pick = (np.empty(grid.shape) for _ in range(3))
+    # per axis l, the forward difference at every node (0 on the row
+    # i_l = n_l - 1) behind s_l zeros: the forward differences are [s_l:]
+    # and the backward ones [:n], both 0 on their inflow edge row
+    diffs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    total = np.zeros(n)
+    d_minus, d_plus, pick = (np.empty(n) for _ in range(3))
     for coef, split in zip(kern.coef, kern.upwind):
         d_minus.fill(0.0)
         d_plus.fill(0.0)
         for l, c in enumerate(coef):
             if c is None:
                 continue
-            lo, hi = _stencils.face_slices(l, d)
-            D = diffs.get(l)
-            if D is None:
-                D = diffs[l] = np.subtract(values[hi], values[lo])
-                D /= h[l]
+            if l not in diffs:
+                st = _stencils.steps(grid.shape)[l]
+                D = np.zeros(n + st)
+                np.subtract(values[st:], values[: n - st], out=D[st:n])
+                D[st:n] /= h[l]
+                D[st:].reshape(grid.shape)[_stencils.layer(l, -1)] = 0.0
+                diffs[l] = D[:n], D[st:]
+            backward, forward = diffs[l]
             if isinstance(c, float):
-                # the backward difference sits at nodes 1.., the forward one at ..n-2
-                cD = _stencils.times(c, D)
-                d_minus[hi if c > 0 else lo] += cD
-                d_plus[lo if c > 0 else hi] += cD
+                d_minus += _stencils.times(c, backward if c > 0 else forward)
+                d_plus += _stencils.times(c, forward if c > 0 else backward)
                 continue
-            # backward difference where `backward` holds, forward elsewhere,
-            # 0 on the inflow edge row of either
-            p = np.moveaxis(pick, l, 0)
-            Dl = np.moveaxis(D, l, 0)
-            for acc, backward in zip((d_minus, d_plus), split[l]):
-                bw = np.moveaxis(backward, l, 0)
-                p[:-1] = Dl
-                p[-1] = 0.0
-                np.copyto(p[1:], Dl, where=bw[1:])
-                np.copyto(p[0], 0.0, where=bw[0])
-                pick *= c
+            # backward difference where `back` holds, forward elsewhere
+            for acc, back in zip((d_minus, d_plus), split[l]):
+                np.copyto(pick, forward)
+                np.copyto(pick, backward, where=back.reshape(-1))
+                pick *= c.reshape(-1)
                 acc += pick
         np.maximum(d_minus, 0.0, out=d_minus)
         np.negative(d_plus, out=d_plus)
@@ -164,7 +162,7 @@ def godunov_gradient(u: Field, group: GroupSpec) -> np.ndarray:
         np.maximum(d_minus, d_plus, out=d_minus)
         d_minus *= d_minus
         total += d_minus
-    return np.sqrt(total, out=total)
+    return np.sqrt(total, out=total).reshape(grid.shape)
 
 
 def gradient_power(vf: vfields.VectorFieldSet, u: Field, gamma: float) -> np.ndarray:

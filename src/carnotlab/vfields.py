@@ -63,20 +63,31 @@ def coordinate_field(dim: int, axis: int) -> VectorFieldSet:
 # grid stencils
 # ---------------------------------------------------------------------------
 
-def _axis_gradient(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return np.gradient(values, h, axis=axis, edge_order=2)
+def _partial(values: np.ndarray, h: float, l: int, out: np.ndarray) -> np.ndarray:
+    """np.gradient(values, h, axis=l, edge_order=2) by numpy's formulas, into out (both
+    C-contiguous): one shift of the flat array by 2 s_l, then the edge rows."""
+    st = _stencils.steps(values.shape)[l]
+    v, inner = values.reshape(-1), out.reshape(-1)[st: values.size - st]
+    np.subtract(v[2 * st:], v[: v.size - 2 * st], out=inner)
+    inner /= 2.0 * h
+    e = [_stencils.layer(l, j) for j in (0, 1, 2, -3, -2, -1)]
+    out[e[0]] = (-1.5 / h) * values[e[0]] + (2.0 / h) * values[e[1]] + (-0.5 / h) * values[e[2]]
+    out[e[5]] = (0.5 / h) * values[e[3]] + (-2.0 / h) * values[e[4]] + (1.5 / h) * values[e[5]]
+    return out
 
 
 def horizontal_gradient(vf: VectorFieldSet, f: Field) -> Field:
     """(X_1 f, ..., X_m f) with centered differences for the Euclidean partials."""
     h = f.grid.spacings
     coef = _stencils.frame_tables(f.grid, vf).kernel.coef
-    partials = [_axis_gradient(f.values, h[l], l) for l in range(f.grid.dim)]
+    values = np.ascontiguousarray(f.values)
     out = np.zeros((vf.count,) + f.grid.shape)
-    for comp, row in zip(out, coef):
-        for l, c in enumerate(row):
-            if c is not None:
-                comp += _stencils.times(c, partials[l])
+    partial = np.empty(f.grid.shape)
+    for l in range(f.grid.dim):
+        _partial(values, h[l], l, partial)
+        for comp, row in zip(out, coef):
+            if row[l] is not None:
+                comp += _stencils.times(row[l], partial)
     return Field(f.grid, out, f.t)
 
 
@@ -93,18 +104,25 @@ def horizontal_divergence(vf: VectorFieldSet, F: Field) -> Field:
     grid = F.grid
     h = grid.spacings
     coef = _stencils.frame_tables(grid, vf).kernel.coef
-    out = np.zeros(grid.shape)
+    values = np.ascontiguousarray(F.values)
+    out, partial = np.zeros(grid.shape), np.empty(grid.shape)
     for i, row in enumerate(coef):
         for l, c in enumerate(row):
             if c is not None:
-                out += _stencils.times(c, _axis_gradient(F.values[i], h[l], l))
+                out += _stencils.times(c, _partial(values[i], h[l], l, partial))
     return Field(grid, out, F.t)
 
 
 def gradient_sup(vf: VectorFieldSet, f: Field) -> float:
-    """||grad_G f||_inf, the largest Euclidean length of (X_1 f, ..., X_m f)."""
+    """||grad_G f||_inf, the largest Euclidean length of (X_1 f, ..., X_m f);
+    a length past the float range of a finite gradient is taken on g / max |g|."""
     g = horizontal_gradient(vf, f).values
-    return float(np.sqrt((g**2).sum(axis=0)).max())
+    with np.errstate(over="ignore"):
+        sup = float(np.sqrt((g**2).sum(axis=0)).max())
+    if np.isinf(sup) and np.isfinite(g).all():
+        scale = float(np.abs(g).max())
+        sup = scale * float(np.sqrt(((g / scale) ** 2).sum(axis=0)).max())
+    return sup
 
 
 def second_gradient_sup(vf: VectorFieldSet, f: Field) -> float:

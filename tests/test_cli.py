@@ -180,6 +180,24 @@ def test_stepping_solver_stop_ends_in_exit_2_with_a_complete_manifest(tmp_path, 
     assert f"note: {note}" in (outdir / "summary.txt").read_text()
 
 
+def test_heat_datum_near_the_float_limit_passes_without_a_warning(tmp_path, capsys):
+    # |grad u|^2 of a 1e300 datum overflows though grad u does not: the
+    # decay fit must see a finite sup, with no warning on stderr
+    cfg = tmp_path / "heat_huge.cfg"
+    cfg.write_text("[scenario]\nkind = heat\n\n[grid]\nnodes = 21\n\n"
+                   "[dynamics]\nt_end = 0.2\n\n[data]\namplitude = 1e300\n")
+    runs = tmp_path / "runs"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", str(cfg), "--output-dir", str(runs)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_OK, out
+    assert err == ""
+    (outdir,) = runs.iterdir()
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert all(c["ok"] and c["value"] is not None for c in manifest["checks"])
+
+
 def test_run_starts_no_more_workers_than_configs(tmp_path, monkeypatch, serial_pool, capsys):
     # a process pool starts all max_workers processes at its first submit
     monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool)

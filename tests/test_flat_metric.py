@@ -279,7 +279,7 @@ def test_kernel_mass_and_support():
     grid = cgrid.default_grid(nodes=41)
     m = MollifierSpec.build(0.4, grid, G)
     assert abs(m.weights.sum() - 1.0) <= 1e-12
-    kf = kernel_field(m, grid, G)
+    kf = kernel_field(m)
     assert abs(kf.integral() - 1.0) <= 1e-10
     pts = np.stack(node_coordinates(grid), axis=-1).reshape(-1, 3)
     norms = hom_norm(G, pts).reshape(grid.shape)
@@ -292,7 +292,7 @@ def test_mollify_dirac_returns_kernel():
     vals = np.zeros(grid.shape)
     vals[20, 20, 20] = 1.0 / grid.cell_volume
     smoothed = mollify(Field(grid, vals), m, G)
-    kf = kernel_field(m, grid, G)
+    kf = kernel_field(m)
     assert np.abs(smoothed.values - kf.values).max() <= 1e-10 * kf.values.max()
 
 
@@ -320,8 +320,8 @@ def test_kernel_gradient_scaling_chain():
 
     m04 = MollifierSpec.build(0.4, grid, G)
     m08 = MollifierSpec.build(0.8, grid, G)
-    s04 = grad_sup(kernel_field(m04, grid, G))
-    s08 = grad_sup(kernel_field(m08, grid, G))
+    s04 = grad_sup(kernel_field(m04))
+    s08 = grad_sup(kernel_field(m08))
     q = G.homogeneous_dimension
     predicted = (0.8 / 0.4) ** (q + 1) * m04.C / m08.C
     assert abs(s04 / s08 / predicted - 1.0) <= 0.05

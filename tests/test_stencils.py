@@ -247,6 +247,168 @@ def test_stepping_kernels_match_the_full_array_kernels(label, vf, grid, monkeypa
             assert np.abs(got - drift).max() <= 1e-13 * np.abs(drift).max(), gamma
 
 
+def _face_slices(k, d):
+    lo = tuple(slice(None, -1) if ax == k else slice(None) for ax in range(d))
+    hi = tuple(slice(1, None) if ax == k else slice(None) for ax in range(d))
+    return lo, hi
+
+
+def _face_tables(geom):
+    """diag, cross and drift on face-shaped k-face arrays, built from the
+    face arrays A and a_face with the kernel's scalings."""
+    h = geom.grid.spacings
+    d = geom.grid.dim
+    A = geom.A
+    diag = [None if A[k][k] is None else A[k][k] * (1.0 / h[k] ** 2) for k in range(d)]
+    cross = [[(l, A[k][l] * (1.0 / (4.0 * h[k] * h[l])))
+              for l in range(d) if l != k and A[k][l] is not None] for k in range(d)]
+    drift = [[(i, a * (1.0 / h[k])) for i, a in enumerate(geom.a_face[k]) if a is not None]
+             for k in range(d)]
+    return diag, cross, drift
+
+
+def _face_shaped_flux_divergence(values, geom, sigma, b_values=None):
+    """flux_divergence as it was written on face-shaped tables and views."""
+    diags, crosses, drifts = _face_tables(geom)
+    d = values.ndim
+    out = np.zeros_like(values)
+    work = np.empty((3, values.size))
+    for k in range(d):
+        lo, hi = _face_slices(k, d)
+        v_lo, v_hi = values[lo], values[hi]
+        flux, tmp, s = (row[: v_lo.size].reshape(v_lo.shape) for row in work)
+        diag = diags[k] if sigma > 0 else None
+        cross = crosses[k] if sigma > 0 else ()
+        drift = drifts[k] if b_values is not None else ()
+        if diag is None and not cross and not drift:
+            continue
+        if diag is not None:
+            np.subtract(v_hi, v_lo, out=flux)
+            flux *= diag
+        else:
+            flux.fill(0.0)
+        if cross:
+            np.add(v_lo, v_hi, out=s)
+            for l, c in cross:
+                v, o = np.moveaxis(s, l, 0), np.moveaxis(tmp, l, 0)
+                np.subtract(v[2:], v[:-2], out=o[1:-1])
+                o[0] = 3.0 * (v[1] - v[0]) - (v[2] - v[1])
+                o[-1] = 3.0 * (v[-1] - v[-2]) - (v[-2] - v[-3])
+                tmp *= c
+                flux += tmp
+        if diag is not None or cross:
+            flux *= sigma
+        if drift:
+            s.fill(0.0)
+            for i, c in drift:
+                bi = b_values[i]
+                if np.ndim(bi) == 0:
+                    np.multiply(c, bi, out=tmp)
+                else:
+                    np.add(bi[lo], bi[hi], out=tmp)
+                    tmp *= 0.5
+                    tmp *= c
+                s += tmp
+            np.copyto(tmp, v_lo)
+            np.copyto(tmp, v_hi, where=s > 0)
+            tmp *= s
+            flux += tmp
+        out[lo] += flux
+        out[hi] -= flux
+    return out
+
+
+def _face_shaped_godunov_gradient(u, kern):
+    """godunov_gradient as it was written on face-shaped differences."""
+    values = u.values
+    h = u.grid.spacings
+    d = u.grid.dim
+    diffs = {}
+    total = np.zeros(u.grid.shape)
+    d_minus, d_plus, pick = (np.empty(u.grid.shape) for _ in range(3))
+    for coef, split in zip(kern.coef, kern.upwind):
+        d_minus.fill(0.0)
+        d_plus.fill(0.0)
+        for l, c in enumerate(coef):
+            if c is None:
+                continue
+            lo, hi = _face_slices(l, d)
+            D = diffs.get(l)
+            if D is None:
+                D = diffs[l] = np.subtract(values[hi], values[lo])
+                D /= h[l]
+            if isinstance(c, float):
+                cD = _stencils.times(c, D)
+                d_minus[hi if c > 0 else lo] += cD
+                d_plus[lo if c > 0 else hi] += cD
+                continue
+            p = np.moveaxis(pick, l, 0)
+            Dl = np.moveaxis(D, l, 0)
+            for acc, backward in zip((d_minus, d_plus), split[l]):
+                bw = np.moveaxis(backward, l, 0)
+                p[:-1] = Dl
+                p[-1] = 0.0
+                np.copyto(p[1:], Dl, where=bw[1:])
+                np.copyto(p[0], 0.0, where=bw[0])
+                pick *= c
+                acc += pick
+        np.maximum(d_minus, 0.0, out=d_minus)
+        np.negative(d_plus, out=d_plus)
+        np.maximum(d_plus, 0.0, out=d_plus)
+        np.maximum(d_minus, d_plus, out=d_minus)
+        d_minus *= d_minus
+        total += d_minus
+    return np.sqrt(total, out=total)
+
+
+def _np_gradient_horizontal_gradient(kern, f):
+    """horizontal_gradient as it was written with one np.gradient per axis."""
+    h = f.grid.spacings
+    partials = [np.gradient(f.values, h[l], axis=l, edge_order=2) for l in range(f.grid.dim)]
+    out = np.zeros((len(kern.coef),) + f.grid.shape)
+    for comp, row in zip(out, kern.coef):
+        for l, c in enumerate(row):
+            if c is not None:
+                comp += _stencils.times(c, partials[l])
+    return out
+
+
+OFF_CENTRE = GridSpec((-2.0, -1.5, -1.0), (1.5, 2.5, 3.0), (9, 12, 15))
+SHIFT_CASES = [
+    ("heisenberg1 on 9x12x15 off centre", left_invariant_fields(H1), OFF_CENTRE),
+    ("engel", left_invariant_fields(ENGEL), GridSpec((-1.5,) * 4, (1.5,) * 4, (11,) * 4)),
+    ("hand-built on 9x12x15 off centre", HAND, OFF_CENTRE),
+]
+
+
+@pytest.mark.parametrize("label,vf,grid", SHIFT_CASES, ids=[c[0] for c in SHIFT_CASES])
+def test_flat_shift_kernels_equal_the_face_shaped_kernels_bit_for_bit(label, vf, grid, monkeypatch):
+    """Every face pass is a shift of the flat node array; outputs stay the
+    bits of the face-shaped kernels, for a transposed view too."""
+    monkeypatch.setattr(vfields, "left_invariant_fields", lambda group: vf)
+    geom = _stencils.frame_tables(grid, vf)
+    rng = np.random.default_rng(17)
+    m = vf.count
+    contiguous = rng.normal(size=grid.shape)
+    # same shape, C order reversed: a flat reshape of it would be a copy
+    transposed = rng.normal(size=grid.shape[::-1]).T
+    assert not transposed.flags.c_contiguous
+    for values in (contiguous, transposed):
+        nodal = rng.normal(size=(m,) + grid.shape)
+        if values is transposed:
+            nodal = rng.normal(size=grid.shape[::-1] + (m,)).T
+        for name, b in (("none", None), ("constant", rng.normal(size=m)), ("nodal", nodal)):
+            for sigma in (0.0, 0.25):
+                want = _face_shaped_flux_divergence(values, geom, sigma, b)
+                got = _stencils.flux_divergence(values, geom, sigma, b)
+                assert got.tobytes() == want.tobytes(), (name, sigma)
+        u = Field(grid, values)
+        want = _face_shaped_godunov_gradient(u, geom.kernel)
+        assert hj.godunov_gradient(u, None).tobytes() == want.tobytes()
+        want = _np_gradient_horizontal_gradient(geom.kernel, u)
+        assert vfields.horizontal_gradient(vf, u).values.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("label,group,grid", CASES, ids=[c[0] for c in CASES])
 def test_flux_of_a_constant_is_exactly_zero(label, group, grid):
     geom = _stencils.frame_tables(grid, left_invariant_fields(group))
