@@ -41,7 +41,8 @@ from . import __version__
 from . import fokker_planck as fp
 from . import hamilton_jacobi as hj
 from . import heat
-from .grid import CFLViolation, Field, GridSpec, bump_field, default_grid, dump_field_csv, node_points
+from .grid import (CFL_SAFETY, CFLViolation, Field, GridSpec, bump_field, default_grid,
+                   dump_field_csv, max_stable_dt, node_points, step_count)
 from .groups import preset, quasi_distance
 from .report import Check, json_text, summary_rows
 
@@ -105,7 +106,7 @@ def _as_int_min(lo: int):
             raise ValueError(f"expected an integer >= {lo}; got {raw!r}")
         return v
 
-    cast.doc = f"integer >= {lo}"
+    cast.doc = cast.__name__ = f"integer >= {lo}"
     return cast
 
 
@@ -350,6 +351,12 @@ def _scenario_data(cfg: dict, group) -> dict:
         data["mollifier"] = MollifierSpec.build(dyn["eps"], grid, group)
     elif kind == "heat":
         heat.decay_ladder(grid, group, dyn["sigma"], dyn["t_end"])
+    elif kind == "metric":
+        # the time-regularity fit needs two distinct gaps, so two density steps
+        n = step_count(dyn["t_end"], CFL_SAFETY * max_stable_dt(grid, group, dyn["sigma"]))
+        if n < 2:
+            raise ValueError(f"t_end = {dyn['t_end']:g} spans {n} stable step at sigma = "
+                             f"{dyn['sigma']:g} on this grid; the time-regularity fit needs 2")
     return data
 
 
@@ -778,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output-dir", default=None,
                        help=f"parent for output directories (or ${OUTPUT_DIR_ENV}; "
                             "default ./runs)")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", type=_as_int_min(0), default=None,
                        help="override the [run] seed of every config")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")

@@ -207,7 +207,7 @@ def max_stable_dt(
             bv = bv.reshape((-1,) + (1,) * grid.dim)
         for k in range(grid.dim):
             btk = None
-            for i, ci in enumerate(tables.kernel.coef):
+            for i, ci in enumerate(tables.coef):
                 if ci[k] is None:
                     continue
                 term = _stencils.times(ci[k], bv[i])

@@ -37,8 +37,10 @@ the same problem through unrelated operator splittings.
 ``duality_report`` pairs a solution trajectory with an adjoint density
 transported by the feedback drift gamma |grad u|^{gamma-2} grad u.  The
 adjoint problem is well posed backward in time, so the density is
-integrated in the reversed variable r = tau - t and read back in
-reverse.  The pairing identity
+``feedback_transport`` of the trajectory reflected into the reversed
+variable r = tau - t, read back in reverse; the coupled solve of ``mfg``
+carries its density forward by the same ``feedback_transport``.  The
+pairing identity
 
     int u(tau) mu(tau) - int u(s) mu(s)
         = int_s^tau int ((gamma-1) |grad u|^gamma + F) mu
@@ -116,13 +118,13 @@ def godunov_gradient(u: Field, group: GroupSpec) -> np.ndarray:
     difference is 0 at its inflow edge (constant extension of the data,
     matching the zero-flux convention of the diffusion stencil).
 
-    The coefficients and their sign split come from the kernel tables of
+    The coefficients and their sign split come from the frame tables of
     ``_stencils``: a constant coefficient picks its side once and adds a
     shifted view, an array coefficient picks per node.
     """
     vf = vfields.left_invariant_fields(group)
     grid = u.grid
-    kern = _stencils.frame_tables(grid, vf).kernel
+    tables = _stencils.frame_tables(grid, vf)
     values = np.ascontiguousarray(u.values).reshape(-1)
     n = values.size
     h = grid.spacings
@@ -132,7 +134,7 @@ def godunov_gradient(u: Field, group: GroupSpec) -> np.ndarray:
     diffs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     total = np.zeros(n)
     d_minus, d_plus, pick = (np.empty(n) for _ in range(3))
-    for coef, split in zip(kern.coef, kern.upwind):
+    for coef, split in zip(tables.coef, tables.upwind):
         d_minus.fill(0.0)
         d_plus.fill(0.0)
         for l, c in enumerate(coef):
@@ -187,6 +189,16 @@ def feedback_drift(u: Field, gamma: float, group: GroupSpec) -> np.ndarray:
     with np.errstate(divide="ignore"):
         coeff = gamma * np.where(mag > 0, mag ** (gamma - 2.0), 0.0)
     return coeff * g
+
+
+def feedback_transport(u_traj: Trajectory, rho0: Field, sigma: float, gamma: float,
+                       group: GroupSpec, t_end: float) -> Trajectory:
+    """rho0 carried to t_end by the feedback drift of u_traj, one step per
+    snapshot interval; the drift is keyed by u_traj's times, so each step
+    reads the drift of the value snapshot at its own start time."""
+    values = [feedback_drift(f, gamma, group) for f in u_traj.fields]
+    drift = DriftField.from_sequence(u_traj.times, values)
+    return fp_solve(rho0, drift, sigma, t_end, group, steps=len(u_traj) - 1, store_every=1)
 
 
 def hj_max_stable_dt(u: Field, spec: HamiltonianSpec, sigma: float, group: GroupSpec) -> float:
@@ -462,14 +474,13 @@ def duality_report(
     mu_tau is the density at the LATER time tau: the adjoint equation
     d_t mu + sigma lap_G mu + div_G(gamma |grad u|^{gamma-2} grad u mu) = 0
     is parabolic backward in time, so the density is integrated in the
-    reversed variable r = tau - t (a forward transport-diffusion run with
-    the drift sequence read off the trajectory in reverse) and mapped
-    back.  The run takes one step of (tau - s) / n per window interval,
-    n intervals in all, and its drift is keyed by its own snapshot times,
-    the running sum of that step from 0.  The step must satisfy the
-    transport bound for the feedback drift, which it does whenever the
-    window holds every snapshot of an hj_solve run, whose bound includes
-    the same speed.
+    reversed variable r = tau - t (``feedback_transport`` of the window
+    reflected onto the run's own snapshot times) and mapped back.  The
+    run takes one step of (tau - s) / n per window interval, n intervals
+    in all, and its drift is keyed by its own snapshot times, the running
+    sum of that step from 0.  The step must satisfy the transport bound
+    for the feedback drift, which it does whenever the window holds every
+    snapshot of an hj_solve run, whose bound includes the same speed.
 
     Time integrals use the trapezoid rule on that grid, space integrals
     the grid sum.
@@ -489,10 +500,9 @@ def duality_report(
     # the adjoint's snapshot k, stamped as its stepper stamps it, carries
     # the drift of window snapshot n - k
     rev_times = list(accumulate([span / n] * n, initial=0.0))
-    rev_values = [feedback_drift(f, spec.gamma, group) for f in reversed(window)]
-    drift = DriftField.from_sequence(rev_times, rev_values)
-    nu = fp_solve(Field(mu_tau.grid, mu_tau.values, 0.0), drift, sigma, span, group,
-                  steps=n, store_every=1)
+    reflected = Trajectory(traj.times[i0 : i1 + 1], window).reflected(rev_times)
+    nu = feedback_transport(reflected, Field(mu_tau.grid, mu_tau.values, 0.0), sigma,
+                            spec.gamma, group, span)
     # mu at window time index j is nu at reversed index
     mu_fields = nu.fields[::-1]
 

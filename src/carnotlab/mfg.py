@@ -17,7 +17,8 @@ evaluation above it; each backward solve smooths all n+1 density
 snapshots with one product per row block.
 
 ``mfg_picard`` runs the damped best-response iteration: given u, push
-rho0 forward with the feedback drift; feed the mollified density back
+rho0 forward with its feedback drift (``hamilton_jacobi.feedback_transport``,
+the transport the pairing adjoint runs too); feed the mollified density back
 into the backward problem solved from u_T; mix the new value function
 in with weight theta.  The backward solve is the forward solver in the
 reflected variable r = T - t.  Every solve of a run is handed the same
@@ -59,7 +60,7 @@ from .hamilton_jacobi import (
     DivergenceError,
     HamiltonianSpec,
     duality_report,
-    feedback_drift,
+    feedback_transport,
     hj_max_stable_dt,
     hj_solve,
     sup_bounds_report,
@@ -159,19 +160,6 @@ class MFGState:
 # ---------------------------------------------------------------------------
 # iteration
 # ---------------------------------------------------------------------------
-
-def _forward_density(
-    u_traj: Trajectory,
-    rho0: Field,
-    sigma: float,
-    gamma: float,
-    group: GroupSpec,
-    t_end: float,
-) -> Trajectory:
-    values = [feedback_drift(f, gamma, group) for f in u_traj.fields]
-    drift = DriftField.from_sequence(u_traj.times, values)
-    return fp_solve(rho0, drift, sigma, t_end, group, steps=len(u_traj) - 1, store_every=1)
-
 
 def _backward_value(
     rho_traj: Trajectory,
@@ -285,7 +273,7 @@ def mfg_picard(
         u_cur = v0.reflected(v0.times)
         for it in range(1, max_iters + 1):
             iterations = it
-            rho_cur = _forward_density(u_cur, rho0, sigma, gamma, group, span)
+            rho_cur = feedback_transport(u_cur, rho0, sigma, gamma, group, span)
             # a backward solve that stops leaves none paired with rho_cur
             v_last = spec_last = None
             u_cand, v_last, spec_last = _backward_value(rho_cur, u_T, coupling, sigma, gamma,
@@ -354,7 +342,7 @@ def fixed_point_residual(state: MFGState) -> float:
     A converged state should move by at most a couple of stopping
     tolerances when the map is applied once more.
     """
-    rho = _forward_density(
+    rho = feedback_transport(
         state.u_traj, state.rho_initial, state.sigma, state.gamma, state.group, state.t_end
     )
     u_new, _, _ = _backward_value(

@@ -79,7 +79,7 @@ def _partial(values: np.ndarray, h: float, l: int, out: np.ndarray) -> np.ndarra
 def horizontal_gradient(vf: VectorFieldSet, f: Field) -> Field:
     """(X_1 f, ..., X_m f) with centered differences for the Euclidean partials."""
     h = f.grid.spacings
-    coef = _stencils.frame_tables(f.grid, vf).kernel.coef
+    coef = _stencils.frame_tables(f.grid, vf).coef
     values = np.ascontiguousarray(f.values)
     out = np.zeros((vf.count,) + f.grid.shape)
     partial = np.empty(f.grid.shape)
@@ -103,7 +103,7 @@ def horizontal_divergence(vf: VectorFieldSet, F: Field) -> Field:
         raise ValueError("expected one component per field in the set")
     grid = F.grid
     h = grid.spacings
-    coef = _stencils.frame_tables(grid, vf).kernel.coef
+    coef = _stencils.frame_tables(grid, vf).coef
     values = np.ascontiguousarray(F.values)
     out, partial = np.zeros(grid.shape), np.empty(grid.shape)
     for i, row in enumerate(coef):

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from carnotlab import cli, verify
+from carnotlab import cli, preset, verify
+from carnotlab.grid import default_grid
 
 
 @pytest.mark.parametrize("kind", sorted(cli.RUNNERS))
@@ -22,21 +23,23 @@ def test_group_of_other_dimension_is_rejected_before_any_output(kind, tmp_path, 
     assert not runs.exists()
 
 
-def test_underdetermined_holder_fit_is_written_as_strict_json(tmp_path, capsys):
-    # one fp step gives one time gap, which fixes no Holder slope
-    text = open(cli.resolve_config("metric_demo")).read()
-    assert "t_end = 0.1\n" in text
-    cfg = tmp_path / "metric_short.cfg"
-    cfg.write_text(text.replace("t_end = 0.1\n", "t_end = 0.0001\n"))
-    runs = tmp_path / "runs"
-    assert cli.main(["run", str(cfg), "--output-dir", str(runs)]) == cli.EXIT_INVARIANT
-    (outdir,) = runs.iterdir()
+def test_underdetermined_holder_fit_is_written_as_strict_json(tmp_path):
+    # one fp step gives one time gap, which fixes no Holder slope; `run`
+    # rejects such a horizon, so the metric runner is handed its datum here
+    cfg, _ = cli.load_config(cli.resolve_config("metric_demo"))
+    cfg["dynamics"]["t_end"] = 0.0001
+    group = preset(cfg["scenario"]["group"])
+    grid = default_grid(cfg["grid"]["extent"], cfg["grid"]["nodes"])
+    datum = cli._make_datum(cfg, grid, group, normalize=True)
+    outcome = cli._run_metric(cfg, {"datum": datum}, str(tmp_path), 0, group)
+    cli._write_manifest(str(tmp_path), checks=outcome.checks)
+    assert outcome.exit_code == cli.EXIT_INVARIANT
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
     docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
-            for p in outdir.glob("*.json")}
+            for p in tmp_path.glob("*.json")}
     assert {"manifest.json", "metric_report.json"} <= set(docs)
     holder = docs["metric_report.json"]["holder"]
     assert holder["verdict"] == "underdetermined"
@@ -101,6 +104,28 @@ def test_heat_horizon_of_too_few_steps_is_rejected_before_any_output(old, new, t
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "short_ladder.cfg:" in err and "t_end = 0.2 spans" in err and "sample ladder" in err
+    assert not runs.exists()
+
+
+def test_metric_horizon_of_one_step_is_rejected_before_any_output(tmp_path, capsys):
+    # one density step gives the time-regularity fit one gap: no exponent
+    cfg = tmp_path / "one_step.cfg"
+    cfg.write_text("[scenario]\nkind = metric\n\n[grid]\nnodes = 5\n")
+    runs = tmp_path / "runs"
+    code = cli.main(["run", str(cfg), "--output-dir", str(runs)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "one_step.cfg:" in err and "spans 1 stable step" in err and "fit needs 2" in err
+    assert not runs.exists()
+
+
+def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["run", "metric_demo", "--seed", "-1", "--output-dir", str(runs)])
+    assert stop.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and "'-1'" in err and "Traceback" not in err
     assert not runs.exists()
 
 

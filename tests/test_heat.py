@@ -157,16 +157,16 @@ def test_decay_report_json_is_strict_on_a_constant_datum():
     assert doc["slope"] is None
 
 
-def test_face_geometry_is_cached_by_law_not_by_name(monkeypatch):
+def test_face_geometry_is_cached_by_law_not_by_name():
     # twice the bracket under the same name must not reuse cached faces
     one = Fraction(1)
     doubled = dataclasses.replace(H1, law=((), (), ((one, (1, 0, 0), (0, 1, 0)),
                                                     (-one, (0, 1, 0), (1, 0, 0)))))
     grid = default_grid(nodes=15)
     f = bump_field(grid, H1, radius=1.0)
-    monkeypatch.setattr(_stencils, "_GEOM_CACHE", {})
+    _stencils.frame_tables.cache_clear()
     evolve(f, 0.25, 0.05, H1)
     warm = evolve(f, 0.25, 0.05, doubled)
-    monkeypatch.setattr(_stencils, "_GEOM_CACHE", {})
+    _stencils.frame_tables.cache_clear()
     cold = evolve(f, 0.25, 0.05, doubled)
     assert np.array_equal(warm.values, cold.values)

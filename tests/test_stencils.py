@@ -16,7 +16,7 @@ import carnotlab
 from carnotlab import _stencils, preset, vfields
 from carnotlab import hamilton_jacobi as hj
 from carnotlab.grid import Field, GridSpec, default_grid, max_stable_dt, node_coordinates
-from carnotlab.groups import eval_poly
+from carnotlab.groups import eval_poly, poly_is_zero
 from carnotlab.vfields import VectorFieldSet, left_invariant_fields
 
 H1 = preset("heisenberg1")
@@ -56,9 +56,32 @@ def _reference_max_stable_dt(grid, group, vf, sigma, b=None):
     return 1.0 / m
 
 
-def _reference_flux_divergence(values, geom, sigma, b_values=None):
+def _full_tables(grid, vf):
+    """a[i][l] on the nodes, and A[k][l] and a_face[k][i] on the k-faces
+    (axis k one node shorter, shifted by h_k/2), as full eval_poly arrays,
+    None where the polynomial is 0.  A sums its products in field order from
+    the first one, as the kernel does, so a -0.0 keeps its sign."""
+    def evaluate(coords):
+        return [[None if poly_is_zero(p) else eval_poly(p, coords) for p in field]
+                for field in vf.coefficients]
+
+    def product_sum(af, k, l):
+        terms = [ai[k] * ai[l] for ai in af if ai[k] is not None and ai[l] is not None]
+        return sum(terms[1:], terms[0]) if terms else None
+
+    faces = []
+    for k in range(grid.dim):
+        axes = list(grid.axes())
+        axes[k] = axes[k][:-1] + 0.5 * grid.spacings[k]
+        faces.append(evaluate(np.meshgrid(*axes, indexing="ij")))
+    A = [[product_sum(af, k, l) for l in range(grid.dim)] for k, af in enumerate(faces)]
+    a_face = [[ai[k] for ai in af] for k, af in enumerate(faces)]
+    return evaluate(node_coordinates(grid)), A, a_face
+
+
+def _reference_flux_divergence(values, grid, vf, sigma, b_values=None):
     """The kernel as it was written with np.pad before the scatter."""
-    grid = geom.grid
+    _, A, a_face = _full_tables(grid, vf)
     d = grid.dim
     h = grid.spacings
     node_grads = None
@@ -71,7 +94,7 @@ def _reference_flux_divergence(values, geom, sigma, b_values=None):
         flux = None
         if sigma > 0:
             for l in range(d):
-                Akl = geom.A[k][l]
+                Akl = A[k][l]
                 if Akl is None:
                     continue
                 if l == k:
@@ -82,8 +105,7 @@ def _reference_flux_divergence(values, geom, sigma, b_values=None):
                 flux = term if flux is None else flux + term
         if b_values is not None:
             bt = None
-            for i in range(len(geom.a_face[k])):
-                aik = geom.a_face[k][i]
+            for i, aik in enumerate(a_face[k]):
                 if aik is None:
                     continue
                 bi = b_values[i]
@@ -181,15 +203,21 @@ def test_cached_bound_matches_the_node_loop(label, group, grid):
             _reference_max_stable_dt(grid, group, None, 0.25, nodal_field), rel=1e-14)
 
 
-def test_cached_tables_are_read_only_and_keyed_by_value(monkeypatch):
-    monkeypatch.setattr(_stencils, "_GEOM_CACHE", {})
+def test_cached_tables_are_read_only_and_keyed_by_value():
+    _stencils.frame_tables.cache_clear()
     grid = default_grid(2.0, 9)
     tables = _stencils.frame_tables(grid, left_invariant_fields(H1))
-    arrays = [x for row in tables.a + tables.A + tables.a_face for x in row if x is not None]
-    arrays.append(tables.diffusion)
-    assert arrays and not any(arr.flags.writeable for arr in arrays)
+
+    def arrays(x):
+        if isinstance(x, (list, tuple)):
+            return [arr for y in x for arr in arrays(y)]
+        return [x] if isinstance(x, np.ndarray) else []
+
+    # coef, both halves of upwind, the array entries of diag, cross and drift, diffusion
+    found = arrays([getattr(tables, f.name) for f in dataclasses.fields(tables)])
+    assert len(found) > 1 and not any(arr.flags.writeable for arr in found)
     with pytest.raises(ValueError):
-        tables.a[0][0][0, 0, 0] = 2.0
+        tables.diffusion[0, 0, 0] = 2.0
     assert _stencils.frame_tables(grid, left_invariant_fields(H1)) is tables
     assert _stencils.frame_tables(grid, left_invariant_fields(DOUBLED)) is not tables
     assert max_stable_dt(grid, DOUBLED, 0.25) < max_stable_dt(grid, H1, 0.25)
@@ -204,7 +232,7 @@ def test_flux_kernel_matches_the_padded_kernel(label, group, grid):
         values = rng.normal(size=grid.shape)
         for name, b in _drifts(grid, vf.count, rng).items():
             for sigma in (0.25, 0.0):
-                want = _reference_flux_divergence(values, geom, sigma, b)
+                want = _reference_flux_divergence(values, grid, vf, sigma, b)
                 got = _stencils.flux_divergence(values, geom, sigma, b)
                 scale = max(float(np.abs(want).max()), 1.0)
                 assert float(np.abs(got - want).max()) <= 1e-13 * scale, (name, sigma)
@@ -230,7 +258,7 @@ def test_stepping_kernels_match_the_full_array_kernels(label, vf, grid, monkeypa
     """godunov_gradient bit for bit, horizontal_gradient and feedback_drift
     within 1e-13 relative, against the kernels on the full arrays."""
     monkeypatch.setattr(vfields, "left_invariant_fields", lambda group: vf)
-    a = _stencils.frame_tables(grid, vf).a
+    a, _, _ = _full_tables(grid, vf)
     rng = np.random.default_rng(11)
     coords = node_coordinates(grid)
     smooth = np.exp(-sum(c**2 for c in coords)) * (1.0 + coords[0] - 0.5 * coords[-1])
@@ -253,23 +281,23 @@ def _face_slices(k, d):
     return lo, hi
 
 
-def _face_tables(geom):
+def _face_tables(grid, vf):
     """diag, cross and drift on face-shaped k-face arrays, built from the
     face arrays A and a_face with the kernel's scalings."""
-    h = geom.grid.spacings
-    d = geom.grid.dim
-    A = geom.A
+    h = grid.spacings
+    d = grid.dim
+    _, A, a_face = _full_tables(grid, vf)
     diag = [None if A[k][k] is None else A[k][k] * (1.0 / h[k] ** 2) for k in range(d)]
     cross = [[(l, A[k][l] * (1.0 / (4.0 * h[k] * h[l])))
               for l in range(d) if l != k and A[k][l] is not None] for k in range(d)]
-    drift = [[(i, a * (1.0 / h[k])) for i, a in enumerate(geom.a_face[k]) if a is not None]
+    drift = [[(i, a * (1.0 / h[k])) for i, a in enumerate(a_face[k]) if a is not None]
              for k in range(d)]
     return diag, cross, drift
 
 
-def _face_shaped_flux_divergence(values, geom, sigma, b_values=None):
+def _face_shaped_flux_divergence(values, grid, vf, sigma, b_values=None):
     """flux_divergence as it was written on face-shaped tables and views."""
-    diags, crosses, drifts = _face_tables(geom)
+    diags, crosses, drifts = _face_tables(grid, vf)
     d = values.ndim
     out = np.zeros_like(values)
     work = np.empty((3, values.size))
@@ -318,7 +346,7 @@ def _face_shaped_flux_divergence(values, geom, sigma, b_values=None):
     return out
 
 
-def _face_shaped_godunov_gradient(u, kern):
+def _face_shaped_godunov_gradient(u, tables):
     """godunov_gradient as it was written on face-shaped differences."""
     values = u.values
     h = u.grid.spacings
@@ -326,7 +354,7 @@ def _face_shaped_godunov_gradient(u, kern):
     diffs = {}
     total = np.zeros(u.grid.shape)
     d_minus, d_plus, pick = (np.empty(u.grid.shape) for _ in range(3))
-    for coef, split in zip(kern.coef, kern.upwind):
+    for coef, split in zip(tables.coef, tables.upwind):
         d_minus.fill(0.0)
         d_plus.fill(0.0)
         for l, c in enumerate(coef):
@@ -361,12 +389,12 @@ def _face_shaped_godunov_gradient(u, kern):
     return np.sqrt(total, out=total)
 
 
-def _np_gradient_horizontal_gradient(kern, f):
+def _np_gradient_horizontal_gradient(tables, f):
     """horizontal_gradient as it was written with one np.gradient per axis."""
     h = f.grid.spacings
     partials = [np.gradient(f.values, h[l], axis=l, edge_order=2) for l in range(f.grid.dim)]
-    out = np.zeros((len(kern.coef),) + f.grid.shape)
-    for comp, row in zip(out, kern.coef):
+    out = np.zeros((len(tables.coef),) + f.grid.shape)
+    for comp, row in zip(out, tables.coef):
         for l, c in enumerate(row):
             if c is not None:
                 comp += _stencils.times(c, partials[l])
@@ -399,13 +427,13 @@ def test_flat_shift_kernels_equal_the_face_shaped_kernels_bit_for_bit(label, vf,
             nodal = rng.normal(size=grid.shape[::-1] + (m,)).T
         for name, b in (("none", None), ("constant", rng.normal(size=m)), ("nodal", nodal)):
             for sigma in (0.0, 0.25):
-                want = _face_shaped_flux_divergence(values, geom, sigma, b)
+                want = _face_shaped_flux_divergence(values, grid, vf, sigma, b)
                 got = _stencils.flux_divergence(values, geom, sigma, b)
                 assert got.tobytes() == want.tobytes(), (name, sigma)
         u = Field(grid, values)
-        want = _face_shaped_godunov_gradient(u, geom.kernel)
+        want = _face_shaped_godunov_gradient(u, geom)
         assert hj.godunov_gradient(u, None).tobytes() == want.tobytes()
-        want = _np_gradient_horizontal_gradient(geom.kernel, u)
+        want = _np_gradient_horizontal_gradient(geom, u)
         assert vfields.horizontal_gradient(vf, u).values.tobytes() == want.tobytes()
 
 
