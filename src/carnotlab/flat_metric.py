@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,7 @@ import scipy.sparse as sps
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
-from .grid import Field, GridSpec, Trajectory, bump_shape, node_points, write_points_csv
+from .grid import Field, GridSpec, Trajectory, bump_shape, node_points
 from .groups import GroupSpec, _monomial, dilate, gauge_power, quasi_distance
 
 # Lipschitz violation an LP solution may keep, and the slack past which
@@ -87,10 +86,6 @@ class DiscreteMeasure:
             raise ValueError("measure weights must be nonnegative")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
 
     @staticmethod
     def dirac(x) -> "DiscreteMeasure":
@@ -132,14 +127,6 @@ class DiscreteMeasure:
         else:
             keep = w > 0
         return DiscreteMeasure(points=pts[keep], weights=w[keep])
-
-    def to_csv(self, path: str) -> None:
-        write_points_csv(path, self.points, self.weights, "weight")
-
-    @staticmethod
-    def from_csv(path: str) -> "DiscreteMeasure":
-        rows = np.loadtxt(os.fspath(path), delimiter=",", skiprows=1, ndmin=2)
-        return DiscreteMeasure(points=rows[:, :-1], weights=rows[:, -1])
 
 
 @dataclass(frozen=True)
@@ -403,15 +390,6 @@ class MollifierSpec:
         C = eps**group.homogeneous_dimension / (total * cell)
         return MollifierSpec(eps=eps, C=C, offsets=offsets, weights=weights,
                              grid=grid, group=group)
-
-
-def kernel_field(m: MollifierSpec) -> Field:
-    """The scaled kernel (C / eps^Q) xi(delta_{1/eps} x) sampled on the grid
-    and for the group m was built for."""
-    grid, group = m.grid, m.group
-    s = gauge_power(group, dilate(group, 1.0 / m.eps, node_points(grid)))
-    vals = m.C / m.eps**group.homogeneous_dimension * bump_shape(s)
-    return Field(grid, vals.reshape(grid.shape))
 
 
 def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, i1: int):

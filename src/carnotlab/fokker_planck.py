@@ -492,8 +492,8 @@ def particle_oracle(
     step-2 group that is exactly the Euler-Maruyama step with the frame
     frozen at the step's start, so deeper groups are refused.  The Ito
     and Stratonovich forms coincide for frames whose correction sum
-    (Da_i) a_i vanishes identically; `symbolic.stratonovich_correction`
-    certifies that symbolically for the shipped groups.
+    (Da_i) a_i vanishes identically; the ``calculus`` suite certifies that
+    symbolically on heisenberg1 (``symbolic.stratonovich_correction``).
 
     Particles are drawn and advanced in fixed blocks of 8192, each block
     on its own jumped substream of a counter-based generator, so the

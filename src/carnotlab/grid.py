@@ -16,7 +16,6 @@ profile, the mollifier's too.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -44,6 +43,10 @@ class GridSpec:
             raise ValueError("need at least 3 nodes per axis")
         if any(u <= l for l, u in zip(self.lower, self.upper)):
             raise ValueError("box corners out of order")
+        for h in self.spacings:
+            # the stencils divide by h^2, so h^2 and 1/h^2 must both be floats
+            if not 0.0 < h * h < math.inf or not 1.0 / (h * h) < math.inf:
+                raise ValueError(f"grid spacing {h:g} squares outside the float range")
 
     @property
     def dim(self) -> int:
@@ -257,7 +260,7 @@ def march(x0, n: int, step: float, advance: Callable, store_every: int = 1) -> l
 
 
 # ---------------------------------------------------------------------------
-# dump format: CSV of node coordinates plus value, JSON sidecar, exact round trip
+# dump format: CSV of node coordinates plus value, JSON sidecar
 # ---------------------------------------------------------------------------
 
 def write_points_csv(path: str, points: np.ndarray, values: np.ndarray, name: str) -> None:
@@ -269,10 +272,12 @@ def write_points_csv(path: str, points: np.ndarray, values: np.ndarray, name: st
 
 
 def dump_field_csv(f: Field, path: str) -> None:
-    """Write a scalar field as CSV (x1..xd,value) plus a JSON sidecar.
+    """Write a scalar field as CSV (x1..xd,value), one row per node in C
+    order, plus a JSON sidecar path + ".json" holding the grid and t.
 
-    Floats are written with repr (shortest round-trip form), so loading
-    reproduces the array bit for bit.
+    The contract of every field a run writes: each float is written in its
+    shortest round-trip repr, so float() of each value column gives the
+    array back bit for bit.
     """
     if f.is_vector:
         raise ValueError("CSV dump is defined for scalar fields; dump components separately")
@@ -280,18 +285,6 @@ def dump_field_csv(f: Field, path: str) -> None:
     write_points_csv(path, node_points(f.grid), f.values.reshape(-1), "value")
     with open(path + ".json", "w") as fh:
         fh.write(json_text({"grid": f.grid, "t": f.t, "kind": "scalar"}))
-
-
-def load_field_csv(path: str) -> Field:
-    path = os.fspath(path)
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    g = sidecar["grid"]
-    grid = GridSpec(lower=tuple(g["lower"]), upper=tuple(g["upper"]), shape=tuple(g["shape"]))
-    with open(path) as fh:
-        lines = fh.read().strip().split("\n")
-    vals = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
-    return Field(grid, vals.reshape(grid.shape), t=float(sidecar["t"]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,12 @@ once and is vectorized over trailing batch axes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .report import json_text
 
 # A polynomial is a tuple of (coefficient, exponent-multi-index) monomials.
 PolyTerm = tuple[Fraction, tuple[int, ...]]
@@ -134,10 +131,6 @@ class GroupSpec:
 # core operations (vectorized over trailing batch shape (..., dim))
 # ---------------------------------------------------------------------------
 
-def identity(spec: GroupSpec) -> np.ndarray:
-    return np.zeros(spec.dim)
-
-
 def multiply(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Group product x * y, batched over leading axes."""
     x = np.asarray(x, dtype=float)
@@ -191,38 +184,6 @@ def hom_norm(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
 def quasi_distance(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Left-invariant quasi-distance ||y^{-1} * x||_G."""
     return hom_norm(spec, multiply(spec, inverse(spec, y), x))
-
-
-# ---------------------------------------------------------------------------
-# serialization: structured text round trip with exact rational coefficients
-# ---------------------------------------------------------------------------
-
-def to_text(spec: GroupSpec) -> str:
-    doc = {
-        "name": spec.name,
-        "dim": spec.dim,
-        "horizontal_dim": spec.horizontal_dim,
-        "step": spec.step,
-        "weights": spec.weights,
-        "law": [[[str(coeff), px, py] for coeff, px, py in terms] for terms in spec.law],
-    }
-    return json_text(doc)
-
-
-def from_text(text: str) -> GroupSpec:
-    doc = json.loads(text)
-    law = tuple(
-        tuple((Fraction(c), tuple(px), tuple(py)) for c, px, py in terms)
-        for terms in doc["law"]
-    )
-    return GroupSpec(
-        name=doc["name"],
-        dim=int(doc["dim"]),
-        horizontal_dim=int(doc["horizontal_dim"]),
-        step=int(doc["step"]),
-        weights=tuple(int(w) for w in doc["weights"]),
-        law=law,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,67 +244,3 @@ def preset(name: str) -> GroupSpec:
     except KeyError:
         raise KeyError(f"unknown group preset {name!r}; available: {sorted(PRESETS)}") from None
 
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HomogeneousBoundReport:
-    ok: bool
-    sphere_max: float
-    worst_ratio: float
-    samples: int
-
-
-def check_homogeneous_bound(
-    spec: GroupSpec,
-    g: Callable[[np.ndarray], np.ndarray],
-    c: float,
-    *,
-    rng: np.random.Generator,
-) -> HomogeneousBoundReport:
-    """Audit |g(x)| <= c ||x||_G for a degree-1 homogeneous g.
-
-    The unit sphere {||x||_G = 1} is sampled by dilating 2000 random
-    points of the box [-2, 2]^d to norm one; if the bound holds there it
-    holds everywhere by homogeneity, which 2000 more box points
-    double-check.
-    """
-    raw = rng.uniform(-2.0, 2.0, size=(2000, spec.dim))
-    norms = hom_norm(spec, raw)
-    keep = norms > 1e-9
-    raw, norms = raw[keep], norms[keep]
-    sphere = np.stack([dilate(spec, 1.0 / n, p) for p, n in zip(raw, norms)])
-    sphere_vals = np.abs(np.asarray(g(sphere)))
-    sphere_max = float(sphere_vals.max())
-    if sphere_max > c + 1e-12:
-        raise ValueError(f"bound constant too small on the unit sphere: {sphere_max} > {c}")
-
-    pts = rng.uniform(-2.0, 2.0, size=(2000, spec.dim))
-    nrm = hom_norm(spec, pts)
-    keep = nrm > 1e-9
-    ratio = np.abs(np.asarray(g(pts[keep]))) / (c * nrm[keep])
-    worst = float(ratio.max())
-    return HomogeneousBoundReport(ok=worst <= 1.0 + 1e-12, sphere_max=sphere_max, worst_ratio=worst, samples=int(keep.sum()))
-
-
-def equivalence_ratio_report(spec: GroupSpec, *, rng: np.random.Generator) -> dict[str, float]:
-    """Empirical spread of quasi-distance against the Euclidean metric,
-    over 4000 random point pairs of the box [-2, 2]^d.
-
-    The two are topologically equivalent but not metrically so; the report
-    gives the observed ratio range, no certified constants.
-    """
-    x = rng.uniform(-2.0, 2.0, size=(4000, spec.dim))
-    y = rng.uniform(-2.0, 2.0, size=(4000, spec.dim))
-    qd = quasi_distance(spec, x, y)
-    eu = np.linalg.norm(x - y, axis=-1)
-    keep = eu > 1e-9
-    r = qd[keep] / eu[keep]
-    return {
-        "ratio_min": float(r.min()),
-        "ratio_max": float(r.max()),
-        "ratio_median": float(np.median(r)),
-        "samples": float(keep.sum()),
-    }

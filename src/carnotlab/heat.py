@@ -18,7 +18,7 @@ import numpy as np
 
 from . import vfields
 from .fokker_planck import DriftField, fp_solve, fp_step
-from .grid import CFL_SAFETY, CFLViolation, Field, GridSpec, march, max_stable_dt, step_count  # noqa: F401 (CFLViolation re-exported)
+from .grid import CFL_SAFETY, Field, GridSpec, march, max_stable_dt, step_count
 from .groups import GroupSpec
 
 

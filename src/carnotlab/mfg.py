@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import vfields
 from .flat_metric import DiscreteMeasure, MollifierSpec, flat_distance, mollify
 from .fokker_planck import DriftField, SourceTerm, fp_solve
 from .grid import Field, Trajectory, step_count
@@ -94,11 +93,6 @@ def coupling_eval(rho: Field, c: CouplingSpec, group: GroupSpec) -> Field:
     if c.gain == 1.0:
         return out
     return Field(out.grid, c.gain * out.values, out.t)
-
-
-def c1_norm(f: Field, group: GroupSpec) -> float:
-    """sup |f| + sup |grad_G f|, the norm the coupling is bounded in."""
-    return f.sup_norm() + vfields.gradient_sup(vfields.left_invariant_fields(group), f)
 
 
 def rotation_image(f: Field) -> Field:

@@ -1,8 +1,8 @@
 """Checks held to budgets, and the one JSON encoder of every artifact.
 
 ``json_text`` writes every JSON file the package produces: run and
-verify manifests, reports, field sidecars and group documents.  Reports
-are plain dataclasses and are passed to it as they are.
+verify manifests, reports and field sidecars.  Reports are plain
+dataclasses and are passed to it as they are.
 
 Imports neither sympy nor scipy, so ``cli`` can report a run without
 loading the verification suites.

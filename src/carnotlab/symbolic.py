@@ -9,7 +9,7 @@ expressions in x1..xd and builds the barrier operator that
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import sympy as sp
@@ -141,17 +141,3 @@ def barrier_lhs(group: GroupSpec, b_coeffs, sigma: float) -> Callable:
     lhs = core * phi
     return sp.lambdify(tuple(xs) + (t, bbar, beta1, tau0), lhs, "numpy")
 
-
-def barrier_origin_gradient_limit(group: GroupSpec, direction: Sequence[float]) -> float:
-    """Directional limit of |grad_G ||x||_G^2|^2 at the group identity.
-
-    The squared norm is C^1 but not C^2 at the origin; the gradient still
-    vanishes there along every dilation ray, which this limit certifies.
-    """
-    _, xs, _, grad_n2 = _gauge_gradient(group)
-    s = sp.symbols("s", positive=True)
-    grad_sq = sum(g**2 for g in grad_n2)
-    ray = {
-        xs[i]: sp.Float(direction[i]) * s ** group.weights[i] for i in range(group.dim)
-    }
-    return float(sp.limit(grad_sq.subs(ray), s, 0, "+"))

@@ -81,12 +81,17 @@ def group_algebra_suite() -> Rows:
 # ---------------------------------------------------------------------------
 
 def calculus_suite() -> Rows:
-    """Symbolic bracket identities and the order of the flux-form Laplacian the solvers run."""
+    """Symbolic bracket identities, the divergence-free frames behind the flux
+    form div(A grad u) of lap_G, the vanishing Ito correction the particle
+    scheme drops, and the order of the flux-form Laplacian the solvers run."""
     from . import symbolic
 
     left = vfields.left_invariant_fields(G)
     right = vfields.right_invariant_fields(G)
     bracket_bad, commute_bad, n_monomials = symbolic.bracket_failures(left, right, 4)
+    div_bad = sum(symbolic.divergence_analytic(vf, i) != 0
+                  for vf in (left, right) for i in range(vf.count))
+    ito_bad = sum(c != 0 for c in symbolic.stratonovich_correction(left))
 
     # interior error of the flux-form Laplacian on quartic data must drop
     # at second order; the analytic frame applied symbolically provides
@@ -115,6 +120,8 @@ def calculus_suite() -> Rows:
     checks = (
         Check("vertical_bracket_failures", float(bracket_bad), "== 0", bracket_bad == 0),
         Check("left_right_commutator_failures", float(commute_bad), "== 0", commute_bad == 0),
+        Check("frame_divergence_failures", float(div_bad), "== 0", div_bad == 0),
+        Check("stratonovich_correction_failures", float(ito_bad), "== 0", ito_bad == 0),
         Check("stencil_refinement_order", order, ">= 1.9", order >= 1.9),
     )
     notes = (f"{n_monomials} monomials through degree 4",)

@@ -8,26 +8,25 @@ that imports sympy, so loading the frames loads no sympy.  Grid routines
 realize
 
     grad_G f = (X_1 f, ..., X_m f),
-    div_G  F = sum_i X_i F_i,
     lap_G  f = sum_i X_i^2 f = div(A grad f),      A = sum_i a_i a_i^T,
 
-the last because the frame is divergence-free.  The gradient and the
-divergence use centered differences; the Laplacian is the flux form the
-solvers step with, ``_stencils.flux_divergence`` at sigma = 1, with zero
-flux through the box edge, so its node sum telescopes to 0.  The grid
-routines read the frame from its ``_stencils.frame_tables`` entry.
+the last because the frame is divergence-free, which the ``calculus``
+suite checks symbolically.  The gradient uses centered differences; the
+Laplacian is the flux form the solvers step with,
+``_stencils.flux_divergence`` at sigma = 1, with zero flux through the
+box edge, so its node sum telescopes to 0.  The grid routines read the
+frame from its ``_stencils.frame_tables`` entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import _stencils
 from .groups import GroupSpec, Poly
-from .grid import Field, node_points
+from .grid import Field
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,6 @@ def left_invariant_fields(group: GroupSpec) -> VectorFieldSet:
 
 def right_invariant_fields(group: GroupSpec) -> VectorFieldSet:
     return VectorFieldSet(kind="right", dim=group.dim, coefficients=group.right_field_table())
-
-
-def coordinate_field(dim: int, axis: int) -> VectorFieldSet:
-    """The plain Euclidean partial d/dx_axis, as a one-field set (diagnostics)."""
-    one: Poly = ((Fraction(1), tuple(0 for _ in range(dim))),)
-    zero: Poly = ()
-    comps = tuple(one if l == axis else zero for l in range(dim))
-    return VectorFieldSet(kind="coordinate", dim=dim, coefficients=(comps,))
 
 
 # ---------------------------------------------------------------------------
@@ -97,22 +88,6 @@ def horizontal_laplacian(vf: VectorFieldSet, f: Field) -> Field:
     return Field(f.grid, _stencils.flux_divergence(f.values, geom, 1.0), f.t)
 
 
-def horizontal_divergence(vf: VectorFieldSet, F: Field) -> Field:
-    """sum_i X_i F_i for an m-vector field."""
-    if not F.is_vector or F.values.shape[0] != vf.count:
-        raise ValueError("expected one component per field in the set")
-    grid = F.grid
-    h = grid.spacings
-    coef = _stencils.frame_tables(grid, vf).coef
-    values = np.ascontiguousarray(F.values)
-    out, partial = np.zeros(grid.shape), np.empty(grid.shape)
-    for i, row in enumerate(coef):
-        for l, c in enumerate(row):
-            if c is not None:
-                out += _stencils.times(c, _partial(values[i], h[l], l, partial))
-    return Field(grid, out, F.t)
-
-
 def gradient_sup(vf: VectorFieldSet, f: Field) -> float:
     """||grad_G f||_inf, the largest Euclidean length of (X_1 f, ..., X_m f);
     a length past the float range of a finite gradient is taken on g / max |g|."""
@@ -135,40 +110,3 @@ def second_gradient_sup(vf: VectorFieldSet, f: Field) -> float:
         worst = max(worst, float(np.abs(gg.values).max()))
     return worst
 
-
-def holder_seminorm(
-    f: Field,
-    alpha: float,
-    group: GroupSpec,
-    *,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Sampled-pair estimate of sup |f(x)-f(y)| / rho(x,y)^alpha.
-
-    All axis-neighbor pairs enter (they dominate for alpha <= 1 on smooth
-    data), topped up, when rng is given, with 20000 random long-range
-    pairs.
-    """
-    from . import groups as G
-
-    grid = f.grid
-    vals = f.values.reshape(-1)
-    pts = node_points(grid)
-    best = 0.0
-    idx = np.arange(grid.num_nodes).reshape(grid.shape)
-    for ax in range(grid.dim):
-        a = np.moveaxis(idx, ax, 0)[:-1].reshape(-1)
-        b = np.moveaxis(idx, ax, 0)[1:].reshape(-1)
-        dist = G.quasi_distance(group, pts[a], pts[b])
-        ratio = np.abs(vals[a] - vals[b]) / dist**alpha
-        best = max(best, float(ratio.max()))
-    if rng is not None:
-        a = rng.integers(0, grid.num_nodes, size=20000)
-        b = rng.integers(0, grid.num_nodes, size=20000)
-        keep = a != b
-        a, b = a[keep], b[keep]
-        dist = G.quasi_distance(group, pts[a], pts[b])
-        ratio = np.abs(vals[a] - vals[b]) / dist**alpha
-        if ratio.size:
-            best = max(best, float(ratio.max()))
-    return best

@@ -1,6 +1,28 @@
-"""Test doubles shared by the test modules."""
+"""Test doubles and reference helpers shared by the test modules."""
+
+from fractions import Fraction
 
 import pytest
+
+from carnotlab.grid import Field, bump_shape, node_points
+from carnotlab.groups import dilate, gauge_power
+from carnotlab.vfields import VectorFieldSet
+
+
+def coordinate_field(dim: int, axis: int) -> VectorFieldSet:
+    """The plain Euclidean partial d/dx_axis, as a one-field set."""
+    one = ((Fraction(1), tuple(0 for _ in range(dim))),)
+    comps = tuple(one if l == axis else () for l in range(dim))
+    return VectorFieldSet(kind="coordinate", dim=dim, coefficients=(comps,))
+
+
+def kernel_field(m) -> Field:
+    """The scaled kernel (C / eps^Q) xi(delta_{1/eps} x) sampled on the grid
+    and for the group the MollifierSpec m was built for."""
+    grid, group = m.grid, m.group
+    s = gauge_power(group, dilate(group, 1.0 / m.eps, node_points(grid)))
+    vals = m.C / m.eps**group.homogeneous_dimension * bump_shape(s)
+    return Field(grid, vals.reshape(grid.shape))
 
 
 @pytest.fixture

@@ -119,6 +119,22 @@ def test_metric_horizon_of_one_step_is_rejected_before_any_output(tmp_path, caps
     assert not runs.exists()
 
 
+@pytest.mark.parametrize("kind, extent", [("hj", "1e-170"), ("heat", "1e-170"), ("heat", "1e-160"),
+                                          ("heat", "1e200")])
+def test_box_whose_spacing_squares_outside_the_floats_is_rejected_before_any_output(kind, extent,
+                                                                                    tmp_path, capsys):
+    # every stencil divides by h^2: h^2 underflows to 0 at 1e-170, 1/h^2
+    # overflows at 1e-160 (h^2 is subnormal) and h^2 overflows at 1e200
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n\n[grid]\nextent = {extent}\nnodes = 5\n")
+    runs = tmp_path / "runs"
+    code = cli.main(["run", str(cfg), "--output-dir", str(runs)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "box.cfg: cannot build the scenario data" in err and "outside the float range" in err
+    assert "Traceback" not in err and not runs.exists()
+
+
 def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, capsys):
     runs = tmp_path / "runs"
     with pytest.raises(SystemExit) as stop:

@@ -17,13 +17,13 @@ from carnotlab.flat_metric import (
     MollifierSpec,
     flat_distance,
     holder_in_time,
-    kernel_field,
     mollify,
     two_dirac_distance,
 )
 from carnotlab.grid import Field, GridSpec, Trajectory, bump_field, node_coordinates
 from carnotlab.groups import hom_norm, multiply, quasi_distance
 from carnotlab.report import json_text
+from conftest import kernel_field
 
 G = groups.preset("heisenberg1")
 
@@ -114,7 +114,8 @@ def test_metric_properties_on_random_triples():
     assert abs(dab - dba) <= 1e-9
     assert dac <= dab + dbc + 1e-6
     # total-variation style cap: 2 min(mass) + |mass gap|
-    cap = 2 * min(a.total, b.total) + abs(a.total - b.total)
+    ma, mb = a.weights.sum(), b.weights.sum()
+    cap = 2 * min(ma, mb) + abs(ma - mb)
     assert dab <= cap + 1e-9
 
 
@@ -236,8 +237,8 @@ def test_from_field_preserves_mass_under_coarsening():
     rho = bump_field(grid, G, radius=1.0, normalize=True)
     fine = DiscreteMeasure.from_field(rho, coarsen=1, threshold=0.0)
     coarse = DiscreteMeasure.from_field(rho, coarsen=2, threshold=0.0)
-    assert abs(fine.total - 1.0) <= 1e-12
-    assert abs(coarse.total - 1.0) <= 1e-12
+    assert abs(fine.weights.sum() - 1.0) <= 1e-12
+    assert abs(coarse.weights.sum() - 1.0) <= 1e-12
     # coarse support lives on the 21^3 sublattice
     assert coarse.points.shape[0] <= 21 ** 3
 
@@ -254,8 +255,9 @@ def test_measure_csv_round_trip(tmp_path):
     m = DiscreteMeasure(points=np.array([[0.1, -0.2, 0.3], [1.5, 0.0, -2.0]]),
                         weights=np.array([0.25, 0.75]))
     path = tmp_path / "measure.csv"
-    m.to_csv(path)
-    back = DiscreteMeasure.from_csv(path)
+    cgrid.write_points_csv(path, m.points, m.weights, "weight")
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    back = DiscreteMeasure(points=rows[:, :-1], weights=rows[:, -1])
     assert np.array_equal(back.points, m.points)
     assert np.array_equal(back.weights, m.weights)
 

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from carnotlab.grid import (
     constant_field,
     default_grid,
     dump_field_csv,
-    load_field_csv,
     make_ball_mask,
     march,
     max_stable_dt,
@@ -21,6 +22,19 @@ from carnotlab.grid import (
 )
 
 H1 = preset("heisenberg1")
+
+
+def load_field_csv(path) -> Field:
+    """Read back what dump_field_csv wrote, by float() of each value."""
+    path = os.fspath(path)
+    with open(path + ".json") as fh:
+        sidecar = json.load(fh)
+    g = sidecar["grid"]
+    grid = GridSpec(lower=tuple(g["lower"]), upper=tuple(g["upper"]), shape=tuple(g["shape"]))
+    with open(path) as fh:
+        lines = fh.read().strip().split("\n")
+    vals = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
+    return Field(grid, vals.reshape(grid.shape), t=float(sidecar["t"]))
 
 
 def test_grid_spec_validation():

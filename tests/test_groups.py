@@ -7,6 +7,8 @@ table, so agreement pins the coefficient convention.
 """
 
 import json
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,20 +16,104 @@ import pytest
 from carnotlab import preset
 from carnotlab.groups import (
     GroupSpec,
-    check_homogeneous_bound,
     dilate,
-    equivalence_ratio_report,
-    from_text,
     hom_norm,
-    identity,
     inverse,
     multiply,
     quasi_distance,
-    to_text,
 )
+from carnotlab.report import json_text
 
 H1 = preset("heisenberg1")
 ENGEL = preset("engel")
+
+
+def identity(spec: GroupSpec) -> np.ndarray:
+    return np.zeros(spec.dim)
+
+
+def to_text(spec: GroupSpec) -> str:
+    doc = {
+        "name": spec.name,
+        "dim": spec.dim,
+        "horizontal_dim": spec.horizontal_dim,
+        "step": spec.step,
+        "weights": spec.weights,
+        "law": [[[str(coeff), px, py] for coeff, px, py in terms] for terms in spec.law],
+    }
+    return json_text(doc)
+
+
+def from_text(text: str) -> GroupSpec:
+    doc = json.loads(text)
+    law = tuple(
+        tuple((Fraction(c), tuple(px), tuple(py)) for c, px, py in terms)
+        for terms in doc["law"]
+    )
+    return GroupSpec(
+        name=doc["name"],
+        dim=int(doc["dim"]),
+        horizontal_dim=int(doc["horizontal_dim"]),
+        step=int(doc["step"]),
+        weights=tuple(int(w) for w in doc["weights"]),
+        law=law,
+    )
+
+
+@dataclass(frozen=True)
+class HomogeneousBoundReport:
+    ok: bool
+    sphere_max: float
+    worst_ratio: float
+    samples: int
+
+
+def check_homogeneous_bound(spec: GroupSpec, g, c: float, *,
+                            rng: np.random.Generator) -> HomogeneousBoundReport:
+    """Audit |g(x)| <= c ||x||_G for a degree-1 homogeneous g.
+
+    The unit sphere {||x||_G = 1} is sampled by dilating 2000 random
+    points of the box [-2, 2]^d to norm one; if the bound holds there it
+    holds everywhere by homogeneity, which 2000 more box points
+    double-check.
+    """
+    raw = rng.uniform(-2.0, 2.0, size=(2000, spec.dim))
+    norms = hom_norm(spec, raw)
+    keep = norms > 1e-9
+    raw, norms = raw[keep], norms[keep]
+    sphere = np.stack([dilate(spec, 1.0 / n, p) for p, n in zip(raw, norms)])
+    sphere_vals = np.abs(np.asarray(g(sphere)))
+    sphere_max = float(sphere_vals.max())
+    if sphere_max > c + 1e-12:
+        raise ValueError(f"bound constant too small on the unit sphere: {sphere_max} > {c}")
+
+    pts = rng.uniform(-2.0, 2.0, size=(2000, spec.dim))
+    nrm = hom_norm(spec, pts)
+    keep = nrm > 1e-9
+    ratio = np.abs(np.asarray(g(pts[keep]))) / (c * nrm[keep])
+    worst = float(ratio.max())
+    return HomogeneousBoundReport(ok=worst <= 1.0 + 1e-12, sphere_max=sphere_max, worst_ratio=worst, samples=int(keep.sum()))
+
+
+def equivalence_ratio_report(spec: GroupSpec, *, rng: np.random.Generator) -> dict[str, float]:
+    """Empirical spread of quasi-distance against the Euclidean metric,
+    over 4000 random point pairs of the box [-2, 2]^d.
+
+    The two are topologically equivalent but not metrically so; the report
+    gives the observed ratio range, no certified constants.
+    """
+    x = rng.uniform(-2.0, 2.0, size=(4000, spec.dim))
+    y = rng.uniform(-2.0, 2.0, size=(4000, spec.dim))
+    qd = quasi_distance(spec, x, y)
+    eu = np.linalg.norm(x - y, axis=-1)
+    keep = eu > 1e-9
+    r = qd[keep] / eu[keep]
+    return {
+        "ratio_min": float(r.min()),
+        "ratio_max": float(r.max()),
+        "ratio_median": float(np.median(r)),
+        "samples": float(keep.sum()),
+    }
 
 
 def _h1_matrix(p):

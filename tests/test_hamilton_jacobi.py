@@ -8,6 +8,7 @@ import pytest
 from carnotlab import grid, groups, heat, vfields
 from carnotlab import hamilton_jacobi as hj
 from carnotlab.report import json_text
+from conftest import coordinate_field
 
 G = groups.preset("heisenberg1")
 SIGMA = 0.25
@@ -140,7 +141,7 @@ def test_step_rejects_oversized_dt():
     gs = box(21)
     spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
     limit = hj.hj_max_stable_dt(spec.u0, spec, SIGMA, G)
-    with pytest.raises(heat.CFLViolation):
+    with pytest.raises(grid.CFLViolation):
         hj.hj_step_direct(spec.u0, spec, SIGMA, 2.0 * limit, G)
 
 
@@ -211,7 +212,7 @@ def test_sweep_rejects_unstable_time_grid():
     prev = grid.Trajectory(
         times=times, fields=tuple(grid.constant_field(gs, 0.0, t) for t in times)
     )
-    with pytest.raises(heat.CFLViolation):
+    with pytest.raises(grid.CFLViolation):
         hj.duhamel_iterate(prev, spec, SIGMA, G)
 
 
@@ -423,7 +424,7 @@ def test_bernstein_flags_noncommuting_frame(skew_trajectory):
     # no x1 dependence, the diffusion itself manufactures x1 variation,
     # which the commuting-frame bound can never allow
     spec, traj = skew_trajectory
-    rep = hj.bernstein_report(traj, spec, G, frame=vfields.coordinate_field(3, 0), slack=5e-2)
+    rep = hj.bernstein_report(traj, spec, G, frame=coordinate_field(3, 0), slack=5e-2)
     assert rep.initial[0] == 0.0
     assert rep.observed[0] > 0.1
     assert not rep.ok

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from carnotlab import _stencils, preset
-from carnotlab.grid import (CFL_SAFETY, Field, GridSpec, bump_field, constant_field,
+from carnotlab.grid import (CFL_SAFETY, CFLViolation, Field, GridSpec, bump_field, constant_field,
                             default_grid, max_stable_dt, node_coordinates)
 from carnotlab.groups import hom_norm
-from carnotlab.heat import CFLViolation, evolve, heat_step, measure_gradient_decay
+from carnotlab.heat import evolve, heat_step, measure_gradient_decay
 from carnotlab.report import json_text
 from carnotlab.vfields import horizontal_gradient, horizontal_laplacian, left_invariant_fields
 

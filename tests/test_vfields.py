@@ -7,8 +7,10 @@ import pytest
 import sympy as sp
 
 from carnotlab import preset
-from carnotlab.grid import Field, GridSpec, constant_field, default_grid, node_coordinates
-from carnotlab import vfields
+from carnotlab.grid import Field, GridSpec, constant_field, default_grid, node_coordinates, node_points
+from carnotlab import _stencils, vfields
+from carnotlab.groups import quasi_distance
+from conftest import coordinate_field
 from carnotlab.symbolic import (
     apply_field_analytic,
     commutator_apply,
@@ -17,9 +19,6 @@ from carnotlab.symbolic import (
     stratonovich_correction,
 )
 from carnotlab.vfields import (
-    coordinate_field,
-    holder_seminorm,
-    horizontal_divergence,
     horizontal_gradient,
     horizontal_laplacian,
     left_invariant_fields,
@@ -30,6 +29,41 @@ H1 = preset("heisenberg1")
 LEFT = left_invariant_fields(H1)
 RIGHT = right_invariant_fields(H1)
 X1, X2, X3 = coordinate_symbols(3)
+
+
+def horizontal_divergence(vf, F: Field) -> Field:
+    """sum_i X_i F_i for an m-vector field, by centered differences."""
+    assert F.is_vector and F.values.shape[0] == vf.count
+    grid = F.grid
+    h = grid.spacings
+    coef = _stencils.frame_tables(grid, vf).coef
+    values = np.ascontiguousarray(F.values)
+    out, partial = np.zeros(grid.shape), np.empty(grid.shape)
+    for i, row in enumerate(coef):
+        for l, c in enumerate(row):
+            if c is not None:
+                out += _stencils.times(c, vfields._partial(values[i], h[l], l, partial))
+    return Field(grid, out, F.t)
+
+
+def holder_seminorm(f: Field, alpha: float, group, *, rng: np.random.Generator) -> float:
+    """Sampled-pair estimate of sup |f(x)-f(y)| / rho(x,y)^alpha: every
+    axis-neighbor pair, then 20000 random long-range pairs."""
+    grid = f.grid
+    vals = f.values.reshape(-1)
+    pts = node_points(grid)
+    idx = np.arange(grid.num_nodes).reshape(grid.shape)
+    pairs = [(np.moveaxis(idx, ax, 0)[:-1].reshape(-1), np.moveaxis(idx, ax, 0)[1:].reshape(-1))
+             for ax in range(grid.dim)]
+    a = rng.integers(0, grid.num_nodes, size=20000)
+    b = rng.integers(0, grid.num_nodes, size=20000)
+    pairs.append((a[a != b], b[a != b]))
+    best = 0.0
+    for a, b in pairs:
+        ratio = np.abs(vals[a] - vals[b]) / quasi_distance(group, pts[a], pts[b]) ** alpha
+        if ratio.size:
+            best = max(best, float(ratio.max()))
+    return best
 
 
 def test_left_frame_on_center_coordinate():
