@@ -11,14 +11,13 @@ routine adapted to the group translations, and particle simulations give
 independent cross-checks for the grid solvers.
 """
 
-from .grid import BallMask, Field, GridSpec, bump_field, constant_field, default_grid, make_ball_mask
+from .grid import Field, GridSpec, bump_field, constant_field, default_grid, make_ball_mask
 from .groups import GroupSpec, preset
 from .vfields import VectorFieldSet, left_invariant_fields, right_invariant_fields
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallMask",
     "Field",
     "GridSpec",
     "GroupSpec",

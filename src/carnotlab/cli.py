@@ -325,6 +325,11 @@ def _make_datum(cfg: dict, grid: GridSpec, group, *, normalize: bool | None = No
     return Field(grid, vals)
 
 
+# The most stable steps a scenario may ask for.  The suites, bundled configs
+# and benchmark solves take at most 322, and a run past the cap would take
+# hours; the cap leaves room for a step bound of half today's.
+MAX_STEPS = 50_000
+
 # how each kind normalizes its datum: True, False, or None for [data] normalize
 _DATUM_NORMALIZE = {"heat": False, "fp": None, "hj": False, "duality": False,
                     "mfg": True, "metric": True}
@@ -334,13 +339,20 @@ def _scenario_data(cfg: dict, group) -> dict:
     """Every input a scenario starts from, built before any output exists.
 
     Raises ValueError when the data cannot be built on this grid, e.g. a
-    bump centred where it has no mass or an eps the lattice cannot resolve.
+    bump centred where it has no mass or an eps the lattice cannot resolve,
+    or a horizon of more than MAX_STEPS steps at ``grid.CFL_SAFETY`` times
+    the bound with the fp drift (a feedback drift is not counted).
     """
     kind = cfg["scenario"]["kind"]
     grid = default_grid(cfg["grid"]["extent"], cfg["grid"]["nodes"], GRID_DIM)
     data = {"grid": grid,
             "datum": _make_datum(cfg, grid, group, normalize=_DATUM_NORMALIZE[kind])}
     d, dyn = cfg["data"], cfg["dynamics"]
+    b = fp.DriftField.constant(dyn["drift"]).at(0.0) if kind == "fp" else None
+    n = step_count(dyn["t_end"], CFL_SAFETY * max_stable_dt(grid, group, dyn["sigma"], b))
+    if n > MAX_STEPS:
+        raise ValueError(f"t_end = {dyn['t_end']:g} asks for {n:.6g} stable steps on this grid; "
+                         f"at most {MAX_STEPS} run")
     if kind == "duality":
         data["mu"] = bump_field(grid, group, center=d["center"], radius=d["mu_radius"],
                                 normalize=True)
@@ -353,7 +365,6 @@ def _scenario_data(cfg: dict, group) -> dict:
         heat.decay_ladder(grid, group, dyn["sigma"], dyn["t_end"])
     elif kind == "metric":
         # the time-regularity fit needs two distinct gaps, so two density steps
-        n = step_count(dyn["t_end"], CFL_SAFETY * max_stable_dt(grid, group, dyn["sigma"]))
         if n < 2:
             raise ValueError(f"t_end = {dyn['t_end']:g} spans {n} stable step at sigma = "
                              f"{dyn['sigma']:g} on this grid; the time-regularity fit needs 2")
@@ -572,7 +583,7 @@ def _run_metric(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutc
 
     traj = fp.fp_solve(data["datum"], fp.DriftField.none(), dyn["sigma"], dyn["t_end"],
                        group, store_every=1)
-    hold = holder_in_time(traj, group, coarsen=2)
+    hold = holder_in_time(traj, group)
     out.add("time_regularity_exponent", hold.exponent, ">= 0.4",
             hold.verdict == "fitted" and hold.exponent >= 0.4)
 

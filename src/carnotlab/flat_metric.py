@@ -57,12 +57,16 @@ from .groups import GroupSpec, _monomial, dilate, gauge_power, quasi_distance
 _LP_TOL = 1e-8
 # Pairs held at once by the Lipschitz violation scan.
 _PAIR_SCAN_BUDGET = 1 << 17
+# Worst violating pairs a scan hands to the next LP round.
+_PAIR_TOP_K = 2000
 # Pair distances one flat_distance call keeps between its scans.
 _DISTANCE_MEMO_BYTES = 1 << 25
 # A mollifier operator estimated above this size is rebuilt on every call.
 _OPERATOR_BUDGET_BYTES = 1 << 27
 # Entries gathered per row block of a mollifier operator.
 _BUILD_BLOCK_ENTRIES = 1 << 20
+# A measure drops the weights below this share of its largest.
+_WEIGHT_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +97,12 @@ class DiscreteMeasure:
         return DiscreteMeasure(points=np.array([x], dtype=float), weights=np.array([1.0]))
 
     @staticmethod
-    def from_field(
-        f: Field, *, coarsen: int = 1, threshold: float = 1e-12
-    ) -> "DiscreteMeasure":
+    def from_field(f: Field, *, coarsen: int = 1) -> "DiscreteMeasure":
         """Nonnegative part of a density field as a measure.
 
         coarsen > 1 bins fine nodes onto the subsampled lattice (fine
         index i -> coarse index round(i / coarsen)), preserving mass
-        exactly; weights below threshold (relative to the largest) are
+        exactly; weights below _WEIGHT_FLOOR times the largest are
         dropped afterwards.
         """
         vals = np.clip(f.values, 0.0, None) * f.grid.cell_volume
@@ -122,10 +124,7 @@ class DiscreteMeasure:
         else:
             pts = node_points(grid)
             w = vals.reshape(-1)
-        if w.size and w.max() > 0:
-            keep = w > threshold * w.max()
-        else:
-            keep = w > 0
+        keep = w > _WEIGHT_FLOOR * w.max()  # w > 0 when every weight is 0
         return DiscreteMeasure(points=pts[keep], weights=w[keep])
 
 
@@ -165,12 +164,11 @@ def _merge_supports(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return np.array(pts), np.array(delta)
 
 
-def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec,
-               top_k: int, memo: list):
+def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec, memo: list):
     """Worst Lipschitz violations |f_i - f_j| - beta rho_ij over all pairs.
 
     Returns (max_violation, codes i * n + j of the violating pairs i < j
-    sorted worst-first, capped at top_k).  Deterministic: ties broken by
+    sorted worst-first, capped at _PAIR_TOP_K).  Deterministic: ties broken by
     code, that is by (i, j).  Rows are scanned in blocks of about
     _PAIR_SCAN_BUDGET pairs.  memo holds the distances rho_ij (i < j,
     row-major) of the leading blocks; a block past its end is computed,
@@ -199,13 +197,11 @@ def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec,
             continue
         v = np.abs(f[i0:i1, None] - f)[upper] - beta * d
         best_viol = max(best_viol, float(v.max()))
-        if top_k <= 0:
-            continue
         pos = v > 0
-        if pos.sum() > top_k:
-            # keep every pair tied with the top_k-th value; the index
-            # tie-break below decides among them
-            pos &= v >= np.partition(v, v.size - top_k)[v.size - top_k]
+        if pos.sum() > _PAIR_TOP_K:
+            # keep every pair tied with the _PAIR_TOP_K-th value; the
+            # index tie-break below decides among them
+            pos &= v >= np.partition(v, v.size - _PAIR_TOP_K)[v.size - _PAIR_TOP_K]
         # row i of the block holds its n - 1 - i pairs (i, j > i) from
         # position starts[i - i0] of v on
         p = np.flatnonzero(pos)
@@ -214,7 +210,7 @@ def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec,
         j = i + 1 + p - starts[i - i0]
         kept_v = np.concatenate([kept_v, v[pos]])
         kept = np.concatenate([kept, i * n + j])
-        order = np.lexsort((kept, -kept_v))[:top_k]
+        order = np.lexsort((kept, -kept_v))[:_PAIR_TOP_K]
         kept_v, kept = kept_v[order], kept[order]
     return best_viol, kept
 
@@ -245,8 +241,6 @@ def flat_distance(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     group: GroupSpec,
-    *,
-    top_k: int = 2000,
 ) -> FlatMetricResult:
     """Flat distance by lazy constraint generation; exact at convergence,
     reported as an iteration limit after 60 LP rounds."""
@@ -304,7 +298,7 @@ def flat_distance(
         f = res.x[:n]
         alpha, beta = res.x[n], res.x[n + 1]
         value = -res.fun
-        viol, worst = _pair_scan(points, f, beta, group, top_k, memo)
+        viol, worst = _pair_scan(points, f, beta, group, memo)
         gap = max(0.0, viol)
         if viol <= _LP_TOL:
             status = "optimal"
@@ -355,12 +349,9 @@ def axiom_gaps(group: GroupSpec, rng: np.random.Generator, trials: int) -> tuple
 @dataclass(frozen=True)
 class MollifierSpec:
     """Scaled kernel data on the grid and group it was built for: lattice
-    offsets u inside the eps-ball with convex weights w_u (sum exactly 1),
-    plus the derived normalization constant C of the continuum scaling
-    (C / eps^Q) xi(delta_{1/eps} x)."""
+    offsets u inside the eps-ball with convex weights w_u (sum exactly 1)."""
 
     eps: float
-    C: float
     offsets: np.ndarray
     weights: np.ndarray
     grid: GridSpec
@@ -385,11 +376,7 @@ class MollifierSpec:
         total = raw.sum()
         if total <= 0:
             raise ValueError("empty kernel; eps too small for the lattice")
-        weights = raw / total
-        cell = float(np.prod(h))
-        C = eps**group.homogeneous_dimension / (total * cell)
-        return MollifierSpec(eps=eps, C=C, offsets=offsets, weights=weights,
-                             grid=grid, group=group)
+        return MollifierSpec(eps=eps, offsets=offsets, weights=raw / total, grid=grid, group=group)
 
 
 def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, i1: int):
@@ -530,25 +517,21 @@ class TimeHolderReport:
     verdict: str
 
 
-def holder_in_time(
-    traj: Trajectory,
-    group: GroupSpec,
-    *,
-    coarsen: int = 2,
-) -> TimeHolderReport:
+def holder_in_time(traj: Trajectory, group: GroupSpec) -> TimeHolderReport:
     """Fit d0(rho_s, rho_t) against |t - s| on trajectory snapshots.
 
-    Distances are taken from the first snapshot to up to six later ones
-    (a ladder, not all pairs, to keep the LP count small).  A trajectory
+    Distances are taken on the coarsen-2 lattice, from the first snapshot
+    to up to six later ones (a ladder, not all pairs, to keep the LP
+    count small).  A trajectory
     whose snapshots coincide is reported as degenerate; one with fewer
     than two distinct gaps fixes no slope and is reported as
     underdetermined.
     """
     idx = np.unique(np.linspace(1, len(traj) - 1, 6).astype(int))
-    base = DiscreteMeasure.from_field(traj.fields[0], coarsen=coarsen)
+    base = DiscreteMeasure.from_field(traj.fields[0], coarsen=2)
     gaps, dists = [], []
     for i in idx:
-        m_i = DiscreteMeasure.from_field(traj.fields[i], coarsen=coarsen)
+        m_i = DiscreteMeasure.from_field(traj.fields[i], coarsen=2)
         res = flat_distance(base, m_i, group)
         if not res.ok:
             raise RuntimeError(f"flat distance failed: {res.status}")

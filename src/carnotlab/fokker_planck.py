@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _stencils, groups, vfields
-from .grid import CFL_SAFETY, BallMask, CFLViolation, Field, Trajectory, check_dt, march, max_stable_dt, step_count
+from .grid import (CFL_SAFETY, CFLViolation, Field, Trajectory, check_dt, make_ball_mask, march,
+                   max_stable_dt, step_count)
 from .groups import GroupSpec, hom_norm
 
 
@@ -114,7 +115,7 @@ def fp_step(
     sigma: float,
     dt: float,
     group: GroupSpec,
-    mask: BallMask | None = None,
+    mask: np.ndarray | None = None,
     *,
     check_cfl: bool = True,
 ) -> Field:
@@ -135,7 +136,7 @@ def fp_step(
     if not np.isfinite(new).all():
         raise CFLViolation("transport step produced non-finite values")
     if mask is not None:
-        new[~mask.inside] = 0.0
+        new[~mask] = 0.0
     return Field(rho.grid, new, rho.t + dt)
 
 
@@ -145,7 +146,7 @@ def fp_solve(
     sigma: float,
     t_end: float,
     group: GroupSpec,
-    mask: BallMask | None = None,
+    mask: np.ndarray | None = None,
     *,
     steps: int | None = None,
     store_every: int = 1,
@@ -197,8 +198,6 @@ def r_monotonicity_report(
     Returns the most negative nodewise increment over the whole
     trajectory (>= -1e-8 expected) and the final-time mass gap.
     """
-    from .grid import make_ball_mask
-
     r_small, r_big = radii
     if not r_small < r_big:
         raise ValueError("radii must increase")
@@ -343,18 +342,19 @@ class SubsolutionParams:
 @dataclass(frozen=True)
 class SubsolutionReport:
     threshold: float
-    max_lhs_at_threshold: float
     max_lhs_at_double: float
-    n_samples: int
 
     @property
     def ok(self) -> bool:
         return self.max_lhs_at_double <= 1e-10
 
 
-def _barrier_max(group: GroupSpec, params: SubsolutionParams, b_coeffs, sigma: float, rng):
-    """bbar -> max of the barrier LHS over 400 points of the box [-2, 2]^d
-    off the origin and 9 times in [tau0, tau]; with the sample size."""
+def barrier_max_lhs(group: GroupSpec, params: SubsolutionParams, b_coeffs, sigma: float, *,
+                    rng: np.random.Generator) -> Callable[[float], float]:
+    """bbar -> max of the barrier operator over 400 points of the box
+    [-2, 2]^d off the origin and 9 times in [tau0, tau].  A positive value
+    means the barrier fails to be a subsolution at that rate somewhere in
+    the sample."""
     from .symbolic import barrier_lhs
 
     fn = barrier_lhs(group, b_coeffs, sigma)
@@ -366,7 +366,7 @@ def _barrier_max(group: GroupSpec, params: SubsolutionParams, b_coeffs, sigma: f
     def max_lhs(bbar: float) -> float:
         return float(np.max(fn(*cols, ts, bbar, params.beta1, params.tau0)))
 
-    return max_lhs, pts.shape[0] * ts.size
+    return max_lhs
 
 
 def subsolution_check(
@@ -384,7 +384,7 @@ def subsolution_check(
     with max LHS <= 1e-10 over the sample, and certifies the inequality
     again at twice that rate.  The search gives up past bbar = 1e8.
     """
-    max_lhs, n_samples = _barrier_max(group, params, b_coeffs, sigma, rng)
+    max_lhs = barrier_max_lhs(group, params, b_coeffs, sigma, rng=rng)
     lo, hi = 0.0, 1.0
     while max_lhs(hi) > 1e-10:
         hi *= 2
@@ -396,30 +396,7 @@ def subsolution_check(
             lo = mid
         else:
             hi = mid
-    threshold = hi
-    return SubsolutionReport(
-        threshold=threshold,
-        max_lhs_at_threshold=max_lhs(threshold),
-        max_lhs_at_double=max_lhs(2 * threshold),
-        n_samples=n_samples,
-    )
-
-
-def barrier_max_lhs(
-    group: GroupSpec,
-    params: SubsolutionParams,
-    b_coeffs,
-    sigma: float,
-    bbar: float,
-    *,
-    rng: np.random.Generator,
-) -> float:
-    """Max of the barrier operator over a space-time sample at a fixed rate.
-
-    Positive values mean the barrier fails to be a subsolution at this
-    bbar somewhere in the sampled region.
-    """
-    return _barrier_max(group, params, b_coeffs, sigma, rng)[0](bbar)
+    return SubsolutionReport(threshold=hi, max_lhs_at_double=max_lhs(2 * hi))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +458,6 @@ def particle_oracle(
     *,
     n_particles: int,
     seed: int,
-    n_steps: int | None = None,
     jobs: int = 1,
 ) -> Field:
     """Empirical density by Euler-Maruyama in the horizontal frame.
@@ -494,10 +470,11 @@ def particle_oracle(
     and Stratonovich forms coincide for frames whose correction sum
     (Da_i) a_i vanishes identically; the ``calculus`` suite certifies that
     symbolically on heisenberg1 (``symbolic.stratonovich_correction``).
+    The steps are the fewest equal ones no longer than 0.005 to t_end.
 
     Particles are drawn and advanced in fixed blocks of 8192, each block
     on its own jumped substream of a counter-based generator, so the
-    result depends only on (seed, n_particles, n_steps) and not on the
+    result depends only on (seed, n_particles, t_end) and not on the
     worker count.  Returns a node-binned density on rho0's grid.
     """
     if group.step > 2:
@@ -509,8 +486,7 @@ def particle_oracle(
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
     axes = grid.axes()
-    if n_steps is None:
-        n_steps = step_count(t_end, 0.005)
+    n_steps = step_count(t_end, 0.005)
     dt = t_end / n_steps
     b_table = None
     if not drift.zero:

@@ -8,8 +8,10 @@ count is given, ``check_dt`` refuses a step above the bound,
 steps, and ``march`` is the one marching loop, which keeps the
 snapshots a solver stores.  A solver given a count of n steps over a
 span steps by span / n, and its snapshot times are the running sum of
-that step from the datum's time stamp, so two runs given the same
-start, span and count stamp the same floats.  ``node_coordinates`` is
+that step from the datum's time stamp, so two marched runs given the
+same start, span and count stamp the same floats; the mild-map ladder of
+``hamilton_jacobi.hj_fixed_point`` is stamped t0 + span k / n instead,
+and may differ from them in the last bit.  ``node_coordinates`` is
 uncached, so callers own its arrays; ``bump_shape`` is every bump's
 profile, the mollifier's too.
 """
@@ -144,34 +146,14 @@ def constant_field(grid: GridSpec, value: float, t: float = 0.0) -> Field:
     return Field(grid, np.full(grid.shape, float(value)), t)
 
 
-@dataclass(frozen=True)
-class BallMask:
-    """Indicator of the truncation ball {||x||_G < R} with its boundary layer."""
-
-    radius: float
-    inside: np.ndarray
-    boundary_layer: np.ndarray
-
-
-def make_ball_mask(grid: GridSpec, group: GroupSpec, radius: float) -> BallMask:
+def make_ball_mask(grid: GridSpec, group: GroupSpec, radius: float) -> np.ndarray:
+    """The nodes inside the truncation ball {||x||_G < radius}, as a boolean array."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    pts = np.stack(node_coordinates(grid), axis=-1)
-    inside = groups.hom_norm(group, pts) < radius
+    inside = groups.hom_norm(group, np.stack(node_coordinates(grid), axis=-1)) < radius
     if not inside.any():
         raise ValueError(f"ball of radius {radius} contains no grid node")
-    # boundary layer: inside nodes with an outside (or box-edge) axis neighbor
-    layer = np.zeros_like(inside)
-    for ax in range(grid.dim):
-        lo = np.ones_like(inside)
-        hi = np.ones_like(inside)
-        sl_in = [slice(None)] * grid.dim
-        sl_out = [slice(None)] * grid.dim
-        sl_in[ax], sl_out[ax] = slice(1, None), slice(None, -1)
-        lo[tuple(sl_in)] = inside[tuple(sl_out)]
-        hi[tuple(sl_out)] = inside[tuple(sl_in)]
-        layer |= inside & ~(lo & hi)
-    return BallMask(radius=float(radius), inside=inside, boundary_layer=layer)
+    return inside
 
 
 # Share of the stability bound the explicit solvers step at when no step count is given.

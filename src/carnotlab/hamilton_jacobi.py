@@ -49,10 +49,8 @@ holds exactly in the continuum; the report returns the discrete
 residual and both accumulated terms.
 
 ``sup_bounds_report`` and ``bernstein_report`` check the one-sided
-comparison bounds and the first-derivative bounds along a frame that
-commutes with the generator (the right-invariant one by default;
-passing a non-commuting frame such as a plain coordinate partial shows
-the monitor failing, which is the point of the control).
+comparison bounds and the first-derivative bounds along the
+right-invariant frame, which commutes with the generator.
 """
 
 from __future__ import annotations
@@ -72,6 +70,14 @@ from .fokker_planck import DriftField, SourceTerm, fp_solve
 
 class DivergenceError(RuntimeError):
     """An iterate left the trust region; raised instead of emitting NaN."""
+
+
+# Sup norm past which a mild-map sweep raises DivergenceError.
+_BLOWUP = 1e4
+# Sweeps of the mild map a fixed-point run may take.
+_FIXED_POINT_SWEEPS = 12
+# Relative slack of the first-derivative bounds on the central window.
+_BERNSTEIN_SLACK = 5e-2
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +299,6 @@ def duhamel_iterate(
     spec: HamiltonianSpec,
     sigma: float,
     group: GroupSpec,
-    *,
-    blowup: float = 1e4,
 ) -> Trajectory:
     """One sweep of the mild map Phi applied to the previous iterate.
 
@@ -306,7 +310,7 @@ def duhamel_iterate(
     the plain heat trajectory on the same grid, bit for bit.
 
     Raises DivergenceError as soon as a snapshot's sup norm passes
-    ``blowup``; no NaN ever leaves this function quietly.
+    _BLOWUP; no NaN ever leaves this function quietly.
     """
     vf = vfields.left_invariant_fields(group)
     grid = spec.u0.grid
@@ -326,8 +330,8 @@ def duhamel_iterate(
             vals = heat_step(Field(grid, fields[-1].values + dt * f_k, a), sigma, dt, group).values
         except (ValueError, CFLViolation):
             vals = None
-        if vals is None or float(np.abs(vals).max()) > blowup:
-            raise DivergenceError(f"iterate norm passed {blowup:g} at t={b:g}")
+        if vals is None or float(np.abs(vals).max()) > _BLOWUP:
+            raise DivergenceError(f"iterate norm passed {_BLOWUP:g} at t={b:g}")
         fields.append(Field(grid, vals, b))
     return Trajectory(times=ts, fields=tuple(fields))
 
@@ -386,15 +390,16 @@ def hj_fixed_point(
     sigma: float,
     t_end: float,
     group: GroupSpec,
-    *,
-    max_iters: int = 12,
 ) -> tuple[Trajectory, FixedPointReport]:
     """Iterate the mild map from the heat baseline until the sweep stalls.
 
-    The time grid has the fewest equal steps, at least two, no longer
-    than ``grid.CFL_SAFETY`` times the diffusion bound.  Successive
-    distances are measured in the xt norm; one at most 1e-9 times the
-    data scale counts as converged.  The report keeps the whole distance
+    The time grid has the fewest equal steps n, at least two, no longer
+    than ``grid.CFL_SAFETY`` times the diffusion bound.  Its stamps are
+    t0 + span k / n, not a marched run's running sum of span / n, so the
+    two may differ in the last bit (3 of 9 stamps at span 0.05, n = 8).
+    At most _FIXED_POINT_SWEEPS sweeps run.  Successive distances are
+    measured in the xt norm; one at most 1e-9 times the data scale
+    counts as converged.  The report keeps the whole distance
     sequence, the pairwise ratios, the radius of the ball around the
     baseline the iterates explored, and an empirical growth constant
     gamma * (sup ||grad u||)^{gamma-1} of the nonlinearity on that ball.
@@ -416,7 +421,7 @@ def hj_fixed_point(
     radius = 0.0
     grad_peak = max(vfields.gradient_sup(vf, f) for f in current.fields)
     verdict = "maxiter"
-    for _ in range(max_iters):
+    for _ in range(_FIXED_POINT_SWEEPS):
         try:
             nxt = duhamel_iterate(current, spec, sigma, group)
         except DivergenceError:
@@ -595,23 +600,19 @@ def bernstein_report(
     traj: Trajectory,
     spec: HamiltonianSpec,
     group: GroupSpec,
-    *,
-    frame: vfields.VectorFieldSet | None = None,
-    slack: float = 1e-2,
 ) -> BernsteinReport:
-    """First-derivative bounds along a frame, away from the box edge.
+    """First-derivative bounds along the right-invariant frame, away from the box edge.
 
-    For a frame commuting with the generator (right-invariant fields
-    against the left-invariant operator), Y_j u solves a linear equation
-    whose source is Y_j F, and sup_t ||Y_j u|| <= ||Y_j u0|| + ||Y_j F||
-    up to the scheme's slack on the central window.  Frames that do not
-    commute pick up commutator sources and the bound has no reason to
-    hold; run one to see the monitor catch it.
+    That frame commutes with the left-invariant generator, so Y_j u
+    solves a linear equation whose source is Y_j F, and sup_t ||Y_j u||
+    <= ||Y_j u0|| + ||Y_j F|| up to _BERNSTEIN_SLACK on the central window.
+    A frame that does not commute picks up commutator sources, and the
+    bound has no reason to hold along it.
 
     The window keeps the centered half of the nodes per axis, clear of
     the one-sided differences at the edge.
     """
-    vf = frame if frame is not None else vfields.right_invariant_fields(group)
+    vf = vfields.right_invariant_fields(group)
     grid = traj.fields[0].grid
     win = _central_window(grid.shape)
     m = vf.count
@@ -632,7 +633,7 @@ def bernstein_report(
     for f in traj.fields:
         sv = dir_sups(f)
         observed = [max(a, b) for a, b in zip(observed, sv)]
-    bounds = [i + s_ + slack * max(i + s_, 1e-30) for i, s_ in zip(init, src)]
+    bounds = [i + s_ + _BERNSTEIN_SLACK * max(i + s_, 1e-30) for i, s_ in zip(init, src)]
     ok = all(o <= b for o, b in zip(observed, bounds))
     return BernsteinReport(
         frame_kind=vf.kind,

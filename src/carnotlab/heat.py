@@ -28,21 +28,10 @@ def heat_step(f: Field, sigma: float, dt: float, group: GroupSpec) -> Field:
     return fp_step(f, DriftField.none(), sigma, dt, group)
 
 
-def evolve(
-    f: Field,
-    sigma: float,
-    t_target: float,
-    group: GroupSpec,
-    *,
-    steps: int | None = None,
-) -> Field:
-    """Run the heat flow from f.t to t_target by steps equal composed steps.
-
-    Without a count the steps are the fewest equal ones no longer than
-    ``grid.CFL_SAFETY`` times the stability bound; a count whose step
-    exceeds the bound raises CFLViolation on the first step.
-    """
-    out = fp_solve(f, DriftField.none(), sigma, t_target, group, steps=steps, store_every=0).final
+def evolve(f: Field, sigma: float, t_target: float, group: GroupSpec) -> Field:
+    """Run the heat flow from f.t to t_target in the fewest equal steps no
+    longer than ``grid.CFL_SAFETY`` times the stability bound."""
+    out = fp_solve(f, DriftField.none(), sigma, t_target, group, store_every=0).final
     return out if out is f else Field(f.grid, out.values, t_target)
 
 

@@ -131,7 +131,6 @@ class MFGState:
     residuals_u: tuple[float, ...]
     residuals_rho: tuple[float, ...]
     d0_certified: tuple[tuple[float, float], ...]
-    theta: float
     verdict: str
     note: str
     sigma: float
@@ -142,7 +141,6 @@ class MFGState:
     rho_initial: Field
     t_end: float
     tol_u: float
-    tol_rho: float
     v_traj: Trajectory | None
     v_spec: HamiltonianSpec | None
 
@@ -313,7 +311,6 @@ def mfg_picard(
         residuals_u=tuple(res_u),
         residuals_rho=tuple(res_rho),
         d0_certified=certified,
-        theta=theta,
         verdict=verdict,
         note=note,
         sigma=sigma,
@@ -324,7 +321,6 @@ def mfg_picard(
         rho_initial=rho0,
         t_end=span,
         tol_u=tol_u,
-        tol_rho=tol_rho,
         v_traj=v_last,
         v_spec=spec_last,
     )

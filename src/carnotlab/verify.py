@@ -228,8 +228,7 @@ def uniqueness_barrier_suite() -> Rows:
                                 rng=np.random.default_rng(5))
     rep_b = fp.subsolution_check(G, params, (0.4, -0.2), SIGMA,
                                  rng=np.random.default_rng(6))
-    worst0 = fp.barrier_max_lhs(G, params, (0.0, 0.0), SIGMA, 0.0,
-                                rng=np.random.default_rng(7))
+    worst0 = fp.barrier_max_lhs(G, params, (0.0, 0.0), SIGMA, rng=np.random.default_rng(7))(0.0)
 
     checks = (
         Check("lhs_at_double_rate_zero_drift", rep0.max_lhs_at_double, "<= 1e-10",
@@ -366,7 +365,7 @@ def flat_metric_suite() -> Rows:
     grid = default_grid(nodes=21)
     rho0 = bump_field(grid, G, radius=1.0, normalize=True)
     traj = fp.fp_solve(rho0, fp.DriftField.none(), 0.25, 0.1, G, store_every=1)
-    hold = holder_in_time(traj, G, coarsen=2)
+    hold = holder_in_time(traj, G)
 
     checks = (
         Check("two_dirac_closed_form_error", form_err, "<= 1e-6", form_err <= 1e-6),
@@ -429,7 +428,7 @@ def hamilton_jacobi_suite() -> Rows:
         vals = np.where(r2 < 1.0, np.exp(1.0 / np.minimum(r2 - 1.0, -1e-12) + 1.0), 0.0)
     spec_s = hj.HamiltonianSpec(u0=Field(gs41, vals, 0.0))
     traj_s = hj.hj_solve(spec_s, SIGMA, 0.2, G, store_every=4)
-    bern = hj.bernstein_report(traj_s, spec_s, G, slack=5e-2)
+    bern = hj.bernstein_report(traj_s, spec_s, G)
     bern_excess = max(o - bd for o, bd in zip(bern.observed, bern.bounds))
 
     checks = (

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from scipy import ndimage
 
 from carnotlab.grid import Field, bump_shape, node_points
 from carnotlab.groups import dilate, gauge_power
@@ -16,13 +17,27 @@ def coordinate_field(dim: int, axis: int) -> VectorFieldSet:
     return VectorFieldSet(kind="coordinate", dim=dim, coefficients=(comps,))
 
 
+def kernel_scale(m) -> float:
+    """C of the scaling (C / eps^Q) xi(delta_{1/eps} x) of m, from its offsets."""
+    group = m.group
+    raw = bump_shape(gauge_power(group, dilate(group, 1.0 / m.eps, m.offsets)))
+    return m.eps**group.homogeneous_dimension / (raw.sum() * m.grid.cell_volume)
+
+
 def kernel_field(m) -> Field:
     """The scaled kernel (C / eps^Q) xi(delta_{1/eps} x) sampled on the grid
     and for the group the MollifierSpec m was built for."""
     grid, group = m.grid, m.group
     s = gauge_power(group, dilate(group, 1.0 / m.eps, node_points(grid)))
-    vals = m.C / m.eps**group.homogeneous_dimension * bump_shape(s)
+    vals = kernel_scale(m) / m.eps**group.homogeneous_dimension * bump_shape(s)
     return Field(grid, vals.reshape(grid.shape))
+
+
+def ball_boundary_layer(inside):
+    """The nodes of the ball mask inside with an axis neighbour outside the
+    ball; a neighbour beyond the box edge counts as inside."""
+    axes = ndimage.generate_binary_structure(inside.ndim, 1)
+    return inside & ~ndimage.binary_erosion(inside, axes, border_value=1)
 
 
 @pytest.fixture

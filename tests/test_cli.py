@@ -135,6 +135,26 @@ def test_box_whose_spacing_squares_outside_the_floats_is_rejected_before_any_out
     assert "Traceback" not in err and not runs.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "[scenario]\nkind = fp\n\n[grid]\nnodes = 9\n\n[dynamics]\ndrift = 1e6 0\n",
+    "[scenario]\nkind = heat\n\n[grid]\nnodes = 5\nextent = 1e-140\n",
+], ids=["fp-drift-1e6", "heat-extent-1e-140"])
+def test_horizon_past_the_step_cap_is_rejected_before_any_output(text, tmp_path):
+    # the drift asks for 500 001 stable steps and the tiny box for about
+    # 2.5e279: neither run would end, so both stop at the step cap
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(text)
+    effective, errors = cli.load_config(str(cfg))
+    assert not errors
+    with pytest.raises(ValueError, match=f"stable steps on this grid; at most {cli.MAX_STEPS} run"):
+        cli._scenario_data(effective, preset(effective["scenario"]["group"]))
+    runs = tmp_path / "runs"
+    code, outdir, summary = cli.execute_run(str(cfg), str(runs), None)
+    assert (code, outdir) == (cli.EXIT_CONFIG, "")
+    assert "long.cfg: cannot build the scenario data" in summary
+    assert not runs.exists()
+
+
 def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, capsys):
     runs = tmp_path / "runs"
     with pytest.raises(SystemExit) as stop:

@@ -23,7 +23,7 @@ from carnotlab.flat_metric import (
 from carnotlab.grid import Field, GridSpec, Trajectory, bump_field, node_coordinates
 from carnotlab.groups import hom_norm, multiply, quasi_distance
 from carnotlab.report import json_text
-from conftest import kernel_field
+from conftest import kernel_field, kernel_scale
 
 G = groups.preset("heisenberg1")
 
@@ -165,8 +165,8 @@ def test_seed_pairs_match_the_loop():
 
 
 def test_pruned_lp_is_exact(monkeypatch):
-    # top_k=3 forces many rounds, so slack seed rows leave the LP and
-    # violated pairs come back; the final all-pairs scan keeps it exact
+    # three pairs a scan forces many rounds, so slack seed rows leave the
+    # LP and violated pairs come back; the final all-pairs scan keeps it exact
     rows_per_round = []
     linprog = flat_metric.linprog
 
@@ -174,14 +174,15 @@ def test_pruned_lp_is_exact(monkeypatch):
         rows_per_round.append(A_ub.shape[0])
         return linprog(c, A_ub=A_ub, **kw)
 
+    monkeypatch.setattr(flat_metric, "linprog", counting_linprog)
     rng = np.random.default_rng(11)
     for _ in range(3):
         mu, nu = _random_pair(rng)
-        full = flat_distance(mu, nu, G, top_k=100_000)
+        monkeypatch.setattr(flat_metric, "_PAIR_TOP_K", 100_000)
+        full = flat_distance(mu, nu, G)
         rows_per_round.clear()
-        with monkeypatch.context() as m:
-            m.setattr(flat_metric, "linprog", counting_linprog)
-            pruned = flat_distance(mu, nu, G, top_k=3)
+        monkeypatch.setattr(flat_metric, "_PAIR_TOP_K", 3)
+        pruned = flat_distance(mu, nu, G)
         assert full.status == pruned.status == "optimal"
         assert pruned.rounds > 1
         assert min(rows_per_round[1:]) < rows_per_round[0]
@@ -192,6 +193,7 @@ def test_distance_memo_stays_under_budget_and_changes_nothing(monkeypatch):
     # small scan blocks give several blocks; a budget under one block
     # makes every scan recompute every distance
     monkeypatch.setattr(flat_metric, "_PAIR_SCAN_BUDGET", 1 << 11)
+    monkeypatch.setattr(flat_metric, "_PAIR_TOP_K", 5)
     mu, nu = _random_pair(np.random.default_rng(2))
     n = mu.points.shape[0] + nu.points.shape[0]
     block = 8 * sum(n - 1 - i for i in range((1 << 11) // n))
@@ -208,7 +210,7 @@ def test_distance_memo_stays_under_budget_and_changes_nothing(monkeypatch):
     for budget in (1 << 25, 3 * block, block - 1):
         monkeypatch.setattr(flat_metric, "_DISTANCE_MEMO_BYTES", budget)
         stored.clear()
-        results[budget] = flat_distance(mu, nu, G, top_k=5)
+        results[budget] = flat_distance(mu, nu, G)
         peak[budget] = max(stored)
         assert peak[budget] <= budget
     # all pairs, the leading blocks, nothing
@@ -232,11 +234,12 @@ def test_result_json_shape():
 # measures from fields
 # ---------------------------------------------------------------------------
 
-def test_from_field_preserves_mass_under_coarsening():
+def test_from_field_preserves_mass_under_coarsening(monkeypatch):
+    monkeypatch.setattr(flat_metric, "_WEIGHT_FLOOR", 0.0)
     grid = cgrid.default_grid(nodes=41)
     rho = bump_field(grid, G, radius=1.0, normalize=True)
-    fine = DiscreteMeasure.from_field(rho, coarsen=1, threshold=0.0)
-    coarse = DiscreteMeasure.from_field(rho, coarsen=2, threshold=0.0)
+    fine = DiscreteMeasure.from_field(rho, coarsen=1)
+    coarse = DiscreteMeasure.from_field(rho, coarsen=2)
     assert abs(fine.weights.sum() - 1.0) <= 1e-12
     assert abs(coarse.weights.sum() - 1.0) <= 1e-12
     # coarse support lives on the 21^3 sublattice
@@ -247,7 +250,7 @@ def test_from_field_thresholding_drops_trace_weights():
     grid = cgrid.default_grid(nodes=9)
     vals = np.full(grid.shape, 1e-20)
     vals[4, 4, 4] = 1.0
-    m = DiscreteMeasure.from_field(Field(grid, vals), threshold=1e-12)
+    m = DiscreteMeasure.from_field(Field(grid, vals))
     assert m.points.shape[0] == 1
 
 
@@ -325,7 +328,7 @@ def test_kernel_gradient_scaling_chain():
     s04 = grad_sup(kernel_field(m04))
     s08 = grad_sup(kernel_field(m08))
     q = G.homogeneous_dimension
-    predicted = (0.8 / 0.4) ** (q + 1) * m04.C / m08.C
+    predicted = (0.8 / 0.4) ** (q + 1) * kernel_scale(m04) / kernel_scale(m08)
     assert abs(s04 / s08 / predicted - 1.0) <= 0.05
 
 
@@ -508,7 +511,7 @@ def test_holder_stationary_is_degenerate():
     grid = cgrid.default_grid(nodes=21)
     rho = bump_field(grid, G, radius=1.0, normalize=True)
     traj = Trajectory(times=(0.0, 0.05, 0.1), fields=(rho, rho, rho))
-    rep = holder_in_time(traj, G, coarsen=2)
+    rep = holder_in_time(traj, G)
     assert rep.verdict == "degenerate"
 
 
@@ -518,7 +521,7 @@ def test_holder_heat_flow_exponent():
     grid = cgrid.default_grid(nodes=21)
     rho0 = bump_field(grid, G, radius=1.0, normalize=True)
     traj = fp_solve(rho0, DriftField.none(), 0.25, 0.1, G, store_every=1)
-    rep = holder_in_time(traj, G, coarsen=2)
+    rep = holder_in_time(traj, G)
     assert rep.verdict == "fitted"
     # upper bound d0 <= C sqrt(|t-s|) admits any fitted slope above it;
     # smooth data decays no slower than exponent 0.4
@@ -544,6 +547,6 @@ def test_holder_translation_flow_is_lipschitz():
 
     times = (0.0, 0.01, 0.02, 0.04, 0.07, 0.1)
     traj = Trajectory(times=times, fields=tuple(snapshot(t) for t in times))
-    rep = holder_in_time(traj, G, coarsen=2)
+    rep = holder_in_time(traj, G)
     assert rep.verdict == "fitted"
     assert rep.exponent >= 0.9

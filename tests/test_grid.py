@@ -20,6 +20,7 @@ from carnotlab.grid import (
     step_count,
     write_points_csv,
 )
+from conftest import ball_boundary_layer
 
 H1 = preset("heisenberg1")
 
@@ -81,7 +82,7 @@ def test_step_count_and_march():
 def test_ball_mask_extremes():
     grid = default_grid(nodes=9)
     big = make_ball_mask(grid, H1, 100.0)
-    assert big.inside.all()
+    assert big.all()
     # even node count: no node at the identity, so a tiny ball is empty
     off_origin = default_grid(nodes=10)
     with pytest.raises(ValueError):
@@ -95,8 +96,8 @@ def test_ball_mask_vertical_threshold():
     axis3 = grid.axes()[2]
     i99 = int(np.argmin(np.abs(axis3 - 0.99)))
     i101 = int(np.argmin(np.abs(axis3 - 1.01)))
-    assert mask.inside[1, 1, i99]
-    assert not mask.inside[1, 1, i101]
+    assert mask[1, 1, i99]
+    assert not mask[1, 1, i101]
 
 
 def test_ball_mask_monotone_in_radius():
@@ -104,15 +105,15 @@ def test_ball_mask_monotone_in_radius():
     radii = [0.4, 0.8, 1.2, 1.6]
     masks = [make_ball_mask(grid, H1, r) for r in radii]
     for small, large in zip(masks, masks[1:]):
-        assert np.all(large.inside[small.inside])
-        assert large.inside.sum() > small.inside.sum()
+        assert np.all(large[small])
+        assert large.sum() > small.sum()
 
 
 def test_ball_mask_boundary_layer_inside():
     grid = default_grid(nodes=21)
     mask = make_ball_mask(grid, H1, 1.0)
-    assert mask.boundary_layer.any()
-    assert np.all(mask.inside[mask.boundary_layer])
+    assert ball_boundary_layer(mask).any()
+    assert np.all(mask[ball_boundary_layer(mask)])
 
 
 def test_max_stable_dt_unconstrained():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from carnotlab import grid, groups, heat, vfields
+from carnotlab.fokker_planck import DriftField, fp_solve
 from carnotlab import hamilton_jacobi as hj
 from carnotlab.report import json_text
 from conftest import coordinate_field
@@ -185,7 +186,7 @@ def test_heat_baseline_matches_evolve():
     n, T = 8, 0.05
     times = tuple(T * k / n for k in range(n + 1))
     base = hj.heat_baseline(spec, SIGMA, times, G)
-    ref = heat.evolve(u0, SIGMA, T, G, steps=n)
+    ref = fp_solve(u0, DriftField.none(), SIGMA, T, G, steps=n, store_every=0).final
     assert np.abs(base.final.values - ref.values).max() <= 1e-12
 
 
@@ -216,21 +217,23 @@ def test_sweep_rejects_unstable_time_grid():
         hj.duhamel_iterate(prev, spec, SIGMA, G)
 
 
-def test_sweep_blowup_raises_instead_of_nan():
+def test_sweep_blowup_raises_instead_of_nan(monkeypatch):
+    monkeypatch.setattr(hj, "_BLOWUP", 1e-3)
     gs = box(21)
     spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
     n, T = 8, 0.05
     times = tuple(T * k / n for k in range(n + 1))
     base = hj.heat_baseline(spec, SIGMA, times, G)
     with pytest.raises(hj.DivergenceError):
-        hj.duhamel_iterate(base, spec, SIGMA, G, blowup=1e-3)
+        hj.duhamel_iterate(base, spec, SIGMA, G)
 
 
-def test_big_data_reports_divergence_verdict():
+def test_big_data_reports_divergence_verdict(monkeypatch):
+    monkeypatch.setattr(hj, "_FIXED_POINT_SWEEPS", 4)
     gs = box(21)
     big = grid.Field(gs, 200.0 * grid.bump_field(gs, G, radius=1.2).values, 0.0)
     spec = hj.HamiltonianSpec(u0=big)
-    _, rep = hj.hj_fixed_point(spec, SIGMA, 0.05, G, max_iters=4)
+    _, rep = hj.hj_fixed_point(spec, SIGMA, 0.05, G)
     assert rep.verdict == "diverged"
     assert not rep.ok
     assert all(np.isfinite(d) for d in rep.distances)
@@ -311,13 +314,14 @@ def test_fixed_point_handles_cubic_hamiltonian():
     assert all(r < 1.0 for r in rep.ratios)
 
 
-def test_longer_horizons_contract_more_slowly():
+def test_longer_horizons_contract_more_slowly(monkeypatch):
     # the early-sweep ratio degrades with T; log-style check, loose on
     # purpose since only the short-horizon contraction is a contract
     gs = box(21)
     spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
-    _, short = hj.hj_fixed_point(spec, SIGMA, 0.05, G, max_iters=5)
-    _, longer = hj.hj_fixed_point(spec, SIGMA, 0.5, G, max_iters=5)
+    monkeypatch.setattr(hj, "_FIXED_POINT_SWEEPS", 5)
+    _, short = hj.hj_fixed_point(spec, SIGMA, 0.05, G)
+    _, longer = hj.hj_fixed_point(spec, SIGMA, 0.5, G)
     assert short.ratios[0] < longer.ratios[0] < 1.0
 
 
@@ -413,18 +417,19 @@ def skew_trajectory():
 
 def test_bernstein_right_frame_stays_bounded(skew_trajectory):
     spec, traj = skew_trajectory
-    rep = hj.bernstein_report(traj, spec, G, slack=5e-2)
+    rep = hj.bernstein_report(traj, spec, G)
     assert rep.ok
     assert rep.frame_kind == "right"
     assert all(o <= i * (1.0 + 5e-2) for o, i in zip(rep.observed, rep.initial))
 
 
-def test_bernstein_flags_noncommuting_frame(skew_trajectory):
+def test_bernstein_flags_noncommuting_frame(skew_trajectory, monkeypatch):
     # d/dx1 does not commute with the generator; starting from data with
     # no x1 dependence, the diffusion itself manufactures x1 variation,
     # which the commuting-frame bound can never allow
     spec, traj = skew_trajectory
-    rep = hj.bernstein_report(traj, spec, G, frame=coordinate_field(3, 0), slack=5e-2)
+    monkeypatch.setattr(vfields, "right_invariant_fields", lambda group: coordinate_field(3, 0))
+    rep = hj.bernstein_report(traj, spec, G)
     assert rep.initial[0] == 0.0
     assert rep.observed[0] > 0.1
     assert not rep.ok

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from carnotlab import _stencils, preset
+from carnotlab.fokker_planck import DriftField, fp_solve
 from carnotlab.grid import (CFL_SAFETY, CFLViolation, Field, GridSpec, bump_field, constant_field,
                             default_grid, max_stable_dt, node_coordinates)
 from carnotlab.groups import hom_norm
@@ -49,7 +50,7 @@ def test_oversized_dt_and_non_finite_steps_raise_cfl_violation():
     f = bump_field(grid, H1, radius=1.0)
     limit = max_stable_dt(grid, H1, 0.25)
     with pytest.raises(CFLViolation, match="exceeds stability bound"):
-        evolve(f, 0.25, 10 * limit, H1, steps=5)
+        fp_solve(f, DriftField.none(), 0.25, 10 * limit, H1, steps=5)
     # finite data whose step overflows
     huge = Field(grid, 1e308 * f.values)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CFLViolation, match="non-finite"):
@@ -91,8 +92,10 @@ def test_semigroup_composition():
     grid = default_grid(nodes=15)
     f0 = bump_field(grid, H1, radius=1.2)
     dt = 2.0**-10
-    two_leg = evolve(evolve(f0, 0.25, 8 * dt, H1, steps=8), 0.25, 12 * dt, H1, steps=4)
-    one_leg = evolve(f0, 0.25, 12 * dt, H1, steps=12)
+    none = DriftField.none()
+    first = fp_solve(f0, none, 0.25, 8 * dt, H1, steps=8, store_every=0).final
+    two_leg = fp_solve(first, none, 0.25, 12 * dt, H1, steps=4, store_every=0).final
+    one_leg = fp_solve(f0, none, 0.25, 12 * dt, H1, steps=12, store_every=0).final
     assert np.abs(two_leg.values - one_leg.values).max() <= 1e-10
 
 
