@@ -340,27 +340,35 @@ def _scenario_data(cfg: dict, group) -> dict:
 
     Raises ValueError when the data cannot be built on this grid, e.g. a
     bump centred where it has no mass or an eps the lattice cannot resolve,
-    or a horizon of more than MAX_STEPS steps at ``grid.CFL_SAFETY`` times
-    the bound with the fp drift (a feedback drift is not counted).
+    or a horizon of more than MAX_STEPS steps of the kind's solver (counting
+    the fp drift, the datum's feedback drift for hj and duality, or
+    ``mfg.picard_steps``).
     """
     kind = cfg["scenario"]["kind"]
     grid = default_grid(cfg["grid"]["extent"], cfg["grid"]["nodes"], GRID_DIM)
     data = {"grid": grid,
             "datum": _make_datum(cfg, grid, group, normalize=_DATUM_NORMALIZE[kind])}
     d, dyn = cfg["data"], cfg["dynamics"]
-    b = fp.DriftField.constant(dyn["drift"]).at(0.0) if kind == "fp" else None
-    n = step_count(dyn["t_end"], CFL_SAFETY * max_stable_dt(grid, group, dyn["sigma"], b))
+    if kind == "mfg":
+        from .flat_metric import MollifierSpec
+        from .mfg import picard_steps
+
+        data["u_T"] = bump_field(grid, group, center=d["center"], radius=d["value_radius"])
+        data["mollifier"] = MollifierSpec.build(dyn["eps"], grid, group)
+        n = picard_steps(hj.HamiltonianSpec(u0=data["u_T"], gamma=dyn["gamma"]), dyn["sigma"],
+                         dyn["t_end"], group)
+    elif kind in ("hj", "duality"):
+        spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
+        n = step_count(dyn["t_end"], CFL_SAFETY * hj.hj_max_stable_dt(spec.u0, spec, dyn["sigma"], group))
+    else:
+        b = fp.DriftField.constant(dyn["drift"]).at(0.0) if kind == "fp" else None
+        n = step_count(dyn["t_end"], CFL_SAFETY * max_stable_dt(grid, group, dyn["sigma"], b))
     if n > MAX_STEPS:
         raise ValueError(f"t_end = {dyn['t_end']:g} asks for {n:.6g} stable steps on this grid; "
                          f"at most {MAX_STEPS} run")
     if kind == "duality":
         data["mu"] = bump_field(grid, group, center=d["center"], radius=d["mu_radius"],
                                 normalize=True)
-    elif kind == "mfg":
-        from .flat_metric import MollifierSpec
-
-        data["u_T"] = bump_field(grid, group, center=d["center"], radius=d["value_radius"])
-        data["mollifier"] = MollifierSpec.build(dyn["eps"], grid, group)
     elif kind == "heat":
         heat.decay_ladder(grid, group, dyn["sigma"], dyn["t_end"])
     elif kind == "metric":

@@ -8,20 +8,21 @@ point) and a norm split (alpha, beta) with |f| <= alpha,
 |f(x) - f(y)| <= beta rho(x, y), alpha + beta <= 1.
 
 The all-pairs constraint matrix is quadratic in the support size, so
-the solver generates rows lazily: solve on an active pair set, scan all
-pairs for violations, then drop the active pair rows whose slack
-beta rho_ij - |f_i - f_j| exceeds _LP_TOL and add the worst offenders,
-repeat.  A pair leaves the active set at most once; after the last
-departure the active set only grows, by at least one pair a round, so
-the loop ends.  The final scan certifies feasibility of the full LP,
-which makes the relaxed optimum exact (any feasible point of the full
-problem is feasible for the relaxation, and the relaxed optimizer is
-full-feasible at convergence), whatever rows were dropped on the way.
-The scan walks the pairs in blocks of at most _PAIR_SCAN_BUDGET pairs,
-so its working set does not grow with the support size.  Only f and
-beta change between scans, so one call keeps the pair distances of the
-leading blocks (upper triangle, float64) up to _DISTANCE_MEMO_BYTES and
-recomputes the blocks past that budget on every scan.
+the solver generates rows lazily.  A row f_a - f_b <= beta rho_ab holds
+one orientation of a pair (a seed pair is oriented from its larger
+delta, a violated pair from its larger f).  Each round solves on the
+active rows, scans all pairs for violations, drops the active rows whose
+slack beta rho_ab - (f_a - f_b) exceeds _LP_TOL and adds the worst
+offenders.  A row leaves at most once; after the last departure the
+active set only grows, by at least one row a round, so the loop ends.
+The final scan checks |f_i - f_j| <= beta rho_ij + _LP_TOL on every
+pair, so the relaxed optimizer is feasible, hence optimal, for the full
+LP, whatever rows were dropped on the way.  The scan measures rho only
+within reach: a weight-1 slot k with no law term gives rho_ij >=
+|x_ik - x_jk|, and |f_i - f_j| <= max f - min f, so a pair farther apart
+on it than reach = (max f - min f) / beta cannot violate.  It walks the
+points sorted on one such slot, in blocks of at most _PAIR_SCAN_BUDGET
+pairs, so its working set does not grow with the support size.
 
 The mollifier phi -> sum_u w_u phi(x * u) is a sparse linear operator
 on node values, and its entries come from the group law alone: slots of
@@ -59,8 +60,6 @@ _LP_TOL = 1e-8
 _PAIR_SCAN_BUDGET = 1 << 17
 # Worst violating pairs a scan hands to the next LP round.
 _PAIR_TOP_K = 2000
-# Pair distances one flat_distance call keeps between its scans.
-_DISTANCE_MEMO_BYTES = 1 << 25
 # A mollifier operator estimated above this size is rebuilt on every call.
 _OPERATOR_BUDGET_BYTES = 1 << 27
 # Entries gathered per row block of a mollifier operator.
@@ -164,52 +163,54 @@ def _merge_supports(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return np.array(pts), np.array(delta)
 
 
-def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec, memo: list):
+def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec):
     """Worst Lipschitz violations |f_i - f_j| - beta rho_ij over all pairs.
 
-    Returns (max_violation, codes i * n + j of the violating pairs i < j
-    sorted worst-first, capped at _PAIR_TOP_K).  Deterministic: ties broken by
-    code, that is by (i, j).  Rows are scanned in blocks of about
-    _PAIR_SCAN_BUDGET pairs.  memo holds the distances rho_ij (i < j,
-    row-major) of the leading blocks; a block past its end is computed,
-    and appended while the stored bytes stay within _DISTANCE_MEMO_BYTES.
+    Returns (the largest violation, 0 when none; codes a * n + b of the
+    violating pairs, oriented so that f_a > f_b, sorted worst-first and
+    capped at _PAIR_TOP_K).  Deterministic: ties broken by code.  A pair
+    out of reach on a free slot (weight 1, no law term) is not measured,
+    and with beta = 0 no rho is computed.
     """
     n = points.shape[0]
-    chunk = max(1, _PAIR_SCAN_BUDGET // n)
-    best_viol = -math.inf
+    free = [k for k, w in enumerate(group.weights) if w == 1 and not group.law[k]]
+    reach = (f.max() - f.min()) / beta if beta > 0 else math.inf
+    # sorted on a free slot, position p reaches the count[p] positions after
+    # it; a block holds at most _PAIR_SCAN_BUDGET such pairs, or one position
+    key = points[:, free[0]] if free else np.zeros(n)
+    by_x = np.argsort(key, kind="stable")
+    xs = key[by_x]
+    count = np.searchsorted(xs, xs + reach, side="right") - np.arange(n) - 1
+    ends = np.cumsum(count)
+    best_viol = 0.0
     kept_v = np.zeros(0)
     kept = np.zeros(0, dtype=int)
-    for b, i0 in enumerate(range(0, n, chunk)):
-        i1 = min(i0 + chunk, n)
-        rows = np.arange(i0, i1)
-        upper = np.arange(n) > rows[:, None]
-        if b < len(memo):
-            d = memo[b]
-        else:
-            ii, jj = np.nonzero(upper)
-            d = quasi_distance(group, points[ii + i0], points[jj])
-            # memo[b] must be block b: once a block misses the budget,
-            # no later block is stored
-            stored = sum(m.nbytes for m in memo)
-            if len(memo) == b and stored + d.nbytes <= _DISTANCE_MEMO_BYTES:
-                memo.append(d)
-        if d.size == 0:
-            continue
-        v = np.abs(f[i0:i1, None] - f)[upper] - beta * d
-        best_viol = max(best_viol, float(v.max()))
+    p1 = 0
+    while p1 < n:
+        p0 = p1
+        before = ends[p0] - count[p0]
+        p1 = max(p0 + 1, int(np.searchsorted(ends, before + _PAIR_SCAN_BUDGET, side="right")))
+        cnt = count[p0:p1]
+        p = np.repeat(np.arange(p0, p1), cnt)
+        q = p + 1 + np.arange(p.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        i, j = np.minimum(by_x[p], by_x[q]), np.maximum(by_x[p], by_x[q])
+        for k in free[1:]:
+            near = np.abs(points[i, k] - points[j, k]) <= reach
+            i, j = i[near], j[near]
+        v = np.abs(f[i] - f[j])
+        if beta > 0:
+            v -= beta * quasi_distance(group, points[i], points[j])
         pos = v > 0
+        if not pos.any():
+            continue
+        best_viol = max(best_viol, float(v.max()))
         if pos.sum() > _PAIR_TOP_K:
             # keep every pair tied with the _PAIR_TOP_K-th value; the
-            # index tie-break below decides among them
+            # code tie-break below decides among them
             pos &= v >= np.partition(v, v.size - _PAIR_TOP_K)[v.size - _PAIR_TOP_K]
-        # row i of the block holds its n - 1 - i pairs (i, j > i) from
-        # position starts[i - i0] of v on
-        p = np.flatnonzero(pos)
-        starts = np.cumsum(n - 1 - rows) - (n - 1 - rows)
-        i = rows[np.searchsorted(starts, p, side="right") - 1]
-        j = i + 1 + p - starts[i - i0]
+        i, j = i[pos], j[pos]
         kept_v = np.concatenate([kept_v, v[pos]])
-        kept = np.concatenate([kept, i * n + j])
+        kept = np.concatenate([kept, np.where(f[i] > f[j], i * n + j, j * n + i)])
         order = np.lexsort((kept, -kept_v))[:_PAIR_TOP_K]
         kept_v, kept = kept_v[order], kept[order]
     return best_viol, kept
@@ -243,7 +244,9 @@ def flat_distance(
     group: GroupSpec,
 ) -> FlatMetricResult:
     """Flat distance by lazy constraint generation; exact at convergence,
-    reported as an iteration limit after 60 LP rounds."""
+    reported as an iteration limit after 60 LP rounds.  The LP holds one
+    oriented row per active pair and is solved by the HiGHS dual simplex
+    with Dantzig pricing."""
     points, delta = _merge_supports(mu, nu)
     n = points.shape[0]
     if n == 0 or np.abs(delta).max() == 0.0:
@@ -263,52 +266,45 @@ def flat_distance(
     static_b = np.zeros(2 * n + 1)
     static_b[-1] = 1.0
 
-    # pairs i < j travel as codes i * n + j
-    active = _seed_pairs(points, delta)
+    # the row f_a - f_b <= beta d_ab travels as the code a * n + b; a
+    # seed pair i < j is oriented from its larger delta
+    seeds = _seed_pairs(points, delta)
+    i, j = seeds // n, seeds % n
+    active = np.where(delta[i] >= delta[j], seeds, j * n + i)
 
     def distances(codes):
         return quasi_distance(group, points[codes // n], points[codes % n])
 
     def pair_rows(codes, d):
-        """Rows f_i - f_j - beta d_ij <= 0 and the mirror, one COO batch."""
+        """Rows f_a - f_b - beta d_ab <= 0, one COO batch."""
         k = codes.size
-        row_idx = np.repeat(np.arange(2 * k), 3)
         cols = np.stack([codes // n, codes % n, np.full(k, n + 1)], 1).ravel()
-        col_idx = np.concatenate([cols, cols])
-        data = np.concatenate(
-            [np.stack([np.ones(k), -np.ones(k), -d], 1).ravel(),
-             np.stack([-np.ones(k), np.ones(k), -d], 1).ravel()])
-        return sps.csr_matrix((data, (row_idx, col_idx)), shape=(2 * k, n + 2))
+        data = np.stack([np.ones(k), -np.ones(k), -d], 1).ravel()
+        return sps.csr_matrix((data, (np.repeat(np.arange(k), 3), cols)), shape=(k, n + 2))
 
     active_d = distances(active)
     left = np.zeros(0, dtype=active.dtype)
-    memo: list[np.ndarray] = []
     status = "iteration-limit"
-    gap = math.inf
-    f = np.zeros(n)
-    alpha = beta = 0.0
-    value = 0.0
-    rounds = 0
     for rounds in range(1, 61):
         A = sps.vstack([static, pair_rows(active, active_d)], format="csr")
-        b = np.concatenate([static_b, np.zeros(2 * active.size)])
-        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+        b = np.concatenate([static_b, np.zeros(active.size)])
+        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs-ds",
+                      options={"simplex_dual_edge_weight_strategy": "dantzig"})
         if res.status != 0:
             return FlatMetricResult(float("nan"), f"lp-error:{res.message}", math.inf, np.zeros(0), points, rounds)
         f = res.x[:n]
-        alpha, beta = res.x[n], res.x[n + 1]
+        beta = res.x[n + 1]
         value = -res.fun
-        viol, worst = _pair_scan(points, f, beta, group, memo)
-        gap = max(0.0, viol)
-        if viol <= _LP_TOL:
+        gap, worst = _pair_scan(points, f, beta, group)
+        if gap <= _LP_TOL:
             status = "optimal"
             break
         fresh = worst[~np.isin(worst, active)]
         if fresh.size == 0:
             status = "stalled"
             break
-        # rows with slack leave the LP, each pair at most once
-        slack = beta * active_d - np.abs(f[active // n] - f[active % n])
+        # rows with slack leave the LP, each at most once
+        slack = beta * active_d - (f[active // n] - f[active % n])
         drop = (slack > _LP_TOL) & ~np.isin(active, left)
         left = np.concatenate([left, active[drop]])
         active = np.concatenate([active[~drop], fresh])

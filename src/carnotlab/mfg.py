@@ -204,6 +204,12 @@ def _certify_d0(
     return tuple(out)
 
 
+def picard_steps(seed: HamiltonianSpec, sigma: float, span: float, group: GroupSpec) -> int:
+    """Steps of every solve of an ``mfg_picard`` run: the fewest (at least two)
+    no longer than ``PICARD_CFL_SAFETY`` times the bound at ``seed.u0``."""
+    return step_count(span, PICARD_CFL_SAFETY * hj_max_stable_dt(seed.u0, seed, sigma, group), least=2)
+
+
 def mfg_picard(
     u_T: Field,
     rho0: Field,
@@ -228,9 +234,8 @@ def mfg_picard(
     change of rho; the latter is then certified with the LP metric on
     the coarsen-2 lattice.
 
-    The step count n is chosen once, as the fewest equal steps (at least
-    two) no longer than ``PICARD_CFL_SAFETY`` times the terminal data's
-    bound, and every solve of the run takes n steps over [0, t_end];
+    The step count n is chosen once, by ``picard_steps``, and every
+    solve of the run takes n steps over [0, t_end];
     both solvers re-check the bound per step;
     a mid-run violation or iterate escape ends the run with the
     no-fixed-point verdict rather than an exception.
@@ -247,8 +252,7 @@ def mfg_picard(
         raise ValueError("horizon must be positive")
 
     seed_spec = HamiltonianSpec(u0=Field(u_T.grid, u_T.values, 0.0), gamma=gamma)
-    n = step_count(span, PICARD_CFL_SAFETY * hj_max_stable_dt(seed_spec.u0, seed_spec, sigma, group),
-                   least=2)
+    n = picard_steps(seed_spec, sigma, span, group)
 
     verdict = "no fixed point found at this T"
     note = ""

@@ -138,10 +138,13 @@ def test_box_whose_spacing_squares_outside_the_floats_is_rejected_before_any_out
 @pytest.mark.parametrize("text", [
     "[scenario]\nkind = fp\n\n[grid]\nnodes = 9\n\n[dynamics]\ndrift = 1e6 0\n",
     "[scenario]\nkind = heat\n\n[grid]\nnodes = 5\nextent = 1e-140\n",
-], ids=["fp-drift-1e6", "heat-extent-1e-140"])
+    "[scenario]\nkind = hj\n\n[grid]\nnodes = 9\n\n[data]\namplitude = 1e6\nradius = 1.2\n\n"
+    "[dynamics]\nt_end = 0.05\n",
+], ids=["fp-drift-1e6", "heat-extent-1e-140", "hj-amplitude-1e6"])
 def test_horizon_past_the_step_cap_is_rejected_before_any_output(text, tmp_path):
-    # the drift asks for 500 001 stable steps and the tiny box for about
-    # 2.5e279: neither run would end, so both stop at the step cap
+    # the drift asks for 500 001 stable steps, the tiny box for about
+    # 2.5e279 and the steep value datum's feedback drift for 349 334:
+    # none of the runs would end, so all stop at the step cap
     cfg = tmp_path / "long.cfg"
     cfg.write_text(text)
     effective, errors = cli.load_config(str(cfg))

@@ -189,39 +189,89 @@ def test_pruned_lp_is_exact(monkeypatch):
         assert abs(pruned.value - full.value) <= 1e-9
 
 
-def test_distance_memo_stays_under_budget_and_changes_nothing(monkeypatch):
-    # small scan blocks give several blocks; a budget under one block
-    # makes every scan recompute every distance
-    monkeypatch.setattr(flat_metric, "_PAIR_SCAN_BUDGET", 1 << 11)
-    monkeypatch.setattr(flat_metric, "_PAIR_TOP_K", 5)
+def _all_pairs_scan(points, f, beta, group):
+    """The violation scan written out over every pair i < j at once."""
+    n = points.shape[0]
+    i, j = np.triu_indices(n, k=1)
+    v = np.abs(f[i] - f[j]) - beta * quasi_distance(group, points[i], points[j])
+    pos = v > 0
+    codes = np.where(f[i] > f[j], i * n + j, j * n + i)[pos]
+    order = np.lexsort((codes, -v[pos]))[: flat_metric._PAIR_TOP_K]
+    return max(0.0, float(v.max())), codes[order]
+
+
+@pytest.mark.parametrize("name", ["heisenberg1", "engel"])
+def test_pair_scan_matches_the_all_pairs_scan(name, monkeypatch):
+    # small blocks give many; lattice points tie on every slot, so the
+    # scan's order on the first slot has runs of equal keys
+    monkeypatch.setattr(flat_metric, "_PAIR_SCAN_BUDGET", 1 << 8)
+    group = groups.preset(name)
+    rng = np.random.default_rng(4)
+    n = 90
+    points = np.vstack([rng.uniform(-1.5, 1.5, (n // 2, group.dim)),
+                        rng.integers(-3, 4, (n // 2, group.dim)) * 0.5])
+    f = rng.uniform(-1.0, 1.0, n)
+    cases = {
+        "beta = 0": (f, 0.0),  # every pair with f_i != f_j violates
+        "w = 0": (np.full(n, 0.3), 0.4),  # no pair violates
+        "ordinary": (f, 3.0),  # most pairs lie out of reach
+    }
+    found = {}
+    for label, (fv, beta) in cases.items():
+        got_viol, got = flat_metric._pair_scan(points, fv, beta, group)
+        want_viol, want = _all_pairs_scan(points, fv, beta, group)
+        assert got_viol == want_viol, label
+        assert got.tolist() == want.tolist(), label
+        found[label] = got.size
+    assert found["beta = 0"] == flat_metric._PAIR_TOP_K and found["w = 0"] == 0
+    assert 0 < found["ordinary"] < flat_metric._PAIR_TOP_K
+
+
+def _dense_two_row_lp(mu, nu, group):
+    """The full LP with both rows of every pair, in one dense solve."""
+    from scipy.optimize import linprog
+
+    points, delta = flat_metric._merge_supports(mu, nu)
+    n = points.shape[0]
+    i, j = np.triu_indices(n, k=1)
+    d = quasi_distance(group, points[i], points[j])
+    k = i.size
+    pair = np.zeros((2 * k, n + 2))
+    pair[np.arange(k), i] = pair[k + np.arange(k), j] = 1.0
+    pair[np.arange(k), j] = pair[k + np.arange(k), i] = -1.0
+    pair[:, n + 1] = -np.concatenate([d, d])
+    box = np.zeros((2 * n + 1, n + 2))
+    box[np.arange(n), np.arange(n)] = 1.0
+    box[n + np.arange(n), np.arange(n)] = -1.0
+    box[: 2 * n, n] = -1.0
+    box[2 * n, n:] = 1.0
+    b = np.zeros(2 * k + 2 * n + 1)
+    b[-1] = 1.0
+    res = linprog(np.concatenate([-delta, [0.0, 0.0]]), A_ub=np.vstack([pair, box]), b_ub=b,
+                  bounds=[(-1.0, 1.0)] * n + [(0.0, 1.0)] * 2, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_oriented_lp_matches_the_dense_two_row_lp():
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        mu, nu = _random_pair(rng)
+        res = flat_distance(mu, nu, G)
+        assert res.status == "optimal"
+        assert abs(res.value - _dense_two_row_lp(mu, nu, G)) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="the LP's costs fall under HiGHS' dual feasibility "
+                                       "tolerance on measures of small mass (ROADMAP item 16)")
+def test_flat_distance_scales_with_the_measures():
     mu, nu = _random_pair(np.random.default_rng(2))
-    n = mu.points.shape[0] + nu.points.shape[0]
-    block = 8 * sum(n - 1 - i for i in range((1 << 11) // n))
-    scan = flat_metric._pair_scan
-    stored = []
-
-    def recording_scan(*args):
-        out = scan(*args)
-        stored.append(sum(d.nbytes for d in args[-1]))
-        return out
-
-    monkeypatch.setattr(flat_metric, "_pair_scan", recording_scan)
-    results, peak = {}, {}
-    for budget in (1 << 25, 3 * block, block - 1):
-        monkeypatch.setattr(flat_metric, "_DISTANCE_MEMO_BYTES", budget)
-        stored.clear()
-        results[budget] = flat_distance(mu, nu, G)
-        peak[budget] = max(stored)
-        assert peak[budget] <= budget
-    # all pairs, the leading blocks, nothing
-    assert peak[1 << 25] == 8 * n * (n - 1) // 2
-    assert 2 * block < peak[3 * block] < peak[1 << 25]
-    assert peak[block - 1] == 0
-    full, *others = results.values()
-    assert full.rounds > 1
-    for res in others:
-        assert (res.value, res.rounds) == (full.value, full.rounds)
-        assert np.array_equal(res.optimizer, full.optimizer)
+    base = flat_distance(mu, nu, G).value
+    for c in (1e-3, 1e-8):
+        scaled = flat_distance(DiscreteMeasure(mu.points, c * mu.weights),
+                               DiscreteMeasure(nu.points, c * nu.weights), G)
+        assert scaled.status == "optimal"
+        assert abs(scaled.value / c - base) <= 1e-6 * base, c
 
 
 def test_result_json_shape():
