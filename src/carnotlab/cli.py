@@ -149,7 +149,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "sigma": ("0.25", _as_pos_float, "diffusion strength", "all"),
         "t_end": ("0.1", _as_pos_float, "time horizon", "all"),
         "gamma": ("2.0", _as_gamma, "gradient power of the Hamiltonian", "hj, duality, mfg"),
-        "theta": ("0.5", _as_theta, "damping weight of the fixed-point sweep", "mfg"),
+        "theta": ("0.5", _as_theta, "mixing weight of the fixed-point sweep, which then "
+                  "takes one secant step through the previous sweep", "mfg"),
         "gain": ("1.0", _as_nonneg_float, "coupling gain on the mollified density", "mfg"),
         "eps": ("0.8", _as_pos_float, "mollifier width", "mfg"),
         "drift": ("0.0 0.0", _as_floats(2), "constant horizontal drift coefficients", "fp"),
@@ -335,34 +336,48 @@ _DATUM_NORMALIZE = {"heat": False, "fp": None, "hj": False, "duality": False,
                     "mfg": True, "metric": True}
 
 
+class DatumError(ValueError):
+    """A datum whose mass overflows; reported at the line of [data] amplitude."""
+
+
 def _scenario_data(cfg: dict, group) -> dict:
     """Every input a scenario starts from, built before any output exists.
 
     Raises ValueError when the data cannot be built on this grid, e.g. a
     bump centred where it has no mass or an eps the lattice cannot resolve,
-    or a horizon of more than MAX_STEPS steps of the kind's solver (counting
-    the fp drift, the datum's feedback drift for hj and duality, or
-    ``mfg.picard_steps``).
+    a datum whose mass (L1 norm) overflows (DatumError), a step bound that is not a
+    positive number, or a horizon of more than MAX_STEPS steps of the kind's
+    solver (counting the fp drift, the datum's feedback drift for hj and
+    duality, or ``mfg.picard_steps``).
     """
     kind = cfg["scenario"]["kind"]
     grid = default_grid(cfg["grid"]["extent"], cfg["grid"]["nodes"], GRID_DIM)
     data = {"grid": grid,
             "datum": _make_datum(cfg, grid, group, normalize=_DATUM_NORMALIZE[kind])}
     d, dyn = cfg["data"], cfg["dynamics"]
+    with np.errstate(over="ignore"):
+        mass = float(np.abs(data["datum"].values).sum()) * grid.cell_volume
+    if not math.isfinite(mass):
+        raise DatumError(f"amplitude = {d['amplitude']:g} takes the datum's mass past the "
+                         "float range")
     if kind == "mfg":
         from .flat_metric import MollifierSpec
         from .mfg import picard_steps
 
         data["u_T"] = bump_field(grid, group, center=d["center"], radius=d["value_radius"])
         data["mollifier"] = MollifierSpec.build(dyn["eps"], grid, group)
-        n = picard_steps(hj.HamiltonianSpec(u0=data["u_T"], gamma=dyn["gamma"]), dyn["sigma"],
-                         dyn["t_end"], group)
-    elif kind in ("hj", "duality"):
-        spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
-        n = step_count(dyn["t_end"], CFL_SAFETY * hj.hj_max_stable_dt(spec.u0, spec, dyn["sigma"], group))
-    else:
-        b = fp.DriftField.constant(dyn["drift"]).at(0.0) if kind == "fp" else None
-        n = step_count(dyn["t_end"], CFL_SAFETY * max_stable_dt(grid, group, dyn["sigma"], b))
+    # an overflowing drift gives a NaN or zero bound, which step_count refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "mfg":
+            n = picard_steps(hj.HamiltonianSpec(u0=data["u_T"], gamma=dyn["gamma"]),
+                             dyn["sigma"], dyn["t_end"], group)
+        elif kind in ("hj", "duality"):
+            spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
+            n = step_count(dyn["t_end"],
+                           CFL_SAFETY * hj.hj_max_stable_dt(spec.u0, spec, dyn["sigma"], group))
+        else:
+            b = fp.DriftField.constant(dyn["drift"]).at(0.0) if kind == "fp" else None
+            n = step_count(dyn["t_end"], CFL_SAFETY * max_stable_dt(grid, group, dyn["sigma"], b))
     if n > MAX_STEPS:
         raise ValueError(f"t_end = {dyn['t_end']:g} asks for {n:.6g} stable steps on this grid; "
                          f"at most {MAX_STEPS} run")
@@ -692,7 +707,11 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
     try:
         data = _scenario_data(cfg, group)
     except ValueError as exc:
-        return EXIT_CONFIG, "", f"{config_path}: cannot build the scenario data: {exc}"
+        where = config_path
+        if isinstance(exc, DatumError):
+            with open(config_path, encoding="utf-8") as fh:
+                where += f":{_line_of(fh.read(), 'data', 'amplitude')}"
+        return EXIT_CONFIG, "", f"{where}: cannot build the scenario data: {exc}"
     outdir = _unique_outdir(parent_dir, stem)
 
     try:

@@ -217,8 +217,12 @@ def check_dt(dt: float, limit: float) -> None:
 
 def step_count(span: float, limit: float, least: int = 1) -> int:
     """The fewest equal steps no longer than limit that cover span, never
-    fewer than least (least when limit is infinite)."""
-    if not math.isfinite(limit):
+    fewer than least (least when limit is infinite).  A limit that is not a
+    positive number, such as the NaN bound of an overflowing drift, raises
+    ValueError."""
+    if not limit > 0:
+        raise ValueError(f"step bound {limit:g} is not a positive number")
+    if math.isinf(limit):
         return least
     return max(least, math.ceil(span / limit))
 

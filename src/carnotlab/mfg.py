@@ -20,7 +20,9 @@ snapshots with one product per row block.
 rho0 forward with its feedback drift (``hamilton_jacobi.feedback_transport``,
 the transport the pairing adjoint runs too); feed the mollified density back
 into the backward problem solved from u_T; mix the new value function
-in with weight theta.  The backward solve is the forward solver in the
+in with weight theta, corrected by one secant step through the previous
+sweep (Anderson acceleration of depth 1; Walker & Ni, SIAM J. Numer.
+Anal. 49, 2011).  The backward solve is the forward solver in the
 reflected variable r = T - t.  Every solve of a run is handed the same
 horizon T and step count n, so every one steps by T / n from 0 and
 stamps the same snapshot times.  The drift and source sequences are
@@ -29,8 +31,10 @@ keyed by the snapshot times of the run that produced them (the drift
 by the value run's, the source by the density run's), so each step
 reads the entry of its own time.
 
-Residual bookkeeping: the u-residual is the sup-norm change per
-iteration; the rho-residual is tracked through the L1 mass of the
+Residual bookkeeping: the u-residual is theta times the sup-norm gap
+between the best response and the current iterate, the change one plain
+damped sweep would make there (the secant step's own length is not what
+stops a run); the rho-residual is tracked through the L1 mass of the
 change, which dominates the flat distance (test functions are bounded
 by 1), so stopping on it is conservative.  At convergence the actual
 flat distances are certified with the LP metric on a ladder of
@@ -204,6 +208,20 @@ def _certify_d0(
     return tuple(out)
 
 
+def _secant_step(x: np.ndarray, r: np.ndarray, prev: tuple[np.ndarray, np.ndarray] | None,
+                 theta: float) -> np.ndarray:
+    """The next iterate of ``mfg_picard`` from x, its residual r and the previous
+    sweep's (x, r).  einsum, not a BLAS dot, keeps it independent of the thread count."""
+    step = theta * r
+    if prev is not None:
+        dr = (r - prev[1]).ravel()
+        drdr = float(np.einsum("i,i", dr, dr))
+        if drdr > 0.0:
+            g = float(np.einsum("i,i", dr, r.ravel())) / drdr
+            step -= g * ((x - prev[0]) + theta * dr.reshape(r.shape))
+    return x + step
+
+
 def picard_steps(seed: HamiltonianSpec, sigma: float, span: float, group: GroupSpec) -> int:
     """Steps of every solve of an ``mfg_picard`` run: the fewest (at least two)
     no longer than ``PICARD_CFL_SAFETY`` times the bound at ``seed.u0``."""
@@ -224,15 +242,20 @@ def mfg_picard(
     tol_rho: float = 1e-4,
     max_iters: int = 50,
 ) -> MFGState:
-    """Damped best-response iteration for the coupled pair.
+    """Damped best-response iteration for the coupled pair, with a secant step.
 
     Each sweep pushes the density forward under the current value
-    function's feedback drift, solves the backward problem fed by the
-    mollified density, and mixes the result in with weight theta
-    (theta = 1 is the plain iteration).  Stopping needs both residuals
-    below tolerance: the sup change of u and the L1 bound on the flat
-    change of rho; the latter is then certified with the LP metric on
-    the coarsen-2 lattice.
+    function's feedback drift and solves the backward problem fed by the
+    mollified density.  With x_k the stacked u-trajectory and r_k the gap
+    from x_k to that best response, the next iterate is
+    x_k + theta r_k - g (dx + theta dr), where dx and dr are the changes
+    of x and r since the previous sweep and g = <dr, r_k> / <dr, dr>
+    (Anderson acceleration of depth 1).  The first sweep, or one with
+    dr = 0, takes the plain damped step x_k + theta r_k (theta = 1 is the
+    undamped iteration).  Stopping needs both residuals below tolerance:
+    theta sup |r_k|, the sup change of u under one plain damped sweep, and
+    the L1 bound on the flat change of rho; the latter is then certified
+    with the LP metric on the coarsen-2 lattice.
 
     The step count n is chosen once, by ``picard_steps``, and every
     solve of the run takes n steps over [0, t_end];
@@ -267,6 +290,8 @@ def mfg_picard(
     try:
         v0 = hj_solve(seed_spec, sigma, span, group, steps=n, store_every=1)
         u_cur = v0.reflected(v0.times)
+        x = np.stack([f.values for f in u_cur.fields])
+        prev = None
         for it in range(1, max_iters + 1):
             iterations = it
             rho_cur = feedback_transport(u_cur, rho0, sigma, gamma, group, span)
@@ -274,23 +299,16 @@ def mfg_picard(
             v_last = spec_last = None
             u_cand, v_last, spec_last = _backward_value(rho_cur, u_T, coupling, sigma, gamma,
                                                         group, span)
-            u_next = Trajectory(
-                times=u_cur.times,
-                fields=tuple(
-                    Field(
-                        u_T.grid,
-                        (1.0 - theta) * fa.values + theta * fb.values,
-                        fa.t,
-                    )
-                    for fa, fb in zip(u_cur.fields, u_cand.fields)
-                ),
-            )
-            res_u.append(_traj_sup_distance(u_next, u_cur))
+            r = np.stack([f.values for f in u_cand.fields]) - x
+            res_u.append(theta * float(np.abs(r).max()))
             if rho_prev is None:
                 res_rho.append(math.inf)
             else:
                 res_rho.append(_traj_l1_distance(rho_cur, rho_prev))
-            u_cur = u_next
+            x, prev = _secant_step(x, r, prev, theta), (x, r)
+            u_cur = Trajectory(times=u_cur.times,
+                               fields=tuple(Field(u_T.grid, xk, f.t)
+                                            for xk, f in zip(x, u_cur.fields)))
             if res_u[-1] <= tol_u and res_rho[-1] <= tol_rho:
                 # keep rho_prev pointing at the previous sweep so the
                 # certification below compares genuinely distinct iterates
@@ -299,6 +317,7 @@ def mfg_picard(
             rho_prev = rho_cur
     except (CFLViolation, DivergenceError) as exc:
         note = f"solver stopped: {exc}"
+    prev = r = None  # free the secant history before the LP, the run's memory peak
     if rho_cur is None:
         # nothing completed; report the seed pair so the state is usable
         rho_cur = fp_solve(rho0, DriftField.none(), sigma, span, group, steps=n, store_every=1)

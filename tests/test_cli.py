@@ -158,6 +158,28 @@ def test_horizon_past_the_step_cap_is_rejected_before_any_output(text, tmp_path)
     assert not runs.exists()
 
 
+@pytest.mark.parametrize("text, where", [
+    ("[scenario]\nkind = hj\n\n[grid]\nnodes = 9\n\n[data]\namplitude = 1e308\n", "steep.cfg:8:"),
+    ("[scenario]\nkind = heat\n\n[grid]\nnodes = 21\n\n[dynamics]\nt_end = 0.2\n\n"
+     "[data]\namplitude = 1e308\n", "steep.cfg:11:"),
+    ("[scenario]\nkind = hj\n\n[grid]\nnodes = 9\n\n[dynamics]\ngamma = 7\n\n"
+     "[data]\namplitude = 1e60\n", "steep.cfg:"),
+], ids=["hj-amplitude-1e308", "heat-amplitude-1e308", "hj-gamma-7-nan-bound"])
+def test_overflowing_datum_is_rejected_before_any_output(text, where, tmp_path, capfd):
+    # the first two data overflow their mass, reported at the amplitude
+    # line; the third's feedback drift overflows, so its step bound is NaN
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(text)
+    runs = tmp_path / "runs"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, outdir, summary = cli.execute_run(str(cfg), str(runs), None)
+    assert (code, outdir) == (cli.EXIT_CONFIG, "")
+    assert f"{where} cannot build the scenario data" in summary
+    assert capfd.readouterr().err == ""
+    assert not runs.exists()
+
+
 def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, capsys):
     runs = tmp_path / "runs"
     with pytest.raises(SystemExit) as stop:

@@ -70,6 +70,10 @@ def test_step_count_and_march():
     assert step_count(1.0, 0.3) == 4
     assert step_count(1.0, 2.0, least=2) == 2
     assert step_count(1.0, math.inf, least=2) == 2
+    # an overflowing drift's bound is NaN or zero: no step count covers it
+    for limit in (math.nan, 0.0):
+        with pytest.raises(ValueError, match="not a positive number"):
+            step_count(1.0, limit)
 
     def add(x, h):
         return x + h

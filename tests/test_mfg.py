@@ -246,22 +246,67 @@ def test_picard_decoupled_stops_after_confirming_sweep(coupling15):
     assert st.residuals_rho[1] <= 1e-12
 
 
-def test_picard_limit_does_not_depend_on_damping(coupling15):
+@pytest.fixture(scope="module")
+def damping_family(coupling15):
+    """The 15^3, T = 0.1 runs at theta 0.3, 0.5 and 0.8, keyed by theta."""
     gs, c = coupling15
     u_T = grid.bump_field(gs, G, radius=1.2)
     rho0 = grid.bump_field(gs, G, radius=1.0, normalize=True)
-    limits = {}
-    for theta in (0.3, 0.5, 0.8):
-        st = mfg.mfg_picard(u_T, rho0, c, SIGMA, 0.1, G, theta=theta)
-        assert st.converged
-        limits[theta] = st.u_traj
+    return {theta: mfg.mfg_picard(u_T, rho0, c, SIGMA, 0.1, G, theta=theta)
+            for theta in (0.3, 0.5, 0.8)}
+
+
+def test_picard_limit_does_not_depend_on_damping(damping_family):
+    assert all(st.converged for st in damping_family.values())
     pairs = [(0.3, 0.5), (0.3, 0.8), (0.5, 0.8)]
     for a, b in pairs:
         gap = max(
             np.abs(fa.values - fb.values).max()
-            for fa, fb in zip(limits[a].fields, limits[b].fields)
+            for fa, fb in zip(damping_family[a].u_traj.fields, damping_family[b].u_traj.fields)
         )
         assert gap <= 5.0 * 1e-5
+
+
+def theta_picard(u_T, rho0, c, t_end, theta, max_iters=50):
+    """Plain theta-damped Picard under mfg_picard's stop rule, with no secant
+    step; returns the limit's u-trajectory and the sweeps it took."""
+    seed = hj.HamiltonianSpec(u0=u_T)
+    n = mfg.picard_steps(seed, SIGMA, t_end, G)
+    v0 = hj.hj_solve(seed, SIGMA, t_end, G, steps=n, store_every=1)
+    u, rho_prev = v0.reflected(v0.times), None
+    for sweep in range(1, max_iters + 1):
+        rho = hj.feedback_transport(u, rho0, SIGMA, 2.0, G, t_end)
+        cand, _, _ = mfg._backward_value(rho, u_T, c, SIGMA, 2.0, G, t_end)
+        u_next = grid.Trajectory(u.times, tuple(
+            grid.Field(a.grid, (1.0 - theta) * a.values + theta * b.values, a.t)
+            for a, b in zip(u.fields, cand.fields)))
+        res_u = mfg._traj_sup_distance(u_next, u)
+        res_rho = math.inf if rho_prev is None else mfg._traj_l1_distance(rho, rho_prev)
+        u, rho_prev = u_next, rho
+        if res_u <= 1e-5 and res_rho <= 1e-4:
+            return u, sweep
+    raise AssertionError(f"theta-Picard did not converge in {max_iters} sweeps")
+
+
+@pytest.mark.parametrize("gain, t_end, theta", [(1.0, 0.1, 0.3), (1.0, 0.1, 0.8),
+                                                (8.0, 0.5, 0.5)])
+def test_secant_step_reaches_the_theta_picard_limit_in_fewer_sweeps(
+        coupling15, damping_family, gain, t_end, theta):
+    # theta-Picard needs 20, 6 and 15 sweeps here; in the gain-8 case the
+    # undamped map contracts by only about 0.2 per sweep
+    gs, base = coupling15
+    u_T = grid.bump_field(gs, G, radius=1.2)
+    rho0 = grid.bump_field(gs, G, radius=1.0, normalize=True)
+    c = mfg.CouplingSpec(mollifier=base.mollifier, gain=gain)
+    if gain == 1.0 and t_end == 0.1:
+        st = damping_family[theta]
+    else:
+        st = mfg.mfg_picard(u_T, rho0, c, SIGMA, t_end, G, theta=theta)
+    limit, sweeps = theta_picard(u_T, rho0, c, t_end, theta)
+    assert st.converged
+    # the damping_family_limit_gap budget of the mfg suite
+    assert mfg._traj_sup_distance(st.u_traj, limit) <= 5e-5
+    assert st.iterations < sweeps
 
 
 def test_picard_preserves_rotation_symmetry(coupling15):
