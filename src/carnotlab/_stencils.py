@@ -40,12 +40,12 @@ Python float, and every other one a read-only array:
   for l != k and ``drift[k]`` = (i, a_ik/h_k), all on k-faces, with
   A = sum_i a_i a_i^T.
   A k-face table is node-shaped, each face at its lower node p.  With s_k
-  the C-order stride of axis k, the lower and upper nodes of the faces are
-  the flat slices ``[:N - s_k]`` and ``[s_k:]``, so a pass over the faces
-  is one contiguous shift of the node array.  The layer i_k = n_k - 1
-  holds no face (there p + s_k lies in the next row): this wrap layer is
-  0 in every array table, and the kernels zero it before a face value
-  reaches a node;
+  = ``strides[k]`` the C-order stride of axis k, the lower and upper nodes
+  of the faces are the flat slices ``[:N - s_k]`` and ``[s_k:]``, so a
+  pass over the faces is one contiguous shift of the node array.  The
+  layer i_k = n_k - 1 holds no face (there p + s_k lies in the next row):
+  this wrap layer is 0 in every array table, and the kernels zero it
+  before a face value reaches a node;
 * ``diffusion``: the diffusion part of the CFL denominator at sigma = 1,
   sum_k A_kk/h_k^2 + sum_{k != l} |A_kl|/(2 h_k h_l), and its maximum
   ``diffusion_max``, read by ``grid.max_stable_dt``.
@@ -56,6 +56,7 @@ of the tests build their full arrays from the polynomials themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Union
@@ -104,11 +105,6 @@ def times(c: float | np.ndarray, x: np.ndarray) -> np.ndarray:
     return c * x
 
 
-def steps(shape: tuple[int, ...]) -> list[int]:
-    """The C-order stride of every axis, in entries."""
-    return [int(np.prod(shape[k + 1:], dtype=np.int64)) for k in range(len(shape))]
-
-
 def layer(k: int, j: int | slice) -> tuple:
     """The index of the layer i_k = j (or layers, for a slice j) of a node array."""
     return (slice(None),) * k + (j,)
@@ -132,8 +128,8 @@ def _on_faces(c: Coef, s: float, k: int) -> Coef:
 
 @dataclass(frozen=True)
 class FrameTables:
-    """The tables of one frame on one grid that the steppers read, and
-    nothing else; the module docstring says what each holds and who reads it."""
+    """The tables of one frame on one grid that the steppers read, with the grid's
+    C-order ``strides``, and nothing else; the module docstring says what each holds."""
 
     coef: CoefTable
     upwind: list[list[tuple[np.ndarray, np.ndarray] | None]]
@@ -142,6 +138,7 @@ class FrameTables:
     drift: list[list[tuple[int, float | np.ndarray]]]
     diffusion: np.ndarray
     diffusion_max: float
+    strides: tuple[int, ...]
 
 
 @cache
@@ -170,15 +167,14 @@ def frame_tables(grid: GridSpec, vf: VectorFieldSet) -> FrameTables:
             if (akl := _products(coef, k, l)) is not None:
                 diffusion += akl / h[k] ** 2 if k == l else np.abs(akl) / (2.0 * h[k] * h[l])
     return FrameTables(coef, upwind, diag, cross, drift, _read_only(diffusion),
-                       float(diffusion.max()))
+                       float(diffusion.max()), tuple(math.prod(grid.shape[k + 1:]) for k in range(d)))
 
 
-def _centered_difference(s: np.ndarray, shape: tuple[int, ...], l: int, out: np.ndarray) -> np.ndarray:
-    """s[j+1] - s[j-1] along axis l of the flat node array s, into out.  The
-    interior is one shift by 2 s_l; the edge rows then get the one-sided
-    second-order numerator -3 s0 + 4 s1 - s2 (and its mirror) written as
-    differences, so a constant s gives exactly 0."""
-    st = steps(shape)[l]
+def _centered_difference(s: np.ndarray, shape: tuple, l: int, st: int, out: np.ndarray) -> np.ndarray:
+    """s[j+1] - s[j-1] along axis l, of stride st, of the flat node array s,
+    into out.  The interior is one shift by 2 st; the edge rows then get the
+    one-sided second-order numerator -3 s0 + 4 s1 - s2 (and its mirror)
+    written as differences, so a constant s gives exactly 0."""
     np.subtract(s[2 * st:], s[: s.size - 2 * st], out=out[st: s.size - st])
     v, o = s.reshape(shape), out.reshape(shape)
     o[layer(l, 0)] = 3.0 * (v[layer(l, 1)] - v[layer(l, 0)]) - (v[layer(l, 2)] - v[layer(l, 1)])
@@ -233,9 +229,8 @@ def flux_divergence(
     shape = values.shape
     v = np.ascontiguousarray(values).reshape(-1)
     out = np.zeros(v.size)
-    # node-shaped scratch: the face sums are read across the wrap layer
-    work = np.zeros((3, v.size))
-    for k, st in enumerate(steps(shape)):
+    work = np.empty((3, v.size))
+    for k, st in enumerate(geom.strides):
         m = v.size - st
         v_lo, v_hi = v[:m], v[st:]
         # flux / h_k through every k-face, and two scratch arrays
@@ -252,8 +247,9 @@ def flux_divergence(
             flux.fill(0.0)
         if cross:
             np.add(v_lo, v_hi, out=s)
+            work[2, m:] = 0.0  # the centered differences read s past the last face
             for l, c in cross:
-                _centered_difference(work[2], shape, l, work[1])
+                _centered_difference(work[2], shape, l, geom.strides[l], work[1])
                 tmp *= _face_entries(c, m)
                 flux += tmp
         if diag is not None or cross:

@@ -299,11 +299,17 @@ def energy_report(traj: Trajectory, drift: DriftField, sigma: float, group: Grou
         b = drift.at(float(t))
         if b is not None:
             b_sup = max(b_sup, float(np.sqrt((b**2).sum(axis=0)).max()))
+    # both bounds are decided on the trajectory divided by the power of two
+    # that brings its peak below 1: the division is exact, and the squares of
+    # a density near the float limit stay finite; the report scales back
+    peak = max(float(np.abs(f.values).max()) for f in traj.fields)
+    unit = 2.0 ** max(0, math.frexp(peak)[1])
+    fields = traj.fields if unit == 1.0 else [Field(f.grid, f.values / unit, f.t) for f in traj.fields]
     h_d = traj.fields[0].grid.cell_volume
-    l2 = np.array([(f.values**2).sum() * h_d for f in traj.fields])
+    l2 = np.array([(f.values**2).sum() * h_d for f in fields])
     w = _time_weights(times)
     grad_energy = 0.0
-    for wj, f in zip(w, traj.fields):
+    for wj, f in zip(w, fields):
         g = vfields.horizontal_gradient(vf, f).values
         grad_energy += wj * (g**2).sum() * h_d
     K = math.exp(b_sup**2 * span / (2 * sigma)) * (1 + 1e-2)
@@ -311,11 +317,11 @@ def energy_report(traj: Trajectory, drift: DriftField, sigma: float, group: Grou
     l2_peak, l2_bound = float(l2.max()), float(K * l2[0])
     grad_energy, grad_bound = float(grad_energy), float(K_grad * l2[0])
     return EnergyReport(
-        l2_initial=float(l2[0]),
-        l2_peak=l2_peak,
-        l2_bound=l2_bound,
-        grad_energy=grad_energy,
-        grad_bound=grad_bound,
+        l2_initial=float(l2[0]) * unit * unit,
+        l2_peak=l2_peak * unit * unit,
+        l2_bound=l2_bound * unit * unit,
+        grad_energy=grad_energy * unit * unit,
+        grad_bound=grad_bound * unit * unit,
         drift_sup=float(b_sup),
         ok=l2_peak <= l2_bound and grad_energy <= grad_bound,
     )

@@ -147,7 +147,7 @@ def godunov_gradient(u: Field, group: GroupSpec) -> np.ndarray:
             if c is None:
                 continue
             if l not in diffs:
-                st = _stencils.steps(grid.shape)[l]
+                st = tables.strides[l]
                 D = np.zeros(n + st)
                 np.subtract(values[st:], values[: n - st], out=D[st:n])
                 D[st:n] /= h[l]

@@ -10,6 +10,13 @@ where the coupling F[rho] regularizes the density through the group
 mollifier, scaled by a gain.  By construction F[rho] is bounded in
 C^1_G uniformly over probability densities (the dirac is the extremal
 case), which is exactly the regularity the fixed-point argument needs.
+The coupling is symmetric: its operator M weighs x * u at x as it weighs
+x at x * u (to rounding), so the game is a potential game.  M is not
+monotone: on heisenberg1's default box its least eigenvalue is -0.119 at
+11^3 (eps 1.3), -0.137 at 15^3 (eps 0.9) and -0.101 at 15^3 (eps 1.3).
+So the Lasry-Lions uniqueness argument does not cover this coupling, and
+the ``mfg`` suite's ``damping_family_limit_gap`` is the only evidence
+that the limit does not depend on the iteration.
 The mollifier is a sparse operator assembled from the group law as CSR
 row blocks, memoized on its MollifierSpec on the first coupling
 evaluation while it fits the size budget and rebuilt on every

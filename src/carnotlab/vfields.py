@@ -21,6 +21,7 @@ frame from its ``_stencils.frame_tables`` entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -42,7 +43,9 @@ class VectorFieldSet:
         return len(self.coefficients)
 
 
+@cache
 def left_invariant_fields(group: GroupSpec) -> VectorFieldSet:
+    """The left frame of group, built once per value of the (frozen) group record."""
     return VectorFieldSet(kind="left", dim=group.dim, coefficients=group.left_field_table())
 
 
@@ -54,10 +57,9 @@ def right_invariant_fields(group: GroupSpec) -> VectorFieldSet:
 # grid stencils
 # ---------------------------------------------------------------------------
 
-def _partial(values: np.ndarray, h: float, l: int, out: np.ndarray) -> np.ndarray:
+def _partial(values: np.ndarray, h: float, l: int, st: int, out: np.ndarray) -> np.ndarray:
     """np.gradient(values, h, axis=l, edge_order=2) by numpy's formulas, into out (both
-    C-contiguous): one shift of the flat array by 2 s_l, then the edge rows."""
-    st = _stencils.steps(values.shape)[l]
+    C-contiguous): one shift of the flat array by 2 st, the stride of axis l, then the edge rows."""
     v, inner = values.reshape(-1), out.reshape(-1)[st: values.size - st]
     np.subtract(v[2 * st:], v[: v.size - 2 * st], out=inner)
     inner /= 2.0 * h
@@ -70,13 +72,13 @@ def _partial(values: np.ndarray, h: float, l: int, out: np.ndarray) -> np.ndarra
 def horizontal_gradient(vf: VectorFieldSet, f: Field) -> Field:
     """(X_1 f, ..., X_m f) with centered differences for the Euclidean partials."""
     h = f.grid.spacings
-    coef = _stencils.frame_tables(f.grid, vf).coef
+    tables = _stencils.frame_tables(f.grid, vf)
     values = np.ascontiguousarray(f.values)
     out = np.zeros((vf.count,) + f.grid.shape)
     partial = np.empty(f.grid.shape)
-    for l in range(f.grid.dim):
-        _partial(values, h[l], l, partial)
-        for comp, row in zip(out, coef):
+    for l, st in enumerate(tables.strides):
+        _partial(values, h[l], l, st, partial)
+        for comp, row in zip(out, tables.coef):
             if row[l] is not None:
                 comp += _stencils.times(row[l], partial)
     return Field(f.grid, out, f.t)

@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +179,23 @@ def test_overflowing_datum_is_rejected_before_any_output(text, where, tmp_path, 
     assert f"{where} cannot build the scenario data" in summary
     assert capfd.readouterr().err == ""
     assert not runs.exists()
+
+
+def test_energy_bounds_of_a_datum_near_the_float_limit_are_decided_on_finite_sums(tmp_path, capfd):
+    # the mass is finite, so the run starts; the squares of the density
+    # would overflow, so the energy report scales the trajectory first
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("[scenario]\nkind = fp\n\n[grid]\nnodes = 9\n\n[data]\namplitude = 1e306\n"
+                   "normalize = false\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, outdir, summary = cli.execute_run(str(cfg), str(tmp_path / "runs"), None)
+    assert code == cli.EXIT_INVARIANT
+    assert capfd.readouterr().err == ""
+    checks = {c["name"]: c for c in json.loads((Path(outdir) / "manifest.json").read_text())["checks"]}
+    assert not checks["negativity_floor"]["ok"]
+    assert all(c["value"] is not None for c in checks.values())
+    assert checks["energy_bounds_hold"]["value"] == 1.0
 
 
 def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, capsys):

@@ -445,6 +445,47 @@ def test_flux_of_a_constant_is_exactly_zero(label, group, grid):
         assert not got.any(), (c, float(np.abs(got).max()))
 
 
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+@pytest.mark.parametrize("label,group,grid", CASES, ids=[c[0] for c in CASES])
+def test_flux_kernel_reads_no_unwritten_scratch(label, group, grid, fill, monkeypatch):
+    """The scratch comes from np.empty: with every buffer of the kernel
+    filled with NaN, an unwritten entry that reached a node would show in
+    the bits; filled with inf, arithmetic on one raises (inf - inf), which
+    is how the face-sum tail past the last face shows, since only the wrap
+    layer reads it."""
+    vf = left_invariant_fields(group)
+    geom = _stencils.frame_tables(grid, vf)
+    rng = np.random.default_rng(19)
+    values = rng.normal(size=grid.shape)
+    cases = [(name, b, sigma) for name, b in _drifts(grid, vf.count, rng).items()
+             for sigma in (0.0, 0.25)]
+    want = [_face_shaped_flux_divergence(values, grid, vf, sigma, b) for _, b, sigma in cases]
+    empty = np.empty
+
+    def filled(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(fill)
+        return out
+
+    monkeypatch.setattr(np, "empty", filled)
+    with np.errstate(all="raise"):
+        for (name, b, sigma), w in zip(cases, want):
+            got = _stencils.flux_divergence(values, geom, sigma, b)
+            assert got.tobytes() == w.tobytes(), (name, sigma)
+
+
+@pytest.mark.parametrize("label,group,grid", CASES[:2], ids=[c[0] for c in CASES[:2]])
+def test_tables_hold_the_c_order_strides(label, group, grid):
+    strides = _stencils.frame_tables(grid, left_invariant_fields(group)).strides
+    assert strides == tuple(np.array(np.empty(grid.shape).strides) // 8)
+
+
+def test_left_frame_is_built_once_per_value_of_the_group():
+    assert left_invariant_fields(H1) is left_invariant_fields(H1)
+    assert DOUBLED.name == H1.name
+    assert left_invariant_fields(DOUBLED).coefficients != left_invariant_fields(H1).coefficients
+
+
 def _loaded_libraries(code: str) -> set[str]:
     """Which of scipy and sympy a fresh interpreter holds after running code."""
     code += "\nimport sys\nprint(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))\n"

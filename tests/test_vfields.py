@@ -36,13 +36,14 @@ def horizontal_divergence(vf, F: Field) -> Field:
     assert F.is_vector and F.values.shape[0] == vf.count
     grid = F.grid
     h = grid.spacings
-    coef = _stencils.frame_tables(grid, vf).coef
+    tables = _stencils.frame_tables(grid, vf)
     values = np.ascontiguousarray(F.values)
     out, partial = np.zeros(grid.shape), np.empty(grid.shape)
-    for i, row in enumerate(coef):
+    for i, row in enumerate(tables.coef):
         for l, c in enumerate(row):
             if c is not None:
-                out += _stencils.times(c, vfields._partial(values[i], h[l], l, partial))
+                out += _stencils.times(c, vfields._partial(values[i], h[l], l, tables.strides[l],
+                                                           partial))
     return Field(grid, out, F.t)
 
 
