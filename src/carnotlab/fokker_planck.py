@@ -299,18 +299,18 @@ def energy_report(traj: Trajectory, drift: DriftField, sigma: float, group: Grou
         b = drift.at(float(t))
         if b is not None:
             b_sup = max(b_sup, float(np.sqrt((b**2).sum(axis=0)).max()))
-    # both bounds are decided on the trajectory divided by the power of two
-    # that brings its peak below 1: the division is exact, and the squares of
-    # a density near the float limit stay finite; the report scales back
+    # both bounds are decided on each snapshot divided by the power of two
+    # that brings the trajectory's peak below 1: the division is exact, and
+    # the squares of a density near the float limit stay finite; the report
+    # scales back
     peak = max(float(np.abs(f.values).max()) for f in traj.fields)
     unit = 2.0 ** max(0, math.frexp(peak)[1])
-    fields = traj.fields if unit == 1.0 else [Field(f.grid, f.values / unit, f.t) for f in traj.fields]
     h_d = traj.fields[0].grid.cell_volume
-    l2 = np.array([(f.values**2).sum() * h_d for f in fields])
+    l2 = np.array([((f.values / unit)**2).sum() * h_d for f in traj.fields])
     w = _time_weights(times)
     grad_energy = 0.0
-    for wj, f in zip(w, fields):
-        g = vfields.horizontal_gradient(vf, f).values
+    for wj, f in zip(w, traj.fields):
+        g = vfields.horizontal_gradient(vf, Field(f.grid, f.values / unit, f.t)).values
         grad_energy += wj * (g**2).sum() * h_d
     K = math.exp(b_sup**2 * span / (2 * sigma)) * (1 + 1e-2)
     K_grad = (1 + (b_sup**2) * span * K / sigma) / sigma
