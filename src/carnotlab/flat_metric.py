@@ -22,7 +22,8 @@ within reach: a weight-1 slot k with no law term gives rho_ij >=
 |x_ik - x_jk|, and |f_i - f_j| <= max f - min f, so a pair farther apart
 on it than reach = (max f - min f) / beta cannot violate.  It walks the
 points sorted on one such slot, in blocks of at most _PAIR_SCAN_BUDGET
-pairs, so its working set does not grow with the support size.
+pairs, and the LP keeps what it measured, up to _PAIR_KEEP_BYTES, for
+its later rounds whose reach is no larger.
 
 The mollifier phi -> sum_u w_u phi(x * u) is a sparse linear operator
 on node values, and its entries come from the group law alone: slots of
@@ -58,6 +59,9 @@ from .groups import GroupSpec, _monomial, dilate, gauge_power, quasi_distance
 _LP_TOL = 1e-8
 # Pairs held at once by the Lipschitz violation scan.
 _PAIR_SCAN_BUDGET = 1 << 17
+# Bytes of measured pairs (24 each) one LP keeps: under a tenth of the 104 MB
+# peak RSS of a 21^3 particle-vs-grid run, whose LPs keep 1.3-3.3 MB.
+_PAIR_KEEP_BYTES = 1 << 23
 # Worst violating pairs a scan hands to the next LP round.
 _PAIR_TOP_K = 2000
 # A mollifier operator estimated above this size is rebuilt on every call.
@@ -163,43 +167,69 @@ def _merge_supports(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return np.array(pts), np.array(delta)
 
 
-def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec):
+def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec,
+               kept: dict | None = None):
     """Worst Lipschitz violations |f_i - f_j| - beta rho_ij over all pairs.
 
     Returns (the largest violation, 0 when none; codes a * n + b of the
     violating pairs, oriented so that f_a > f_b, sorted worst-first and
     capped at _PAIR_TOP_K).  Deterministic: ties broken by code.  A pair
     out of reach on a free slot (weight 1, no law term) is not measured,
-    and with beta = 0 no rho is computed.
+    and with beta = 0 no rho is computed.  kept holds an LP's pairs (i, j,
+    rho_ij) from its last walk at beta > 0; a scan of no larger reach reads
+    them through the walk's own reach tests, so it sees the same pairs.
     """
     n = points.shape[0]
     free = [k for k, w in enumerate(group.weights) if w == 1 and not group.law[k]]
     reach = (f.max() - f.min()) / beta if beta > 0 else math.inf
-    # sorted on a free slot, position p reaches the count[p] positions after
-    # it; a block holds at most _PAIR_SCAN_BUDGET such pairs, or one position
     key = points[:, free[0]] if free else np.zeros(n)
-    by_x = np.argsort(key, kind="stable")
-    xs = key[by_x]
-    count = np.searchsorted(xs, xs + reach, side="right") - np.arange(n) - 1
-    ends = np.cumsum(count)
+
+    def walk():
+        # sorted on a free slot, position p reaches the count[p] positions after
+        # it; a block holds at most _PAIR_SCAN_BUDGET such pairs, or one position
+        by_x = np.argsort(key, kind="stable")
+        xs = key[by_x]
+        count = np.searchsorted(xs, xs + reach, side="right") - np.arange(n) - 1
+        ends = np.cumsum(count)
+        # this walk's pairs replace the kept ones, while they fit
+        keep, held = kept is not None and beta > 0, 0
+        if keep:
+            kept.update(reach=reach, pairs=[])
+        p1 = 0
+        while p1 < n:
+            p0 = p1
+            before = ends[p0] - count[p0]
+            p1 = max(p0 + 1, int(np.searchsorted(ends, before + _PAIR_SCAN_BUDGET, side="right")))
+            cnt = count[p0:p1]
+            p = np.repeat(np.arange(p0, p1), cnt)
+            q = p + 1 + np.arange(p.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            i, j = np.minimum(by_x[p], by_x[q]), np.maximum(by_x[p], by_x[q])
+            for k in free[1:]:
+                near = np.abs(points[i, k] - points[j, k]) <= reach
+                i, j = i[near], j[near]
+            rho = quasi_distance(group, points[i], points[j]) if beta > 0 else None
+            if keep:
+                kept["pairs"].append((i, j, rho))
+                held += i.nbytes + j.nbytes + rho.nbytes
+                if held > _PAIR_KEEP_BYTES:
+                    kept.clear()
+                    keep = False
+            yield i, j, rho
+
+    reread = bool(kept) and reach <= kept["reach"]
     best_viol = 0.0
-    kept_v = np.zeros(0)
-    kept = np.zeros(0, dtype=int)
-    p1 = 0
-    while p1 < n:
-        p0 = p1
-        before = ends[p0] - count[p0]
-        p1 = max(p0 + 1, int(np.searchsorted(ends, before + _PAIR_SCAN_BUDGET, side="right")))
-        cnt = count[p0:p1]
-        p = np.repeat(np.arange(p0, p1), cnt)
-        q = p + 1 + np.arange(p.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        i, j = np.minimum(by_x[p], by_x[q]), np.maximum(by_x[p], by_x[q])
-        for k in free[1:]:
-            near = np.abs(points[i, k] - points[j, k]) <= reach
-            i, j = i[near], j[near]
+    worst_v = np.zeros(0)
+    worst = np.zeros(0, dtype=int)
+    for i, j, rho in kept["pairs"] if reread else walk():
+        if reread:
+            # the walk's tests: the larger key within reach of the smaller one
+            near = np.maximum(key[i], key[j]) <= np.minimum(key[i], key[j]) + reach
+            for k in free[1:]:
+                near &= np.abs(points[i, k] - points[j, k]) <= reach
+            i, j, rho = i[near], j[near], rho[near]
         v = np.abs(f[i] - f[j])
         if beta > 0:
-            v -= beta * quasi_distance(group, points[i], points[j])
+            v -= beta * rho
         pos = v > 0
         if not pos.any():
             continue
@@ -209,11 +239,11 @@ def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec)
             # code tie-break below decides among them
             pos &= v >= np.partition(v, v.size - _PAIR_TOP_K)[v.size - _PAIR_TOP_K]
         i, j = i[pos], j[pos]
-        kept_v = np.concatenate([kept_v, v[pos]])
-        kept = np.concatenate([kept, np.where(f[i] > f[j], i * n + j, j * n + i)])
-        order = np.lexsort((kept, -kept_v))[:_PAIR_TOP_K]
-        kept_v, kept = kept_v[order], kept[order]
-    return best_viol, kept
+        worst_v = np.concatenate([worst_v, v[pos]])
+        worst = np.concatenate([worst, np.where(f[i] > f[j], i * n + j, j * n + i)])
+        order = np.lexsort((worst, -worst_v))[:_PAIR_TOP_K]
+        worst_v, worst = worst_v[order], worst[order]
+    return best_viol, worst
 
 
 def _seed_pairs(points: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -284,6 +314,7 @@ def flat_distance(
 
     active_d = distances(active)
     left = np.zeros(0, dtype=active.dtype)
+    kept: dict = {}
     status = "iteration-limit"
     for rounds in range(1, 61):
         A = sps.vstack([static, pair_rows(active, active_d)], format="csr")
@@ -295,7 +326,7 @@ def flat_distance(
         f = res.x[:n]
         beta = res.x[n + 1]
         value = -res.fun
-        gap, worst = _pair_scan(points, f, beta, group)
+        gap, worst = _pair_scan(points, f, beta, group, kept)
         if gap <= _LP_TOL:
             status = "optimal"
             break

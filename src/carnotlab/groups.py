@@ -24,7 +24,7 @@ once and is vectorized over trailing batch axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -59,6 +59,19 @@ def poly_is_zero(poly: Poly) -> bool:
     return all(c == 0 for c, _ in poly)
 
 
+def _hash_once(spec) -> int:
+    """The field hash of a frozen record, computed once per object: the law
+    and the frame polynomials are deep tuples of Fractions."""
+    if "_hash" not in spec.__dict__:
+        object.__setattr__(spec, "_hash", hash(tuple(getattr(spec, f.name) for f in fields(spec))))
+    return spec.__dict__["_hash"]
+
+
+def _state_without_hash(spec) -> dict:
+    # str hashes are salted per process, so an unpickled copy hashes anew
+    return {k: v for k, v in spec.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Immutable description of one homogeneous group.
@@ -75,6 +88,9 @@ class GroupSpec:
     step: int
     weights: tuple[int, ...]
     law: tuple[tuple[LawTerm, ...], ...]
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     def __post_init__(self) -> None:
         if self.dim != len(self.weights):

@@ -26,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from . import _stencils
-from .groups import GroupSpec, Poly
+from .groups import GroupSpec, Poly, _hash_once, _state_without_hash
 from .grid import Field
 
 
@@ -37,6 +37,9 @@ class VectorFieldSet:
     kind: str
     dim: int
     coefficients: tuple[tuple[Poly, ...], ...]
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     @property
     def count(self) -> int:

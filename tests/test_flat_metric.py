@@ -227,6 +227,91 @@ def test_pair_scan_matches_the_all_pairs_scan(name, monkeypatch):
     assert 0 < found["ordinary"] < flat_metric._PAIR_TOP_K
 
 
+def _counting_distance(monkeypatch, scale=1.0):
+    """Route the scan's rho through a call counter, times scale."""
+    calls = []
+
+    def counted(group, x, y):
+        calls.append(len(x))
+        return scale * quasi_distance(group, x, y)
+
+    monkeypatch.setattr(flat_metric, "quasi_distance", counted)
+    return calls
+
+
+def _scan_points(group, rng, n=90):
+    return np.vstack([rng.uniform(-1.5, 1.5, (n // 2, group.dim)),
+                      rng.integers(-3, 4, (n // 2, group.dim)) * 0.5])
+
+
+@pytest.mark.parametrize("name", ["heisenberg1", "engel"])
+def test_a_scan_reads_the_kept_pairs_through_its_own_reach(name, monkeypatch):
+    # half of rho breaks rho >= |x_ik - x_jk|, so pairs out of reach do
+    # violate, and only the reach tests keep them out of the scan
+    monkeypatch.setattr(flat_metric, "_PAIR_SCAN_BUDGET", 1 << 8)
+    calls = _counting_distance(monkeypatch, 0.5)
+    group = groups.preset(name)
+    rng = np.random.default_rng(8)
+    points = _scan_points(group, rng)
+    f = rng.uniform(-1.0, 1.0, points.shape[0])
+    kept = {}
+    flat_metric._pair_scan(points, f, 1.0, group, kept)
+    assert kept["reach"] == f.max() - f.min() and calls
+    for shrink in (1.0, 0.8, 0.5):
+        calls.clear()
+        got = flat_metric._pair_scan(points, shrink * f, 1.0, group, kept)
+        assert not calls  # read from the kept pairs, not walked
+        want = flat_metric._pair_scan(points, shrink * f, 1.0, group)
+        assert got[0] == want[0] and got[1].tolist() == want[1].tolist(), shrink
+        assert got[1].size > 0
+
+
+@pytest.mark.parametrize("name", ["heisenberg1", "engel"])
+def test_a_scan_whose_reach_grows_walks_again(name, monkeypatch):
+    monkeypatch.setattr(flat_metric, "_PAIR_SCAN_BUDGET", 1 << 8)
+    calls = _counting_distance(monkeypatch)
+    group = groups.preset(name)
+    rng = np.random.default_rng(4)
+    points = _scan_points(group, rng)
+    f = rng.uniform(-1.0, 1.0, points.shape[0])
+    kept = {}
+    flat_metric._pair_scan(points, 0.1 * f, 3.0, group, kept)
+    near = kept["reach"]
+    calls.clear()
+    got_viol, got = flat_metric._pair_scan(points, f, 3.0, group, kept)
+    assert calls and kept["reach"] > near
+    want_viol, want = _all_pairs_scan(points, f, 3.0, group)
+    assert got_viol == want_viol and got.tolist() == want.tolist()
+    # some violating pair lies beyond the first scan's reach on the sorted slot
+    n = points.shape[0]
+    assert (np.abs(points[want // n, 0] - points[want % n, 0]) > near).any()
+
+
+def test_kept_pairs_change_no_lp_result(monkeypatch):
+    from carnotlab.fokker_planck import DriftField, fp_solve, particle_oracle
+
+    calls = _counting_distance(monkeypatch)
+    grid = cgrid.default_grid(nodes=21)
+    rho0 = bump_field(grid, G, radius=1.0, normalize=True)
+    pde = fp_solve(rho0, DriftField.none(), 0.25, 0.2, G, store_every=10**9).final
+    emp = particle_oracle(rho0, DriftField.none(), 0.25, 0.2, G, n_particles=8192, seed=11)
+    rng = np.random.default_rng(11)
+    pairs = [_random_pair(rng) for _ in range(3)]
+    pairs.append((DiscreteMeasure.from_field(emp, coarsen=2),
+                  DiscreteMeasure.from_field(pde, coarsen=2)))
+    for mu, nu in pairs:
+        runs = {}
+        for cap in (0, flat_metric._PAIR_KEEP_BYTES):
+            monkeypatch.setattr(flat_metric, "_PAIR_KEEP_BYTES", cap)
+            calls.clear()
+            runs[cap] = flat_distance(mu, nu, G), len(calls)
+        (walked, walks), (read, reads) = runs.values()
+        assert walked.rounds > 1 and reads < walks
+        assert (read.value, read.status, read.rounds, read.gap) == \
+            (walked.value, walked.status, walked.rounds, walked.gap)
+        assert np.array_equal(read.optimizer, walked.optimizer)
+
+
 def _dense_two_row_lp(mu, nu, group):
     """The full LP with both rows of every pair, in one dense solve."""
     from scipy.optimize import linprog

@@ -250,6 +250,23 @@ def test_particle_oracle_is_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+def test_each_particle_block_draws_its_own_stream():
+    grid = cgrid.default_grid(nodes=9)
+    cdf = np.cumsum(bump_field(grid, G, radius=1.0).values.reshape(-1))
+    cdf /= cdf[-1]
+
+    def block(seed, index):
+        return fp_module._simulate_block(seed, index, 2000, cdf, grid.axes(), grid.spacings,
+                                         grid.shape, G, None, 0.25, 0.01, 3)
+
+    first, second = block(5, 0), block(5, 1)
+    assert first.sum() == second.sum() == 2000
+    assert not np.array_equal(first, second)
+    assert np.array_equal(second, block(5, 1))
+    assert not np.array_equal(first, block(6, 0))
+    assert not np.array_equal(second, block(6, 1))
+
+
 def test_particle_oracle_starts_no_more_workers_than_blocks(monkeypatch, serial_pool):
     # a process pool starts all max_workers processes at its first submit
     import concurrent.futures

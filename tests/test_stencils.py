@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -483,6 +484,17 @@ def test_tables_hold_the_c_order_strides(label, group, grid):
 
 def test_left_frame_is_built_once_per_value_of_the_group():
     assert left_invariant_fields(H1) is left_invariant_fields(H1)
+
+
+@pytest.mark.parametrize("spec", [preset("engel"), left_invariant_fields(DOUBLED)],
+                         ids=["group", "frame"])
+def test_a_frozen_spec_hashes_once_and_pickles_without_its_hash(spec):
+    assert hash(spec) == hash(tuple(getattr(spec, f.name) for f in dataclasses.fields(spec)))
+    assert spec.__dict__["_hash"] == hash(spec)
+    # str hashes are salted per process: a copy sent to a spawned worker hashes anew
+    fresh = pickle.loads(pickle.dumps(spec))
+    assert "_hash" not in fresh.__dict__
+    assert fresh == spec and hash(fresh) == hash(spec)
 
 
 def _loaded_libraries(code: str) -> set[str]:
