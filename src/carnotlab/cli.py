@@ -13,8 +13,8 @@ Subcommands:
 
 Each command imports what it runs: ``schema`` and the heat, fp, hj and
 duality kinds load numpy only, the mfg and metric kinds add scipy (through
-``flat_metric``) once selected, and ``verify`` adds scipy or sympy only
-for the suites that use them.
+``flat_metric``) once selected, and ``verify`` adds scipy only for the
+suites that use it.
 
 Exit codes: 0 when every asserted invariant passes, 1 on invariant
 failure, 2 on solver non-convergence or a solver stop, 64 on a malformed

@@ -12,14 +12,15 @@ Alongside the grid solver: the weak-form residual of the defining
 identity, the L2 and gradient-energy a priori bounds, the exponential
 barrier inequality behind the uniqueness argument, and a stochastic
 particle oracle that approximates the same law without touching the
-grid stencils.  The barrier operator comes from ``symbolic`` (sympy),
-imported only when a barrier check runs.
+grid stencils.  The barrier operator is the chain rule on the exact frame
+derivatives of the gauge polynomial, evaluated in numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -360,17 +361,39 @@ def barrier_max_lhs(group: GroupSpec, params: SubsolutionParams, b_coeffs, sigma
     """bbar -> max of the barrier operator over 400 points of the box
     [-2, 2]^d off the origin and 9 times in [tau0, tau].  A positive value
     means the barrier fails to be a subsolution at that rate somewhere in
-    the sample."""
-    from .symbolic import barrier_lhs
+    the sample.
 
-    fn = barrier_lhs(group, b_coeffs, sigma)
-    pts = rng.uniform(-2.0, 2.0, size=(400, group.dim))
+    Phi = exp(-a (N2 + 1)), a = beta1 + bbar (t - tau0), N2 = ||x||_G^2;
+    LHS = d_t Phi + sigma lap_G Phi + B . grad_G Phi + (div_G B) Phi, where
+    div_G B = sum_i X_i b_i = 0 for the constant frame coefficients b.
+    N2 = P^s with s = 2/r and P = sum_k x_k^(r/w_k) a polynomial (every
+    r/w_k is even), so X_i N2 = s P^(s-1) X_i P and X_i X_i N2 follow by
+    the chain rule from the exact X_i P and X_i X_i P; they are evaluated
+    once, and a call only combines the arrays.
+    """
+    d, r = group.dim, group.norm_root
+    gauge = tuple((Fraction(1), tuple(r // w if l == k else 0 for l in range(d)))
+                  for k, w in enumerate(group.weights))
+    pts = rng.uniform(-2.0, 2.0, size=(400, d))
     pts = pts[hom_norm(group, pts) > 1e-3]
-    cols = [pts[:, i][:, None] for i in range(group.dim)]
+    cols = [pts[:, i][:, None] for i in range(d)]
+    p, s = groups.eval_poly(gauge, cols), 2.0 / r
+    n2, ds, dds = p**s, s * p ** (s - 1), s * (s - 1) * p ** (s - 2)
+    grad, lap_n2 = [], 0.0
+    for field in vfields.left_invariant_fields(group).coefficients:
+        xp = groups.apply_field(field, gauge)
+        dp, ddp = groups.eval_poly(xp, cols), groups.eval_poly(groups.apply_field(field, xp), cols)
+        grad.append(ds * dp)
+        lap_n2 += dds * dp**2 + ds * ddp
+    grad_sq = sum(g**2 for g in grad)
+    b_grad = 0.0 if b_coeffs is None else sum(float(b) * g for b, g in zip(b_coeffs, grad))
     ts = np.linspace(params.tau0, params.tau, 9)[None, :]
 
     def max_lhs(bbar: float) -> float:
-        return float(np.max(fn(*cols, ts, bbar, params.beta1, params.tau0)))
+        a = params.beta1 + bbar * (ts - params.tau0)
+        # Phi-normalized form, multiplied by Phi at the end
+        core = -bbar * (n2 + 1) + sigma * (a**2 * grad_sq - a * lap_n2) - a * b_grad
+        return float(np.max(core * np.exp(-a * (n2 + 1))))
 
     return max_lhs
 
@@ -477,7 +500,7 @@ def particle_oracle(
     frozen at the step's start, so deeper groups are refused.  The Ito
     and Stratonovich forms coincide for frames whose correction sum
     (Da_i) a_i vanishes identically; the ``calculus`` suite certifies that
-    symbolically on heisenberg1 (``symbolic.stratonovich_correction``).
+    exactly on heisenberg1 (``verify.ito_correction``).
     The steps are the fewest equal ones no longer than 0.005 to t_end.
 
     Particles are drawn and advanced in fixed blocks of 8192, each block

@@ -16,9 +16,11 @@ satisfies ||delta_lam x||_G = lam ||x||_G (``gauge_power`` is the sum
 inside the root).  The quasi-distance used across
 the package is the left-invariant  rho(x, y) = ||y^{-1} * x||_G.
 
-Coefficients are stored as exact rationals so the symbolic layer can verify
-bracket relations without rounding; numeric evaluation converts to float
-once and is vectorized over trailing batch axes.
+Coefficients are stored as exact rationals, and the polynomial calculus
+here (sum, product, partial derivative, a frame field applied to a
+polynomial) is exact too, so bracket relations are verified without
+rounding; numeric evaluation converts to float once and is vectorized over
+trailing batch axes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +59,38 @@ def eval_poly(poly: Poly, coords: Sequence[np.ndarray]) -> np.ndarray:
 
 def poly_is_zero(poly: Poly) -> bool:
     return all(c == 0 for c, _ in poly)
+
+
+def poly_normalize(terms: Iterable[PolyTerm]) -> Poly:
+    """Like terms merged and zero terms dropped, in exponent order: equal
+    polynomials have equal tables, and zero is the empty one."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for coeff, exps in terms:
+        acc[exps] = acc.get(exps, 0) + coeff
+    return tuple((c, e) for e, c in sorted(acc.items()) if c != 0)
+
+
+def poly_add(*polys: Poly) -> Poly:
+    return poly_normalize(t for p in polys for t in p)
+
+
+def poly_sub(p: Poly, q: Poly) -> Poly:
+    return poly_normalize(p + tuple((-c, e) for c, e in q))
+
+
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    return poly_normalize((a * b, tuple(i + j for i, j in zip(ea, eb))) for a, ea in p for b, eb in q)
+
+
+def poly_partial(poly: Poly, l: int) -> Poly:
+    """d poly / d x_l."""
+    return poly_normalize((c * e[l], e[:l] + (e[l] - 1,) + e[l + 1:]) for c, e in poly if e[l])
+
+
+def apply_field(field: Sequence[Poly], poly: Poly) -> Poly:
+    """X f = sum_l a_l d_l f for the field whose component l is field[l],
+    such as a row of a frame table."""
+    return poly_add(*(poly_mul(a, poly_partial(poly, l)) for l, a in enumerate(field)))
 
 
 def _hash_once(spec) -> int:

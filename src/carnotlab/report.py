@@ -4,8 +4,8 @@
 verify manifests, reports and field sidecars.  Reports are plain
 dataclasses and are passed to it as they are.
 
-Imports neither sympy nor scipy, so ``cli`` can report a run without
-loading the verification suites.
+Imports no scipy, so ``cli`` can report a run without loading the
+verification suites.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ command line dispatches here (``carnotlab verify <name>``) and the
 acceptance tests call the same functions, so both report one verdict.
 
 Suites use fixed seeds throughout; two invocations see identical data.
-Each suite imports what only it needs: sympy comes in through
-``symbolic`` for the calculus suite (and the barrier checks of
-``fokker_planck`` for the uniqueness_barrier suite), scipy through
-``flat_metric`` for the particle_oracle, flat_metric and mfg suites.
+Each suite imports what only it needs: scipy comes in through
+``flat_metric`` for the particle_oracle, flat_metric and mfg suites.  The
+calculus suite's exact frame calculus runs on the rational polynomial
+tables of ``groups``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,7 +29,8 @@ from . import grid as cgrid
 from . import hamilton_jacobi as hj
 from . import heat, vfields
 from .grid import Field, bump_field, constant_field, default_grid, make_ball_mask, node_coordinates
-from .groups import dilate, hom_norm, inverse, multiply, preset, quasi_distance
+from .groups import (Poly, apply_field, dilate, eval_poly, hom_norm, inverse, multiply, poly_add,
+                     poly_partial, poly_sub, preset, quasi_distance)
 from .report import Check, SuiteResult, json_text
 
 if TYPE_CHECKING:
@@ -80,37 +82,62 @@ def group_algebra_suite() -> Rows:
 # 2. frame calculus
 # ---------------------------------------------------------------------------
 
+def bracket_failures(left: vfields.VectorFieldSet, right: vfields.VectorFieldSet) -> tuple[int, int, int]:
+    """Counts of the monomials f of degree 1..4 in x1..x3 with [X_1, X_2] f != d_3 f,
+    and of (f, i, j) with [X_i, Y_j] f != 0; then the number of monomials."""
+    monomials = [((Fraction(1), e),) for e in itertools.product(range(5), repeat=3) if 0 < sum(e) <= 4]
+
+    def commutator(a, b, f):
+        return poly_sub(apply_field(a, apply_field(b, f)), apply_field(b, apply_field(a, f)))
+
+    x1, x2 = left.coefficients
+    bracket_bad = sum(commutator(x1, x2, f) != poly_partial(f, 2) for f in monomials)
+    commute_bad = sum(commutator(x, y, f) != () for f in monomials
+                      for x in left.coefficients for y in right.coefficients)
+    return bracket_bad, commute_bad, len(monomials)
+
+
+def frame_divergence(field: tuple[Poly, ...]) -> Poly:
+    """sum_l d_l a_l of one frame field."""
+    return poly_add(*(poly_partial(a, l) for l, a in enumerate(field)))
+
+
+def ito_correction(vf: vfields.VectorFieldSet) -> tuple[Poly, ...]:
+    """sum_i (Da_i) a_i per coordinate, the Ito drift correction of the frame;
+    its component l is sum_i X_i a_il.  The particle scheme may drop the
+    correction only when it is identically zero."""
+    return tuple(poly_add(*(apply_field(a, a[l]) for a in vf.coefficients)) for l in range(vf.dim))
+
+
 def calculus_suite() -> Rows:
-    """Symbolic bracket identities, the divergence-free frames behind the flux
+    """Exact bracket identities, the divergence-free frames behind the flux
     form div(A grad u) of lap_G, the vanishing Ito correction the particle
     scheme drops, and the order of the flux-form Laplacian the solvers run."""
-    from . import symbolic
-
     left = vfields.left_invariant_fields(G)
     right = vfields.right_invariant_fields(G)
-    bracket_bad, commute_bad, n_monomials = symbolic.bracket_failures(left, right, 4)
-    div_bad = sum(symbolic.divergence_analytic(vf, i) != 0
-                  for vf in (left, right) for i in range(vf.count))
-    ito_bad = sum(c != 0 for c in symbolic.stratonovich_correction(left))
+    bracket_bad, commute_bad, n_monomials = bracket_failures(left, right)
+    div_bad = sum(frame_divergence(a) != () for vf in (left, right) for a in vf.coefficients)
+    ito_bad = sum(c != () for c in ito_correction(left))
 
     # interior error of the flux-form Laplacian on quartic data must drop
-    # at second order; the analytic frame applied symbolically provides
-    # the exact values.  entries the stencil reproduces exactly
+    # at second order; sum_i X_i X_i p, exact on the polynomial, gives the
+    # exact values.  entries the stencil reproduces exactly
     # (roundoff-size error) carry no order information and are skipped
+    one = Fraction(1)
     orders = []
     for poly in (
-        lambda x, y, z: x ** 4 + y ** 4,
-        lambda x, y, z: x ** 2 * y ** 2 + z * x,
-        lambda x, y, z: z ** 2 + x * y * z,
-        lambda x, y, z: x ** 3 * y - y ** 2 * z,
+        ((one, (4, 0, 0)), (one, (0, 4, 0))),  # x^4 + y^4
+        ((one, (2, 2, 0)), (one, (1, 0, 1))),  # x^2 y^2 + z x
+        ((one, (0, 0, 2)), (one, (1, 1, 1))),  # z^2 + x y z
+        ((one, (3, 1, 0)), (-one, (0, 2, 1))),  # x^3 y - y^2 z
     ):
-        exact = symbolic.laplacian_function(left, poly)
+        exact = poly_add(*(apply_field(a, apply_field(a, poly)) for a in left.coefficients))
         errs = []
         for nodes in (21, 41):
             grid = default_grid(nodes=nodes)
-            xs, ys, zs = node_coordinates(grid)
-            got = vfields.horizontal_laplacian(left, Field(grid, poly(xs, ys, zs))).values
-            want = np.broadcast_to(exact(xs, ys, zs), grid.shape)
+            coords = node_coordinates(grid)
+            got = vfields.horizontal_laplacian(left, Field(grid, eval_poly(poly, coords))).values
+            want = np.broadcast_to(eval_poly(exact, coords), grid.shape)
             sl = (slice(2, -2),) * 3
             errs.append(np.abs(got - want)[sl].max())
         if errs[0] > 1e-11:

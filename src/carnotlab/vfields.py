@@ -1,17 +1,17 @@
 """Horizontal calculus: invariant frames and their grid stencils.
 
 The left-invariant horizontal frame X_1..X_m and the right-invariant frame
-Y_1..Y_m are polynomial vector fields derived from the group law.  Their
-exact action on expressions (commutators, divergences, the drift
-correction of the particle scheme) lives in ``symbolic``, the one module
-that imports sympy, so loading the frames loads no sympy.  Grid routines
-realize
+Y_1..Y_m are polynomial vector fields derived from the group law, with
+the rational coefficient tables of ``groups``; ``groups.apply_field``
+applies one exactly to a polynomial, which gives the commutators,
+divergences and the drift correction of the particle scheme.  Grid
+routines realize
 
     grad_G f = (X_1 f, ..., X_m f),
     lap_G  f = sum_i X_i^2 f = div(A grad f),      A = sum_i a_i a_i^T,
 
 the last because the frame is divergence-free, which the ``calculus``
-suite checks symbolically.  The gradient uses centered differences; the
+suite checks exactly.  The gradient uses centered differences; the
 Laplacian is the flux form the solvers step with,
 ``_stencils.flux_divergence`` at sigma = 1, with zero flux through the
 box edge, so its node sum telescopes to 0.  The grid routines read the

@@ -11,7 +11,7 @@ import sympy as sp
 
 from carnotlab import fokker_planck as fp_module
 from carnotlab import grid as cgrid
-from carnotlab import groups, heat, symbolic
+from carnotlab import groups, heat
 from carnotlab.flat_metric import DiscreteMeasure, flat_distance
 from carnotlab.fokker_planck import (
     Coefficient,
@@ -28,7 +28,7 @@ from carnotlab.fokker_planck import (
     weak_form_residual,
 )
 from carnotlab.grid import Field, Trajectory, bump_field, make_ball_mask, node_coordinates
-from conftest import ball_boundary_layer
+from conftest import ball_boundary_layer, barrier_lhs, gauge_gradient
 
 G = groups.preset("heisenberg1")
 
@@ -225,12 +225,29 @@ def test_subsolution_negative_control_at_zero_rate():
     assert worst > 1e-3
 
 
+@pytest.mark.parametrize("name", ["heisenberg1", "engel"])
+@pytest.mark.parametrize("drift", [None, (0.4, -0.2)], ids=["no_drift", "drift"])
+def test_barrier_matches_the_sympy_operator(name, drift):
+    # the chain rule on the exact gauge polynomial against sympy's operator
+    # on sum_k |x_k|^(r/w_k), on the same sample
+    group = groups.preset(name)
+    params = SubsolutionParams(beta=0.1, beta1=1.0, tau0=0.0, tau=0.1)
+    got = barrier_max_lhs(group, params, drift, 0.25, rng=np.random.default_rng(3))
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(400, group.dim))
+    cols = [c[:, None] for c in pts[groups.hom_norm(group, pts) > 1e-3].T]
+    ts = np.linspace(params.tau0, params.tau, 9)[None, :]
+    lhs = barrier_lhs(group, drift, 0.25)
+    for bbar in (0.0, 0.25, 2.0, 8.0, 32.0):
+        want = float(np.max(lhs(*cols, ts, bbar, params.beta1, params.tau0)))
+        assert got(bbar) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                        (1.0, 1.0, 0.0), (0.5, -0.5, 1.0)])
 def test_barrier_gradient_vanishes_at_origin(direction):
     # |grad_G ||x||_G^2|^2 along the dilation ray s -> delta_s(direction) tends
     # to 0 as s -> 0+: the squared norm is C^1 but not C^2 at the identity
-    _, xs, _, grad_n2 = symbolic._gauge_gradient(G)
+    _, xs, _, grad_n2 = gauge_gradient(G)
     s = sp.symbols("s", positive=True)
     ray = {xs[i]: sp.Float(direction[i]) * s ** G.weights[i] for i in range(G.dim)}
     assert float(sp.limit(sum(g**2 for g in grad_n2).subs(ray), s, 0, "+")) == 0.0

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from carnotlab import fokker_planck, grid, groups, mfg, vfields
+from carnotlab import cli, fokker_planck, grid, groups, mfg, vfields
 from carnotlab import hamilton_jacobi as hj
 from carnotlab.flat_metric import DiscreteMeasure, MollifierSpec, flat_distance
 from carnotlab.report import json_text
@@ -332,6 +332,26 @@ def test_picard_nonconvergence_is_a_verdict(coupling15):
     rep = mfg.mfg_residual_report(st)
     assert not rep.ok
     assert rep.mass_error <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: the stop rule records theta * sup|r|, so at "
+                          "theta = 1e-300 an iterate that never moved reads as converged")
+def test_tiny_damping_does_not_read_as_converged(tmp_path):
+    # the run reports "converged after 2 iterations" with value_residual
+    # 2.6e-303, yet one more undamped sweep moves u by 2.6e-3
+    path = tmp_path / "tiny_theta.cfg"
+    path.write_text("[scenario]\nkind = mfg\n\n[grid]\nnodes = 11\n\n"
+                    "[dynamics]\neps = 1.3\nt_end = 0.02\ntheta = 1e-300\n")
+    cfg, errors = cli.load_config(str(path))
+    assert not errors
+    data = cli._scenario_data(cfg, G)
+    dyn, tol = cfg["dynamics"], cfg["tolerances"]
+    coupling = mfg.CouplingSpec(mollifier=data["mollifier"], gain=dyn["gain"])
+    st = mfg.mfg_picard(data["u_T"], data["datum"], coupling, dyn["sigma"], dyn["t_end"], G,
+                        gamma=dyn["gamma"], theta=dyn["theta"], tol_u=tol["tol_u"],
+                        tol_rho=tol["tol_rho"], max_iters=tol["max_iters"])
+    assert not st.converged or mfg.fixed_point_residual(st) <= 2 * tol["tol_u"]
 
 
 def test_paired_runs_sample_drift_and_source_at_their_keys(monkeypatch):

@@ -519,7 +519,11 @@ def test_stepping_modules_import_no_scipy():
     # `verify` loads a library only for the suites that use it
     assert _loaded_libraries("import carnotlab.verify") == set()
     assert _loaded_libraries("from carnotlab import cli\ncli.main(['verify', 'group_algebra'])") == set()
-    # one module of the package imports sympy
+    # the exact frame calculus and the barrier run on the package's own
+    # rational polynomials
+    for suite in ("calculus", "uniqueness_barrier"):
+        assert _loaded_libraries(f"from carnotlab import cli\ncli.main(['verify', '{suite}'])") == set()
+    # no module of the package imports sympy
     package = os.path.dirname(os.path.abspath(carnotlab.__file__))
     importers = set()
     for name in sorted(os.listdir(package)):
@@ -536,4 +540,4 @@ def test_stepping_modules_import_no_scipy():
                 continue
             if any(m.split(".")[0] == "sympy" for m in mods):
                 importers.add(name)
-    assert importers == {"symbolic.py"}
+    assert importers == set()

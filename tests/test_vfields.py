@@ -1,6 +1,8 @@
-"""Frame calculus: symbolic oracles first, then the grid stencils against them."""
+"""Frame calculus: symbolic oracles first, the exact polynomial calculus
+against them, then the grid stencils."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,14 +10,15 @@ import sympy as sp
 
 from carnotlab import preset
 from carnotlab.grid import Field, GridSpec, constant_field, default_grid, node_coordinates, node_points
-from carnotlab import _stencils, vfields
-from carnotlab.groups import quasi_distance
-from conftest import coordinate_field
-from carnotlab.symbolic import (
+from carnotlab import _stencils, verify, vfields
+from carnotlab.groups import apply_field, poly_sub, quasi_distance
+from conftest import (
     apply_field_analytic,
     commutator_apply,
+    coordinate_field,
     coordinate_symbols,
     divergence_analytic,
+    poly_to_sympy,
     stratonovich_correction,
 )
 from carnotlab.vfields import (
@@ -107,6 +110,44 @@ def test_stratonovich_correction_vanishes():
     # justifies using the plain Euler-Maruyama drift in the particle scheme
     corr = stratonovich_correction(LEFT)
     assert all(sp.simplify(c) == 0 for c in corr)
+
+
+@pytest.mark.parametrize("name", ["heisenberg1", "engel"])
+@pytest.mark.parametrize("frame", [left_invariant_fields, right_invariant_fields])
+def test_polynomial_calculus_matches_sympy(name, frame):
+    # X_i f and [X_i, X_j] f on every monomial through degree 4, the
+    # divergence and the Ito correction: the same polynomials by both routes
+    vf = frame(preset(name))
+    xs = coordinate_symbols(vf.dim)
+
+    def same(poly, expr):
+        return sp.expand(poly_to_sympy(poly, xs) - expr) == 0
+
+    fields = vf.coefficients
+    for exps in itertools.product(range(5), repeat=vf.dim):
+        if not 0 < sum(exps) <= 4:
+            continue
+        f = ((Fraction(1), exps),)
+        f_sym = poly_to_sympy(f, xs)
+        for i, a in enumerate(fields):
+            assert same(apply_field(a, f), apply_field_analytic(vf, i, f_sym))
+            for j, b in enumerate(fields):
+                got = poly_sub(apply_field(a, apply_field(b, f)), apply_field(b, apply_field(a, f)))
+                assert same(got, commutator_apply(vf, i, vf, j, f_sym))
+    for i, a in enumerate(fields):
+        assert same(verify.frame_divergence(a), divergence_analytic(vf, i))
+    for got, want in zip(verify.ito_correction(vf), stratonovich_correction(vf), strict=True):
+        assert same(got, want)
+
+
+def test_swapped_frames_fail_the_bracket_by_both_routes():
+    # [Y_1, Y_2] = -d_3, so the 20 monomials that hold x3 fail [X_1, X_2] = d_3;
+    # left and right fields still commute
+    assert verify.bracket_failures(RIGHT, LEFT) == (20, 0, 34)
+    assert verify.bracket_failures(LEFT, RIGHT) == (0, 0, 34)
+    oracle = sum(sp.expand(commutator_apply(RIGHT, 0, RIGHT, 1, f) - sp.diff(f, X3)) != 0
+                 for f in _monomials_up_to(4))
+    assert oracle == 20
 
 
 def test_gradient_of_constant_is_zero():
