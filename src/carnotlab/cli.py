@@ -529,8 +529,7 @@ def _run_duality(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOut
     spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
 
     traj = hj.hj_solve(spec, dyn["sigma"], dyn["t_end"], group)
-    rep = hj.duality_report(traj, spec, dyn["sigma"], group, data["mu"],
-                            traj.times[0], traj.times[-1])
+    rep = hj.duality_report(traj, spec, dyn["sigma"], group, data["mu"])
 
     budget = spec.error_bar(traj.times[1] - traj.times[0], dyn["t_end"])
     out.add("pairing_residual", abs(rep.residual), f"<= {budget:.3g}",

@@ -150,21 +150,17 @@ class FlatMetricResult:
 # ---------------------------------------------------------------------------
 
 def _merge_supports(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Union support and the signed weight mu - nu per union point."""
-    seen: dict[tuple, int] = {}
-    pts: list[np.ndarray] = []
-    delta: list[float] = []
-    for sgn, meas in ((1.0, mu), (-1.0, nu)):
-        for p, w in zip(meas.points, meas.weights):
-            key = tuple(p)
-            i = seen.get(key)
-            if i is None:
-                seen[key] = len(pts)
-                pts.append(p)
-                delta.append(sgn * w)
-            else:
-                delta[i] += sgn * w
-    return np.array(pts), np.array(delta)
+    """Union support in order of first appearance, mu's points first, and the
+    signed weight mu - nu per point, added in that order onto -0.0: the sum of
+    adding them onto the first, the sign of a zero sum included."""
+    pts = np.concatenate([mu.points, nu.points])
+    _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    delta = np.full(order.size, -0.0)
+    np.add.at(delta, rank[inverse], np.concatenate([mu.weights, -nu.weights]))
+    return pts[first[order]], delta
 
 
 def _pair_scan(points: np.ndarray, f: np.ndarray, beta: float, group: GroupSpec,

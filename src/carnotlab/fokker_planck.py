@@ -170,7 +170,7 @@ def fp_solve(
     if span < 0:
         raise ValueError("t_end before the datum's time stamp")
     if span == 0:
-        return Trajectory(times=(rho0.t,), fields=(rho0,))
+        return Trajectory((rho0,))
     if steps is None:
         steps = step_count(span, CFL_SAFETY * max_stable_dt(rho0.grid, group, sigma, drift.at(rho0.t)))
     checked = object()  # no drift sample has been checked yet
@@ -182,8 +182,7 @@ def fp_solve(
         checked = b
         return cur
 
-    fields = march(rho0, steps, span / steps, advance, store_every)
-    return Trajectory(times=tuple(f.t for f in fields), fields=tuple(fields))
+    return march(rho0, steps, span / steps, advance, store_every)
 
 
 def r_monotonicity_report(
@@ -501,15 +500,19 @@ def particle_oracle(
     and Stratonovich forms coincide for frames whose correction sum
     (Da_i) a_i vanishes identically; the ``calculus`` suite certifies that
     exactly on heisenberg1 (``verify.ito_correction``).
-    The steps are the fewest equal ones no longer than 0.005 to t_end.
+    The steps are the fewest equal ones no longer than 0.005 from rho0.t
+    to t_end, and step k samples the drift at rho0.t + k dt.
 
     Particles are drawn and advanced in fixed blocks of 8192, each block
     on its own SFC64 stream seeded by (seed, block index), so the result
-    depends only on (seed, n_particles, t_end) and not on the worker
-    count.  Returns a node-binned density on rho0's grid.
+    depends only on (seed, n_particles, t_end - rho0.t) and not on the
+    worker count.  Returns a node-binned density on rho0's grid.
     """
     if group.step > 2:
         raise NotImplementedError("particle oracle is wired for step-2 groups")
+    span = t_end - rho0.t
+    if span < 0:
+        raise ValueError("t_end before the datum's time stamp")
     grid = rho0.grid
     p = np.clip(rho0.values.reshape(-1), 0.0, None)
     if p.sum() <= 0:
@@ -517,13 +520,13 @@ def particle_oracle(
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
     axes = grid.axes()
-    n_steps = step_count(t_end, 0.005)
-    dt = t_end / n_steps
+    n_steps = step_count(span, 0.005)
+    dt = span / n_steps
     b_table = None
     if not drift.zero:
         rows = []
         for k in range(n_steps):
-            b = drift.at(k * dt)
+            b = drift.at(rho0.t + k * dt)
             if b.ndim != 1:
                 raise NotImplementedError("particle oracle takes constant-coefficient drift")
             rows.append(b[:group.horizontal_dim])

@@ -5,15 +5,14 @@ The CFL bookkeeping serves every explicit solver of the package:
 frame, ``CFL_SAFETY`` the share of it a solver steps at when no step
 count is given, ``check_dt`` refuses a step above the bound,
 ``step_count`` turns a span and a step bound into a number of equal
-steps, and ``march`` is the one marching loop, which keeps the
-snapshots a solver stores.  A solver given a count of n steps over a
+steps, and ``march`` is the one loop that advances a Field, which keeps
+the snapshots a solver stores.  A solver given a count of n steps over a
 span steps by span / n, and its snapshot times are the running sum of
 that step from the datum's time stamp, so two marched runs given the
-same start, span and count stamp the same floats; the mild-map ladder of
-``hamilton_jacobi.hj_fixed_point`` is stamped t0 + span k / n instead,
-and may differ from them in the last bit.  ``node_coordinates`` is
-uncached, so callers own its arrays; ``bump_shape`` is every bump's
-profile, the mollifier's too.
+same start, span and count stamp the same floats.  A snapshot's stamp is
+the only record of its time: a Trajectory reads its times from its
+fields.  ``node_coordinates`` is uncached, so callers own its arrays;
+``bump_shape`` is every bump's profile, the mollifier's too.
 """
 
 from __future__ import annotations
@@ -118,19 +117,22 @@ class Field:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered sequence of field snapshots from one solver run."""
+    """Time-ordered snapshots of one solver run; their stamps are its times."""
 
-    times: tuple[float, ...]
     fields: tuple[Field, ...]
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.fields) or not self.times:
-            raise ValueError("times and fields must align and be nonempty")
+        if not self.fields:
+            raise ValueError("a trajectory needs at least one snapshot")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("times must increase")
+            raise ValueError("snapshot times must increase")
 
     def __len__(self) -> int:
         return len(self.fields)
+
+    @property
+    def times(self) -> tuple[float, ...]:
+        return tuple(f.t for f in self.fields)
 
     @property
     def final(self) -> Field:
@@ -138,8 +140,7 @@ class Trajectory:
 
     def reflected(self, times: Sequence[float]) -> "Trajectory":
         """Snapshot k holds the values of snapshot n - k, stamped times[k]."""
-        fields = tuple(Field(f.grid, f.values, t) for f, t in zip(reversed(self.fields), times))
-        return Trajectory(tuple(times), fields)
+        return Trajectory(tuple(Field(f.grid, f.values, t) for f, t in zip(reversed(self.fields), times)))
 
 
 def constant_field(grid: GridSpec, value: float, t: float = 0.0) -> Field:
@@ -227,10 +228,10 @@ def step_count(span: float, limit: float, least: int = 1) -> int:
     return max(least, math.ceil(span / limit))
 
 
-def march(x0, n: int, step: float, advance: Callable, store_every: int = 1) -> list:
-    """Apply advance(x, step) n times from the Field x0 and return the kept
-    states: x0, every store_every-th state and the last one (store_every = 0
-    keeps the two endpoints only).  A CFLViolation is re-raised naming its
+def march(x0: Field, n: int, step: float, advance: Callable, store_every: int = 1) -> Trajectory:
+    """Apply advance(x, step) n times from x0 and return the Trajectory of the
+    kept states: x0, every store_every-th state and the last one (store_every
+    = 0 keeps the two endpoints only).  A CFLViolation is re-raised naming its
     step; overflow warns nothing, as advance refuses non-finite states."""
     kept = [x0]
     x = x0
@@ -242,7 +243,7 @@ def march(x0, n: int, step: float, advance: Callable, store_every: int = 1) -> l
                 raise CFLViolation(f"{exc} (step {k} of {n}, from t = {x.t:g})") from exc
             if k == n or (store_every and k % store_every == 0):
                 kept.append(x)
-    return kept
+    return Trajectory(tuple(kept))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ each other:
   integral by left-endpoint quadrature.  The discrete semigroup composes
   exactly, so the sweep assembles recursively,
   w_{k+1} = e^{dt L}(w_k + dt f_k), at the cost of one heat step per
-  time node.
+  time node, marched by ``grid.march`` like every other run.
 
-Iterating Phi from the pure heat baseline contracts for short horizons;
+Iterating Phi from the pure heat flow contracts for short horizons;
 ``hj_fixed_point`` records the iterate distances in the norm
 
     sup_t ( ||u||_inf + ||grad_G u||_inf + max_ij ||X_i X_j u||_inf )
@@ -39,8 +39,8 @@ transported by the feedback drift gamma |grad u|^{gamma-2} grad u.  The
 adjoint problem is well posed backward in time, so the density is
 ``feedback_transport`` of the trajectory reflected into the reversed
 variable r = tau - t, read back in reverse; the coupled solve of ``mfg``
-carries its density forward by the same ``feedback_transport``.  The
-pairing identity
+carries its density forward by the same ``feedback_transport``.  Over
+the run's first and last stamps s and tau, the pairing identity
 
     int u(tau) mu(tau) - int u(s) mu(s)
         = int_s^tau int ((gamma-1) |grad u|^gamma + F) mu
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -273,67 +272,59 @@ def hj_solve(
     if span < 0:
         raise ValueError("t_end before the datum's time stamp")
     if span == 0:
-        return Trajectory(times=(u0.t,), fields=(u0,))
+        return Trajectory((u0,))
     if steps is None:
         steps = step_count(span, CFL_SAFETY * hj_max_stable_dt(u0, spec, sigma, group))
-    fields = march(u0, steps, span / steps, lambda u, step: hj_step_direct(u, spec, sigma, step, group), store_every)
-    return Trajectory(times=tuple(f.t for f in fields), fields=tuple(fields))
+    return march(u0, steps, span / steps, lambda u, step: hj_step_direct(u, spec, sigma, step, group), store_every)
 
 
 # ---------------------------------------------------------------------------
 # mild-solution sweep
 # ---------------------------------------------------------------------------
 
-def heat_baseline(spec: HamiltonianSpec, sigma: float, times: Sequence[float], group: GroupSpec) -> Trajectory:
-    """The zeroth iterate e^{tL} u0 on the given time grid."""
-    ts = tuple(float(t) for t in times)
-    grid = spec.u0.grid
-    fields = [Field(grid, spec.u0.values, ts[0])]
-    for a, b in zip(ts, ts[1:]):
-        fields.append(Field(grid, heat_step(fields[-1], sigma, b - a, group).values, b))
-    return Trajectory(times=ts, fields=tuple(fields))
-
-
 def duhamel_iterate(
     prev: Trajectory,
     spec: HamiltonianSpec,
     sigma: float,
     group: GroupSpec,
+    t_end: float,
 ) -> Trajectory:
-    """One sweep of the mild map Phi applied to the previous iterate.
+    """One sweep of the mild map Phi applied to the previous iterate, marched
+    from spec.u0 to t_end in len(prev) - 1 equal steps; a step above the
+    diffusion bound raises CFLViolation.
 
     Left-endpoint quadrature against the discrete semigroup telescopes:
-    w_0 = u0 and w_{k+1} = e^{dt_k L}(w_k + dt_k f_k) with
+    w_0 = u0 and w_{k+1} = e^{dt L}(w_k + dt f_k) with
     f_k = F(t_k) - |grad_G prev(t_k)|^gamma reproduces
-    e^{t_k L} u0 + sum_{j<k} dt_j e^{(t_k - t_j) L} f_j exactly, because
-    the discrete heat steps compose exactly.  With f = 0 the sweep is
-    the plain heat trajectory on the same grid, bit for bit.
+    e^{t_k L} u0 + sum_{j<k} dt e^{(t_k - t_j) L} f_j exactly, because
+    the discrete heat steps compose exactly.  With f = 0 the sweep is the
+    drift-free ``fp_solve`` of the same step count, bit for bit.
 
     Raises DivergenceError as soon as a snapshot's sup norm passes
     _BLOWUP; no NaN ever leaves this function quietly.
     """
     vf = vfields.left_invariant_fields(group)
     grid = spec.u0.grid
-    ts = prev.times
-    diff_limit = max_stable_dt(grid, group, sigma)
-    for a, b in zip(ts, ts[1:]):
-        check_dt(b - a, diff_limit)
-    fields = [Field(grid, spec.u0.values, ts[0])]
-    for k, (a, b) in enumerate(zip(ts, ts[1:])):
-        dt = b - a
-        f_k = -gradient_power(vf, prev.fields[k], spec.gamma)
-        src = spec.source.at(a)
+    n = len(prev) - 1
+    dt = (t_end - spec.u0.t) / n
+    check_dt(dt, max_stable_dt(grid, group, sigma))
+    pushed = iter(prev.fields)
+
+    def advance(w: Field, step: float) -> Field:
+        f_k = -gradient_power(vf, next(pushed), spec.gamma)
+        src = spec.source.at(w.t)
         if src is not None:
             f_k = f_k + src
         try:
             # Field refuses a non-finite push, the heat step a non-finite result
-            vals = heat_step(Field(grid, fields[-1].values + dt * f_k, a), sigma, dt, group).values
+            out = heat_step(Field(grid, w.values + step * f_k, w.t), sigma, step, group)
         except (ValueError, CFLViolation):
-            vals = None
-        if vals is None or float(np.abs(vals).max()) > _BLOWUP:
-            raise DivergenceError(f"iterate norm passed {_BLOWUP:g} at t={b:g}")
-        fields.append(Field(grid, vals, b))
-    return Trajectory(times=ts, fields=tuple(fields))
+            out = None
+        if out is None or float(np.abs(out.values).max()) > _BLOWUP:
+            raise DivergenceError(f"iterate norm passed {_BLOWUP:g} at t={w.t + step:g}")
+        return out
+
+    return march(spec.u0, n, dt, advance)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +348,11 @@ def xt_norm(traj: Trajectory, group: GroupSpec) -> float:
 
 
 def xt_distance(a: Trajectory, b: Trajectory, group: GroupSpec) -> float:
-    """xt_norm of the snapshot-wise difference; time grids must agree."""
-    if len(a) != len(b) or any(abs(s - t) > 1e-12 for s, t in zip(a.times, b.times)):
+    """xt_norm of the snapshot-wise difference; the stamps must be equal."""
+    if a.times != b.times:
         raise ValueError("trajectories live on different time grids")
-    diff = Trajectory(
-        times=a.times,
-        fields=tuple(
-            Field(fa.grid, fa.values - fb.values, fa.t) for fa, fb in zip(a.fields, b.fields)
-        ),
-    )
-    return xt_norm(diff, group)
+    return xt_norm(Trajectory(tuple(Field(fa.grid, fa.values - fb.values, fa.t)
+                                    for fa, fb in zip(a.fields, b.fields))), group)
 
 
 @dataclass(frozen=True)
@@ -391,31 +377,27 @@ def hj_fixed_point(
     t_end: float,
     group: GroupSpec,
 ) -> tuple[Trajectory, FixedPointReport]:
-    """Iterate the mild map from the heat baseline until the sweep stalls.
+    """Iterate the mild map from the heat flow until the sweep stalls.
 
-    The time grid has the fewest equal steps n, at least two, no longer
-    than ``grid.CFL_SAFETY`` times the diffusion bound.  Its stamps are
-    t0 + span k / n, not a marched run's running sum of span / n, so the
-    two may differ in the last bit (3 of 9 stamps at span 0.05, n = 8).
-    At most _FIXED_POINT_SWEEPS sweeps run.  Successive distances are
-    measured in the xt norm; one at most 1e-9 times the data scale
-    counts as converged.  The report keeps the whole distance
+    Every iterate marches the fewest equal steps n, at least two, no
+    longer than ``grid.CFL_SAFETY`` times the diffusion bound, so it is
+    stamped as ``hj_solve`` stamps n steps; the zeroth is the drift-free
+    ``fp_solve``.  At most _FIXED_POINT_SWEEPS sweeps run.  Successive
+    distances are measured in the xt norm; one at most 1e-9 times the
+    data scale counts as converged.  The report keeps the whole distance
     sequence, the pairwise ratios, the radius of the ball around the
-    baseline the iterates explored, and an empirical growth constant
+    heat run the iterates explored, and an empirical growth constant
     gamma * (sup ||grad u||)^{gamma-1} of the nonlinearity on that ball.
     Verdicts: converged, maxiter, diverged.
     """
-    grid = spec.u0.grid
     vf = vfields.left_invariant_fields(group)
     span = t_end - spec.u0.t
     if span <= 0:
         raise ValueError("horizon must lie after the datum's time stamp")
-    n = step_count(span, CFL_SAFETY * max_stable_dt(grid, group, sigma), least=2)
-    times = tuple(spec.u0.t + span * k / n for k in range(n + 1))
+    n = step_count(span, CFL_SAFETY * max_stable_dt(spec.u0.grid, group, sigma), least=2)
 
     scale = max(spec.data_scale(span), 1e-30)
-    current = heat_baseline(spec, sigma, times, group)
-    baseline = current
+    current = baseline = fp_solve(spec.u0, DriftField.none(), sigma, t_end, group, steps=n)
     distances: list[float] = []
     ratios: list[float] = []
     radius = 0.0
@@ -423,7 +405,7 @@ def hj_fixed_point(
     verdict = "maxiter"
     for _ in range(_FIXED_POINT_SWEEPS):
         try:
-            nxt = duhamel_iterate(current, spec, sigma, group)
+            nxt = duhamel_iterate(current, spec, sigma, group, t_end)
         except DivergenceError:
             verdict = "diverged"
             break
@@ -455,7 +437,7 @@ def hj_fixed_point(
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Both sides of the pairing identity on [s, tau] and their mismatch."""
+    """Both sides of the pairing identity over a run's stamps [s, tau] and their mismatch."""
 
     s: float
     tau: float
@@ -471,59 +453,48 @@ def duality_report(
     sigma: float,
     group: GroupSpec,
     mu_tau: Field,
-    s: float,
-    tau: float,
 ) -> DualityReport:
-    """Check the pairing identity against an adjoint density.
+    """Check the pairing identity over the whole run against an adjoint density.
 
-    mu_tau is the density at the LATER time tau: the adjoint equation
+    mu_tau is the density at the run's last stamp tau: the adjoint equation
     d_t mu + sigma lap_G mu + div_G(gamma |grad u|^{gamma-2} grad u mu) = 0
     is parabolic backward in time, so the density is integrated in the
-    reversed variable r = tau - t (``feedback_transport`` of the window
-    reflected onto the run's own snapshot times) and mapped back.  The
-    run takes one step of (tau - s) / n per window interval, n intervals
-    in all, and its drift is keyed by its own snapshot times, the running
-    sum of that step from 0.  The step must satisfy the transport bound
-    for the feedback drift, which it does whenever the window holds every
-    snapshot of an hj_solve run, whose bound includes the same speed.
+    reversed variable r = tau - t (``feedback_transport`` of the run
+    reflected onto the adjoint's own stamps, n steps of (tau - s) / n from
+    0) and mapped back.  The step must satisfy the transport bound for the
+    feedback drift, which it does whenever the run holds every snapshot of
+    an hj_solve run, whose bound includes the same speed.
 
-    Time integrals use the trapezoid rule on that grid, space integrals
-    the grid sum.
+    Time integrals use the trapezoid rule on the run's stamps, space
+    integrals the grid sum.
     """
-    ts = np.asarray(traj.times)
-    i0 = int(np.argmin(np.abs(ts - s)))
-    i1 = int(np.argmin(np.abs(ts - tau)))
-    if abs(ts[i0] - s) > 1e-9 or abs(ts[i1] - tau) > 1e-9:
-        raise ValueError("s and tau must be snapshot times of the trajectory")
-    if i1 <= i0:
-        raise ValueError("tau must come after s")
-    window = traj.fields[i0 : i1 + 1]
-    wt = ts[i0 : i1 + 1]
-    n = len(window) - 1
-    span = float(tau - s)
+    if len(traj) < 2:
+        raise ValueError("the pairing needs at least two snapshots")
+    wt = np.asarray(traj.times)
+    n = len(traj) - 1
+    span = float(wt[-1] - wt[0])
 
     # the adjoint's snapshot k, stamped as its stepper stamps it, carries
-    # the drift of window snapshot n - k
+    # the drift of run snapshot n - k
     rev_times = list(accumulate([span / n] * n, initial=0.0))
-    reflected = Trajectory(traj.times[i0 : i1 + 1], window).reflected(rev_times)
-    nu = feedback_transport(reflected, Field(mu_tau.grid, mu_tau.values, 0.0), sigma,
-                            spec.gamma, group, span)
-    # mu at window time index j is nu at reversed index
+    nu = feedback_transport(traj.reflected(rev_times), Field(mu_tau.grid, mu_tau.values, 0.0),
+                            sigma, spec.gamma, group, span)
+    # mu at run time index j is nu at reversed index
     mu_fields = nu.fields[::-1]
 
     vf = vfields.left_invariant_fields(group)
     cell = traj.fields[0].grid.cell_volume
-    grad_int = np.empty(len(window))
-    src_int = np.empty(len(window))
-    for j, (uf, mf) in enumerate(zip(window, mu_fields)):
+    grad_int = np.empty(len(traj))
+    src_int = np.empty(len(traj))
+    for j, (uf, mf) in enumerate(zip(traj.fields, mu_fields)):
         mag_pow = gradient_power(vf, uf, spec.gamma)
         grad_int[j] = (spec.gamma - 1.0) * float((mag_pow * mf.values).sum()) * cell
         fsrc = spec.source.at(float(wt[j]))
         src_int[j] = float((fsrc * mf.values).sum()) * cell if fsrc is not None else 0.0
     gradient_term = float(np.trapezoid(grad_int, wt))
     source_term = float(np.trapezoid(src_int, wt))
-    gap = float((window[-1].values * mu_fields[-1].values).sum() * cell) - float(
-        (window[0].values * mu_fields[0].values).sum() * cell
+    gap = float((traj.final.values * mu_fields[-1].values).sum() * cell) - float(
+        (traj.fields[0].values * mu_fields[0].values).sum() * cell
     )
     residual = abs(gap - gradient_term - source_term)
     return DualityReport(

@@ -80,7 +80,7 @@ def measure_gradient_decay(
     done = 0
     for s in steps:
         cur = march(cur, s - done, dt, lambda f, step: heat_step(f, sigma, step, group),
-                    store_every=0)[-1]
+                    store_every=0).final
         done = s
         times.append(s * dt)
         sups.append(vfields.gradient_sup(vf, cur))

@@ -265,8 +265,8 @@ def mfg_picard(
     with the LP metric on the coarsen-2 lattice.
 
     The step count n is chosen once, by ``picard_steps``, and every
-    solve of the run takes n steps over [0, t_end];
-    both solvers re-check the bound per step;
+    solve of the run takes n steps over [0, t_end], so rho0 must be
+    stamped 0 and carry unit mass; both solvers re-check the bound per step;
     a mid-run violation or iterate escape ends the run with the
     no-fixed-point verdict rather than an exception.
     """
@@ -277,6 +277,8 @@ def mfg_picard(
     mass = rho0.integral()
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"initial density mass {mass:g} is not 1")
+    if rho0.t != 0.0:
+        raise ValueError(f"initial density stamped t = {rho0.t:g}, not 0")
     span = float(t_end)
     if span <= 0:
         raise ValueError("horizon must be positive")
@@ -313,9 +315,7 @@ def mfg_picard(
             else:
                 res_rho.append(_traj_l1_distance(rho_cur, rho_prev))
             x, prev = _secant_step(x, r, prev, theta), (x, r)
-            u_cur = Trajectory(times=u_cur.times,
-                               fields=tuple(Field(u_T.grid, xk, f.t)
-                                            for xk, f in zip(x, u_cur.fields)))
+            u_cur = Trajectory(tuple(Field(u_T.grid, xk, f.t) for xk, f in zip(x, u_cur.fields)))
             if res_u[-1] <= tol_u and res_rho[-1] <= tol_rho:
                 # keep rho_prev pointing at the previous sweep so the
                 # certification below compares genuinely distinct iterates
@@ -411,8 +411,7 @@ def mfg_residual_report(state: MFGState) -> MFGReport:
         residual = bound = math.nan
         sup_ok = False
     else:
-        residual = duality_report(v_traj, spec_v, state.sigma, state.group, state.rho_initial,
-                                  v_traj.times[0], v_traj.times[-1]).residual
+        residual = duality_report(v_traj, spec_v, state.sigma, state.group, state.rho_initial).residual
         bound = spec_v.error_bar(state.t_end / (len(v_traj) - 1), state.t_end)
         sup_ok = sup_bounds_report(v_traj, spec_v).ok
     rho_peak = max(f.sup_norm() for f in rho.fields)

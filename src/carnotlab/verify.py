@@ -442,8 +442,7 @@ def hamilton_jacobi_suite() -> Rows:
         spec_d = hj.HamiltonianSpec(u0=bump_field(gsd, G, radius=1.2))
         traj_d = hj.hj_solve(spec_d, SIGMA, 0.3, G)
         mu = bump_field(gsd, G, radius=1.0, normalize=True)
-        reps[n] = hj.duality_report(traj_d, spec_d, SIGMA, G, mu,
-                                    traj_d.times[0], traj_d.times[-1])
+        reps[n] = hj.duality_report(traj_d, spec_d, SIGMA, G, mu)
     pairing_ratio = reps[21].residual / reps[41].residual
     # mass-1 adjoint: total gradient cost is capped by twice the data scale
     comb = reps[41].gradient_term / (2.0 * 1.0)

@@ -312,6 +312,39 @@ def test_kept_pairs_change_no_lp_result(monkeypatch):
         assert np.array_equal(read.optimizer, walked.optimizer)
 
 
+def _merge_supports_by_dict(mu, nu):
+    """The reference merge: union points keyed by their coordinate tuples
+    (so 0.0 and -0.0 meet), signed weights summed one by one onto the first."""
+    seen, pts, delta = {}, [], []
+    for sgn, meas in ((1.0, mu), (-1.0, nu)):
+        for p, w in zip(meas.points, meas.weights):
+            i = seen.setdefault(tuple(p), len(pts))
+            if i == len(pts):
+                pts.append(p)
+                delta.append(sgn * w)
+            else:
+                delta[i] += sgn * w
+    return np.array(pts), np.array(delta)
+
+
+def test_merge_supports_matches_the_dict_merge_bit_for_bit():
+    rng = np.random.default_rng(5)
+    lattice = np.array([[0.0, 0.5, -1.0], [-0.0, 0.5, -1.0], [1.0, 0.0, 0.0],
+                        [0.25, -0.0, 2.0], [0.25, 0.0, 2.0], [3.0, 1.0, -0.5]])
+    for trial in range(40):
+        k, m = rng.integers(1, 12, size=2)
+        # repeats within a measure, a +-0.0 pair, and zero weights on either side
+        mu = DiscreteMeasure(lattice[rng.integers(0, 6, k)], rng.choice([0.0, 0.1, 0.7, 1.3], k))
+        nu = DiscreteMeasure(lattice[rng.integers(0, 6, m)], rng.choice([0.0, 0.2, 0.7, 0.9], m))
+        for got, want in zip(flat_metric._merge_supports(mu, nu), _merge_supports_by_dict(mu, nu)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), trial
+    # a zero weight that first appears on the nu side stays -0.0
+    nu_only = flat_metric._merge_supports(DiscreteMeasure(np.zeros((0, 3)), np.zeros(0)),
+                                          DiscreteMeasure(lattice[:1], np.zeros(1)))[1]
+    assert np.signbit(nu_only[0]) and nu_only[0] == 0.0
+
+
 def _dense_two_row_lp(mu, nu, group):
     """The full LP with both rows of every pair, in one dense solve."""
     from scipy.optimize import linprog
@@ -645,7 +678,7 @@ def test_mollify_on_engel_keeps_mass_and_sup(monkeypatch):
 def test_holder_stationary_is_degenerate():
     grid = cgrid.default_grid(nodes=21)
     rho = bump_field(grid, G, radius=1.0, normalize=True)
-    traj = Trajectory(times=(0.0, 0.05, 0.1), fields=(rho, rho, rho))
+    traj = Trajectory(tuple(Field(grid, rho.values, t) for t in (0.0, 0.05, 0.1)))
     rep = holder_in_time(traj, G)
     assert rep.verdict == "degenerate"
 
@@ -681,7 +714,7 @@ def test_holder_translation_flow_is_lipschitz():
         return Field(grid, vals.reshape(grid.shape), t)
 
     times = (0.0, 0.01, 0.02, 0.04, 0.07, 0.1)
-    traj = Trajectory(times=times, fields=tuple(snapshot(t) for t in times))
+    traj = Trajectory(tuple(snapshot(t) for t in times))
     rep = holder_in_time(traj, G)
     assert rep.verdict == "fitted"
     assert rep.exponent >= 0.9

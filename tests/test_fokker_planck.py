@@ -267,6 +267,24 @@ def test_particle_oracle_is_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+def test_particle_oracle_runs_from_the_datum_stamp():
+    # the span is t_end - rho0.t and step k samples the drift at rho0.t + k dt:
+    # a datum at 0.25 under a drift that switches at 0.25 runs like a datum
+    # at 0 under the later value, over the same span
+    grid = cgrid.default_grid(nodes=11)
+    rho0 = bump_field(grid, G, radius=1.0, normalize=True)
+    switching = DriftField.from_sequence((0.0, 0.25), [np.array([0.3, -0.1]), np.array([-0.2, 0.4])])
+    late = particle_oracle(Field(grid, rho0.values, 0.25), switching, 0.25, 0.5, G,
+                           n_particles=20000, seed=1)
+    early = particle_oracle(rho0, DriftField.constant((-0.2, 0.4)), 0.25, 0.25, G,
+                            n_particles=20000, seed=1)
+    assert late.t == 0.5
+    assert np.array_equal(late.values, early.values)
+    with pytest.raises(ValueError, match="before the datum"):
+        particle_oracle(Field(grid, rho0.values, 0.25), switching, 0.25, 0.2, G,
+                        n_particles=100, seed=1)
+
+
 def test_each_particle_block_draws_its_own_stream():
     grid = cgrid.default_grid(nodes=9)
     cdf = np.cumsum(bump_field(grid, G, radius=1.0).values.reshape(-1))

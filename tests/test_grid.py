@@ -14,6 +14,7 @@ from carnotlab.grid import (
     default_grid,
     dump_field_csv,
     make_ball_mask,
+    Trajectory,
     march,
     max_stable_dt,
     node_coordinates,
@@ -75,12 +76,28 @@ def test_step_count_and_march():
         with pytest.raises(ValueError, match="not a positive number"):
             step_count(1.0, limit)
 
-    def add(x, h):
-        return x + h
+    def add(f, h):
+        return Field(f.grid, f.values + h, f.t + h)
 
-    assert march(0, 5, 1, add, 2) == [0, 2, 4, 5]
-    assert march(0, 5, 1, add, 0) == [0, 5]
-    assert march(0, 3, 1, add) == [0, 1, 2, 3]
+    f0 = constant_field(default_grid(nodes=3), 0.0)
+    for store_every, kept in ((2, [0, 2, 4, 5]), (0, [0, 5]), (1, [0, 1, 2, 3, 4, 5])):
+        traj = march(f0, 5, 1.0, add, store_every)
+        assert traj.times == tuple(map(float, kept))
+        assert [float(f.values.max()) for f in traj.fields] == kept
+    assert march(f0, 0, 1.0, add).times == (0.0,)
+
+
+def test_trajectory_times_are_its_stamps():
+    g = default_grid(nodes=3)
+    traj = Trajectory(tuple(constant_field(g, 1.0, t) for t in (0.0, 0.25, 0.5)))
+    assert traj.times == (0.0, 0.25, 0.5)
+    assert traj.final.t == 0.5
+    assert traj.reflected((1.0, 2.0, 3.0)).times == (1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="at least one"):
+        Trajectory(())
+    for stamps in ((0.0, 0.0), (0.5, 0.25)):
+        with pytest.raises(ValueError, match="increase"):
+            Trajectory(tuple(constant_field(g, 1.0, t) for t in stamps))
 
 
 def test_ball_mask_extremes():

@@ -179,42 +179,34 @@ def test_sup_bounds_report_on_bump():
 # mild-solution sweep
 # ---------------------------------------------------------------------------
 
-def test_heat_baseline_matches_evolve():
-    gs = box(21)
-    u0 = grid.bump_field(gs, G, radius=1.2)
-    spec = hj.HamiltonianSpec(u0=u0)
-    n, T = 8, 0.05
-    times = tuple(T * k / n for k in range(n + 1))
-    base = hj.heat_baseline(spec, SIGMA, times, G)
-    ref = fp_solve(u0, DriftField.none(), SIGMA, T, G, steps=n, store_every=0).final
-    assert np.abs(base.final.values - ref.values).max() <= 1e-12
-
-
 def test_sweep_with_zero_nonlinearity_is_heat_flow():
     # a spatially constant previous iterate has zero gradient, so the
-    # sweep must reproduce the heat trajectory bit for bit
+    # sweep must reproduce the heat run of the same count bit for bit,
+    # in values and in stamps
     gs = box(21)
     u0 = grid.bump_field(gs, G, radius=1.2)
     spec = hj.HamiltonianSpec(u0=u0)
     n, T = 8, 0.05
-    times = tuple(T * k / n for k in range(n + 1))
-    prev = grid.Trajectory(
-        times=times, fields=tuple(grid.constant_field(gs, 0.3, t) for t in times)
-    )
-    phi = hj.duhamel_iterate(prev, spec, SIGMA, G)
-    base = hj.heat_baseline(spec, SIGMA, times, G)
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(phi.fields, base.fields))
+    flat = fp_solve(grid.constant_field(gs, 0.3), DriftField.none(), SIGMA, T, G, steps=n)
+    phi = hj.duhamel_iterate(flat, spec, SIGMA, G, T)
+    heat_run = fp_solve(u0, DriftField.none(), SIGMA, T, G, steps=n, store_every=1)
+    assert phi.times == heat_run.times
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(phi.fields, heat_run.fields))
+
+
+def test_fixed_point_is_stamped_like_the_direct_run(headline):
+    # a t0 + span k / n ladder would stamp the end of 3 steps 0.05 * 3 / 3,
+    # one bit above the marched running sum 0.05
+    spec, traj, _ = headline
+    assert traj.times == hj.hj_solve(spec, SIGMA, 0.05, G, steps=len(traj) - 1).times
 
 
 def test_sweep_rejects_unstable_time_grid():
     gs = box(21)
     spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
-    times = (0.0, 0.5)
-    prev = grid.Trajectory(
-        times=times, fields=tuple(grid.constant_field(gs, 0.0, t) for t in times)
-    )
+    prev = grid.Trajectory(tuple(grid.constant_field(gs, 0.0, t) for t in (0.0, 0.5)))
     with pytest.raises(grid.CFLViolation):
-        hj.duhamel_iterate(prev, spec, SIGMA, G)
+        hj.duhamel_iterate(prev, spec, SIGMA, G, 0.5)
 
 
 def test_sweep_blowup_raises_instead_of_nan(monkeypatch):
@@ -222,10 +214,9 @@ def test_sweep_blowup_raises_instead_of_nan(monkeypatch):
     gs = box(21)
     spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
     n, T = 8, 0.05
-    times = tuple(T * k / n for k in range(n + 1))
-    base = hj.heat_baseline(spec, SIGMA, times, G)
+    base = fp_solve(spec.u0, DriftField.none(), SIGMA, T, G, steps=n)
     with pytest.raises(hj.DivergenceError):
-        hj.duhamel_iterate(base, spec, SIGMA, G)
+        hj.duhamel_iterate(base, spec, SIGMA, G, T)
 
 
 def test_big_data_reports_divergence_verdict(monkeypatch):
@@ -327,9 +318,7 @@ def test_longer_horizons_contract_more_slowly(monkeypatch):
 
 def test_xt_distance_requires_matching_grids(headline):
     _, traj, _ = headline
-    shifted = grid.Trajectory(
-        times=tuple(t + 1.0 for t in traj.times), fields=traj.fields
-    )
+    shifted = grid.Trajectory(tuple(grid.Field(f.grid, f.values, f.t + 1.0) for f in traj.fields))
     with pytest.raises(ValueError):
         hj.xt_distance(traj, shifted, G)
 
@@ -351,7 +340,7 @@ def test_duality_exact_for_spatially_constant_solution():
     )
     traj = hj.hj_solve(spec, SIGMA, 0.1, G)
     mu = grid.bump_field(gs, G, radius=1.0, normalize=True)
-    rep = hj.duality_report(traj, spec, SIGMA, G, mu, traj.times[2], traj.times[-1])
+    rep = hj.duality_report(traj, spec, SIGMA, G, mu)
     assert rep.residual <= 1e-10
     assert rep.gradient_term == 0.0
     assert rep.gap == pytest.approx(rep.source_term)
@@ -366,7 +355,7 @@ def test_duality_residual_shrinks_under_refinement():
         spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
         traj = hj.hj_solve(spec, SIGMA, 0.3, G)
         mu = grid.bump_field(gs, G, radius=1.0, normalize=True)
-        reps[n] = hj.duality_report(traj, spec, SIGMA, G, mu, traj.times[0], traj.times[-1])
+        reps[n] = hj.duality_report(traj, spec, SIGMA, G, mu)
     assert reps[21].residual / reps[41].residual >= 1.7
     # total gradient money spent along the run stays under the a priori cap
     spec41_scale = 1.0
@@ -374,24 +363,12 @@ def test_duality_residual_shrinks_under_refinement():
     assert reps[41].gradient_term > 0.0
 
 
-def test_duality_requires_snapshot_times():
-    gs = box(15)
-    spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
-    traj = hj.hj_solve(spec, SIGMA, 0.05, G)
-    mu = grid.bump_field(gs, G, radius=1.0, normalize=True)
-    mid = 0.5 * (traj.times[0] + traj.times[1])
-    with pytest.raises(ValueError):
-        hj.duality_report(traj, spec, SIGMA, G, mu, mid, traj.times[-1])
-    with pytest.raises(ValueError):
-        hj.duality_report(traj, spec, SIGMA, G, mu, traj.times[-1], traj.times[0])
-
-
 def test_duality_report_json_round_trip():
     gs = box(15)
     spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
     traj = hj.hj_solve(spec, SIGMA, 0.05, G)
     mu = grid.bump_field(gs, G, radius=1.0, normalize=True)
-    rep = hj.duality_report(traj, spec, SIGMA, G, mu, traj.times[0], traj.times[-1])
+    rep = hj.duality_report(traj, spec, SIGMA, G, mu)
     loaded = json.loads(json_text(rep))
     assert set(loaded) == {"s", "tau", "gap", "gradient_term", "source_term", "residual"}
     assert loaded["residual"] == rep.residual

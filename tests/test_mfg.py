@@ -155,6 +155,18 @@ def test_picard_validates_inputs(coupling15):
         mfg.mfg_picard(u_T, bad, c, SIGMA, 0.1, G)
 
 
+def test_picard_refuses_a_density_not_stamped_zero():
+    # every solve runs over [0, T]: a density stamped 0.05 would be carried
+    # on stamps 0.05..0.1 and paired with value snapshots of other times
+    gs = box(11)
+    c = mfg.CouplingSpec(mollifier=MollifierSpec.build(1.3, gs, G), gain=1.0)
+    u_T = grid.bump_field(gs, G, radius=1.2)
+    rho0 = grid.bump_field(gs, G, radius=1.0, normalize=True)
+    late = grid.Field(gs, rho0.values, 0.05)
+    with pytest.raises(ValueError, match="stamped"):
+        mfg.mfg_picard(u_T, late, c, SIGMA, 0.1, G)
+
+
 def test_picard_headline_converges(headline):
     st = headline
     assert st.converged
@@ -277,7 +289,7 @@ def theta_picard(u_T, rho0, c, t_end, theta, max_iters=50):
     for sweep in range(1, max_iters + 1):
         rho = hj.feedback_transport(u, rho0, SIGMA, 2.0, G, t_end)
         cand, _, _ = mfg._backward_value(rho, u_T, c, SIGMA, 2.0, G, t_end)
-        u_next = grid.Trajectory(u.times, tuple(
+        u_next = grid.Trajectory(tuple(
             grid.Field(a.grid, (1.0 - theta) * a.values + theta * b.values, a.t)
             for a, b in zip(u.fields, cand.fields)))
         res_u = mfg._traj_sup_distance(u_next, u)
@@ -384,5 +396,5 @@ def test_paired_runs_sample_drift_and_source_at_their_keys(monkeypatch):
     spec = hj.HamiltonianSpec(u0=grid.bump_field(gs, G, radius=1.2))
     traj = hj.hj_solve(spec, SIGMA, 0.3, G)
     mu = grid.bump_field(gs, G, radius=1.0, normalize=True)
-    hj.duality_report(traj, spec, SIGMA, G, mu, traj.times[0], traj.times[-1])
+    hj.duality_report(traj, spec, SIGMA, G, mu)
     assert len(lookups) == 38 and all(lookups)
