@@ -175,7 +175,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "slope_hi": ("-0.35", _as_float, "upper edge of the decay exponent window", "heat"),
         "fixed_point": ("1e-6", _as_pos_float, "mild fixed-point residual budget", "hj"),
         "tol_u": ("1e-5", _as_pos_float, "value-function residual target", "mfg"),
-        "tol_rho": ("1e-4", _as_pos_float, "certified flat-distance target", "mfg"),
+        "tol_rho": ("1e-4", _as_pos_float, "density L1-change target (bounds d0)", "mfg"),
         "max_iters": ("50", _as_int_min(1), "sweep budget for the fixed point", "mfg"),
         "metric": ("1e-6", _as_pos_float, "closed-form and axiom budget", "metric"),
     },

@@ -278,7 +278,11 @@ def flat_distance(
     if n == 0 or np.abs(delta).max() == 0.0:
         return FlatMetricResult(0.0, "trivial", 0.0, np.zeros(0), points, 0)
 
-    c = np.concatenate([-delta, [0.0, 0.0]])
+    # d0 is positively homogeneous in mu - nu, so the LP runs on the unit-mass
+    # difference: costs of a small mass would fall under HiGHS' dual
+    # feasibility tolerance and leave the slack basis (the value sum(delta)) optimal
+    mass = float(np.abs(delta).sum())
+    c = np.concatenate([-delta / mass, [0.0, 0.0]])
     bounds = [(-1.0, 1.0)] * n + [(0.0, 1.0), (0.0, 1.0)]
 
     # static rows: f_i - alpha <= 0, -f_i - alpha <= 0, alpha + beta <= 1
@@ -321,7 +325,7 @@ def flat_distance(
             return FlatMetricResult(float("nan"), f"lp-error:{res.message}", math.inf, np.zeros(0), points, rounds)
         f = res.x[:n]
         beta = res.x[n + 1]
-        value = -res.fun
+        value = -res.fun * mass
         gap, worst = _pair_scan(points, f, beta, group, kept)
         if gap <= _LP_TOL:
             status = "optimal"

@@ -41,11 +41,11 @@ reads the entry of its own time.
 Residual bookkeeping: the u-residual is theta times the sup-norm gap
 between the best response and the current iterate, the change one plain
 damped sweep would make there (the secant step's own length is not what
-stops a run); the rho-residual is tracked through the L1 mass of the
-change, which dominates the flat distance (test functions are bounded
-by 1), so stopping on it is conservative.  At convergence the actual
-flat distances are certified with the LP metric on a ladder of
-snapshot times and recorded next to the bound that stopped the run.
+stops a run); the rho-residual is the largest L1 mass of the change over
+the snapshots.  The L1 distance bounds the flat distance d0 from above,
+because every test function of d0 has |f| <= 1, so stopping on it is
+conservative.  At convergence the L1 distances at the middle and final
+snapshots are recorded as the certified bounds on d0.
 
 Non-convergence is an expected outcome for long horizons; the verdict
 then reads "no fixed point found at this T" and the whole residual
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flat_metric import DiscreteMeasure, MollifierSpec, flat_distance, mollify
+from .flat_metric import MollifierSpec, mollify
 from .fokker_planck import DriftField, SourceTerm, fp_solve
 from .grid import Field, Trajectory, step_count
 from .groups import GroupSpec
@@ -189,30 +189,20 @@ def _traj_sup_distance(a: Trajectory, b: Trajectory) -> float:
     )
 
 
+def _l1_distance(a: Field, b: Field) -> float:
+    return float(np.abs(a.values - b.values).sum()) * a.grid.cell_volume
+
+
 def _traj_l1_distance(a: Trajectory, b: Trajectory) -> float:
-    cell = a.fields[0].grid.cell_volume
-    return max(
-        float(np.abs(fa.values - fb.values).sum()) * cell for fa, fb in zip(a.fields, b.fields)
-    )
+    return max(_l1_distance(fa, fb) for fa, fb in zip(a.fields, b.fields))
 
 
-def _certify_d0(
-    prev: Trajectory,
-    cur: Trajectory,
-    group: GroupSpec,
-) -> tuple[tuple[float, float], ...]:
-    """Flat distances at the middle and final snapshots, on the coarsen-2 lattice."""
+def _certify_d0(cur: Trajectory, prev: Trajectory) -> tuple[tuple[float, float], ...]:
+    """(t, L1 distance) at the middle and final snapshots: each bounds the flat
+    distance d0 there from above, since every test function of d0 has |f| <= 1."""
     n = len(cur) - 1
-    picks = sorted({n // 2, n})
-    out = []
-    for k in picks:
-        mu = DiscreteMeasure.from_field(prev.fields[k], coarsen=2)
-        nu = DiscreteMeasure.from_field(cur.fields[k], coarsen=2)
-        res = flat_distance(mu, nu, group)
-        if not res.ok:
-            raise RuntimeError(f"flat-distance certification failed: {res.status}")
-        out.append((float(cur.times[k]), res.value))
-    return tuple(out)
+    return tuple((float(cur.fields[k].t), _l1_distance(cur.fields[k], prev.fields[k]))
+                 for k in sorted({n // 2, n}))
 
 
 def _secant_step(x: np.ndarray, r: np.ndarray, prev: tuple[np.ndarray, np.ndarray] | None,
@@ -261,8 +251,10 @@ def mfg_picard(
     dr = 0, takes the plain damped step x_k + theta r_k (theta = 1 is the
     undamped iteration).  Stopping needs both residuals below tolerance:
     theta sup |r_k|, the sup change of u under one plain damped sweep, and
-    the L1 bound on the flat change of rho; the latter is then certified
-    with the LP metric on the coarsen-2 lattice.
+    the largest L1 change of rho over the snapshots.  The L1 change bounds
+    the flat change d0 from above, because every test function of d0 has
+    |f| <= 1; a converged run reports it at the middle and final snapshots
+    as ``d0_certified``.
 
     The step count n is chosen once, by ``picard_steps``, and every
     solve of the run takes n steps over [0, t_end], so rho0 must be
@@ -324,16 +316,12 @@ def mfg_picard(
             rho_prev = rho_cur
     except (CFLViolation, DivergenceError) as exc:
         note = f"solver stopped: {exc}"
-    prev = r = None  # free the secant history before the LP, the run's memory peak
     if rho_cur is None:
         # nothing completed; report the seed pair so the state is usable
         rho_cur = fp_solve(rho0, DriftField.none(), sigma, span, group, steps=n, store_every=1)
-    if verdict == "converged" and len(res_rho) >= 2:
-        prev_for_cert = rho_prev if rho_prev is not None else rho_cur
-        certified = _certify_d0(prev_for_cert, rho_cur, group)
-        if any(v > tol_rho for _, v in certified):
-            verdict = "no fixed point found at this T"
-            note = "certified flat distance exceeded tolerance"
+    if verdict == "converged" and rho_prev is not None:
+        # the L1 changes that stopped the run bound d0, so each is at most tol_rho
+        certified = _certify_d0(rho_cur, rho_prev)
     return MFGState(
         u_traj=u_cur,
         rho_traj=rho_cur,

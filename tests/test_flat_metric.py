@@ -380,8 +380,6 @@ def test_oriented_lp_matches_the_dense_two_row_lp():
         assert abs(res.value - _dense_two_row_lp(mu, nu, G)) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="the LP's costs fall under HiGHS' dual feasibility "
-                                       "tolerance on measures of small mass (ROADMAP item 16)")
 def test_flat_distance_scales_with_the_measures():
     mu, nu = _random_pair(np.random.default_rng(2))
     base = flat_distance(mu, nu, G).value

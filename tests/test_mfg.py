@@ -191,8 +191,29 @@ def test_picard_headline_certifies_flat_distance(headline):
     for t, v in st.d0_certified:
         assert 0 <= v <= 1e-4
         assert 0 <= t <= 0.1 + 1e-12
-    # the LP value can only sharpen the L1 stopping bound
+    # each value is the L1 change at one snapshot, so it is at most the
+    # largest over the snapshots, the change that stopped the run
     assert max(v for _, v in st.d0_certified) <= st.residuals_rho[-1]
+
+
+def test_picard_headline_certified_values_bound_the_flat_distance(headline, coupling21):
+    st = headline
+    gs, c = coupling21
+    # the same run stopped one sweep earlier holds the previous density iterate
+    before = mfg.mfg_picard(st.u_terminal, st.rho_initial, c, SIGMA, 0.1, G,
+                            max_iters=st.iterations - 1)
+    assert not before.converged and before.iterations == st.iterations - 1
+    stamps = st.rho_traj.times
+    for t, v in st.d0_certified:
+        k = stamps.index(t)
+        cur, prev = st.rho_traj.fields[k], before.rho_traj.fields[k]
+        assert v == pytest.approx(np.abs(cur.values - prev.values).sum() * gs.cell_volume,
+                                  rel=1e-12)
+        # every test function of d0 has |f| <= 1, so the L1 value bounds d0
+        res = flat_distance(DiscreteMeasure.from_field(prev, coarsen=2),
+                            DiscreteMeasure.from_field(cur, coarsen=2), G)
+        assert res.status == "optimal"
+        assert 0.0 < res.value <= v
 
 
 def test_picard_headline_report(headline):
