@@ -12,9 +12,9 @@ Subcommands:
   default.
 
 Each command imports what it runs: ``schema`` and the heat, fp, hj and
-duality kinds load numpy only, the mfg and metric kinds add scipy (through
-``flat_metric``) once selected, and ``verify`` adds scipy only for the
-suites that use it.
+duality kinds load numpy only, the mfg kind adds scipy.sparse (through
+``mollifier``) and the metric kind the LP stack (through ``flat_metric``)
+once selected, and ``verify`` adds scipy only for the suites that use it.
 
 Exit codes: 0 when every asserted invariant passes, 1 on invariant
 failure, 2 on solver non-convergence or a solver stop, 64 on a malformed
@@ -361,8 +361,8 @@ def _scenario_data(cfg: dict, group) -> dict:
         raise DatumError(f"amplitude = {d['amplitude']:g} takes the datum's mass past the "
                          "float range")
     if kind == "mfg":
-        from .flat_metric import MollifierSpec
         from .mfg import picard_steps
+        from .mollifier import MollifierSpec
 
         data["u_T"] = bump_field(grid, group, center=d["center"], radius=d["value_radius"])
         data["mollifier"] = MollifierSpec.build(dyn["eps"], grid, group)
@@ -700,9 +700,11 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
     kind = cfg["scenario"]["kind"]
     group = preset(cfg["scenario"]["group"])
     stem = os.path.splitext(os.path.basename(config_path))[0]
-    if kind in ("mfg", "metric"):
-        # the LP and mollifier kinds load flat_metric, and scipy, before any output exists
-        from . import flat_metric, mfg  # noqa: F401
+    # the coupled kind loads its solver, and the metric kind the LP, before any output exists
+    if kind == "mfg":
+        from . import mfg  # noqa: F401
+    elif kind == "metric":
+        from . import flat_metric  # noqa: F401
     try:
         data = _scenario_data(cfg, group)
     except ValueError as exc:

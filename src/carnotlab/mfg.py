@@ -17,11 +17,12 @@ monotone: on heisenberg1's default box its least eigenvalue is -0.119 at
 So the Lasry-Lions uniqueness argument does not cover this coupling, and
 the ``mfg`` suite's ``damping_family_limit_gap`` is the only evidence
 that the limit does not depend on the iteration.
-The mollifier is a sparse operator assembled from the group law as CSR
-row blocks, memoized on its MollifierSpec on the first coupling
-evaluation while it fits the size budget and rebuilt on every
+The mollifier (``mollifier``) is a sparse operator assembled from the
+group law as CSR row blocks, memoized on its MollifierSpec on the first
+coupling evaluation while it fits the size budget and rebuilt on every
 evaluation above it; each backward solve smooths all n+1 density
-snapshots with one product per row block.
+snapshots with one product per row block.  It needs scipy.sparse only,
+so a coupled run loads no LP solver.
 
 ``mfg_picard`` runs the damped best-response iteration: given u, push
 rho0 forward with its feedback drift (``hamilton_jacobi.feedback_transport``,
@@ -61,7 +62,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flat_metric import MollifierSpec, mollify
 from .fokker_planck import DriftField, SourceTerm, fp_solve
 from .grid import Field, Trajectory, step_count
 from .groups import GroupSpec
@@ -75,6 +75,7 @@ from .hamilton_jacobi import (
     hj_solve,
     sup_bounds_report,
 )
+from .mollifier import MollifierSpec, mollify
 
 
 # The Picard step is fixed once, from the bound at the terminal data, yet
@@ -89,10 +90,19 @@ PICARD_CFL_SAFETY = 0.4
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Mollifier-based density coupling with a scalar gain."""
+    """Mollifier-based density coupling with a scalar gain.
+
+    Raises ValueError on a negative or non-finite gain: the Picard step
+    (``PICARD_CFL_SAFETY``) keeps later sweeps stable only for a gain
+    >= 0, and at gain -16 a T = 2 run on a 15^3 box stops mid-sweep on it.
+    """
 
     mollifier: MollifierSpec
     gain: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.gain) and self.gain >= 0.0):
+            raise ValueError(f"coupling gain must be finite and >= 0, got {self.gain!r}")
 
 
 def coupling_eval(rho: Field, c: CouplingSpec, group: GroupSpec) -> Field:

@@ -478,7 +478,7 @@ def hamilton_jacobi_suite() -> Rows:
 def mfg_suite() -> Rows:
     """Headline coupled run plus damping stability, symmetry, long horizon."""
     from . import mfg
-    from .flat_metric import MollifierSpec
+    from .mollifier import MollifierSpec
 
     gs21 = default_grid(nodes=21)
     c21 = mfg.CouplingSpec(mollifier=MollifierSpec.build(0.8, gs21, G), gain=1.0)

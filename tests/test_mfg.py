@@ -8,7 +8,8 @@ import pytest
 
 from carnotlab import cli, fokker_planck, grid, groups, mfg, vfields
 from carnotlab import hamilton_jacobi as hj
-from carnotlab.flat_metric import DiscreteMeasure, MollifierSpec, flat_distance
+from carnotlab.flat_metric import DiscreteMeasure, flat_distance
+from carnotlab.mollifier import MollifierSpec
 from carnotlab.report import json_text
 from conftest import kernel_field
 
@@ -67,6 +68,14 @@ def test_coupling_gain_scales_linearly(coupling21):
     base = mfg.coupling_eval(rho, c, G)
     scaled = mfg.coupling_eval(rho, mfg.CouplingSpec(mollifier=c.mollifier, gain=2.5), G)
     assert np.allclose(scaled.values, 2.5 * base.values, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("gain", [-16.0, -1e-300, math.inf, math.nan])
+def test_coupling_refuses_a_negative_or_non_finite_gain(coupling15, gain):
+    # at gain -16 a T = 2 run on this data outruns its Picard step in the
+    # seventh sweep; the schema already refuses such a gain
+    with pytest.raises(ValueError, match="gain"):
+        mfg.CouplingSpec(mollifier=coupling15[1].mollifier, gain=gain)
 
 
 def test_coupling_dirac_is_extremal(coupling21):

@@ -497,9 +497,9 @@ def test_a_frozen_spec_hashes_once_and_pickles_without_its_hash(spec):
     assert fresh == spec and hash(fresh) == hash(spec)
 
 
-def _loaded_libraries(code: str) -> set[str]:
-    """Which of scipy and sympy a fresh interpreter holds after running code."""
-    code += "\nimport sys\nprint(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))\n"
+def _loaded_libraries(code: str, names=("scipy", "sympy")) -> set[str]:
+    """Which of the modules names a fresh interpreter holds after running code."""
+    code += f"\nimport sys\nprint(sorted(set(sys.modules) & {set(names)!r}))\n"
     src = os.path.dirname(os.path.dirname(os.path.abspath(carnotlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -541,3 +541,13 @@ def test_stepping_modules_import_no_scipy():
             if any(m.split(".")[0] == "sympy" for m in mods):
                 importers.add(name)
     assert importers == set()
+
+
+def test_the_coupled_kind_loads_no_lp_stack(tmp_path):
+    # the coupled run smooths through scipy.sparse but solves no LP
+    cfg = tmp_path / "tiny_mfg.cfg"
+    cfg.write_text("[scenario]\nkind = mfg\n\n[grid]\nnodes = 11\n\n"
+                   "[dynamics]\neps = 1.3\nt_end = 0.02\n")
+    run = (f"import carnotlab.mfg\nfrom carnotlab import cli\n"
+           f"assert cli.main(['run', {str(cfg)!r}, '--output-dir', {str(tmp_path / 'runs')!r}]) == 0")
+    assert _loaded_libraries(run, ("scipy.optimize", "scipy.spatial")) == set()
