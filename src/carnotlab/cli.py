@@ -6,10 +6,13 @@ Subcommands:
   mfg, metric).  Each run writes its artifacts under a fresh
   timestamped directory: CSV field dumps, JSON reports, a plain-text
   summary, and a manifest listing every file with its hash.
-* ``verify <suite>``: run one named verification suite (or ``all``)
-  and report pass/fail per check.
+* ``verify <suite>``: run one named verification suite (or ``all``, in
+  ``verify.SUITES`` order) and report pass/fail per check.
 * ``schema``: print the config reference with every key, type, and
   default.
+
+``--jobs N`` runs the configs, or the suites, in at most N worker
+processes, one to a process, with the same output as in one process.
 
 Each command imports what it runs: ``schema`` and the heat, fp, hj and
 duality kinds load numpy only, the mfg kind adds scipy.sparse (through
@@ -33,6 +36,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -130,58 +134,59 @@ def _as_floats(n: int):
     return cast
 
 
-# every scenario kind runs on a cubic grid of this dimension
+# the scenario kinds; every one runs on a cubic grid of dimension GRID_DIM
+KINDS = ("heat", "fp", "hj", "duality", "mfg", "metric")
 GRID_DIM = 3
 
 # (default string, caster, help text, kinds that read the key)
 SCHEMA: dict[str, dict[str, tuple]] = {
     "scenario": {
-        "kind": ("heat", _as_choice("heat", "fp", "hj", "duality", "mfg", "metric"),
-                 "which solver family to run", "all"),
+        "kind": ("heat", _as_choice(*KINDS), "which solver family to run", KINDS),
         "group": ("heisenberg1", _as_choice("heisenberg1", "engel"),
-                  f"group preset; its dimension must be the grid's, {GRID_DIM}", "all"),
+                  f"group preset; its dimension must be the grid's, {GRID_DIM}", KINDS),
     },
     "grid": {
-        "extent": ("2.0", _as_pos_float, "half-width of the cubic box", "all"),
-        "nodes": ("21", _as_int_min(5), "grid nodes per axis", "all"),
+        "extent": ("2.0", _as_pos_float, "half-width of the cubic box", KINDS),
+        "nodes": ("21", _as_int_min(5), "grid nodes per axis", KINDS),
     },
     "dynamics": {
-        "sigma": ("0.25", _as_pos_float, "diffusion strength", "all"),
-        "t_end": ("0.1", _as_pos_float, "time horizon", "all"),
-        "gamma": ("2.0", _as_gamma, "gradient power of the Hamiltonian", "hj, duality, mfg"),
+        "sigma": ("0.25", _as_pos_float, "diffusion strength", KINDS),
+        "t_end": ("0.1", _as_pos_float, "time horizon", KINDS),
+        "gamma": ("2.0", _as_gamma, "gradient power of the Hamiltonian",
+                  ("hj", "duality", "mfg")),
         "theta": ("0.5", _as_theta, "mixing weight of the fixed-point sweep, which then "
-                  "takes one secant step through the previous sweep", "mfg"),
-        "gain": ("1.0", _as_nonneg_float, "coupling gain on the mollified density", "mfg"),
-        "eps": ("0.8", _as_pos_float, "mollifier width", "mfg"),
-        "drift": ("0.0 0.0", _as_floats(2), "constant horizontal drift coefficients", "fp"),
+                  "takes one secant step through the previous sweep", ("mfg",)),
+        "gain": ("1.0", _as_nonneg_float, "coupling gain on the mollified density", ("mfg",)),
+        "eps": ("0.8", _as_pos_float, "mollifier width", ("mfg",)),
+        "drift": ("0.0 0.0", _as_floats(2), "constant horizontal drift coefficients", ("fp",)),
     },
     "data": {
-        "preset": ("bump", _as_choice("bump", "indicator"), "initial datum shape", "all"),
-        "radius": ("1.0", _as_pos_float, "datum radius in the homogeneous gauge", "all"),
-        "center": ("0.0 0.0 0.0", _as_floats(GRID_DIM), "datum center", "all"),
+        "preset": ("bump", _as_choice("bump", "indicator"), "initial datum shape", KINDS),
+        "radius": ("1.0", _as_pos_float, "datum radius in the homogeneous gauge", KINDS),
+        "center": ("0.0 0.0 0.0", _as_floats(GRID_DIM), "datum center", KINDS),
         "amplitude": ("1.0", _as_pos_float, "datum peak value (normalization divides it out)",
-                      "heat, hj, duality; fp when normalize = false"),
+                      ("heat", "fp", "hj", "duality")),
         "normalize": ("true", _as_bool, "rescale the datum to unit mass (mfg and metric always "
-                      "do, heat, hj and duality never)", "fp"),
-        "value_radius": ("1.2", _as_pos_float, "terminal value bump radius", "mfg"),
-        "mu_radius": ("1.0", _as_pos_float, "adjoint density bump radius", "duality"),
+                      "do, heat, hj and duality never)", ("fp",)),
+        "value_radius": ("1.2", _as_pos_float, "terminal value bump radius", ("mfg",)),
+        "mu_radius": ("1.0", _as_pos_float, "adjoint density bump radius", ("duality",)),
     },
     "tolerances": {
-        "mass": ("1e-8", _as_pos_float, "mass conservation budget", "fp"),
-        "sup": ("1e-3", _as_pos_float, "relative sup-norm excess budget", "heat, fp"),
+        "mass": ("1e-8", _as_pos_float, "mass conservation budget", ("fp",)),
+        "sup": ("1e-3", _as_pos_float, "relative sup-norm excess budget", ("heat", "fp")),
         "floor": ("1e-3", _as_pos_float,
-                  "negativity floor relative to the initial peak", "fp"),
-        "slope_lo": ("-0.65", _as_float, "lower edge of the decay exponent window", "heat"),
-        "slope_hi": ("-0.35", _as_float, "upper edge of the decay exponent window", "heat"),
-        "fixed_point": ("1e-6", _as_pos_float, "mild fixed-point residual budget", "hj"),
-        "tol_u": ("1e-5", _as_pos_float, "value-function residual target", "mfg"),
-        "tol_rho": ("1e-4", _as_pos_float, "density L1-change target (bounds d0)", "mfg"),
-        "max_iters": ("50", _as_int_min(1), "sweep budget for the fixed point", "mfg"),
-        "metric": ("1e-6", _as_pos_float, "closed-form and axiom budget", "metric"),
+                  "negativity floor relative to the initial peak", ("fp",)),
+        "slope_lo": ("-0.65", _as_float, "lower edge of the decay exponent window", ("heat",)),
+        "slope_hi": ("-0.35", _as_float, "upper edge of the decay exponent window", ("heat",)),
+        "fixed_point": ("1e-6", _as_pos_float, "mild fixed-point residual budget", ("hj",)),
+        "tol_u": ("1e-5", _as_pos_float, "value-function residual target", ("mfg",)),
+        "tol_rho": ("1e-4", _as_pos_float, "density L1-change target (bounds d0)", ("mfg",)),
+        "max_iters": ("50", _as_int_min(1), "sweep budget for the fixed point", ("mfg",)),
+        "metric": ("1e-6", _as_pos_float, "closed-form and axiom budget", ("metric",)),
     },
     "run": {
-        "seed": ("0", _as_int_min(0), "seed for any sampled check", "metric"),
-        "store_every": ("1", _as_int_min(1), "keep every k-th snapshot", "fp, hj"),
+        "seed": ("0", _as_int_min(0), "seed for any sampled check", ("metric",)),
+        "store_every": ("1", _as_int_min(1), "keep every k-th snapshot", ("fp", "hj")),
     },
 }
 
@@ -202,7 +207,8 @@ def schema_text() -> str:
             doc = getattr(cast, "doc", None)
             typed = f" ({doc})" if doc else ""
             lines.append(f"{key} = {default}")
-            lines.append(f"    {help_text}{typed}; read by: {used}")
+            readers = "all" if used == KINDS else ", ".join(used)
+            lines.append(f"    {help_text}{typed}; read by: {readers}")
         lines.append("")
     return "\n".join(lines)
 
@@ -235,7 +241,8 @@ def load_config(path: str) -> tuple[dict, list[str]]:
     Returns the effective settings (defaults plus overrides, fully
     typed) and a list of diagnostics; a non-empty list means the file
     is rejected.  Diagnostics carry file and line so a user can jump
-    straight to the offending entry.
+    straight to the offending entry.  A key its kind does not read
+    (SCHEMA's last column) is rejected unless it holds its default.
     """
     import configparser
 
@@ -291,6 +298,14 @@ def load_config(path: str) -> tuple[dict, list[str]]:
                 lineno = _line_of(text, section, key)
                 errors.append(f"{path}:{lineno}: [{section}] {key}: {exc}")
 
+    kind = effective["scenario"]["kind"]
+    for section in [] if errors else parser.sections():
+        for key in parser[section]:
+            default, cast, _, used = SCHEMA[section][key]
+            if kind not in used and effective[section][key] != cast(default):
+                errors.append(f"{path}:{_line_of(text, section, key)}: [{section}] {key}: "
+                              f"kind {kind} does not read it; drop it or set it to {default}")
+
     if not errors and effective["tolerances"]["slope_lo"] >= effective["tolerances"]["slope_hi"]:
         lineno = _line_of(text, "tolerances", "slope_lo")
         errors.append(f"{path}:{lineno}: [tolerances] slope_lo must be below slope_hi")
@@ -300,7 +315,7 @@ def load_config(path: str) -> tuple[dict, list[str]]:
         lineno = _line_of(text, "scenario", "group")
         errors.append(
             f"{path}:{lineno}: [scenario] group: {group} has dimension {dim}, "
-            f"but kind {effective['scenario']['kind']} runs on a {GRID_DIM}-d grid"
+            f"but kind {kind} runs on a {GRID_DIM}-d grid"
         )
     return effective, errors
 
@@ -741,6 +756,15 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
     return code, outdir, summary
 
 
+def _map_jobs(fn, items: list, jobs: int) -> list:
+    """[fn(x) for x in items], run in min(jobs, len(items)) worker processes when that exceeds 1."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _cmd_run(args) -> int:
     parent = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "runs"
     paths = []
@@ -752,18 +776,11 @@ def _cmd_run(args) -> int:
             return EXIT_CONFIG
         paths.append(resolved)
 
-    # --jobs parallelizes across independent scenarios only; a single
-    # config always runs in-process
-    if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
-            results = list(pool.map(execute_run, paths,
-                                    [parent] * len(paths),
-                                    [args.seed] * len(paths)))
-    else:
-        results = [execute_run(p, parent, args.seed) for p in paths]
+    results = _map_jobs(partial(execute_run, parent_dir=parent, seed_override=args.seed),
+                        paths, args.jobs)
 
     worst = EXIT_OK
-    for (code, outdir, summary), path in zip(results, paths):
+    for code, outdir, summary in results:
         stream = sys.stderr if code == EXIT_CONFIG else sys.stdout
         print(summary, file=stream)
         if outdir:
@@ -777,7 +794,7 @@ def _cmd_verify(args) -> int:
 
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     try:
-        results = [verify.run_suite(n, jobs=args.jobs) for n in names]
+        results = _map_jobs(verify.run_suite, names, args.jobs)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
@@ -785,8 +802,8 @@ def _cmd_verify(args) -> int:
     for res in results:
         print("\n".join(res.summary_lines()))
 
-    if args.output_dir or os.environ.get(OUTPUT_DIR_ENV):
-        parent = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
+    parent = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
+    if parent:
         # serialize first: a report that cannot be written leaves no directory
         texts = {f"suite_{res.suite}.json": json_text(res.to_json_dict()) for res in results}
         outdir = _unique_outdir(parent, "verify-" + args.suite)
@@ -819,8 +836,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run scenario configs")
     p_run.add_argument("configs", nargs="+", metavar="config",
                        help="config file path or bundled config name")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers across independent scenarios")
+    p_run.add_argument("--jobs", type=_as_int_min(1), default=1,
+                       help="worker processes across the scenarios, at most one per config")
     p_run.add_argument("--output-dir", default=None,
                        help=f"parent for output directories (or ${OUTPUT_DIR_ENV}; "
                             "default ./runs)")
@@ -829,9 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", help="suite name, or 'all'")
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes of the particle_oracle suite; "
-                               "the other suites run in one process")
+    p_verify.add_argument("--jobs", type=_as_int_min(1), default=1,
+                          help="worker processes across the suites, at most one per suite")
     p_verify.add_argument("--output-dir", default=None,
                           help="also write suite reports under this directory")
 

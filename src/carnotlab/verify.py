@@ -273,42 +273,24 @@ def uniqueness_barrier_suite() -> Rows:
 # 6. stochastic particle cross-check
 # ---------------------------------------------------------------------------
 
-def _particle_case(tag: str, b: tuple[float, float] | None, jobs: int) -> tuple[str, float]:
-    """Flat distance between the particle law and the grid solution."""
+def particle_oracle_suite() -> Rows:
+    """Flat distance between the particle law and the grid solution at T=0.5,
+    diffusion alone and with drift."""
     from .flat_metric import DiscreteMeasure, flat_distance
 
     grid = default_grid(nodes=21)
     rho0 = bump_field(grid, G, radius=0.8, normalize=True)
-    drift = fp.DriftField.none() if b is None else fp.DriftField.constant(b)
-    pde = fp.fp_solve(rho0, drift, SIGMA, 0.5, G, store_every=0).final
-    emp = fp.particle_oracle(rho0, drift, SIGMA, 0.5, G,
-                             n_particles=100_000, seed=424242, jobs=jobs)
-    mu = DiscreteMeasure.from_field(emp, coarsen=2)
-    nu = DiscreteMeasure.from_field(pde, coarsen=2)
-    res = flat_distance(mu, nu, G)
-    if not res.ok:
-        raise RuntimeError(f"flat distance failed: {res.status}")
-    return tag, res.value
-
-
-def particle_oracle_suite(*, jobs: int) -> Rows:
-    """Empirical law vs grid solution at T=0.5, diffusion alone and with drift."""
-    cases = [("zero_drift", None), ("constant_drift", (0.2, 0.1))]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            futs = [pool.submit(_particle_case, tag, b, max(1, jobs // 2))
-                    for tag, b in cases]
-            results = [f.result() for f in futs]
-    else:
-        results = [_particle_case(tag, b, 1) for tag, b in cases]
-
-    checks = tuple(
-        Check(f"particle_vs_grid_d0_{tag}", val, "<= 0.05", val <= 0.05)
-        for tag, val in results
-    )
-    return checks, ()
+    checks = []
+    for tag, drift in (("zero_drift", fp.DriftField.none()),
+                       ("constant_drift", fp.DriftField.constant((0.2, 0.1)))):
+        pde = fp.fp_solve(rho0, drift, SIGMA, 0.5, G, store_every=0).final
+        emp = fp.particle_oracle(rho0, drift, SIGMA, 0.5, G, n_particles=100_000, seed=424242)
+        res = flat_distance(DiscreteMeasure.from_field(emp, coarsen=2),
+                            DiscreteMeasure.from_field(pde, coarsen=2), G)
+        if not res.ok:
+            raise RuntimeError(f"flat distance failed: {res.status}")
+        checks.append(Check(f"particle_vs_grid_d0_{tag}", res.value, "<= 0.05", res.value <= 0.05))
+    return tuple(checks), ()
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +580,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, *, jobs: int = 1) -> SuiteResult:
-    """Run and time one suite; jobs sets the workers of particle_oracle, the one suite that forks."""
+def run_suite(name: str) -> SuiteResult:
+    """Run and time one suite in this process; ``verify --jobs`` calls it in worker processes."""
     if name not in SUITES:
         known = ", ".join(SUITES)
         raise ValueError(f"unknown suite {name!r}; expected one of: {known}")
     t0 = time.perf_counter()
-    checks, notes = SUITES[name](jobs=jobs) if name == "particle_oracle" else SUITES[name]()
+    checks, notes = SUITES[name]()
     return SuiteResult(name, checks, time.perf_counter() - t0, notes)

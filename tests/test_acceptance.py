@@ -29,7 +29,7 @@ CRITERIA = [
     ids=[f"criterion_{n:02d}_{s}" for n, s in CRITERIA],
 )
 def test_acceptance(number, name):
-    result = verify.run_suite(name, jobs=2)
+    result = verify.run_suite(name)
     print()
     for line in result.summary_lines():
         print(line)

@@ -319,3 +319,73 @@ def test_schema_lists_every_section_and_default(capsys):
         assert f"[{section}]" in lines
         for key, (default, *_) in keys.items():
             assert f"{key} = {default}" in lines
+
+
+def test_key_its_kind_does_not_read_is_rejected_before_any_output(tmp_path, capsys):
+    # none of the four keys has any effect on a heat run
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text("[scenario]\nkind = heat\n\n[grid]\nnodes = 21\n\n"
+                   "[dynamics]\nt_end = 0.2\ngamma = 7\neps = 0.01\ndrift = 5 5\n\n"
+                   "[tolerances]\ntol_u = 1e-30\n")
+    runs = tmp_path / "runs"
+    code = cli.main(["run", str(cfg), "--output-dir", str(runs)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    for line, section, key in ((9, "dynamics", "gamma"), (10, "dynamics", "eps"),
+                               (11, "dynamics", "drift"), (14, "tolerances", "tol_u")):
+        assert f"unread.cfg:{line}: [{section}] {key}: kind heat does not read it" in err
+    assert not runs.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(cli.RUNNERS))
+def test_every_key_written_at_its_default_validates(kind, tmp_path):
+    # a config written out in full, as perfbench's worker writes one, is accepted
+    lines = []
+    for section, keys in cli.SCHEMA.items():
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {kind if key == 'kind' else default}"
+                     for key, (default, *_) in keys.items())
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    effective, errors = cli.load_config(str(cfg))
+    assert errors == []
+    assert effective["scenario"]["kind"] == kind
+
+
+@pytest.mark.parametrize("command", [["run", "heat_decay", "fp_baseline"], ["verify", "all"]])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error_before_any_process(command, jobs, tmp_path, monkeypatch,
+                                                            serial_pool, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool)
+    runs = tmp_path / "runs"
+    with pytest.raises(SystemExit) as stop:
+        cli.main(command + ["--jobs", jobs, "--output-dir", str(runs)])
+    assert stop.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "argument --jobs" in err and f"'{jobs}'" in err and "Traceback" not in err
+    assert serial_pool.sizes == [] and not runs.exists()
+
+
+def test_verify_spreads_the_suites_over_one_pool_in_registry_order(tmp_path, monkeypatch,
+                                                                  serial_pool, capsys):
+    def fake(value):
+        return lambda: ((verify.Check("value", value, "<= 3", value <= 3),), ())
+
+    monkeypatch.setattr(verify, "SUITES", {"c": fake(1.0), "a": fake(2.0), "b": fake(3.0)})
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool)
+    runs = tmp_path / "runs"
+    assert cli.main(["verify", "all", "--jobs", "8", "--output-dir", str(runs)]) == cli.EXIT_OK
+    assert serial_pool.sizes == [3]
+    heads = [line for line in capsys.readouterr().out.splitlines() if ": PASS (" in line]
+    assert [head.split(":")[0] for head in heads] == ["c", "a", "b"]
+    (outdir,) = runs.iterdir()
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["suites"] == ["c", "a", "b"]
+    assert sorted(manifest["artifacts"]) == ["suite_a.json", "suite_b.json", "suite_c.json"]
+    for name, value in zip("cab", (1.0, 2.0, 3.0)):
+        doc = json.loads((outdir / f"suite_{name}.json").read_text())
+        assert doc["suite"] == name and doc["checks"][0]["value"] == value
+
+    assert cli.main(["verify", "nosuch", "--jobs", "2"]) == cli.EXIT_CONFIG
+    assert "unknown suite 'nosuch'" in capsys.readouterr().err
+    assert serial_pool.sizes == [3]

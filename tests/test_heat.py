@@ -123,6 +123,54 @@ def test_comparison_principle_with_tolerance():
     assert np.all(g1.values <= g2.values + 1e-3 * f2.sup_norm())
 
 
+def _mehler_heat_h1(s: float, grid, w: float, v: float) -> np.ndarray:
+    """The exact heat flow e^{s lap_G} u0 on H^1 for u0 = exp(-|x|^2/w^2 - z^2/v^2).
+
+    The Fourier transform in z (frequency lam) turns X_1^2 + X_2^2 on
+    functions of |x| into the oscillator lap_x - (lam^2/4)|x|^2, which maps
+    the Gaussian c exp(-a|x|^2) to a Gaussian (Mehler's formula; Hulanicki,
+    Studia Math. 56, 1976; Gaveau, Acta Math. 139, 1977):
+
+        u = (1/pi) int_0^inf cos(lam z) F0(lam) y^-1 exp(-a|x|^2) dlam,
+        F0 = v sqrt(pi) exp(-lam^2 v^2/4),  y = cosh(lam s) + 4 a0 sinh(lam s)/lam,
+        a = (lam sinh(lam s) + 4 a0 cosh(lam s)) / (4 y),  a0 = 1/w^2,
+
+    taken by the trapezoid rule on 201 nodes of [0, 24].  The integrand
+    splits into a radial and a vertical factor, so one matrix product
+    evaluates every node.
+    """
+    lam = np.linspace(0.0, 24.0, 201)
+    weight = np.full(lam.size, lam[1] - lam[0])
+    weight[[0, -1]] /= 2
+    a0 = 1.0 / w**2
+    safe = np.where(lam > 0, lam, 1.0)
+    sinh_over_lam = np.where(lam > 0, np.sinh(lam * s) / safe, s)
+    y = np.cosh(lam * s) + 4 * a0 * sinh_over_lam
+    a = (lam * np.sinh(lam * s) + 4 * a0 * np.cosh(lam * s)) / (4 * y)
+    f0 = v * np.sqrt(np.pi) * np.exp(-(lam * v) ** 2 / 4)
+    xs, ys, zs = grid.axes()
+    r2 = (xs[:, None] ** 2 + ys[None, :] ** 2).reshape(-1, 1)
+    radial = weight * f0 / (np.pi * y) * np.exp(-a * r2)
+    return (radial @ np.cos(np.outer(lam, zs))).reshape(grid.shape)
+
+
+def test_heat_flow_matches_mehlers_formula_at_second_order():
+    # the Gaussian datum keeps face values near 7e-6 up to T, so the
+    # zero-flux box edge costs far less than the scheme's own error
+    sigma, t_end, w, v = 0.25, 0.1, 0.5, 0.5
+    errors = []
+    for nodes in (21, 41):
+        grid = default_grid(nodes=nodes)
+        x, y, z = node_coordinates(grid)
+        u0 = np.exp(-(x**2 + y**2) / w**2 - z**2 / v**2)
+        assert np.abs(_mehler_heat_h1(0.0, grid, w, v) - u0).max() <= 1e-14
+        got = evolve(Field(grid, u0), sigma, t_end, H1).values
+        errors.append(float(np.abs(got - _mehler_heat_h1(sigma * t_end, grid, w, v)).max()))
+    coarse, fine = errors
+    assert fine <= 3.5e-4, errors
+    assert coarse / fine >= 3.8, errors
+
+
 def test_gradient_decay_exponent_rough_data():
     grid = default_grid(nodes=41)
     rep = measure_gradient_decay(_indicator(grid), 0.25, 0.2, H1)
