@@ -14,6 +14,11 @@ Subcommands:
 ``--jobs N`` runs the configs, or the suites, in at most N worker
 processes, one to a process, with the same output as in one process.
 
+Each kind is one function of ``SCENARIOS``: it builds every input from
+the keys SCHEMA's last column names for it, and returns its stable step
+count and a ``run(outdir)`` closure that writes the artifacts and returns
+the ``RunOutcome``.  ``run --seed`` sets ``[run] seed`` only where read.
+
 Each command imports what it runs: ``schema`` and the heat, fp, hj and
 duality kinds load numpy only, the mfg kind adds scipy.sparse (through
 ``mollifier``) and the metric kind the LP stack (through ``flat_metric``)
@@ -35,6 +40,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from importlib import resources
@@ -45,8 +51,8 @@ from . import __version__
 from . import fokker_planck as fp
 from . import hamilton_jacobi as hj
 from . import heat
-from .grid import (CFL_SAFETY, CFLViolation, Field, GridSpec, bump_field, default_grid,
-                   dump_field_csv, max_stable_dt, node_points, step_count)
+from .grid import (CFL_SAFETY, CFLViolation, Field, bump_field, default_grid, dump_field_csv,
+                   max_stable_dt, node_points, step_count)
 from .groups import preset, quasi_distance
 from .report import Check, json_text, summary_rows
 
@@ -321,105 +327,26 @@ def load_config(path: str) -> tuple[dict, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# scenario data
+# scenarios: one function per kind builds its inputs and returns its runner
 # ---------------------------------------------------------------------------
-
-def _make_datum(cfg: dict, grid: GridSpec, group, *, normalize: bool | None = None) -> Field:
-    d = cfg["data"]
-    radius = d["radius"]
-    wants_norm = d["normalize"] if normalize is None else normalize
-    if d["preset"] == "bump":
-        return bump_field(grid, group, center=d["center"], radius=radius,
-                          normalize=wants_norm, amplitude=d["amplitude"])
-    c = np.asarray(d["center"], dtype=float)
-    inside = quasi_distance(group, c, node_points(grid)).reshape(grid.shape) < radius
-    if not inside.any():
-        raise ValueError("indicator datum has no mass inside the box")
-    vals = inside.astype(float) * d["amplitude"]
-    if wants_norm:
-        vals = vals / (vals.sum() * grid.cell_volume)
-    return Field(grid, vals)
-
 
 # The most stable steps a scenario may ask for.  The suites, bundled configs
 # and benchmark solves take at most 322, and a run past the cap would take
 # hours; the cap leaves room for a step bound of half today's.
 MAX_STEPS = 50_000
 
-# how each kind normalizes its datum: True, False, or None for [data] normalize
-_DATUM_NORMALIZE = {"heat": False, "fp": None, "hj": False, "duality": False,
-                    "mfg": True, "metric": True}
-
 
 class DatumError(ValueError):
     """A datum whose mass overflows; reported at the line of [data] amplitude."""
 
 
-def _scenario_data(cfg: dict, group) -> dict:
-    """Every input a scenario starts from, built before any output exists.
-
-    Raises ValueError when the data cannot be built on this grid, e.g. a
-    bump centred where it has no mass or an eps the lattice cannot resolve,
-    a datum whose mass (L1 norm) overflows (DatumError), a step bound that is not a
-    positive number, or a horizon of more than MAX_STEPS steps of the kind's
-    solver (counting the fp drift, the datum's feedback drift for hj and
-    duality, or ``mfg.picard_steps``).
-    """
-    kind = cfg["scenario"]["kind"]
-    grid = default_grid(cfg["grid"]["extent"], cfg["grid"]["nodes"], GRID_DIM)
-    data = {"grid": grid,
-            "datum": _make_datum(cfg, grid, group, normalize=_DATUM_NORMALIZE[kind])}
-    d, dyn = cfg["data"], cfg["dynamics"]
-    with np.errstate(over="ignore"):
-        mass = float(np.abs(data["datum"].values).sum()) * grid.cell_volume
-    if not math.isfinite(mass):
-        raise DatumError(f"amplitude = {d['amplitude']:g} takes the datum's mass past the "
-                         "float range")
-    if kind == "mfg":
-        from .mfg import picard_steps
-        from .mollifier import MollifierSpec
-
-        data["u_T"] = bump_field(grid, group, center=d["center"], radius=d["value_radius"])
-        data["mollifier"] = MollifierSpec.build(dyn["eps"], grid, group)
-    # an overflowing drift gives a NaN or zero bound, which step_count refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "mfg":
-            n = picard_steps(hj.HamiltonianSpec(u0=data["u_T"], gamma=dyn["gamma"]),
-                             dyn["sigma"], dyn["t_end"], group)
-        elif kind in ("hj", "duality"):
-            spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
-            n = step_count(dyn["t_end"],
-                           CFL_SAFETY * hj.hj_max_stable_dt(spec.u0, spec, dyn["sigma"], group))
-        else:
-            b = fp.DriftField.constant(dyn["drift"]).at(0.0) if kind == "fp" else None
-            n = step_count(dyn["t_end"], CFL_SAFETY * max_stable_dt(grid, group, dyn["sigma"], b))
-    if n > MAX_STEPS:
-        raise ValueError(f"t_end = {dyn['t_end']:g} asks for {n:.6g} stable steps on this grid; "
-                         f"at most {MAX_STEPS} run")
-    if kind == "duality":
-        data["mu"] = bump_field(grid, group, center=d["center"], radius=d["mu_radius"],
-                                normalize=True)
-    elif kind == "heat":
-        heat.decay_ladder(grid, group, dyn["sigma"], dyn["t_end"])
-    elif kind == "metric":
-        # the time-regularity fit needs two distinct gaps, so two density steps
-        if n < 2:
-            raise ValueError(f"t_end = {dyn['t_end']:g} spans {n} stable step at sigma = "
-                             f"{dyn['sigma']:g} on this grid; the time-regularity fit needs 2")
-    return data
-
-
-# ---------------------------------------------------------------------------
-# runners
-# ---------------------------------------------------------------------------
-
+@dataclass
 class RunOutcome:
     """Rows, notes, and the convergence flag of one scenario."""
 
-    def __init__(self) -> None:
-        self.checks: list[Check] = []
-        self.notes: list[str] = []
-        self.nonconverged = False
+    checks: list[Check] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    nonconverged: bool = False
 
     def add(self, name: str, value: float, budget: str, ok: bool) -> None:
         self.checks.append(Check(name, value, budget, ok))
@@ -439,208 +366,284 @@ def _write_json(outdir: str, name: str, payload) -> None:
         fh.write(json_text(payload))
 
 
-def _write_field(outdir: str, name: str, field: Field) -> None:
-    dump_field_csv(field, os.path.join(outdir, name))
+def _make_datum(cfg: dict, group, normalize: bool, amplitude: float = 1.0) -> Field:
+    """The [data] shape at this peak on the [grid] box, rescaled to unit mass
+    when normalize; DatumError when its mass (L1 norm) overflows."""
+    d = cfg["data"]
+    grid = default_grid(cfg["grid"]["extent"], cfg["grid"]["nodes"], GRID_DIM)
+    if d["preset"] == "bump":
+        datum = bump_field(grid, group, center=d["center"], radius=d["radius"],
+                           normalize=normalize, amplitude=amplitude)
+    else:
+        c = np.asarray(d["center"], dtype=float)
+        inside = quasi_distance(group, c, node_points(grid)).reshape(grid.shape) < d["radius"]
+        if not inside.any():
+            raise ValueError("indicator datum has no mass inside the box")
+        vals = inside.astype(float) * amplitude
+        if normalize:
+            vals = vals / (vals.sum() * grid.cell_volume)
+        datum = Field(grid, vals)
+    if not math.isfinite(float(np.abs(datum.values).sum()) * grid.cell_volume):
+        raise DatumError(f"amplitude = {amplitude:g} takes the datum's mass past the float range")
+    return datum
 
 
-def _run_heat(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _heat(cfg: dict, group):
     """Evolve the heat flow; assert non-expansion and the decay exponent."""
-    out = RunOutcome()
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
-    f0 = data["datum"]
+    f0 = _make_datum(cfg, group, False, cfg["data"]["amplitude"])
+    n, _ = heat.decay_ladder(f0.grid, group, dyn["sigma"], dyn["t_end"])
 
-    f_end = heat.evolve(f0, dyn["sigma"], dyn["t_end"], group)
-    sup0 = f0.sup_norm()
-    excess = f_end.sup_norm() / sup0 - 1.0
-    out.add("sup_norm_excess", excess, f"<= {tol['sup']:g}", excess <= tol["sup"])
+    def run(outdir: str) -> RunOutcome:
+        out = RunOutcome()
+        f_end = heat.evolve(f0, dyn["sigma"], dyn["t_end"], group)
+        excess = f_end.sup_norm() / f0.sup_norm() - 1.0
+        out.add("sup_norm_excess", excess, f"<= {tol['sup']:g}", excess <= tol["sup"])
 
-    rep = heat.measure_gradient_decay(f0, dyn["sigma"], dyn["t_end"], group)
-    window = f"in [{tol['slope_lo']:g}, {tol['slope_hi']:g}]"
-    out.add("gradient_decay_slope", rep.slope, window,
-            tol["slope_lo"] <= rep.slope <= tol["slope_hi"])
-    out.add("gradient_decay_constant", rep.constant, "> 0", rep.constant > 0)
+        rep = heat.measure_gradient_decay(f0, dyn["sigma"], dyn["t_end"], group)
+        window = f"in [{tol['slope_lo']:g}, {tol['slope_hi']:g}]"
+        out.add("gradient_decay_slope", rep.slope, window,
+                tol["slope_lo"] <= rep.slope <= tol["slope_hi"])
+        out.add("gradient_decay_constant", rep.constant, "> 0", rep.constant > 0)
 
-    _write_field(outdir, "state_initial.csv", f0)
-    _write_field(outdir, "state_final.csv", f_end)
-    _write_json(outdir, "decay_report.json", rep)
-    return out
+        dump_field_csv(f0, os.path.join(outdir, "state_initial.csv"))
+        dump_field_csv(f_end, os.path.join(outdir, "state_final.csv"))
+        _write_json(outdir, "decay_report.json", rep)
+        return out
+
+    return n, run
 
 
-def _run_fp(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _fp(cfg: dict, group):
     """Forward transport-diffusion; mass, bounds, and the energy ledger."""
-    out = RunOutcome()
-    dyn, tol = cfg["dynamics"], cfg["tolerances"]
-    rho0 = data["datum"]
+    dyn, tol, d = cfg["dynamics"], cfg["tolerances"], cfg["data"]
+    rho0 = _make_datum(cfg, group, d["normalize"], d["amplitude"])
     drift = fp.DriftField.constant(dyn["drift"])
+    n = step_count(dyn["t_end"],
+                   CFL_SAFETY * max_stable_dt(rho0.grid, group, dyn["sigma"], drift.at(0.0)))
 
-    traj = fp.fp_solve(rho0, drift, dyn["sigma"], dyn["t_end"], group,
-                       store_every=cfg["run"]["store_every"])
-    masses = [f.integral() for f in traj.fields]
-    mass_err = max(abs(m - masses[0]) for m in masses)
-    out.add("mass_drift", mass_err, f"<= {tol['mass']:g}", mass_err <= tol["mass"])
+    def run(outdir: str) -> RunOutcome:
+        out = RunOutcome()
+        traj = fp.fp_solve(rho0, drift, dyn["sigma"], dyn["t_end"], group,
+                           store_every=cfg["run"]["store_every"])
+        masses = [f.integral() for f in traj.fields]
+        mass_err = max(abs(m - masses[0]) for m in masses)
+        out.add("mass_drift", mass_err, f"<= {tol['mass']:g}", mass_err <= tol["mass"])
 
-    sup0 = rho0.sup_norm()
-    peak = max(float(f.values.max()) for f in traj.fields)
-    excess = peak / sup0 - 1.0
-    out.add("sup_norm_excess", excess, f"<= {tol['sup']:g}", excess <= tol["sup"])
+        sup0 = rho0.sup_norm()
+        peak = max(float(f.values.max()) for f in traj.fields)
+        excess = peak / sup0 - 1.0
+        out.add("sup_norm_excess", excess, f"<= {tol['sup']:g}", excess <= tol["sup"])
 
-    # the floor is asserted on the state the solver hands back; the
-    # transient minimum is reported but carries no budget (early steps
-    # of rough data undershoot more before diffusion smooths them)
-    low = float(traj.final.values.min())
-    floor = -tol["floor"] * sup0
-    out.add("negativity_floor", low, f">= {floor:.3g}", low >= floor)
-    transient = min(float(f.values.min()) for f in traj.fields)
-    out.notes.append(f"transient minimum: {transient:.3g}")
+        # the floor is asserted on the state the solver hands back; the
+        # transient minimum is reported but carries no budget (early steps
+        # of rough data undershoot more before diffusion smooths them)
+        low = float(traj.final.values.min())
+        floor = -tol["floor"] * sup0
+        out.add("negativity_floor", low, f">= {floor:.3g}", low >= floor)
+        transient = min(float(f.values.min()) for f in traj.fields)
+        out.notes.append(f"transient minimum: {transient:.3g}")
 
-    erep = fp.energy_report(traj, drift, dyn["sigma"], group)
-    out.add("energy_bounds_hold", float(erep.ok), "== 1", erep.ok)
+        erep = fp.energy_report(traj, drift, dyn["sigma"], group)
+        out.add("energy_bounds_hold", float(erep.ok), "== 1", erep.ok)
 
-    _write_field(outdir, "density_final.csv", traj.final)
-    _write_json(outdir, "fp_report.json", {
-        "times": list(traj.times),
-        "masses": masses,
-        "sup_peak": peak,
-        "final_min": low,
-        "transient_min": transient,
-        "energy": erep,
-    })
-    return out
+        dump_field_csv(traj.final, os.path.join(outdir, "density_final.csv"))
+        _write_json(outdir, "fp_report.json", {
+            "times": list(traj.times),
+            "masses": masses,
+            "sup_peak": peak,
+            "final_min": low,
+            "transient_min": transient,
+            "energy": erep,
+        })
+        return out
+
+    return n, run
 
 
-def _run_hj(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _hj(cfg: dict, group):
     """Direct solve plus the mild fixed point, cross-checked against each other."""
-    out = RunOutcome()
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
-    spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
+    spec = hj.HamiltonianSpec(u0=_make_datum(cfg, group, False, cfg["data"]["amplitude"]),
+                              gamma=dyn["gamma"])
+    n = step_count(dyn["t_end"],
+                   CFL_SAFETY * hj.hj_max_stable_dt(spec.u0, spec, dyn["sigma"], group))
 
-    direct = hj.hj_solve(spec, dyn["sigma"], dyn["t_end"], group,
-                         store_every=cfg["run"]["store_every"])
-    srep = hj.sup_bounds_report(direct, spec)
-    out.add("sup_bounds_hold", float(srep.ok), "== 1", srep.ok)
+    def run(outdir: str) -> RunOutcome:
+        out = RunOutcome()
+        direct = hj.hj_solve(spec, dyn["sigma"], dyn["t_end"], group,
+                             store_every=cfg["run"]["store_every"])
+        srep = hj.sup_bounds_report(direct, spec)
+        out.add("sup_bounds_hold", float(srep.ok), "== 1", srep.ok)
 
-    mild, frep = hj.hj_fixed_point(spec, dyn["sigma"], dyn["t_end"], group)
-    out.nonconverged = frep.verdict != "converged"
-    worst_ratio = max(frep.ratios) if frep.ratios else 0.0
-    out.add("contraction_worst_ratio", worst_ratio, "< 1", worst_ratio < 1.0)
-    out.add("fixed_point_residual", frep.distances[-1],
-            f"<= {tol['fixed_point']:g}", frep.distances[-1] <= tol["fixed_point"])
+        mild, frep = hj.hj_fixed_point(spec, dyn["sigma"], dyn["t_end"], group)
+        out.nonconverged = frep.verdict != "converged"
+        worst_ratio = max(frep.ratios) if frep.ratios else 0.0
+        out.add("contraction_worst_ratio", worst_ratio, "< 1", worst_ratio < 1.0)
+        out.add("fixed_point_residual", frep.distances[-1],
+                f"<= {tol['fixed_point']:g}", frep.distances[-1] <= tol["fixed_point"])
 
-    gap = float(np.abs(direct.final.values - mild.final.values).max())
-    budget = spec.error_bar(mild.times[1] - mild.times[0], dyn["t_end"])
-    out.add("mild_vs_direct_gap", gap, f"<= {budget:.3g}", gap <= budget)
+        gap = float(np.abs(direct.final.values - mild.final.values).max())
+        budget = spec.error_bar(mild.times[1] - mild.times[0], dyn["t_end"])
+        out.add("mild_vs_direct_gap", gap, f"<= {budget:.3g}", gap <= budget)
 
-    _write_field(outdir, "value_final.csv", direct.final)
-    _write_json(outdir, "fixed_point_report.json", frep)
-    _write_json(outdir, "sup_bounds_report.json", srep)
-    out.notes.append(f"fixed point verdict: {frep.verdict}")
-    return out
+        dump_field_csv(direct.final, os.path.join(outdir, "value_final.csv"))
+        _write_json(outdir, "fixed_point_report.json", frep)
+        _write_json(outdir, "sup_bounds_report.json", srep)
+        out.notes.append(f"fixed point verdict: {frep.verdict}")
+        return out
+
+    return n, run
 
 
-def _run_duality(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _duality(cfg: dict, group):
     """Pairing identity between the value flow and an adjoint density."""
-    out = RunOutcome()
-    dyn = cfg["dynamics"]
-    spec = hj.HamiltonianSpec(u0=data["datum"], gamma=dyn["gamma"])
+    dyn, d = cfg["dynamics"], cfg["data"]
+    spec = hj.HamiltonianSpec(u0=_make_datum(cfg, group, False, d["amplitude"]),
+                              gamma=dyn["gamma"])
+    n = step_count(dyn["t_end"],
+                   CFL_SAFETY * hj.hj_max_stable_dt(spec.u0, spec, dyn["sigma"], group))
+    mu = bump_field(spec.u0.grid, group, center=d["center"], radius=d["mu_radius"], normalize=True)
 
-    traj = hj.hj_solve(spec, dyn["sigma"], dyn["t_end"], group)
-    rep = hj.duality_report(traj, spec, dyn["sigma"], group, data["mu"])
+    def run(outdir: str) -> RunOutcome:
+        out = RunOutcome()
+        traj = hj.hj_solve(spec, dyn["sigma"], dyn["t_end"], group)
+        rep = hj.duality_report(traj, spec, dyn["sigma"], group, mu)
 
-    budget = spec.error_bar(traj.times[1] - traj.times[0], dyn["t_end"])
-    out.add("pairing_residual", abs(rep.residual), f"<= {budget:.3g}",
-            abs(rep.residual) <= budget)
-    # unit-mass adjoint: the accumulated gradient cost stays under twice
-    # the data scale, up to the same first-order error
-    frac = rep.gradient_term / (2.0 * spec.data_scale(dyn["t_end"]))
-    out.add("accumulated_gradient_fraction", frac, "<= 1.01", frac <= 1.01)
+        budget = spec.error_bar(traj.times[1] - traj.times[0], dyn["t_end"])
+        out.add("pairing_residual", abs(rep.residual), f"<= {budget:.3g}",
+                abs(rep.residual) <= budget)
+        # unit-mass adjoint: the accumulated gradient cost stays under twice
+        # the data scale, up to the same first-order error
+        frac = rep.gradient_term / (2.0 * spec.data_scale(dyn["t_end"]))
+        out.add("accumulated_gradient_fraction", frac, "<= 1.01", frac <= 1.01)
 
-    _write_field(outdir, "value_final.csv", traj.final)
-    _write_json(outdir, "duality_report.json", rep)
-    return out
+        dump_field_csv(traj.final, os.path.join(outdir, "value_final.csv"))
+        _write_json(outdir, "duality_report.json", rep)
+        return out
+
+    return n, run
 
 
-def _run_mfg(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _mfg(cfg: dict, group):
     """Damped best-response iteration for the coupled backward-forward pair."""
     from . import mfg
+    from .mollifier import MollifierSpec
 
-    out = RunOutcome()
-    dyn, tol = cfg["dynamics"], cfg["tolerances"]
-    coupling = mfg.CouplingSpec(mollifier=data["mollifier"], gain=dyn["gain"])
+    dyn, tol, d = cfg["dynamics"], cfg["tolerances"], cfg["data"]
+    rho0 = _make_datum(cfg, group, True)
+    u_T = bump_field(rho0.grid, group, center=d["center"], radius=d["value_radius"])
+    coupling = mfg.CouplingSpec(mollifier=MollifierSpec.build(dyn["eps"], rho0.grid, group),
+                                gain=dyn["gain"])
+    n = mfg.picard_steps(hj.HamiltonianSpec(u0=u_T, gamma=dyn["gamma"]),
+                         dyn["sigma"], dyn["t_end"], group)
 
-    state = mfg.mfg_picard(
-        data["u_T"], data["datum"], coupling, dyn["sigma"], dyn["t_end"], group,
-        gamma=dyn["gamma"], theta=dyn["theta"],
-        tol_u=tol["tol_u"], tol_rho=tol["tol_rho"], max_iters=tol["max_iters"],
-    )
-    out.nonconverged = not state.converged
-    out.notes.append(f"verdict: {state.verdict} after {state.iterations} iterations")
-    if state.note:
-        out.notes.append(state.note)
+    def run(outdir: str) -> RunOutcome:
+        out = RunOutcome()
+        state = mfg.mfg_picard(
+            u_T, rho0, coupling, dyn["sigma"], dyn["t_end"], group,
+            gamma=dyn["gamma"], theta=dyn["theta"],
+            tol_u=tol["tol_u"], tol_rho=tol["tol_rho"], max_iters=tol["max_iters"],
+        )
+        out.nonconverged = not state.converged
+        out.notes.append(f"verdict: {state.verdict} after {state.iterations} iterations")
+        if state.note:
+            out.notes.append(state.note)
 
-    if state.residuals_u:
-        res_u = state.residuals_u[-1]
-        out.add("value_residual", res_u, f"<= {tol['tol_u']:g}", res_u <= tol["tol_u"])
-    if state.d0_certified:
-        cert = max(v for _, v in state.d0_certified)
-        out.add("certified_flat_residual", cert, f"<= {tol['tol_rho']:g}",
-                cert <= tol["tol_rho"])
+        if state.residuals_u:
+            res_u = state.residuals_u[-1]
+            out.add("value_residual", res_u, f"<= {tol['tol_u']:g}", res_u <= tol["tol_u"])
+        if state.d0_certified:
+            cert = max(v for _, v in state.d0_certified)
+            out.add("certified_flat_residual", cert, f"<= {tol['tol_rho']:g}",
+                    cert <= tol["tol_rho"])
 
-    rep = mfg.mfg_residual_report(state)
-    out.add("audit_ok", float(rep.ok), "== 1", rep.ok)
+        rep = mfg.mfg_residual_report(state)
+        out.add("audit_ok", float(rep.ok), "== 1", rep.ok)
 
-    _write_field(outdir, "value_initial.csv", state.u_traj.fields[0])
-    _write_field(outdir, "density_final.csv", state.rho_traj.final)
-    _write_json(outdir, "mfg_report.json", rep)
-    return out
+        dump_field_csv(state.u_traj.fields[0], os.path.join(outdir, "value_initial.csv"))
+        dump_field_csv(state.rho_traj.final, os.path.join(outdir, "density_final.csv"))
+        _write_json(outdir, "mfg_report.json", rep)
+        return out
+
+    return n, run
 
 
-def _run_metric(cfg: dict, data: dict, outdir: str, seed: int, group) -> RunOutcome:
+def _metric(cfg: dict, group):
     """Flat-distance closed forms, metric axioms, and time regularity."""
     from .flat_metric import (DiscreteMeasure, axiom_gaps, flat_distance, holder_in_time,
                               two_dirac_distance)
 
-    out = RunOutcome()
     dyn, tol = cfg["dynamics"], cfg["tolerances"]
-    rng = np.random.default_rng(seed)
+    rho0 = _make_datum(cfg, group, True)
+    n = step_count(dyn["t_end"], CFL_SAFETY * max_stable_dt(rho0.grid, group, dyn["sigma"]))
+    # the time-regularity fit needs two distinct gaps, so two density steps
+    if n < 2:
+        raise ValueError(f"t_end = {dyn['t_end']:g} spans {n} stable step at sigma = "
+                         f"{dyn['sigma']:g} on this grid; the time-regularity fit needs 2")
 
-    form_err = 0.0
-    pair_log = []
-    for x, y in rng.normal(size=(4, 2, 3)):
-        got = flat_distance(DiscreteMeasure.dirac(x), DiscreteMeasure.dirac(y), group).value
-        form_err = max(form_err, abs(got - two_dirac_distance(group, x, y)))
-        pair_log.append({"distance": got, "gauge_separation": float(quasi_distance(group, x, y))})
-    out.add("two_dirac_closed_form_error", form_err, f"<= {tol['metric']:g}",
-            form_err <= tol["metric"])
+    def run(outdir: str) -> RunOutcome:
+        out = RunOutcome()
+        rng = np.random.default_rng(cfg["run"]["seed"])
 
-    tri_worst, sym_worst = axiom_gaps(group, rng, 20)
-    out.add("triangle_worst_violation", tri_worst, f"<= {tol['metric']:g}",
-            tri_worst <= tol["metric"])
-    out.add("symmetry_worst_gap", sym_worst, f"<= {tol['metric']:g}",
-            sym_worst <= tol["metric"])
+        form_err = 0.0
+        pair_log = []
+        for x, y in rng.normal(size=(4, 2, 3)):
+            got = flat_distance(DiscreteMeasure.dirac(x), DiscreteMeasure.dirac(y), group).value
+            form_err = max(form_err, abs(got - two_dirac_distance(group, x, y)))
+            pair_log.append({"distance": got,
+                             "gauge_separation": float(quasi_distance(group, x, y))})
+        out.add("two_dirac_closed_form_error", form_err, f"<= {tol['metric']:g}",
+                form_err <= tol["metric"])
 
-    traj = fp.fp_solve(data["datum"], fp.DriftField.none(), dyn["sigma"], dyn["t_end"],
-                       group, store_every=1)
-    hold = holder_in_time(traj, group)
-    out.add("time_regularity_exponent", hold.exponent, ">= 0.4",
-            hold.verdict == "fitted" and hold.exponent >= 0.4)
+        tri_worst, sym_worst = axiom_gaps(group, rng, 20)
+        out.add("triangle_worst_violation", tri_worst, f"<= {tol['metric']:g}",
+                tri_worst <= tol["metric"])
+        out.add("symmetry_worst_gap", sym_worst, f"<= {tol['metric']:g}",
+                sym_worst <= tol["metric"])
 
-    _write_json(outdir, "metric_report.json", {
-        "dirac_pairs": pair_log,
-        "triangle_worst_violation": tri_worst,
-        "symmetry_worst_gap": sym_worst,
-        "holder": hold,
-    })
-    return out
+        traj = fp.fp_solve(rho0, fp.DriftField.none(), dyn["sigma"], dyn["t_end"], group,
+                           store_every=1)
+        hold = holder_in_time(traj, group)
+        out.add("time_regularity_exponent", hold.exponent, ">= 0.4",
+                hold.verdict == "fitted" and hold.exponent >= 0.4)
+
+        _write_json(outdir, "metric_report.json", {
+            "dirac_pairs": pair_log,
+            "triangle_worst_violation": tri_worst,
+            "symmetry_worst_gap": sym_worst,
+            "holder": hold,
+        })
+        return out
+
+    return n, run
 
 
-RUNNERS = {
-    "heat": _run_heat,
-    "fp": _run_fp,
-    "hj": _run_hj,
-    "duality": _run_duality,
-    "mfg": _run_mfg,
-    "metric": _run_metric,
+SCENARIOS = {
+    "heat": _heat,
+    "fp": _fp,
+    "hj": _hj,
+    "duality": _duality,
+    "mfg": _mfg,
+    "metric": _metric,
 }
+
+
+def _scenario(cfg: dict):
+    """Build the config's scenario before any output exists; return its run(outdir).
+
+    Raises ValueError when the data cannot be built on this grid (e.g. a
+    bump with no mass or an eps the lattice cannot resolve), on a datum
+    whose mass overflows (DatumError), a step bound that is not a positive
+    number, or a horizon of more than MAX_STEPS steps of the kind's solver.
+    """
+    # an overflowing mass is a DatumError; an overflowing drift gives a NaN bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, run = SCENARIOS[cfg["scenario"]["kind"]](cfg, preset(cfg["scenario"]["group"]))
+    if n > MAX_STEPS:
+        raise ValueError(f"t_end = {cfg['dynamics']['t_end']:g} asks for {n:.6g} stable steps "
+                         f"on this grid; at most {MAX_STEPS} run")
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -711,17 +714,12 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
     if errors:
         return EXIT_CONFIG, "", "\n".join(errors)
 
-    seed = cfg["run"]["seed"] if seed_override is None else seed_override
     kind = cfg["scenario"]["kind"]
-    group = preset(cfg["scenario"]["group"])
+    if seed_override is not None and kind in SCHEMA["run"]["seed"][3]:
+        cfg["run"]["seed"] = seed_override
     stem = os.path.splitext(os.path.basename(config_path))[0]
-    # the coupled kind loads its solver, and the metric kind the LP, before any output exists
-    if kind == "mfg":
-        from . import mfg  # noqa: F401
-    elif kind == "metric":
-        from . import flat_metric  # noqa: F401
     try:
-        data = _scenario_data(cfg, group)
+        run = _scenario(cfg)
     except ValueError as exc:
         where = config_path
         if isinstance(exc, DatumError):
@@ -731,12 +729,10 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
     outdir = _unique_outdir(parent_dir, stem)
 
     try:
-        outcome = RUNNERS[kind](cfg, data, outdir, seed, group)
+        outcome = run(outdir)
     except (CFLViolation, hj.DivergenceError) as exc:
         # a solver stop is a non-convergence verdict over what was written
-        outcome = RunOutcome()
-        outcome.nonconverged = True
-        outcome.notes.append(f"solver stopped: {exc}")
+        outcome = RunOutcome(notes=[f"solver stopped: {exc}"], nonconverged=True)
     code = outcome.exit_code
 
     verdicts = {
@@ -744,14 +740,14 @@ def execute_run(config_path: str, parent_dir: str, seed_override: int | None) ->
         EXIT_INVARIANT: "invariant failure",
         EXIT_NO_CONVERGENCE: "no convergence",
     }
-    lines = [f"scenario {stem} (kind {kind}, seed {seed}): {verdicts[code]}"]
+    lines = [f"scenario {stem} (kind {kind}, seed {cfg['run']['seed']}): {verdicts[code]}"]
     summary = "\n".join(lines + summary_rows(outcome.checks, outcome.notes))
 
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(summary + "\n")
 
     _write_manifest(outdir, config=cfg,
-                    config_name=os.path.basename(config_path), kind=kind, seed=seed,
+                    config_name=os.path.basename(config_path), kind=kind, seed=cfg["run"]["seed"],
                     exit_code=code, checks=outcome.checks, notes=outcome.notes)
     return code, outdir, summary
 
@@ -792,12 +788,12 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    try:
-        results = _map_jobs(verify.run_suite, names, args.jobs)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
+    if args.suite != "all" and args.suite not in verify.SUITES:
+        print(f"unknown suite {args.suite!r}; expected one of: {', '.join(verify.SUITES)}",
+              file=sys.stderr)
         return EXIT_CONFIG
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    results = _map_jobs(verify.run_suite, names, args.jobs)
 
     for res in results:
         print("\n".join(res.summary_lines()))
@@ -842,7 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"parent for output directories (or ${OUTPUT_DIR_ENV}; "
                             "default ./runs)")
     p_run.add_argument("--seed", type=_as_int_min(0), default=None,
-                       help="override the [run] seed of every config")
+                       help="set [run] seed in every config whose kind reads it ("
+                            f"{', '.join(SCHEMA['run']['seed'][3])}); other kinds run as written")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", help="suite name, or 'all'")

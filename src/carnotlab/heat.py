@@ -47,9 +47,9 @@ class DecayReport:
     sup_end: float
 
 
-def decay_ladder(grid: GridSpec, group: GroupSpec, sigma: float, t_end: float) -> tuple[float, list[int]]:
-    """The stable step dt to t_end and the step counts of eight sample
-    times log-spaced in [4 dt, t_end]; ValueError when 4 dt reaches t_end."""
+def decay_ladder(grid: GridSpec, group: GroupSpec, sigma: float, t_end: float) -> tuple[int, list[int]]:
+    """The count n of stable steps dt to t_end and the step counts of eight
+    sample times log-spaced in [4 dt, t_end]; ValueError when 4 dt reaches t_end."""
     n = step_count(t_end, CFL_SAFETY * max_stable_dt(grid, group, sigma))
     dt = t_end / n
     t_lo = 4 * dt
@@ -58,7 +58,7 @@ def decay_ladder(grid: GridSpec, group: GroupSpec, sigma: float, t_end: float) -
                          f"needs at sigma = {sigma:g} on this grid")
     ladder = np.exp(np.linspace(math.log(t_lo), math.log(t_end), 8))
     steps = sorted({int(round(t / dt)) for t in ladder})
-    return dt, [s for s in steps if s >= 1]
+    return n, [s for s in steps if s >= 1]
 
 
 def measure_gradient_decay(
@@ -74,7 +74,8 @@ def measure_gradient_decay(
     jump resolution.
     """
     vf = vfields.left_invariant_fields(group)
-    dt, steps = decay_ladder(phi.grid, group, sigma, t_end)
+    n, steps = decay_ladder(phi.grid, group, sigma, t_end)
+    dt = t_end / n
     cur = phi
     times, sups = [], []
     done = 0

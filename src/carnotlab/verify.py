@@ -582,9 +582,6 @@ SUITES = {
 
 def run_suite(name: str) -> SuiteResult:
     """Run and time one suite in this process; ``verify --jobs`` calls it in worker processes."""
-    if name not in SUITES:
-        known = ", ".join(SUITES)
-        raise ValueError(f"unknown suite {name!r}; expected one of: {known}")
     t0 = time.perf_counter()
     checks, notes = SUITES[name]()
     return SuiteResult(name, checks, time.perf_counter() - t0, notes)

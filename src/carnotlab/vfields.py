@@ -60,30 +60,20 @@ def right_invariant_fields(group: GroupSpec) -> VectorFieldSet:
 # grid stencils
 # ---------------------------------------------------------------------------
 
-def _partial(values: np.ndarray, h: float, l: int, st: int, out: np.ndarray) -> np.ndarray:
-    """np.gradient(values, h, axis=l, edge_order=2) by numpy's formulas, into out (both
-    C-contiguous): one shift of the flat array by 2 st, the stride of axis l, then the edge rows."""
-    v, inner = values.reshape(-1), out.reshape(-1)[st: values.size - st]
-    np.subtract(v[2 * st:], v[: v.size - 2 * st], out=inner)
-    inner /= 2.0 * h
-    e = [_stencils.layer(l, j) for j in (0, 1, 2, -3, -2, -1)]
-    out[e[0]] = (-1.5 / h) * values[e[0]] + (2.0 / h) * values[e[1]] + (-0.5 / h) * values[e[2]]
-    out[e[5]] = (0.5 / h) * values[e[3]] + (-2.0 / h) * values[e[4]] + (1.5 / h) * values[e[5]]
-    return out
-
-
 def horizontal_gradient(vf: VectorFieldSet, f: Field) -> Field:
-    """(X_1 f, ..., X_m f) with centered differences for the Euclidean partials."""
-    h = f.grid.spacings
+    """(X_1 f, ..., X_m f) with centered differences for the Euclidean partials,
+    second-order one-sided at the box edge."""
+    h, shape = f.grid.spacings, f.grid.shape
     tables = _stencils.frame_tables(f.grid, vf)
-    values = np.ascontiguousarray(f.values)
-    out = np.zeros((vf.count,) + f.grid.shape)
-    partial = np.empty(f.grid.shape)
+    values = np.ascontiguousarray(f.values).reshape(-1)
+    out = np.zeros((vf.count,) + shape)
+    partial = np.empty(values.size)
     for l, st in enumerate(tables.strides):
-        _partial(values, h[l], l, st, partial)
+        _stencils._centered_difference(values, shape, l, st, partial)
+        partial /= 2.0 * h[l]
         for comp, row in zip(out, tables.coef):
             if row[l] is not None:
-                comp += _stencils.times(row[l], partial)
+                comp += _stencils.times(row[l], partial.reshape(shape))
     return Field(f.grid, out, f.t)
 
 

@@ -39,5 +39,5 @@ def test_acceptance(number, name):
 
 def test_registry_is_complete():
     assert [s for _, s in CRITERIA] == list(verify.SUITES)
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError):
         verify.run_suite("not_a_suite")

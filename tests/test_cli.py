@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from carnotlab import cli, preset, verify
-from carnotlab.grid import default_grid
 
 
-@pytest.mark.parametrize("kind", sorted(cli.RUNNERS))
+@pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
 def test_group_of_other_dimension_is_rejected_before_any_output(kind, tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(f"[scenario]\nkind = {kind}\ngroup = engel\n")
@@ -24,15 +23,14 @@ def test_group_of_other_dimension_is_rejected_before_any_output(kind, tmp_path, 
     assert not runs.exists()
 
 
-def test_underdetermined_holder_fit_is_written_as_strict_json(tmp_path):
+def test_underdetermined_holder_fit_is_written_as_strict_json(tmp_path, monkeypatch):
     # one fp step gives one time gap, which fixes no Holder slope; `run`
-    # rejects such a horizon, so the metric runner is handed its datum here
+    # rejects such a horizon, so the metric kind's own count reads 2 here
     cfg, _ = cli.load_config(cli.resolve_config("metric_demo"))
     cfg["dynamics"]["t_end"] = 0.0001
-    group = preset(cfg["scenario"]["group"])
-    grid = default_grid(cfg["grid"]["extent"], cfg["grid"]["nodes"])
-    datum = cli._make_datum(cfg, grid, group, normalize=True)
-    outcome = cli._run_metric(cfg, {"datum": datum}, str(tmp_path), 0, group)
+    monkeypatch.setattr(cli, "step_count", lambda *args: 2)
+    _, run = cli.SCENARIOS["metric"](cfg, preset(cfg["scenario"]["group"]))
+    outcome = run(str(tmp_path))
     cli._write_manifest(str(tmp_path), checks=outcome.checks)
     assert outcome.exit_code == cli.EXIT_INVARIANT
 
@@ -50,7 +48,7 @@ def test_underdetermined_holder_fit_is_written_as_strict_json(tmp_path):
     assert check["value"] is None and not check["ok"]
 
 
-@pytest.mark.parametrize("kind", sorted(cli.RUNNERS))
+@pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
 @pytest.mark.parametrize("shape,message", [
     ("bump", "bump has no mass on this grid"),
     ("indicator", "indicator datum has no mass inside the box"),
@@ -151,7 +149,7 @@ def test_horizon_past_the_step_cap_is_rejected_before_any_output(text, tmp_path)
     effective, errors = cli.load_config(str(cfg))
     assert not errors
     with pytest.raises(ValueError, match=f"stable steps on this grid; at most {cli.MAX_STEPS} run"):
-        cli._scenario_data(effective, preset(effective["scenario"]["group"]))
+        cli._scenario(effective)
     runs = tmp_path / "runs"
     code, outdir, summary = cli.execute_run(str(cfg), str(runs), None)
     assert (code, outdir) == (cli.EXIT_CONFIG, "")
@@ -337,7 +335,7 @@ def test_key_its_kind_does_not_read_is_rejected_before_any_output(tmp_path, caps
     assert not runs.exists()
 
 
-@pytest.mark.parametrize("kind", sorted(cli.RUNNERS))
+@pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
 def test_every_key_written_at_its_default_validates(kind, tmp_path):
     # a config written out in full, as perfbench's worker writes one, is accepted
     lines = []
@@ -389,3 +387,61 @@ def test_verify_spreads_the_suites_over_one_pool_in_registry_order(tmp_path, mon
     assert cli.main(["verify", "nosuch", "--jobs", "2"]) == cli.EXIT_CONFIG
     assert "unknown suite 'nosuch'" in capsys.readouterr().err
     assert serial_pool.sizes == [3]
+
+
+class _ReadRecorder(dict):
+    """A config section that records the (section, key) of every key read from it."""
+
+    def __init__(self, section, keys, reads):
+        super().__init__(keys)
+        self.section, self.reads = section, reads
+
+    def __getitem__(self, key):
+        self.reads.add((self.section, key))
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
+def test_each_kind_reads_exactly_the_keys_its_schema_rows_name(kind, tmp_path):
+    # building and running a bundled config of the kind reads each key whose
+    # SCHEMA row names the kind, and no other ([scenario] aside)
+    configs = [cli.load_config(cli.resolve_config(name))[0] for name in cli.bundled_configs()]
+    (cfg,) = [c for c in configs if c["scenario"]["kind"] == kind]
+    reads = set()
+    recorded = {section: _ReadRecorder(section, keys, reads) for section, keys in cfg.items()}
+    _, run = cli.SCENARIOS[kind](recorded, preset(cfg["scenario"]["group"]))
+    run(str(tmp_path))
+    declared = {(section, key) for section, keys in cli.SCHEMA.items() if section != "scenario"
+                for key, (*_, used) in keys.items() if kind in used}
+    assert {(s, k) for s, k in reads if s != "scenario"} == declared
+
+
+def test_seed_option_leaves_a_kind_that_reads_no_seed_as_written(tmp_path):
+    plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+    for extra, runs in (([], plain), (["--seed", "5"], seeded)):
+        assert cli.main(["run", "heat_decay", *extra, "--output-dir", str(runs)]) == cli.EXIT_OK
+    (a,), (b,) = plain.iterdir(), seeded.iterdir()
+    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+
+def test_seed_option_runs_the_metric_kind_as_a_config_that_sets_it(tmp_path):
+    text = Path(cli.resolve_config("metric_demo")).read_text()
+    assert "seed = 0\n" in text
+    copy = tmp_path / "metric_demo.cfg"
+    copy.write_text(text.replace("seed = 0\n", "seed = 5\n"))
+    by_option, by_config = tmp_path / "by_option", tmp_path / "by_config"
+    for argv, runs in ((["metric_demo", "--seed", "5"], by_option), ([str(copy)], by_config)):
+        assert cli.main(["run", *argv, "--output-dir", str(runs)]) == cli.EXIT_OK
+    (a,), (b,) = by_option.iterdir(), by_config.iterdir()
+    assert json.loads((b / "manifest.json").read_text())["seed"] == 5
+    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+
+def test_verify_lets_a_suite_error_propagate(monkeypatch):
+    # a name check failing is a usage error; a suite failing is not
+    def failing_suite():
+        raise ValueError("a solver found a negative density")
+
+    monkeypatch.setitem(verify.SUITES, "failing", failing_suite)
+    with pytest.raises(ValueError, match="a solver found a negative density"):
+        cli.main(["verify", "failing"])

@@ -387,10 +387,12 @@ def test_tiny_damping_does_not_read_as_converged(tmp_path):
                     "[dynamics]\neps = 1.3\nt_end = 0.02\ntheta = 1e-300\n")
     cfg, errors = cli.load_config(str(path))
     assert not errors
-    data = cli._scenario_data(cfg, G)
-    dyn, tol = cfg["dynamics"], cfg["tolerances"]
-    coupling = mfg.CouplingSpec(mollifier=data["mollifier"], gain=dyn["gain"])
-    st = mfg.mfg_picard(data["u_T"], data["datum"], coupling, dyn["sigma"], dyn["t_end"], G,
+    dyn, tol, d = cfg["dynamics"], cfg["tolerances"], cfg["data"]
+    gs = grid.default_grid(cfg["grid"]["extent"], cfg["grid"]["nodes"])
+    u_T = grid.bump_field(gs, G, center=d["center"], radius=d["value_radius"])
+    rho0 = grid.bump_field(gs, G, center=d["center"], radius=d["radius"], normalize=True)
+    coupling = mfg.CouplingSpec(mollifier=MollifierSpec.build(dyn["eps"], gs, G), gain=dyn["gain"])
+    st = mfg.mfg_picard(u_T, rho0, coupling, dyn["sigma"], dyn["t_end"], G,
                         gamma=dyn["gamma"], theta=dyn["theta"], tol_u=tol["tol_u"],
                         tol_rho=tol["tol_rho"], max_iters=tol["max_iters"])
     assert not st.converged or mfg.fixed_point_residual(st) <= 2 * tol["tol_u"]

@@ -10,7 +10,7 @@ import sympy as sp
 
 from carnotlab import preset
 from carnotlab.grid import Field, GridSpec, constant_field, default_grid, node_coordinates, node_points
-from carnotlab import _stencils, verify, vfields
+from carnotlab import _stencils, verify
 from carnotlab.groups import apply_field, poly_sub, quasi_distance
 from conftest import (
     apply_field_analytic,
@@ -40,13 +40,11 @@ def horizontal_divergence(vf, F: Field) -> Field:
     grid = F.grid
     h = grid.spacings
     tables = _stencils.frame_tables(grid, vf)
-    values = np.ascontiguousarray(F.values)
-    out, partial = np.zeros(grid.shape), np.empty(grid.shape)
+    out = np.zeros(grid.shape)
     for i, row in enumerate(tables.coef):
         for l, c in enumerate(row):
             if c is not None:
-                out += _stencils.times(c, vfields._partial(values[i], h[l], l, tables.strides[l],
-                                                           partial))
+                out += _stencils.times(c, np.gradient(F.values[i], h[l], axis=l, edge_order=2))
     return Field(grid, out, F.t)
 
 
