@@ -26,8 +26,13 @@ once selected, and ``verify`` adds scipy only for the suites that use it.
 
 Exit codes: 0 when every asserted invariant passes, 1 on invariant
 failure, 2 on solver non-convergence or a solver stop, 64 on a malformed
-config or bad usage.  For a fixed config and seed the artifact bytes are
-identical across runs; wall-clock time only ever enters the directory name.
+config or bad usage.  An ``--output-dir`` that cannot hold directories is
+bad usage, refused before any solve or suite runs and creating nothing.
+Every command writes its artifacts before it prints, so a closed standard
+output loses none: the process then ends quietly on SIGPIPE, with no
+traceback (a shell reports status 141, a parent process -13).  For a
+fixed config and seed the artifact bytes are identical across runs;
+wall-clock time only ever enters the directory name.
 Every JSON file, report and manifest alike, is written by
 ``report.json_text``, which is passed the report objects as they are.
 """
@@ -38,6 +43,7 @@ import argparse
 import hashlib
 import math
 import os
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -761,8 +767,21 @@ def _map_jobs(fn, items: list, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _unusable(parent: str) -> str | None:
+    """Why parent cannot hold output directories, or None; creates nothing."""
+    path = os.path.abspath(parent)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        return f"cannot write output under {parent}: {path} is not a directory"
+    return None
+
+
 def _cmd_run(args) -> int:
     parent = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "runs"
+    if reason := _unusable(parent):
+        print(reason, file=sys.stderr)
+        return EXIT_CONFIG
     paths = []
     for arg in args.configs:
         resolved = resolve_config(arg)
@@ -792,13 +811,14 @@ def _cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; expected one of: {', '.join(verify.SUITES)}",
               file=sys.stderr)
         return EXIT_CONFIG
+    parent = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
+    if parent and (reason := _unusable(parent)):
+        print(reason, file=sys.stderr)
+        return EXIT_CONFIG
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = _map_jobs(verify.run_suite, names, args.jobs)
 
-    for res in results:
-        print("\n".join(res.summary_lines()))
-
-    parent = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
+    outdir = None
     if parent:
         # serialize first: a report that cannot be written leaves no directory
         texts = {f"suite_{res.suite}.json": json_text(res.to_json_dict()) for res in results}
@@ -808,8 +828,11 @@ def _cmd_verify(args) -> int:
                 fh.write(text)
         _write_manifest(outdir, suites=[r.suite for r in results],
                         passed=all(r.passed for r in results))
-        print(f"outputs: {outdir}")
 
+    for res in results:
+        print("\n".join(res.summary_lines()))
+    if outdir:
+        print(f"outputs: {outdir}")
     return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
 
 
@@ -853,6 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(signal, "SIGPIPE"):
+        # a closed standard output ends the process as it ends any filter
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)

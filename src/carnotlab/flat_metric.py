@@ -39,7 +39,7 @@ import scipy.sparse as sps
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
-from .grid import Field, Trajectory, node_points
+from .grid import Field, Trajectory
 from .groups import GroupSpec, quasi_distance
 # perfbench/worker.py's TARGETS, run.py's flat_metric.mollify.* metric names and
 # perfbench/tests/test_smoke.py name these here; the tracer wraps the one
@@ -91,30 +91,25 @@ class DiscreteMeasure:
     def from_field(f: Field, *, coarsen: int = 1) -> "DiscreteMeasure":
         """Nonnegative part of a density field as a measure.
 
-        coarsen > 1 bins fine nodes onto the subsampled lattice (fine
+        The cell masses are binned onto the subsampled lattice (fine
         index i -> coarse index round(i / coarsen)), preserving mass
-        exactly; weights below _WEIGHT_FLOOR times the largest are
-        dropped afterwards.
+        exactly; coarsen = 1 keeps every node.  Weights below
+        _WEIGHT_FLOOR times the largest are dropped afterwards.
         """
         vals = np.clip(f.values, 0.0, None) * f.grid.cell_volume
         grid = f.grid
-        if coarsen > 1:
-            shape = tuple((n - 1) // coarsen + 1 for n in grid.shape)
-            acc = np.zeros(shape)
-            idx = np.meshgrid(
-                *[np.rint(np.arange(n) / coarsen).astype(int).clip(0, s - 1)
-                  for n, s in zip(grid.shape, shape)],
-                indexing="ij",
-            )
-            np.add.at(acc, tuple(idx), vals)
-            # coarse node coordinates: every coarsen-th fine node
-            sub = tuple(ax[::coarsen][:s] for ax, s in zip(grid.axes(), shape))
-            coords = np.stack(np.meshgrid(*sub, indexing="ij"), axis=-1)
-            pts = coords.reshape(-1, grid.dim)
-            w = acc.reshape(-1)
-        else:
-            pts = node_points(grid)
-            w = vals.reshape(-1)
+        shape = tuple((n - 1) // coarsen + 1 for n in grid.shape)
+        acc = np.zeros(shape)
+        idx = np.meshgrid(
+            *[np.rint(np.arange(n) / coarsen).astype(int).clip(0, s - 1)
+              for n, s in zip(grid.shape, shape)],
+            indexing="ij",
+        )
+        np.add.at(acc, tuple(idx), vals)
+        # coarse node coordinates: every coarsen-th fine node
+        sub = tuple(ax[::coarsen][:s] for ax, s in zip(grid.axes(), shape))
+        pts = np.stack(np.meshgrid(*sub, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+        w = acc.reshape(-1)
         keep = w > _WEIGHT_FLOOR * w.max()  # w > 0 when every weight is 0
         return DiscreteMeasure(points=pts[keep], weights=w[keep])
 

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _stencils, groups, vfields
-from .grid import (CFL_SAFETY, CFLViolation, Field, Trajectory, check_dt, make_ball_mask, march,
-                   max_stable_dt, step_count)
+from .grid import (CFL_SAFETY, CFLViolation, Field, GridSpec, Trajectory, check_dt, make_ball_mask,
+                   march, max_stable_dt, step_count)
 from .groups import GroupSpec, hom_norm
 
 
@@ -97,10 +97,6 @@ class Coefficient:
         if not np.isfinite(v).all():
             raise ValueError(f"coefficient not finite at t={t:g}")
         return v
-
-    def sup_norm(self) -> float:
-        """Largest |entry| over the samples (0 when absent)."""
-        return self.bound
 
 
 DriftField = SourceTerm = Coefficient
@@ -350,10 +346,6 @@ class SubsolutionReport:
     threshold: float
     max_lhs_at_double: float
 
-    @property
-    def ok(self) -> bool:
-        return self.max_lhs_at_double <= 1e-10
-
 
 def barrier_max_lhs(group: GroupSpec, params: SubsolutionParams, b_coeffs, sigma: float, *,
                     rng: np.random.Generator) -> Callable[[float], float]:
@@ -439,9 +431,7 @@ def _simulate_block(
     block_index: int,
     n: int,
     cdf: np.ndarray,
-    axes: tuple[np.ndarray, ...],
-    spacings: tuple[float, ...],
-    shape: tuple[int, ...],
+    grid: GridSpec,
     group: GroupSpec,
     b_table: np.ndarray | None,
     sigma: float,
@@ -452,11 +442,12 @@ def _simulate_block(
     block_index) through a SeedSequence; of numpy's bit generators, SFC64
     draws normals the fastest.
 
-    Pure function of plain data so blocks can run in worker processes;
-    int64 counts sum exactly, making the total independent of how the
-    blocks are distributed.
+    Pure function of picklable records and arrays, so blocks can run in
+    worker processes; int64 counts sum exactly, making the total
+    independent of how the blocks are distributed.
     """
     d, m = group.dim, group.horizontal_dim
+    axes, spacings, shape = grid.axes(), grid.spacings, grid.shape
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block_index))))
     u = rng.random(n)
     flat = np.searchsorted(cdf, u, side="right").clip(0, cdf.size - 1)
@@ -519,7 +510,6 @@ def particle_oracle(
         raise ValueError("datum must carry positive mass")
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    axes = grid.axes()
     n_steps = step_count(span, 0.005)
     dt = span / n_steps
     b_table = None
@@ -536,7 +526,7 @@ def particle_oracle(
         for start in range(0, n_particles, _BLOCK)
     ]
     args = [
-        (seed, bi, n, cdf, axes, grid.spacings, grid.shape, group, b_table, sigma, dt, n_steps)
+        (seed, bi, n, cdf, grid, group, b_table, sigma, dt, n_steps)
         for bi, n in blocks
     ]
     counts = np.zeros(grid.shape, dtype=np.int64)

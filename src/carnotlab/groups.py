@@ -1,7 +1,8 @@
 """Exact algebra of homogeneous nilpotent Lie groups in exponential coordinates.
 
-A group of step k on R^d is described by integer weights w_1 <= ... <= w_d
-(w_i <= k) and a polynomial correction table for the product
+A group is its name, integer weights 1 = w_1 <= ... <= w_d, which give its
+dimension d, horizontal rank (the weight-1 count) and step k = w_d, and a
+polynomial correction table for the product
 
     (x * y)_l = x_l + y_l + sum_terms  c * x^p * y^q,
 
@@ -108,18 +109,15 @@ def _state_without_hash(spec) -> dict:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Immutable description of one homogeneous group.
+    """One homogeneous group, immutable: its name, dilation weights and law.
 
     law[l] holds the correction terms of coordinate l of the product (the
-    linear part x_l + y_l is implicit).  The left/right invariant frame
-    tables are derived from the law, so the law is the single source of
-    truth for the whole calculus.
+    linear part x_l + y_l is implicit); dim, horizontal_dim and step are
+    read from the weights.  The left/right invariant frame tables are
+    derived from the law, the single source of truth for the whole calculus.
     """
 
     name: str
-    dim: int
-    horizontal_dim: int
-    step: int
     weights: tuple[int, ...]
     law: tuple[tuple[LawTerm, ...], ...]
 
@@ -127,16 +125,22 @@ class GroupSpec:
     __getstate__ = _state_without_hash
 
     def __post_init__(self) -> None:
-        if self.dim != len(self.weights):
-            raise ValueError("weights length must equal dim")
-        if self.dim != len(self.law):
+        if len(self.law) != len(self.weights):
             raise ValueError("law table must list every coordinate")
-        if any(w < 1 or w > self.step for w in self.weights):
-            raise ValueError("weights must lie in 1..step")
-        if list(self.weights) != sorted(self.weights):
-            raise ValueError("weights must be nondecreasing")
-        if self.horizontal_dim != sum(1 for w in self.weights if w == 1):
-            raise ValueError("horizontal_dim must count the weight-1 coordinates")
+        if not self.weights or self.weights[0] != 1 or list(self.weights) != sorted(self.weights):
+            raise ValueError("weights must be nondecreasing from 1")
+
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
+
+    @property
+    def horizontal_dim(self) -> int:
+        return self.weights.count(1)
+
+    @property
+    def step(self) -> int:
+        return self.weights[-1]
 
     @property
     def homogeneous_dimension(self) -> int:
@@ -248,9 +252,6 @@ def _h1() -> GroupSpec:
     )
     return GroupSpec(
         name="heisenberg1",
-        dim=3,
-        horizontal_dim=2,
-        step=2,
         weights=(1, 1, 2),
         law=((), (), z3),
     )
@@ -274,9 +275,6 @@ def _engel() -> GroupSpec:
     )
     return GroupSpec(
         name="engel",
-        dim=4,
-        horizontal_dim=2,
-        step=3,
         weights=(1, 1, 2, 3),
         law=((), (), z3, z4),
     )

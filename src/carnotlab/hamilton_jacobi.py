@@ -99,7 +99,7 @@ class HamiltonianSpec:
 
     def data_scale(self, horizon: float) -> float:
         """||u0||_inf + T ||F||_inf, the natural size of solutions up to T."""
-        return self.u0.sup_norm() + horizon * self.source.sup_norm()
+        return self.u0.sup_norm() + horizon * self.source.bound
 
     def error_bar(self, dt: float, horizon: float) -> float:
         """5 (h + dt) data_scale(horizon), with h the largest spacing of u0's grid:
@@ -365,10 +365,6 @@ class FixedPointReport:
     horizon: float
     growth_constant: float
     verdict: str
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "converged"
 
 
 def hj_fixed_point(

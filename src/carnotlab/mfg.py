@@ -105,14 +105,12 @@ class CouplingSpec:
             raise ValueError(f"coupling gain must be finite and >= 0, got {self.gain!r}")
 
 
-def coupling_eval(rho: Field, c: CouplingSpec, group: GroupSpec) -> Field:
-    """gain * (mollifier kernel convolved with rho), on rho's own grid.
+def coupling_eval(rho: Field, c: CouplingSpec) -> Field:
+    """gain * (mollifier kernel convolved with rho), on the mollifier's grid and law.
 
     rho may stack snapshots along a leading axis; each is smoothed alike.
     """
-    out = mollify(rho, c.mollifier, group)
-    if c.gain == 1.0:
-        return out
+    out = mollify(rho, c.mollifier)
     return Field(out.grid, c.gain * out.values, out.t)
 
 
@@ -187,7 +185,7 @@ def _backward_value(
     times = rho_traj.times
     # all snapshots, in reflected order, through one coupling product
     stack = Field(u_T.grid, np.stack([f.values for f in reversed(rho_traj.fields)]))
-    source = SourceTerm.from_sequence(times, coupling_eval(stack, coupling, group).values)
+    source = SourceTerm.from_sequence(times, coupling_eval(stack, coupling).values)
     spec_v = HamiltonianSpec(u0=Field(u_T.grid, u_T.values, 0.0), gamma=gamma, source=source)
     v = hj_solve(spec_v, sigma, t_end, group, steps=len(rho_traj) - 1, store_every=1)
     return v.reflected(times), v, spec_v
@@ -270,8 +268,11 @@ def mfg_picard(
     solve of the run takes n steps over [0, t_end], so rho0 must be
     stamped 0 and carry unit mass; both solvers re-check the bound per step;
     a mid-run violation or iterate escape ends the run with the
-    no-fixed-point verdict rather than an exception.
+    no-fixed-point verdict rather than an exception.  A coupling whose
+    mollifier was built for another law than group's is refused at entry.
     """
+    if coupling.mollifier.group != group:
+        raise ValueError("the coupling's mollifier was built for another group law")
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     if float(rho0.values.min()) < 0.0:

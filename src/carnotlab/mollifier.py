@@ -9,8 +9,8 @@ evaluated only on the coordinates of x its law terms involve (one shift
 per vertical column for a step-2 law).  Offsets that differ in the top
 slot only add their interpolation corners into one tap per lattice cell,
 in column order for a step-2 law.  ``mollify`` applies the operator as
-CSR row blocks, one per block of first-axis slabs.  A MollifierSpec
-smooths only on the grid and group it was built for, and memoizes the
+CSR row blocks, one per block of first-axis slabs.  A MollifierSpec holds
+its grid and group, refuses only a field on another grid, and memoizes the
 blocks on first use when their estimated size fits
 _OPERATOR_BUDGET_BYTES; above the budget every call builds them again,
 one block at a time.
@@ -70,10 +70,10 @@ class MollifierSpec:
         return MollifierSpec(eps=eps, offsets=offsets, weights=raw / total, grid=grid, group=group)
 
 
-def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, i1: int):
-    """Taps of phi -> sum_u w_u phi(x * u) in the rows of the nodes x
-    whose first index lies in [i0, i1); in C order those rows are the
-    contiguous range [i0, i1) * (nodes per first-axis slab).
+def _shift_entries(m: MollifierSpec, i0: int, i1: int):
+    """Taps of phi -> sum_u w_u phi(x * u) on m's grid and law in the rows
+    of the nodes x whose first index lies in [i0, i1); in C order those
+    rows are the contiguous range [i0, i1) * (nodes per first-axis slab).
 
     Offsets that agree on every slot but the top (last) one form a run,
     one per horizontal move for a step-2 law, taken in ascending order.
@@ -84,6 +84,7 @@ def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, 
     box or reached by no corner has weight 0 and an arbitrary col.  For
     a step-2 law the nonzero taps of a row have strictly increasing cols.
     """
+    grid, group = m.grid, m.group
     shape, h, d = grid.shape, grid.spacings, grid.dim
     strides = [int(np.prod(shape[a + 1:])) for a in range(d)]
 
@@ -145,11 +146,11 @@ def _shift_entries(m: MollifierSpec, grid: GridSpec, group: GroupSpec, i0: int, 
 def _row_blocks(m: MollifierSpec):
     """The operator of m as CSR row blocks, one per block of first-axis
     slabs holding about _BUILD_BLOCK_ENTRIES taps, in row order."""
-    grid, group = m.grid, m.group
+    grid = m.grid
     row_len = grid.num_nodes // grid.shape[0]
     slabs = max(1, _BUILD_BLOCK_ENTRIES // (row_len * _taps_per_row(m)))
     for i0 in range(0, grid.shape[0], slabs):
-        cols, wts = _shift_entries(m, grid, group, i0, min(i0 + slabs, grid.shape[0]))
+        cols, wts = _shift_entries(m, i0, min(i0 + slabs, grid.shape[0]))
         keep = wts != 0.0
         indptr = np.zeros(len(wts) + 1, dtype=np.int32)
         np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
@@ -164,7 +165,7 @@ def _taps_per_row(m: MollifierSpec) -> int:
     return len(m.offsets) * 2 ** sum(1 for w in m.group.weights if w > 1)
 
 
-def mollify(rho: Field, m: MollifierSpec, group: GroupSpec) -> Field:
+def mollify(rho: Field, m: MollifierSpec) -> Field:
     """Group-translation smoothing phi_eps(x) = sum_u w_u phi(x * u).
 
     rho may hold one snapshot or a stack of them along a leading axis;
@@ -180,12 +181,12 @@ def mollify(rho: Field, m: MollifierSpec, group: GroupSpec) -> Field:
     block's rows summing their taps in _shift_entries order.  The blocks
     are memoized on m on first use when their estimated size, one float64
     value and one int32 column per tap, fits _OPERATOR_BUDGET_BYTES;
-    above that every call builds them again, one at a time.  Raises
-    ValueError on a grid or group other than the ones m was built for.
+    above that every call builds them again, one at a time.  x * u is taken
+    under m's law; raises ValueError on a grid other than m's.
     """
     grid = rho.grid
-    if grid != m.grid or group != m.group:
-        raise ValueError("the mollifier was built for another grid or group")
+    if grid != m.grid:
+        raise ValueError("the mollifier was built for another grid")
     if not m._blocks and grid.num_nodes * _taps_per_row(m) * 12 <= _OPERATOR_BUDGET_BYTES:
         # all blocks or none: an interrupted build memoizes nothing
         m._blocks.extend(list(_row_blocks(m)))

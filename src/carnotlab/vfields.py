@@ -35,7 +35,6 @@ class VectorFieldSet:
     """A family of polynomial vector fields: coefficients[i][l] is component l of field i."""
 
     kind: str
-    dim: int
     coefficients: tuple[tuple[Poly, ...], ...]
 
     __hash__ = _hash_once
@@ -45,15 +44,19 @@ class VectorFieldSet:
     def count(self) -> int:
         return len(self.coefficients)
 
+    @property
+    def dim(self) -> int:
+        return len(self.coefficients[0])
+
 
 @cache
 def left_invariant_fields(group: GroupSpec) -> VectorFieldSet:
     """The left frame of group, built once per value of the (frozen) group record."""
-    return VectorFieldSet(kind="left", dim=group.dim, coefficients=group.left_field_table())
+    return VectorFieldSet(kind="left", coefficients=group.left_field_table())
 
 
 def right_invariant_fields(group: GroupSpec) -> VectorFieldSet:
-    return VectorFieldSet(kind="right", dim=group.dim, coefficients=group.right_field_table())
+    return VectorFieldSet(kind="right", coefficients=group.right_field_table())
 
 
 # ---------------------------------------------------------------------------

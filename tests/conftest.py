@@ -16,7 +16,7 @@ def coordinate_field(dim: int, axis: int) -> VectorFieldSet:
     """The plain Euclidean partial d/dx_axis, as a one-field set."""
     one = ((Fraction(1), tuple(0 for _ in range(dim))),)
     comps = tuple(one if l == axis else () for l in range(dim))
-    return VectorFieldSet(kind="coordinate", dim=dim, coefficients=(comps,))
+    return VectorFieldSet(kind="coordinate", coefficients=(comps,))
 
 
 # ---------------------------------------------------------------------------

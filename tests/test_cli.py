@@ -1,7 +1,11 @@
 """Config validation and artifacts of the command-line front end."""
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -445,3 +449,70 @@ def test_verify_lets_a_suite_error_propagate(monkeypatch):
     monkeypatch.setitem(verify.SUITES, "failing", failing_suite)
     with pytest.raises(ValueError, match="a solver found a negative density"):
         cli.main(["verify", "failing"])
+
+
+def _with_stdout_closed(args, cwd):
+    """Run the command line in a fresh interpreter whose stdout pipe is closed
+    before it writes; returns (exit status, stderr)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    with open(cwd / "stderr.txt", "w+b") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "carnotlab.cli", *args], cwd=cwd, env=env,
+                                stdout=subprocess.PIPE, stderr=err)
+        proc.stdout.close()
+        status = proc.wait(timeout=120)
+        err.seek(0)
+        return status, err.read().decode()
+
+
+@pytest.mark.parametrize("args, written", [
+    (["schema"], []),
+    (["run", "heat_decay", "--output-dir", "D"], ["manifest.json", "summary.txt"]),
+    (["verify", "group_algebra", "--output-dir", "D"], ["manifest.json", "suite_group_algebra.json"]),
+], ids=["schema", "run", "verify"])
+def test_a_closed_stdout_ends_quietly_with_every_artifact_written(args, written, tmp_path):
+    status, err = _with_stdout_closed(args, tmp_path)
+    assert status == -signal.SIGPIPE
+    assert err == ""
+    if written:
+        (outdir,) = (tmp_path / "D").iterdir()
+        assert set(written) <= {p.name for p in outdir.iterdir()}
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == sorted(
+            p.name for p in outdir.iterdir() if p.name != "manifest.json")
+
+
+@pytest.mark.parametrize("below", ["", "runs"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_into_an_unusable_output_dir_stops_before_any_solve(jobs, below, tmp_path, monkeypatch,
+                                                                 serial_pool, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    runs = blocker / below if below else blocker
+    built = []
+    monkeypatch.setitem(cli.SCENARIOS, "heat", lambda cfg, group: built.append(cfg))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool)
+    code = cli.main(["run", "heat_decay", "--jobs", jobs, "--output-dir", str(runs)])
+    assert code == cli.EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert str(runs) in line and "not a directory" in line
+    assert built == [] and serial_pool.sizes == []
+    assert blocker.is_file()
+
+
+def test_verify_into_an_unusable_output_dir_stops_before_any_suite(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    called = []
+
+    def fake_suite():
+        called.append(True)
+        return (verify.Check("value", 1.0, "<= 1", True),), ()
+
+    monkeypatch.setattr(verify, "SUITES", {"fake": fake_suite})
+    assert cli.main(["verify", "fake", "--output-dir", str(blocker)]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert str(blocker) in line and "not a directory" in line
+    assert out == "" and called == [] and blocker.is_file()

@@ -16,7 +16,7 @@ from carnotlab.flat_metric import (
     holder_in_time,
     two_dirac_distance,
 )
-from carnotlab.grid import Field, Trajectory, bump_field, node_coordinates
+from carnotlab.grid import Field, Trajectory, bump_field, node_coordinates, node_points
 from carnotlab.groups import hom_norm, multiply, quasi_distance
 from carnotlab.report import json_text
 
@@ -413,6 +413,18 @@ def test_from_field_thresholding_drops_trace_weights():
     vals[4, 4, 4] = 1.0
     m = DiscreteMeasure.from_field(Field(grid, vals))
     assert m.points.shape[0] == 1
+
+
+def test_uncoarsened_measure_is_the_nodes_and_their_clipped_cell_masses():
+    grid = cgrid.default_grid(nodes=9)
+    vals = np.random.default_rng(8).uniform(-1.0, 1.0, grid.shape)
+    vals[0, :, 0] = 1e-20
+    masses = (np.clip(vals, 0.0, None) * grid.cell_volume).reshape(-1)
+    keep = masses > flat_metric._WEIGHT_FLOOR * masses.max()
+    assert 0 < keep.sum() < masses.size - 9
+    m = DiscreteMeasure.from_field(Field(grid, vals), coarsen=1)
+    assert np.array_equal(m.points, node_points(grid)[keep])
+    assert np.array_equal(m.weights, masses[keep])
 
 
 def test_measure_csv_round_trip(tmp_path):

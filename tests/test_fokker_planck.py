@@ -52,7 +52,7 @@ def test_constant_drift_values_and_sup():
     d = DriftField.constant((0.5, -0.25))
     assert np.array_equal(d.at(0.0), [0.5, -0.25])
     assert np.array_equal(d.at(10.0), [0.5, -0.25])
-    assert d.sup_norm() == 0.5
+    assert d.bound == 0.5
 
 
 def test_piecewise_drift_selects_largest_time_not_beyond():
@@ -70,7 +70,7 @@ def test_coefficient_refuses_bad_input():
     with pytest.raises(ValueError, match="not finite"):
         c.at(1.0)
     nodal = Coefficient.constant(np.zeros((2, 5, 5, 5)))
-    assert nodal.zero and nodal.at(0.0) is None and nodal.sup_norm() == 0.0
+    assert nodal.zero and nodal.at(0.0) is None and nodal.bound == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,6 @@ def test_subsolution_threshold_zero_drift():
     rng = np.random.default_rng(5)
     params = SubsolutionParams(beta=0.1, beta1=1.0, tau0=0.0, tau=0.1)
     rep = subsolution_check(G, params, (0.0, 0.0), 0.25, rng=rng)
-    assert rep.ok
     assert 0.5 <= rep.threshold <= 1.5
     assert rep.max_lhs_at_double <= 1e-10
 
@@ -212,7 +211,7 @@ def test_subsolution_threshold_with_drift():
     rng = np.random.default_rng(6)
     params = SubsolutionParams(beta=0.1, beta1=1.0, tau0=0.0, tau=0.1)
     rep = subsolution_check(G, params, (0.4, -0.2), 0.25, rng=rng)
-    assert rep.ok
+    assert rep.max_lhs_at_double <= 1e-10
     assert rep.threshold > 0.0
 
 
@@ -291,8 +290,7 @@ def test_each_particle_block_draws_its_own_stream():
     cdf /= cdf[-1]
 
     def block(seed, index):
-        return fp_module._simulate_block(seed, index, 2000, cdf, grid.axes(), grid.spacings,
-                                         grid.shape, G, None, 0.25, 0.01, 3)
+        return fp_module._simulate_block(seed, index, 2000, cdf, grid, G, None, 0.25, 0.01, 3)
 
     first, second = block(5, 0), block(5, 1)
     assert first.sum() == second.sum() == 2000

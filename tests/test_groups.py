@@ -35,9 +35,6 @@ def identity(spec: GroupSpec) -> np.ndarray:
 def to_text(spec: GroupSpec) -> str:
     doc = {
         "name": spec.name,
-        "dim": spec.dim,
-        "horizontal_dim": spec.horizontal_dim,
-        "step": spec.step,
         "weights": spec.weights,
         "law": [[[str(coeff), px, py] for coeff, px, py in terms] for terms in spec.law],
     }
@@ -52,9 +49,6 @@ def from_text(text: str) -> GroupSpec:
     )
     return GroupSpec(
         name=doc["name"],
-        dim=int(doc["dim"]),
-        horizontal_dim=int(doc["horizontal_dim"]),
-        step=int(doc["step"]),
         weights=tuple(int(w) for w in doc["weights"]),
         law=law,
     )
@@ -272,6 +266,21 @@ def test_serialization_round_trip():
         # document is structured text, keys stable
         parsed = json.loads(doc)
         assert parsed["name"] == spec.name
+
+
+@pytest.mark.parametrize("weights, law, message", [
+    ((1, 1, 2), H1.law[:2], "every coordinate"),
+    ((1, 2, 1), H1.law, "nondecreasing"),
+    ((2, 2, 3), H1.law, "from 1"),
+], ids=["law_row_missing", "weights_out_of_order", "weights_not_from_1"])
+def test_malformed_group_is_refused(weights, law, message):
+    with pytest.raises(ValueError, match=message):
+        GroupSpec(name="malformed", weights=weights, law=law)
+
+
+def test_dimension_rank_and_step_are_read_from_the_weights():
+    assert (H1.dim, H1.horizontal_dim, H1.step) == (3, 2, 2)
+    assert (ENGEL.dim, ENGEL.horizontal_dim, ENGEL.step) == (4, 2, 3)
 
 
 def test_engel_group_law():

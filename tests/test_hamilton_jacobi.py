@@ -55,10 +55,10 @@ def test_source_sequence_lookup():
     assert src.at(0.7)[0, 0, 0] == 2.0
     assert src.at(3.0)[0, 0, 0] == 5.0
     assert src.at(-1.0)[0, 0, 0] == 1.0
-    assert src.sup_norm() == 5.0
+    assert src.bound == 5.0
     assert not src.zero
     assert hj.SourceTerm.none().zero
-    assert hj.SourceTerm.none().sup_norm() == 0.0
+    assert hj.SourceTerm.none().bound == 0.0
 
 
 def test_data_scale_combines_datum_and_source():
@@ -226,7 +226,6 @@ def test_big_data_reports_divergence_verdict(monkeypatch):
     spec = hj.HamiltonianSpec(u0=big)
     _, rep = hj.hj_fixed_point(spec, SIGMA, 0.05, G)
     assert rep.verdict == "diverged"
-    assert not rep.ok
     assert all(np.isfinite(d) for d in rep.distances)
 
 
@@ -237,7 +236,6 @@ def test_big_data_reports_divergence_verdict(monkeypatch):
 def test_fixed_point_contracts_at_short_horizon(headline):
     _, _, rep = headline
     assert rep.verdict == "converged"
-    assert rep.ok
     assert len(rep.ratios) >= 2
     assert all(r < 1.0 for r in rep.ratios)
     assert all(b < a for a, b in zip(rep.distances, rep.distances[1:]))

@@ -57,7 +57,7 @@ def test_coupling_preserves_mass_and_sup(coupling21):
     inside = (np.abs(X) <= 0.8) & (np.abs(Y) <= 0.8) & (np.abs(Z) <= 0.8)
     vals = inside / (inside.sum() * gs.cell_volume)
     rho = grid.Field(gs, vals, 0.0)
-    out = mfg.coupling_eval(rho, c, G)
+    out = mfg.coupling_eval(rho, c)
     assert out.integral() == pytest.approx(rho.integral(), abs=1e-8)
     assert out.sup_norm() <= rho.sup_norm() * (1 + 1e-12)
 
@@ -65,8 +65,8 @@ def test_coupling_preserves_mass_and_sup(coupling21):
 def test_coupling_gain_scales_linearly(coupling21):
     gs, c = coupling21
     rho = grid.bump_field(gs, G, radius=1.0, normalize=True)
-    base = mfg.coupling_eval(rho, c, G)
-    scaled = mfg.coupling_eval(rho, mfg.CouplingSpec(mollifier=c.mollifier, gain=2.5), G)
+    base = mfg.coupling_eval(rho, c)
+    scaled = mfg.coupling_eval(rho, mfg.CouplingSpec(mollifier=c.mollifier, gain=2.5))
     assert np.allclose(scaled.values, 2.5 * base.values, rtol=0, atol=1e-14)
 
 
@@ -85,7 +85,7 @@ def test_coupling_dirac_is_extremal(coupling21):
     vals = np.zeros(gs.shape)
     vals[10, 10, 10] = 1.0 / gs.cell_volume
     dirac = grid.Field(gs, vals, 0.0)
-    out = mfg.coupling_eval(dirac, c, G)
+    out = mfg.coupling_eval(dirac, c)
     ref = kernel_field(c.mollifier)
     assert np.abs(out.values - ref.values).max() <= 1e-12 * ref.sup_norm()
     bound = c1_norm(out)
@@ -93,7 +93,7 @@ def test_coupling_dirac_is_extremal(coupling21):
     for _ in range(4):
         ctr = tuple(rng.uniform(-0.35, 0.35, size=3))
         rho = grid.bump_field(gs, G, center=ctr, radius=1.0, normalize=True)
-        assert c1_norm(mfg.coupling_eval(rho, c, G)) <= bound * (1 + 1e-9)
+        assert c1_norm(mfg.coupling_eval(rho, c)) <= bound * (1 + 1e-9)
 
 
 def test_coupling_lipschitz_in_flat_distance(coupling21):
@@ -108,8 +108,8 @@ def test_coupling_lipschitz_in_flat_distance(coupling21):
         c2 = (*rng.uniform(-0.4, 0.4, size=2), 0.0)
         r1 = grid.bump_field(gs, G, center=c1, radius=1.0, normalize=True)
         r2 = grid.bump_field(gs, G, center=c2, radius=1.0, normalize=True)
-        f1 = mfg.coupling_eval(r1, c, G)
-        f2 = mfg.coupling_eval(r2, c, G)
+        f1 = mfg.coupling_eval(r1, c)
+        f2 = mfg.coupling_eval(r2, c)
         dn = c1_norm(grid.Field(gs, f1.values - f2.values, 0.0))
         mu = DiscreteMeasure.from_field(r1, coarsen=2)
         nu = DiscreteMeasure.from_field(r2, coarsen=2)

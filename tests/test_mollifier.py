@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from carnotlab import grid as cgrid
-from carnotlab import groups, mollifier, vfields
+from carnotlab import groups, mfg, mollifier, vfields
 from carnotlab.grid import Field, GridSpec, bump_field, node_coordinates
 from carnotlab.groups import hom_norm, multiply
 from carnotlab.mollifier import MollifierSpec, mollify
@@ -40,7 +40,7 @@ def test_mollify_dirac_returns_kernel():
     m = MollifierSpec.build(0.4, grid, G)
     vals = np.zeros(grid.shape)
     vals[20, 20, 20] = 1.0 / grid.cell_volume
-    smoothed = mollify(Field(grid, vals), m, G)
+    smoothed = mollify(Field(grid, vals), m)
     kf = kernel_field(m)
     assert np.abs(smoothed.values - kf.values).max() <= 1e-10 * kf.values.max()
 
@@ -50,7 +50,7 @@ def test_mollify_preserves_mass_and_sup():
     rho = bump_field(grid, G, radius=1.0, normalize=True)
     for eps in (0.4, 0.8):
         m = MollifierSpec.build(eps, grid, G)
-        out = mollify(rho, m, G)
+        out = mollify(rho, m)
         assert abs(out.integral() - rho.integral()) <= 1e-8
         assert out.values.max() <= rho.values.max() * (1 + 1e-6)
         assert out.values.min() >= -1e-15
@@ -92,7 +92,7 @@ def test_mollify_sup_error_for_lipschitz_data():
         pad = int(np.ceil(eps / grid.spacings[0])) + 1
         interior = (slice(pad, -pad),) * 3
         # one product per row block smooths every field of the stack
-        for (name, vals), out in zip(family.items(), mollify(stack, m, G).values):
+        for (name, vals), out in zip(family.items(), mollify(stack, m).values):
             err = np.abs(out[interior] - vals[interior]).max()
             assert err <= (1 + 1e-1) * eps, f"{name} at eps={eps}: {err}"
     # above the budget the row blocks are built again on every call
@@ -154,14 +154,14 @@ def test_mollify_memoized_and_rebuilt_blocks_match_the_loop(monkeypatch):
                       rng.uniform(-1.0, 1.0, grid.shape)])
     stored = MollifierSpec.build(0.8, grid, G)
     want = np.stack([_loop_mollify(Field(grid, v), stored, G) for v in stack])
-    memoized = mollify(Field(grid, stack), stored, G).values
+    memoized = mollify(Field(grid, stack), stored).values
     assert np.abs(memoized - want).max() <= 1e-12
-    assert np.abs(mollify(Field(grid, stack[1]), stored, G).values - want[1]).max() <= 1e-12
+    assert np.abs(mollify(Field(grid, stack[1]), stored).values - want[1]).max() <= 1e-12
     assert stored._blocks
 
     monkeypatch.setattr(mollifier, "_OPERATOR_BUDGET_BYTES", 0)
     rebuilt = MollifierSpec.build(0.8, grid, G)
-    got = mollify(Field(grid, stack), rebuilt, G).values
+    got = mollify(Field(grid, stack), rebuilt).values
     assert np.abs(got - want).max() <= 1e-12
     # every row sums its taps in the same order on both paths
     assert np.array_equal(got, memoized)
@@ -175,9 +175,13 @@ def test_mollify_refuses_a_grid_or_law_it_was_not_built_for():
     with pytest.raises(ValueError):
         MollifierSpec.build(0.8, coarse, G)
     with pytest.raises(ValueError):
-        mollify(bump_field(coarse, G, radius=1.0), m, G)
-    with pytest.raises(ValueError):
-        mollify(bump_field(grid, G, radius=1.0), m, _doubled_bracket())
+        mollify(bump_field(coarse, G, radius=1.0), m)
+    # m holds its law, and the coupled run, the one path that pairs a
+    # mollifier with a group, refuses another law
+    rho0 = bump_field(grid, G, radius=1.4, normalize=True)
+    with pytest.raises(ValueError, match="group"):
+        mfg.mfg_picard(bump_field(grid, G, radius=1.2), rho0, mfg.CouplingSpec(mollifier=m),
+                       0.25, 0.01, _doubled_bracket())
     assert m._blocks == []
 
 
@@ -199,7 +203,7 @@ def test_mollify_follows_the_group_law():
     inside = _translates_inside(grid, law, m)
     assert inside.sum() > 100
     data = Field(grid, phi(pts).reshape(grid.shape))
-    got = mollify(data, m, law).values
+    got = mollify(data, m).values
     assert np.abs(got - want)[inside].max() <= 1e-12
     assert np.abs(_loop_mollify(data, m, law) - want)[inside].max() > 1e-2
 
@@ -208,16 +212,16 @@ def test_mollifier_operator_is_stored_under_budget_and_keyed_by_value():
     small = cgrid.default_grid(nodes=21)
     m = MollifierSpec.build(0.8, small, G)
     rho = bump_field(small, G, radius=1.0, normalize=True)
-    mollify(rho, m, G)
+    mollify(rho, m)
     blocks = list(m._blocks)
     assert sum(b.nnz for b in blocks) == 2_339_428
     # the nonzero taps of every row come in strictly increasing column
     # order, so the blocks are assembled without a sort
-    cols, wts = mollifier._shift_entries(m, small, G, 0, small.shape[0])
+    cols, wts = mollifier._shift_entries(m, 0, small.shape[0])
     rows, _ = np.nonzero(wts)
     assert np.diff(cols[wts != 0])[rows[1:] == rows[:-1]].min() > 0
     same = Field(cgrid.default_grid(nodes=21), rho.values)
-    mollify(same, m, groups.preset("heisenberg1"))
+    mollify(same, m)
     assert len(m._blocks) == len(blocks)
     assert all(a is b for a, b in zip(m._blocks, blocks))
     # nothing is memoized at 41^3, eps 0.8: see test_mollify_sup_error_for_lipschitz_data
@@ -227,14 +231,14 @@ def test_mollify_on_engel_keeps_mass_and_sup(monkeypatch):
     E = groups.preset("engel")
     grid = GridSpec((-1.5,) * 4, (1.5,) * 4, (11,) * 4)
     m = MollifierSpec.build(0.9, grid, E)
-    ones = mollify(Field(grid, np.ones(grid.shape)), m, E).values
+    ones = mollify(Field(grid, np.ones(grid.shape)), m).values
     assert m._blocks == []
     inside = _translates_inside(grid, E, m)
     assert inside.sum() > 0
     assert np.abs(ones[inside] - 1.0).max() <= 1e-12
 
     rho = bump_field(grid, E, radius=0.7, normalize=True)
-    out = mollify(rho, m, E)
+    out = mollify(rho, m)
     assert abs(out.integral() - rho.integral()) <= 1e-12
     assert out.values.max() <= rho.values.max()
     assert out.values.min() >= 0.0
@@ -243,5 +247,5 @@ def test_mollify_on_engel_keeps_mass_and_sup(monkeypatch):
     # once, are the rebuilt ones
     monkeypatch.setattr(mollifier, "_OPERATOR_BUDGET_BYTES", 1 << 40)
     stored = MollifierSpec.build(0.9, grid, E)
-    assert np.array_equal(mollify(rho, stored, E).values, out.values)
+    assert np.array_equal(mollify(rho, stored).values, out.values)
     assert stored._blocks

@@ -247,7 +247,7 @@ def _poly(*terms):
 
 
 # constant slots 2 and -1 (not 1), next to array slots of both signs
-HAND = VectorFieldSet(kind="hand", dim=3, coefficients=(
+HAND = VectorFieldSet(kind="hand", coefficients=(
     (_poly((2, (0, 0, 0))), (), _poly((1, (0, 1, 0)))),
     ((), _poly((-1, (0, 0, 0))), _poly((Fraction(-1, 2), (1, 0, 0)))),
 ))
